@@ -22,6 +22,7 @@ import sys
 from . import __version__
 from .core import ColoredMultigraph, GraphError, make_certificate, verify
 from .duality import ColoredHypergraph, HypergraphError
+from .exact import Inconclusive, Infeasible
 
 
 class FormatError(ValueError):
@@ -38,6 +39,17 @@ def _tokenize(text):
             yield ln, line.split()
 
 
+def _ints(ln, tokens, first_field):
+    """The tokens as integers; a bad token is reported with its line and field."""
+    out = []
+    for field, tok in enumerate(tokens, start=first_field):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise FormatError(ln, field, f"expected an integer, got {tok!r}") from None
+    return out
+
+
 def parse_graph(text: str) -> ColoredMultigraph:
     rows = list(_tokenize(text))
     if not rows or rows[0][1][0] != "cg":
@@ -45,19 +57,12 @@ def parse_graph(text: str) -> ColoredMultigraph:
     ln, header = rows[0]
     if len(header) != 3:
         raise FormatError(ln, 2, "header needs exactly n and r")
-    try:
-        n, r = int(header[1]), int(header[2])
-    except ValueError:
-        raise FormatError(ln, 2, "n and r must be integers") from None
+    n, r = _ints(ln, header[1:], 2)
     edges = []
     for ln, tok in rows[1:]:
         if tok[0] != "e" or len(tok) != 4:
             raise FormatError(ln, 1, "expected 'e <u> <v> <c>'")
-        try:
-            u, v, c = int(tok[1]), int(tok[2]), int(tok[3])
-        except ValueError:
-            raise FormatError(ln, 2, "vertices and colors must be integers") from None
-        edges.append((u, v, c))
+        edges.append(tuple(_ints(ln, tok[1:], 2)))
     try:
         return ColoredMultigraph.from_edges(n, r, edges)
     except GraphError as exc:
@@ -79,17 +84,21 @@ def parse_hypergraph(text: str) -> ColoredHypergraph:
     ln, header = rows[0]
     if len(header) != 4:
         raise FormatError(ln, 2, "header needs n, k and r")
-    n, k, r = (int(x) for x in header[1:])
+    n, k, r = _ints(ln, header[1:], 2)
     part_map = {}
     edges = []
     seen_edges = set()
     for ln, tok in rows[1:]:
         if tok[0] == "part":
-            idx = int(tok[1])
-            part_map[idx] = [int(x) for x in tok[2:]]
+            if len(tok) < 2:
+                raise FormatError(ln, 2, "expected 'part <i> <v...>'")
+            idx, *vs = _ints(ln, tok[1:], 2)
+            part_map[idx] = vs
         elif tok[0] == "e":
-            vals = [int(x) for x in tok[1:]]
+            vals = _ints(ln, tok[1:], 2)
             if r > 0:
+                if len(vals) < 2:
+                    raise FormatError(ln, 2, "expected 'e <c> <v...>'")
                 c, vs = vals[0], tuple(vals[1:])
             else:
                 c, vs = None, tuple(vals)
@@ -125,13 +134,18 @@ def parse_cover(text: str):
     if not rows or rows[0][1][0] != "cover":
         raise FormatError(rows[0][0] if rows else 1, 1, "expected 'cover <mode> <count>'")
     ln, header = rows[0]
+    if len(header) != 3:
+        raise FormatError(ln, 2, "header needs exactly a mode and a count")
     mode = header[1]
-    count = int(header[2])
+    if mode not in ("cover", "partition"):
+        raise FormatError(ln, 2, f"mode must be 'cover' or 'partition', got {mode!r}")
+    (count,) = _ints(ln, header[2:], 3)
     pieces = []
     for ln, tok in rows[1:]:
-        if tok[0] != "piece":
+        if tok[0] != "piece" or len(tok) < 2:
             raise FormatError(ln, 1, "expected 'piece <color> <v...>'")
-        pieces.append((int(tok[1]), tuple(int(x) for x in tok[2:])))
+        c, *vs = _ints(ln, tok[1:], 2)
+        pieces.append((c, tuple(vs)))
     if len(pieces) != count:
         raise FormatError(rows[0][0], 3, f"header says {count} pieces, got {len(pieces)}")
     return make_certificate(pieces, mode=mode)
@@ -148,18 +162,28 @@ def write_cover(cert) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, as the exit-code contract above says (argparse uses 2,
+    the inconclusive code)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _read(path):
     with open(path) as f:
         return f.read()
 
 
+def _threads(args):
+    return args.threads or int(os.environ.get("RYSERLAB_THREADS", "1"))
+
+
 def _budget(args):
     from .exact import SolveBudget
 
-    threads = int(os.environ.get("RYSERLAB_THREADS", "1"))
-    if getattr(args, "threads", None):
-        threads = args.threads
-    return SolveBudget(max_seconds=args.budget_seconds, threads=threads)
+    return SolveBudget(max_seconds=args.budget_seconds, threads=_threads(args))
 
 
 def _parse_parts(spec_str, n):
@@ -176,11 +200,9 @@ def _emit(args, text, payload=None):
     if args.manifest:
         manifest = {
             "command": " ".join(sys.argv[1:]),
-            "seed": getattr(args, "seed", None),
             "budget_seconds": args.budget_seconds,
-            "threads": int(os.environ.get("RYSERLAB_THREADS", "1")),
+            "threads": _threads(args),
             "version": __version__,
-            "generator": "python-mt19937",
             "digest": hashlib.sha256(text.encode()).hexdigest(),
         }
         if payload:
@@ -191,16 +213,12 @@ def _emit(args, text, payload=None):
 
 
 def cmd_tc(args):
-    from .exact import Infeasible, tc_exact
+    from .exact import tc_exact
 
     g = parse_graph(_read(args.input))
-    try:
-        size, cert = tc_exact(g, max_diam=args.max_diam,
-                              allowed_colors=set(args.colors) if args.colors else None,
-                              budget=_budget(args))
-    except Infeasible as exc:
-        _emit(args, f"infeasible: {exc}")
-        return 1
+    size, cert = tc_exact(g, max_diam=args.max_diam,
+                          allowed_colors=set(args.colors) if args.colors else None,
+                          budget=_budget(args))
     _emit(args, f"tc = {size}\n{write_cover(cert)}", {"tc": size})
     return 0
 
@@ -409,17 +427,13 @@ def cmd_construct(args):
 
 
 def cmd_hunt(args):
-    from .exact import Inconclusive, hunt
+    from .exact import hunt
 
     bound = args.bound
     if bound not in ("alpha", "2alpha", "ryser"):
         bound = int(bound)
-    try:
-        got = hunt(args.n, args.r, bound, use_appendix_filters=args.filters,
-                   budget=_budget(args))
-    except Inconclusive as exc:
-        _emit(args, f"inconclusive: {exc} {exc.stats}")
-        return 2
+    got = hunt(args.n, args.r, bound, use_appendix_filters=args.filters,
+               budget=_budget(args))
     if got is None:
         _emit(args, "none")
         return 0
@@ -440,16 +454,14 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="ryserlab",
-                                 description="monochromatic cover workbench")
-    ap.add_argument("--seed", type=int, default=0)
+    ap = _Parser(prog="ryserlab", description="monochromatic cover workbench")
     ap.add_argument("--budget-seconds", type=float, default=600.0)
     ap.add_argument("--threads", type=int, default=None)
-    ap.add_argument("--format", choices=("csv", "md", "plain"), default="plain")
+    ap.add_argument("--format", choices=("csv", "plain"), default="plain")
     ap.add_argument("--manifest", default=None)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         return p
@@ -458,7 +470,6 @@ def main(argv=None):
     p.add_argument("--input", required=True)
     p.add_argument("--max-diam", type=int, default=None)
     p.add_argument("--colors", type=int, nargs="*", default=None)
-    p.add_argument("--exact", action="store_true")
 
     p = add("tp", cmd_tp)
     p.add_argument("--input", required=True)
@@ -535,6 +546,12 @@ def main(argv=None):
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except Infeasible as exc:
+        _emit(args, f"infeasible: {exc}")
+        return 1
+    except Inconclusive as exc:
+        _emit(args, f"inconclusive: {exc} {exc.stats}", {"stats": exc.stats})
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (ColoredMultigraph, CoverCertificate, GraphError, alpha,
-                   components, diameter, make_certificate, verify)
+from .core import (ColoredMultigraph, CoverCertificate, GraphError, adjacency,
+                   alpha, component_masks, components, diameter, layers,
+                   make_certificate, mask_of, reach, verify, vertices_of)
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +37,15 @@ def _reduced(g: ColoredMultigraph):
     return f
 
 
+def _split_adjacency(n: int, color_of: dict, colors) -> dict:
+    """Per color, the mask adjacency of the pairs that color_of maps to it."""
+    return {c: adjacency(n, [p for p, pc in color_of.items() if pc == c])
+            for c in colors}
+
+
 def _comp_of(g: ColoredMultigraph, c: int, v: int) -> tuple[int, ...]:
     """Vertex set of the color-c component of v."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u, c):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return tuple(sorted(seen))
+    return tuple(vertices_of(reach(g.adjacency(c), v)))
 
 
 def _star_piece(c, center, leaves):
@@ -67,19 +66,8 @@ def _check(g, pieces, max_size, max_diam=None, allowed_colors=None, mode="cover"
 
 def _ball(g, c, center, radius):
     """Vertices within color-c distance <= radius of center; induced diam <= 2*radius."""
-    dist = {center: 0}
-    frontier = [center]
-    d = 0
-    while frontier and d < radius:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u, c):
-                if w not in dist:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        frontier = nxt
-        d += 1
-    return tuple(sorted(dist))
+    # the layers are disjoint, so their sum is their union
+    return tuple(vertices_of(sum(layers(g.adjacency(c), center, radius=radius))))
 
 
 def _cover_search(g, zone, max_pieces, extra_candidates=()):
@@ -120,7 +108,7 @@ def _cover_search(g, zone, max_pieces, extra_candidates=()):
         for v in zone:
             for rad in (1, 2, 3):
                 add((c, _ball(g, c, v, rad)))
-    cands.sort(key=lambda t: -bin(t[0]).count("1"))
+    cands.sort(key=lambda t: -t[0].bit_count())
 
     def rec(acc, chosen, left):
         if acc == zmask_all:
@@ -239,30 +227,12 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
 
     # adjacency restricted to the bipartite pairs
     both = X + Y
-
-    def neighbors_bip(v, c):
-        if v in set(X):
-            return [y for y in Y if col[(v, y)] == c]
-        return [x for x in X if col[(x, v)] == c]
-
-    def comp_bip(v, c):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in neighbors_bip(u, c):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    conn = {}
-    for c in (ca, cb):
-        conn[c] = len(comp_bip(both[0], c)) == len(both)
+    adj = _split_adjacency(g.n, col, (ca, cb))
+    conn = {c: reach(adj[c], both[0]) == mask_of(both) for c in (ca, cb)}
 
     if not conn[ca] and not conn[cb]:
         # P2: both classes disconnected
-        C = comp_bip(both[0], cb)
+        C = set(vertices_of(reach(adj[cb], both[0])))
         X1 = [x for x in X if x in C]
         X2 = [x for x in X if x not in C]
         Yc = [y for y in Y if y in C]
@@ -283,35 +253,21 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
     c = ca if conn[ca] else cb
     oc = cb if c == ca else ca
     # eccentricities in the connected class
-    def bfs_layers(v, cc):
-        dist = {v: 0}
-        frontier = [v]
-        d = 0
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in neighbors_bip(u, cc):
-                    if w not in dist:
-                        dist[w] = d + 1
-                        nxt.append(w)
-            frontier = nxt
-            d += 1
-        return dist
-
-    eccs = {}
-    for v in both:
-        eccs[v] = max(bfs_layers(v, c).values())
+    eccs = {v: len(layers(adj[c], v)) - 1 for v in both}
     d = max(eccs.values())
     v0 = min(v for v in both if eccs[v] == d)
-    dist = bfs_layers(v0, c)
-    layers = [sorted(u for u, dd in dist.items() if dd == i) for i in range(d + 1)]
+    dist = layers(adj[c], v0)
+    by_dist = [vertices_of(m) for m in dist]
+
+    def lowest(mask):
+        return (mask & -mask).bit_length() - 1
 
     if d <= 2:
         edges = []
-        for u in layers[1]:
+        for u in by_dist[1]:
             edges.append((v0, u) if v0 in set(X) else (u, v0))
-        for u in (layers[2] if d == 2 else []):
-            t = next(w for w in neighbors_bip(u, c) if dist[w] == 1)
+        for u in (by_dist[2] if d == 2 else []):
+            t = lowest(adj[c][u] & dist[1])
             edges.append((u, t) if u in set(X) else (t, u))
         piece = (c, both, edges)
         return _Bip2(BipartiteClass("P3", (c,)), [piece],
@@ -321,42 +277,42 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
         return (a, b) if a in set(X) else (b, a)
 
     if d == 3:
-        t1_edges = [pair(v0, u) for u in layers[1]]
-        for u in layers[2]:
-            t = next(w for w in neighbors_bip(u, c) if dist[w] == 1)
+        t1_edges = [pair(v0, u) for u in by_dist[1]]
+        for u in by_dist[2]:
+            t = lowest(adj[c][u] & dist[1])
             t1_edges.append(pair(u, t))
-        t1 = (c, layers[0] + layers[1] + layers[2], t1_edges)
-        t2 = (oc, [v0] + layers[3], [pair(v0, u) for u in layers[3]])
+        t1 = (c, by_dist[0] + by_dist[1] + by_dist[2], t1_edges)
+        t2 = (oc, [v0] + by_dist[3], [pair(v0, u) for u in by_dist[3]])
         trees = [t1, t2]
     elif d == 4:
         # two radius-2 trees in the other color
-        t1_verts, t1_edges = [v0] + layers[3], [pair(v0, u) for u in layers[3]]
-        w0 = layers[4][0]
-        t2_verts = [w0] + layers[1]
-        t2_edges = [pair(w0, u) for u in layers[1]]
-        for u in layers[4][1:]:
+        t1_verts, t1_edges = [v0] + by_dist[3], [pair(v0, u) for u in by_dist[3]]
+        w0 = by_dist[4][0]
+        t2_verts = [w0] + by_dist[1]
+        t2_edges = [pair(w0, u) for u in by_dist[1]]
+        for u in by_dist[4][1:]:
             t2_verts.append(u)
-            t2_edges.append(pair(u, layers[1][0]))
-        for u in layers[2]:
-            t3 = [w for w in neighbors_bip(u, oc) if dist[w] == 3]
+            t2_edges.append(pair(u, by_dist[1][0]))
+        for u in by_dist[2]:
+            t3 = adj[oc][u] & dist[3]
             if t3:
                 t1_verts.append(u)
-                t1_edges.append(pair(u, t3[0]))
+                t1_edges.append(pair(u, lowest(t3)))
             else:
-                t1a = [w for w in neighbors_bip(u, oc) if dist[w] == 1]
+                t1a = adj[oc][u] & dist[1]
                 assert t1a, "every middle vertex sees the other color"
                 t2_verts.append(u)
-                t2_edges.append(pair(u, t1a[0]))
+                t2_edges.append(pair(u, lowest(t1a)))
         trees = [(oc, t1_verts, t1_edges), (oc, t2_verts, t2_edges)]
     else:
         # d >= 5: two double stars in the other color
-        z = layers[5][0]
-        y1 = layers[1][0]
-        w4 = layers[4][0]
+        z = by_dist[5][0]
+        y1 = by_dist[1][0]
+        w4 = by_dist[4][0]
         t1_verts, t1_edges = [v0, z], [pair(v0, z)]
         t2_verts, t2_edges = [y1, w4], [pair(w4, y1)]
-        for i in range(len(layers)):
-            for u in layers[i]:
+        for i in range(len(by_dist)):
+            for u in by_dist[i]:
                 if u in (v0, z, y1, w4):
                     continue
                 if i >= 3 and i % 2 == 1:
@@ -899,30 +855,18 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
         raise GraphError("cover_bipartite3 needs two nonempty sides")
     col = _reduced(g)
     sides = (set(X), set(Y))
-
-    def bip_comp(v, c):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            us = 0 if u in sides[0] else 1
-            pool = X if us == 1 else Y
-            for w in pool:
-                if w not in seen and col(*((u, w) if u < w else (w, u))) == c:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+    adj = _split_adjacency(g.n, {(x, y): col(x, y) for x in X for y in Y}, (1, 2, 3))
 
     # all two-sided components, per color, deduped
     comps = []
     seen_keys = set()
+    ymask = mask_of(Y)
     for c in (1, 2, 3):
         for v in X:
-            comp = frozenset(bip_comp(v, c))
-            key = (c, comp)
-            if key not in seen_keys and any(w in sides[1] for w in comp):
-                seen_keys.add(key)
-                comps.append((c, comp))
+            comp = reach(adj[c], v)
+            if (c, comp) not in seen_keys and comp & ymask:
+                seen_keys.add((c, comp))
+                comps.append((c, frozenset(vertices_of(comp))))
 
     other = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
@@ -980,57 +924,37 @@ def _bip3_layered(g, col, X, Y, side_comps, other):
         X, Y = Y, X  # make Y the contained side
     ca, cb = other[c3]
     Xset = set(X)
-
-    def nb(v, c):
-        pool = Y if v in Xset else X
-        return [w for w in pool
-                if col(*((v, w) if v < w else (w, v))) == c]
+    adj = adjacency(g.n, [(x, y) for x in X for y in Y if col(x, y) == c3])
 
     # eccentricities inside the component, witnesses on the X side preferred
-    members = sorted(comp)
-
-    def layers_from(v):
-        dist = {v: 0}
-        frontier = [v]
-        d = 0
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in nb(u, c3):
-                    if w in comp and w not in dist:
-                        dist[w] = d + 1
-                        nxt.append(w)
-            frontier = nxt
-            d += 1
-        return dist
-
     best = None
-    for v in members:
+    cmask = mask_of(comp)
+    for v in sorted(comp):
         if v not in Xset:
             continue
-        dist = layers_from(v)
-        ecc = max(dist.values())
-        if best is None or ecc > best[0] or (ecc == best[0] and v < best[1]):
-            best = (ecc, v, dist)
+        dist = layers(adj, v, cmask)
+        if best is None or len(dist) > len(best[1]):
+            best = (v, dist)
     if best is None:
         return None
-    d, v0, dist = best
+    v0, dist = best
+    d = len(dist) - 1
     if d < 5:
         return None
-    layers = [sorted(u for u, dd in dist.items() if dd == i) for i in range(d + 1)]
-    X1 = layers[0] + layers[2]
+    by_dist = [vertices_of(m) for m in dist]
+    X1 = by_dist[0] + by_dist[2]
     X2 = [v for v in X if v not in comp] + \
-         [u for i in range(4, d + 1, 2) for u in layers[i]]
-    Y2 = layers[1]
-    Y0 = layers[3]
-    Y1 = [u for i in range(5, d + 1, 2) for u in layers[i]]
+         [u for i in range(4, d + 1, 2) for u in by_dist[i]]
+    Y2 = by_dist[1]
+    Y0 = by_dist[3]
+    Y1 = [u for i in range(5, d + 1, 2) for u in by_dist[i]]
     if not Y1 or not X2:
         return None
-    far_x2 = [v for v in X2 if v not in set(layers[4])]
+    far_x2 = [v for v in X2 if v not in set(by_dist[4])]
 
     r1 = _classify2(g, X1, Y1, ca, cb)
     r2 = _classify2(g, X2, Y2, ca, cb)
-    cstar = (c3, sorted(set(layers[0] + layers[1] + layers[2] + layers[3])))
+    cstar = (c3, sorted(set(by_dist[0] + by_dist[1] + by_dist[2] + by_dist[3])))
 
     # (a) one of the sub-bipartite graphs has a spanning piece of diameter <= 6
     for rr, oo in ((r1, r2), (r2, r1)):
@@ -1043,7 +967,7 @@ def _bip3_layered(g, col, X, Y, side_comps, other):
             continue
         dc, va, vb = rr.cls.data
         if va in set(Bi):  # specials on the Y side cover X_i
-            xf = layers[0] if Ai is X1 else far_x2
+            xf = by_dist[0] if Ai is X1 else far_x2
             if not xf:
                 continue
             xstar = xf[0]
@@ -1139,13 +1063,11 @@ def _component_cover_search(g, max_pieces):
     seen = set()
     for c in range(1, g.r + 1):
         for part in components(g, c).parts:
-            m = 0
-            for v in part:
-                m |= 1 << v
+            m = mask_of(part)
             if (c, m) not in seen:
                 seen.add((c, m))
                 cands.append((m, (c, part)))
-    cands.sort(key=lambda t: -bin(t[0]).count("1"))
+    cands.sort(key=lambda t: -t[0].bit_count())
     full = (1 << n) - 1
 
     def rec(acc, chosen, left):
@@ -1414,15 +1336,13 @@ def classify3(g: ColoredMultigraph) -> ThreeColorClass:
     n = g.n
     if n == 1:
         return ThreeColorClass("TypeI", (1, (0,)))
+    adj = _split_adjacency(n, {p: col(*p) for p in g._edges}, (1, 2, 3))
+
     # maximal monochromatic component: largest, ties to lowest color/vertex
     best = None
     for c in (1, 2, 3):
-        seen = set()
-        for v in range(n):
-            if v in seen:
-                continue
-            red_comp = _mono_comp_reduced(g, col, c, v)
-            seen.update(red_comp)
+        for m in component_masks(adj[c], (1 << n) - 1):
+            red_comp = tuple(vertices_of(m))
             key = (-len(red_comp), c, red_comp)
             if best is None or key < best:
                 best = key
@@ -1434,7 +1354,7 @@ def classify3(g: ColoredMultigraph) -> ThreeColorClass:
     # component of the lowest B-U edge
     eb, eu = min((b, u) for b in sorted(B) for u in U)
     red = col(min(eb, eu), max(eb, eu))
-    R = set(_mono_comp_reduced(g, col, red, eb))
+    R = set(vertices_of(reach(adj[red], eb)))
     assert red != blue
     green = next(c for c in (1, 2, 3) if c not in (blue, red))
     Bs, Us = B, set(U)
@@ -1447,24 +1367,10 @@ def classify3(g: ColoredMultigraph) -> ThreeColorClass:
                                           (tuple(W), tuple(Xp), tuple(Yp), tuple(Zp))))
     # U inside R: the green component swallows U and B-R
     gverts = sorted(Bs - R) + sorted(Us)
-    G = set(_mono_comp_reduced(g, col, green, gverts[0]))
+    G = set(vertices_of(reach(adj[green], gverts[0])))
     Wc = sorted(Bs & R & G)
     Xp = sorted(Bs - G)
     Yp = sorted(Bs - R)
     Zp = sorted(Us)
     return ThreeColorClass("TypeIII", ((blue, red, green),
                                        (tuple(Wc), tuple(Xp), tuple(Yp), tuple(Zp))))
-
-
-def _mono_comp_reduced(g, col, c, v):
-    """Component of v in the reduced (one color per edge) color-c graph."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in range(g.n):
-            if w != u and w not in seen and g.colors_of(u, w) \
-                    and col(min(u, w), max(u, w)) == c:
-                seen.add(w)
-                stack.append(w)
-    return tuple(sorted(seen))

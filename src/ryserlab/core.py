@@ -48,16 +48,13 @@ class ColoredMultigraph:
         self.n = n
         self.r = r
         self._edges = norm
-        # adjacency per color, built eagerly: adj[c][u] = sorted neighbors
-        adj: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(r + 1)]
+        # per color, per vertex: a bitmask of the color-c neighbors
+        adj = [[0] * n for _ in range(r + 1)]
         for (u, v), cols in norm.items():
             for c in cols:
-                adj[c][u].append(v)
-                adj[c][v].append(u)
-        for c in range(1, r + 1):
-            for u in range(n):
-                adj[c][u].sort()
-        self._adj = adj
+                adj[c][u] |= 1 << v
+                adj[c][v] |= 1 << u
+        self._adj = tuple(tuple(a) for a in adj)
         self._hash = None
 
     @classmethod
@@ -79,8 +76,9 @@ class ColoredMultigraph:
     def has_color(self, u: int, v: int, c: int) -> bool:
         return c in self._edges.get(_norm_pair(u, v), frozenset())
 
-    def neighbors(self, u: int, c: int) -> list[int]:
-        return self._adj[c][u]
+    def adjacency(self, c: int) -> tuple[int, ...]:
+        """The color-c class as a mask adjacency: bit w of entry u marks edge uw."""
+        return self._adj[c]
 
     def is_complete(self) -> bool:
         return len(self._edges) == self.n * (self.n - 1) // 2
@@ -175,6 +173,114 @@ def make_certificate(pieces, mode="cover", max_size=None, max_diam=None,
 
 
 # ---------------------------------------------------------------------------
+# connectivity kernel
+#
+# A vertex set is a bitmask (bit v set for vertex v) and an adjacency is a
+# sequence of per-vertex neighbor masks.  Every question of what a color class
+# connects, and how far apart, is answered by the functions below.
+
+
+def mask_of(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def vertices_of(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def adjacency(n: int, pairs) -> list[int]:
+    """Mask adjacency on 0..n-1 of an undirected edge list."""
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def reach(adj, src: int, mask: int = -1) -> int:
+    """Vertices reachable from src along paths inside mask (src included)."""
+    seen = frontier = 1 << src
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def layers(adj, src: int, mask: int = -1, radius: int | None = None) -> list[int]:
+    """BFS layers from src inside mask: entry d is the vertices at distance d.
+
+    Stops at the last nonempty layer, or after layer `radius` when given.
+    """
+    seen = frontier = 1 << src
+    out = [frontier]
+    while radius is None or len(out) <= radius:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & mask & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        out.append(frontier)
+    return out
+
+
+def component_masks(adj, mask: int) -> list[int]:
+    """Components of the subgraph induced on mask, ordered by lowest vertex."""
+    out = []
+    while mask:
+        comp = reach(adj, (mask & -mask).bit_length() - 1, mask)
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
+def connected_subsets(adj, v: int, mask: int = -1):
+    """Yield every connected vertex set inside mask that contains v, once each.
+
+    Each set is grown by one boundary vertex at a time.  A boundary vertex
+    passed over is excluded from the rest of that branch, so no set repeats.
+    """
+    start = 1 << v
+    stack = [(start, adj[v] & mask & ~start, 0)]
+    while stack:
+        s, boundary, excluded = stack.pop()
+        yield s
+        children = []
+        while boundary:
+            b = boundary & -boundary
+            boundary ^= b
+            grown = s | b
+            children.append((grown, (boundary | adj[b.bit_length() - 1])
+                             & mask & ~(grown | excluded), excluded))
+            excluded |= b
+        stack.extend(reversed(children))
+
+
+def _mask_diameter(adj, mask: int) -> float:
+    """Diameter of the subgraph induced on a nonempty mask; math.inf if disconnected."""
+    if reach(adj, (mask & -mask).bit_length() - 1, mask) != mask:
+        return math.inf
+    return max(len(layers(adj, v, mask)) - 1 for v in vertices_of(mask))
+
+
+# ---------------------------------------------------------------------------
 # primitive operations
 
 
@@ -182,24 +288,8 @@ def components(g: ColoredMultigraph, c: int) -> ComponentSet:
     """Connected components of the color-c subgraph; colorless vertices are singletons."""
     if not (1 <= c <= g.r):
         raise GraphError(f"color {c} out of range 1..{g.r}")
-    seen = [False] * g.n
-    parts = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.neighbors(u, c):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        parts.append(tuple(sorted(comp)))
-    parts.sort()
-    return ComponentSet(c, tuple(parts))
+    parts = component_masks(g._adj[c], (1 << g.n) - 1)
+    return ComponentSet(c, tuple(tuple(vertices_of(m)) for m in parts))
 
 
 def closure(g: ColoredMultigraph) -> ColoredMultigraph:
@@ -220,53 +310,19 @@ def diameter(g: ColoredMultigraph, vertices, c: int) -> float:
     Only edges with both endpoints inside the set count.  Returns math.inf when
     the induced subgraph is disconnected, 0 for a single vertex.
     """
-    vs = sorted(set(vertices))
-    if not vs:
+    mask = mask_of(vertices)
+    if not mask:
         raise GraphError("diameter of an empty vertex set")
-    inside = set(vs)
-    best = 0
-    for src in vs:
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors(u, c):
-                    if w in inside and w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) < len(vs):
-            return math.inf
-        best = max(best, max(dist.values()))
-    return best
+    return _mask_diameter(g._adj[c], mask)
 
 
 def subgraph_diameter(n: int, edges) -> float:
     """Diameter of an explicit edge set (used for tree pieces)."""
-    verts = sorted({u for e in edges for u in e})
-    if not verts:
+    edges = list(edges)
+    mask = mask_of(u for e in edges for u in e)
+    if not mask:
         return 0
-    adj = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    best = 0
-    for src in verts:
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) < len(verts):
-            return math.inf
-        best = max(best, max(dist.values()))
-    return best
+    return _mask_diameter(adjacency(n, edges), mask)
 
 
 def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
@@ -276,10 +332,7 @@ def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
     with a greedy initial bound.  Any color counts as adjacency.
     """
     n = g.n
-    adjmask = [0] * n
-    for (u, v) in g._edges:
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
+    adjmask = adjacency(n, g._edges)
 
     # greedy lower bound: repeatedly take the minimum-degree available vertex
     avail = (1 << n) - 1
@@ -291,7 +344,7 @@ def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            d = bin(adjmask[v] & avail).count("1")
+            d = (adjmask[v] & avail).bit_count()
             if d < best_d:
                 best_d, best_v = d, v
         greedy.append(best_v)
@@ -301,7 +354,7 @@ def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
 
     def bb(avail: int, chosen: list[int]):
         nonlocal best_size, best_set
-        cnt = bin(avail).count("1")
+        cnt = avail.bit_count()
         if len(chosen) + cnt <= best_size:
             return
         if avail == 0:
@@ -316,7 +369,7 @@ def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            d = bin(adjmask[v] & avail).count("1")
+            d = (adjmask[v] & avail).bit_count()
             if d > best_d:
                 best_d, best_v = d, v
         if best_d == 0:

@@ -11,8 +11,9 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .core import (ColoredMultigraph, alpha, closure, components, diameter,
-                   make_certificate, verify)
+from .core import (ColoredMultigraph, alpha, closure, components,
+                   connected_subsets, diameter, make_certificate, mask_of, reach,
+                   verify, vertices_of)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def _min_set_cover(n: int, candidates, budget: SolveBudget):
     """
     full = (1 << n) - 1
     cands = [t for _, t in sorted(enumerate(candidates),
-                                  key=lambda it: (-bin(it[1][0]).count("1"), it[0]))]
+                                  key=lambda it: (-it[1][0].bit_count(), it[0]))]
     reach = 0
     for m, _ in cands:
         reach |= m
@@ -63,7 +64,7 @@ def _min_set_cover(n: int, candidates, budget: SolveBudget):
     acc = 0
     greedy = []
     while acc != full:
-        best = max(cands, key=lambda t: bin(t[0] & ~acc).count("1"))
+        best = max(cands, key=lambda t: (t[0] & ~acc).bit_count())
         greedy.append(best)
         acc |= best[0]
     best_size = len(greedy)
@@ -76,7 +77,7 @@ def _min_set_cover(n: int, candidates, budget: SolveBudget):
             b = mm & -mm
             by_elem[b.bit_length() - 1].append((m, p))
             mm ^= b
-    maxsize = max(bin(m).count("1") for m, _ in cands)
+    maxsize = max(m.bit_count() for m, _ in cands)
     deadline = time.monotonic() + budget.max_seconds
     state = {"nodes": 0}
 
@@ -92,7 +93,7 @@ def _min_set_cover(n: int, candidates, budget: SolveBudget):
                 best_sol = list(chosen)
             return
         uncovered = full & ~acc
-        uc = bin(uncovered).count("1")
+        uc = uncovered.bit_count()
         if len(chosen) + (uc + maxsize - 1) // maxsize >= best_size:
             return
         # least-covered uncovered element
@@ -105,7 +106,7 @@ def _min_set_cover(n: int, candidates, budget: SolveBudget):
             c = len(by_elem[e])
             if c < cnt:
                 cnt, pick = c, e
-        opts = sorted(by_elem[pick], key=lambda t: -bin(t[0] & uncovered).count("1"))
+        opts = sorted(by_elem[pick], key=lambda t: -(t[0] & uncovered).bit_count())
         for m, p in opts:
             chosen.append(p)
             rec(acc | m, chosen)
@@ -117,35 +118,28 @@ def _min_set_cover(n: int, candidates, budget: SolveBudget):
 
 def _connected_subsets_with_diam(g, c, max_diam, budget):
     """All (mask, vertexlist) of connected color-c subsets with induced diameter <= max_diam."""
-    out = {}
-    seen_masks = set()
+    adj = g.adjacency(c)
+    full = (1 << g.n) - 1
     deadline = time.monotonic() + budget.max_seconds
-    for part in components(g, c).parts:
-        # grow connected subsets within the component
-        base = list(part)
-        frontier = [frozenset([v]) for v in base]
-        for s in frontier:
-            seen_masks.add(s)
-        while frontier:
+    out = []
+    for v in range(g.n):
+        # every subset once, grown from its lowest vertex
+        for mask in connected_subsets(adj, v, full & ~((1 << v) - 1)):
             if time.monotonic() > deadline:
                 raise Inconclusive("diameter-piece enumeration budget exhausted")
-            nxt = []
-            for s in frontier:
-                if len(s) == 1 or diameter(g, s, c) <= max_diam:
-                    mask = 0
-                    for v in s:
-                        mask |= 1 << v
-                    out[mask] = sorted(s)
-                boundary = set()
-                for v in s:
-                    boundary.update(w for w in g.neighbors(v, c) if w not in s)
-                for w in boundary:
-                    s2 = s | {w}
-                    if s2 not in seen_masks:
-                        seen_masks.add(s2)
-                        nxt.append(s2)
-            frontier = nxt
-    return [(m, vs) for m, vs in sorted(out.items())]
+            vs = vertices_of(mask)
+            if len(vs) == 1 or diameter(g, vs, c) <= max_diam:
+                out.append((mask, vs))
+    out.sort()
+    return out
+
+
+def _verified(g: ColoredMultigraph, cert):
+    """cert, after the independent checker accepts it; a rejection is a solver bug."""
+    res = verify(g, cert)
+    if not res.ok:
+        raise AssertionError(f"solver certificate failed verification: {res.reason}")
+    return cert
 
 
 def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
@@ -163,10 +157,7 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
     if max_diam is None:
         for c in colors:
             for part in components(g, c).parts:
-                mask = 0
-                for v in part:
-                    mask |= 1 << v
-                candidates.append((mask, (c, part)))
+                candidates.append((mask_of(part), (c, part)))
     else:
         if g.n > 24:
             raise Inconclusive("diameter-constrained exact cover limited to n <= 24")
@@ -176,8 +167,7 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
     size, pieces = _min_set_cover(g.n, candidates, budget)
     cert = make_certificate(pieces, max_size=size, max_diam=max_diam,
                             allowed_colors=allowed_colors)
-    assert verify(g, cert).ok
-    return size, cert
+    return size, _verified(g, cert)
 
 
 def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
@@ -192,30 +182,26 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     if n == 0:
         return 0, make_certificate([], mode="partition", max_size=0)
     full = (1 << n) - 1
+    adjs = [(c, g.adjacency(c)) for c in range(1, g.r + 1)]
 
-    def connected_in(mask, c) -> bool:
-        verts = [v for v in range(n) if mask >> v & 1]
-        if not verts:
-            return False
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u, c):
-                if mask >> w & 1 and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+    def color_connecting(mask):
+        """The lowest color whose class connects mask, or None."""
+        src = (mask & -mask).bit_length() - 1
+        for c, adj in adjs:
+            if reach(adj, src, mask) == mask:
+                return c
+        return None
 
-    def colors_connecting(mask):
-        return [c for c in range(1, g.r + 1) if connected_in(mask, c)]
+    def certified(pieces):
+        """(t, verified certificate) for a list of (color, mask) parts."""
+        cert = make_certificate([(c, vertices_of(m)) for c, m in pieces],
+                                mode="partition", max_size=len(pieces))
+        return len(pieces), _verified(g, cert)
 
     # t = 1
-    for c in range(1, g.r + 1):
-        if connected_in(full, c):
-            cert = make_certificate([(c, range(n))], mode="partition", max_size=1)
-            assert verify(g, cert).ok
-            return 1, cert
+    c = color_connecting(full)
+    if c is not None:
+        return certified([(c, full)])
     # t = 2: scan bipartitions with vertex 0 on the left
     if n <= 22:
         for left in range(0, 1 << (n - 1)):
@@ -223,18 +209,13 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
             rm = full & ~lm
             if rm == 0:
                 continue
-            lc = colors_connecting(lm)
-            if not lc:
+            lc = color_connecting(lm)
+            if lc is None:
                 continue
-            rc = colors_connecting(rm)
-            if not rc:
+            rc = color_connecting(rm)
+            if rc is None:
                 continue
-            cert = make_certificate(
-                [(lc[0], [v for v in range(n) if lm >> v & 1]),
-                 (rc[0], [v for v in range(n) if rm >> v & 1])],
-                mode="partition", max_size=2)
-            assert verify(g, cert).ok
-            return 2, cert
+            return certified([(lc, lm), (rc, rm)])
         start_t = 3
     else:
         start_t = 2
@@ -243,29 +224,14 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     deadline = time.monotonic() + budget.max_seconds
     state = {"nodes": 0}
 
-    def pieces_from(v, avail_mask):
-        """Connected monochromatic subsets containing v inside avail_mask, deduped."""
-        seen = set()
-        for c in range(1, g.r + 1):
-            frontier = [(1 << v, frozenset([v]))]
-            local = {frozenset([v])}
-            while frontier:
-                nxt = []
-                for mask, s in frontier:
-                    key = (mask, c) if len(s) > 1 else mask
-                    if key not in seen:
-                        seen.add(key)
-                        yield mask, c, tuple(sorted(s))
-                    boundary = set()
-                    for u in s:
-                        boundary.update(w for w in g.neighbors(u, c)
-                                        if avail_mask >> w & 1 and w not in s)
-                    for w in boundary:
-                        s2 = s | {w}
-                        if s2 not in local:
-                            local.add(s2)
-                            nxt.append((mask | (1 << w), s2))
-                frontier = nxt
+    def pieces_from(v, avail):
+        """(color, mask) of the connected monochromatic subsets containing v
+        inside avail; the singleton comes once, under color 1."""
+        single = 1 << v
+        for c, adj in adjs:
+            for mask in connected_subsets(adj, v, avail):
+                if mask != single or c == 1:
+                    yield c, mask
 
     def dfs(avail, t_left, acc):
         state["nodes"] += 1
@@ -277,14 +243,13 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
         if t_left == 0:
             return None
         if t_left == 1:
-            cs = colors_connecting(avail)
-            if cs:
-                return list(acc) + [(cs[0], tuple(v for v in range(n)
-                                                  if avail >> v & 1))]
+            c = color_connecting(avail)
+            if c is not None:
+                return acc + [(c, avail)]
             return None
         v = (avail & -avail).bit_length() - 1
-        for mask, c, vs in pieces_from(v, avail):
-            acc.append((c, vs))
+        for c, mask in pieces_from(v, avail):
+            acc.append((c, mask))
             got = dfs(avail & ~mask, t_left - 1, acc)
             if got is not None:
                 return got
@@ -294,9 +259,7 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     for t in range(start_t, n + 1):
         got = dfs(full, t, [])
         if got is not None:
-            cert = make_certificate(got, mode="partition", max_size=t)
-            assert verify(g, cert).ok
-            return t, cert
+            return certified(got)
     raise AssertionError("singleton pieces always partition")
 
 
@@ -356,7 +319,8 @@ def tau_nu(h, budget: SolveBudget | None = None):
         if mask:
             covers_by_vertex.append((mask, v))
     tau, chosen = _min_set_cover(m, covers_by_vertex, budget)
-    assert tau >= nu
+    if tau < nu:
+        raise AssertionError(f"tau = {tau} < nu = {nu}: a solver is wrong")
     return tau, tuple(sorted(chosen)), nu, tuple(best_matching)
 
 
@@ -368,12 +332,7 @@ def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
     comps = cl_components(h, c, ell)
     csets = list(itertools.combinations(range(h.n), c))
     idx = {s: i for i, s in enumerate(csets)}
-    candidates = []
-    for comp in comps:
-        mask = 0
-        for s in comp.shadow:
-            mask |= 1 << idx[s]
-        candidates.append((mask, comp))
+    candidates = [(mask_of(idx[s] for s in comp.shadow), comp) for comp in comps]
     size, chosen = _min_set_cover(len(csets), candidates, budget)
     return size, chosen
 
@@ -467,7 +426,7 @@ def _appendix_filtered(cg: ColoredMultigraph, bound: int, stats) -> bool:
     # (iv) every vertex incident with an edge of every color
     for v in range(cg.n):
         for c in range(1, cg.r + 1):
-            if not cg.neighbors(v, c):
+            if not cg.adjacency(c)[v]:
                 stats["filtered"] += 1
                 return True
     # (v) every transversal of components (one per color) meets in <= 1 vertex

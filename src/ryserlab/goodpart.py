@@ -192,7 +192,7 @@ def _bb_min_dominating(r: int, d: int, ub_words, node_limit, deadline):
                 best = len(chosen)
                 best_set = [W[j] for j in chosen]
             return
-        uc = bin(uncovered).count("1")
+        uc = uncovered.bit_count()
         if len(chosen) + (uc + maxcov - 1) // maxcov >= best:
             return
         pick, pick_cnt = -1, 1 << 60
@@ -201,7 +201,7 @@ def _bb_min_dominating(r: int, d: int, ub_words, node_limit, deadline):
             b = m & -m
             i = b.bit_length() - 1
             m ^= b
-            c = bin(dom[i]).count("1")
+            c = dom[i].bit_count()
             if c < pick_cnt:
                 pick_cnt, pick = c, i
         cands = []
@@ -210,7 +210,7 @@ def _bb_min_dominating(r: int, d: int, ub_words, node_limit, deadline):
             b = m & -m
             j = b.bit_length() - 1
             m ^= b
-            cands.append((bin(dom[j] & uncovered).count("1"), j))
+            cands.append(((dom[j] & uncovered).bit_count(), j))
         cands.sort(reverse=True)
         for _, j in cands:
             chosen.append(j)
@@ -272,9 +272,10 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
     def finish(lower, upper, words, method):
         ws = WordSet.of(r, d, words) if words is not None else None
         if ws is not None and lower == upper:
-            assert covers_all(ws) is True
-            if r ** d <= 4096:
-                assert gamma_t_check(r, d, ws)
+            if covers_all(ws) is not True:
+                raise AssertionError(f"Z({r},{d}) witness fails the domination check")
+            if r ** d <= 4096 and not gamma_t_check(r, d, ws):
+                raise AssertionError(f"Z({r},{d}) witness fails the gamma_t check")
         out = SolveOutcome(lower, upper, ws)
         out.method = method
         return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .core import adjacency, component_masks, mask_of, vertices_of
 from .duality import ColoredHypergraph, HypergraphError
 
 
@@ -35,6 +36,14 @@ def _check_params(h: ColoredHypergraph, c: int, ell: int):
         raise HypergraphError(f"need 1 <= c, ell <= k-1 = {h.k - 1}")
 
 
+def _overlap_adjacency(edges, ell: int) -> list[int]:
+    """Mask adjacency on edge indices: i ~ j when edges i and j share >= ell vertices."""
+    vmask = [mask_of(e) for e in edges]
+    pairs = itertools.combinations(range(len(edges)), 2)
+    return adjacency(len(edges), [(i, j) for i, j in pairs
+                                  if (vmask[i] & vmask[j]).bit_count() >= ell])
+
+
 def cl_components(h: ColoredHypergraph, c: int, ell: int) -> list[CLComponent]:
     """Monochromatic (c,ell)-components as shadows of edge cores, all colors."""
     _check_params(h, c, ell)
@@ -46,27 +55,10 @@ def cl_components(h: ColoredHypergraph, c: int, ell: int) -> list[CLComponent]:
     out = []
     for color in sorted(by_color):
         edges = by_color[color]
-        m = len(edges)
-        parent = list(range(m))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        esets = [set(e) for e in edges]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if len(esets[i] & esets[j]) >= ell:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        groups: dict[int, list[int]] = {}
-        for i in range(m):
-            groups.setdefault(find(i), []).append(i)
-        for root in sorted(groups, key=lambda t: min(edges[i] for i in groups[t])):
-            core = tuple(sorted(edges[i] for i in groups[root]))
+        adj = _overlap_adjacency(edges, ell)
+        groups = [vertices_of(m) for m in component_masks(adj, (1 << len(edges)) - 1)]
+        for group in sorted(groups, key=lambda grp: min(edges[i] for i in grp)):
+            core = tuple(sorted(edges[i] for i in group))
             shadow = set()
             for e in core:
                 shadow.update(itertools.combinations(e, c))
@@ -86,51 +78,32 @@ def mc_cl(h: ColoredHypergraph, c: int, ell: int):
 def exhaustive_tight_spanning(n: int, colors: int = 3) -> int:
     """Check every coloring of K_n^3 for a spanning monochromatic tight component.
 
-    Lean enumeration over all colors^C(n,3) colorings with union-find over the
-    edge-intersection structure; returns the number of colorings checked and
+    Lean enumeration over all colors^C(n,3) colorings, with components over the
+    edge-overlap mask adjacency; returns the number of colorings checked and
     raises on the first failure.  Used by the exhaustive acceptance run; spot
     instances are cross-checked against tight_spanning in the tests.
     """
     edges = list(itertools.combinations(range(n), 3))
-    m = len(edges)
-    heavy = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if len(set(edges[i]) & set(edges[j])) >= 2:
-                heavy[i].append(j)
-    vmask = [sum(1 << v for v in e) for e in edges]
+    heavy = _overlap_adjacency(edges, 2)
+    vmask = [mask_of(e) for e in edges]
     full = (1 << n) - 1
+
+    def spans(class_mask):
+        for comp in component_masks(heavy, class_mask):
+            shadow = 0
+            for i in vertices_of(comp):
+                shadow |= vmask[i]
+            if shadow == full:
+                return True
+        return False
+
     checked = 0
-    for coloring in itertools.product(range(colors), repeat=m):
+    for coloring in itertools.product(range(colors), repeat=len(edges)):
         checked += 1
-        found = False
-        for c in range(colors):
-            idx = [i for i in range(m) if coloring[i] == c]
-            if not idx:
-                continue
-            parent = {i: i for i in idx}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            pos = set(idx)
-            for i in idx:
-                for j in heavy[i]:
-                    if j in pos:
-                        ri, rj = find(i), find(j)
-                        if ri != rj:
-                            parent[ri] = rj
-            shadows = {}
-            for i in idx:
-                r = find(i)
-                shadows[r] = shadows.get(r, 0) | vmask[i]
-            if any(s == full for s in shadows.values()):
-                found = True
-                break
-        if not found:
+        classes = [0] * colors
+        for i, c in enumerate(coloring):
+            classes[c] |= 1 << i
+        if not any(spans(cm) for cm in classes):
             raise AssertionError(f"no spanning tight component for {coloring}")
     return checked
 

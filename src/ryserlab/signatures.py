@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import ColoredMultigraph, GraphError, components
+from .core import (ColoredMultigraph, GraphError, component_masks, components,
+                   mask_of)
 
 
 @dataclass(frozen=True, order=True)
@@ -131,25 +132,10 @@ def signature_of(g: ColoredMultigraph, X, S) -> SignatureSet:
     X = sorted(set(X))
     if not X:
         raise GraphError("signature of an empty vertex set")
-    inside = set(X)
+    xmask = mask_of(X)
     parts_list = []
     for c in sorted(S):
-        seen = set()
-        sizes = []
-        for start in X:
-            if start in seen:
-                continue
-            stack = [start]
-            seen.add(start)
-            size = 0
-            while stack:
-                u = stack.pop()
-                size += 1
-                for w in g.neighbors(u, c):
-                    if w in inside and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            sizes.append(size)
+        sizes = [m.bit_count() for m in component_masks(g.adjacency(c), xmask)]
         parts_list.append(tuple(sorted(sizes, reverse=True)))
     return SignatureSet.of(len(X), parts_list)
 
@@ -295,7 +281,8 @@ def is_valid(sig: SignatureSet) -> ColoredMultigraph | None:
     for pos, i in enumerate(order):
         by_color[i] = blocks[pos]
     g = _realization_graph(sig.n, sig.p, by_color)
-    assert signature_of(g, range(sig.n), range(1, sig.p + 1)) == sig
+    if signature_of(g, range(sig.n), range(1, sig.p + 1)) != sig:
+        raise AssertionError(f"realization of {sig} has another signature")
     return g
 
 

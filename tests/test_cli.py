@@ -164,3 +164,59 @@ def test_dualize_command(tmp_path, capsys):
     p.write_text("cg 3 3\ne 0 1 1\ne 0 2 2\ne 1 2 3\n")
     code, out = run_cli(["dualize", "--input", str(p)], capsys)
     assert code == 0 and out.startswith("hg 3")
+
+
+def test_inconclusive_exits_2_with_stats(tmp_path, capsys):
+    code, out = run_cli(["construct", "badmulti", "--k", "3", "--t", "1"], capsys)
+    assert code == 0
+    p = tmp_path / "bad31.cg"
+    p.write_text(out)
+    m = tmp_path / "m.json"
+    code, out = run_cli(["--budget-seconds", "0", "--manifest", str(m),
+                         "tp", "--input", str(p)], capsys)
+    assert code == 2
+    assert out.startswith("inconclusive: partition search budget exhausted")
+    assert "'nodes'" in out
+    assert json.loads(m.read_text())["stats"]["nodes"] > 0
+
+
+@pytest.mark.parametrize("argv, text, where", [
+    (["verify", "--input", "{g}", "--cover", "{f}"], "cover\n", "line 1, field 2"),
+    (["verify", "--input", "{g}", "--cover", "{f}"],
+     "cover cover 1\npiece 1 0 x\n", "line 2, field 4"),
+    (["verify", "--input", "{g}", "--cover", "{f}"], "cover cover two\n", "line 1, field 3"),
+    (["taunu", "--input", "{f}"], "hg x 3 1\n", "line 1, field 2"),
+    (["taunu", "--input", "{f}"], "hg 3 2 1\ne 1 0 y\n", "line 2, field 4"),
+    (["taunu", "--input", "{f}"], "hg 3 2 1\npart\n", "line 2, field 2"),
+    (["taunu", "--input", "{f}"], "hg 3 2 1\ne\n", "line 2, field 2"),
+])
+def test_malformed_files_exit_3(tmp_path, capsys, argv, text, where):
+    g = tmp_path / "g.cg"
+    g.write_text(K4_AFFINE)
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    code = cli.main([a.format(g=g, f=f) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert where in err and "Traceback" not in err
+
+
+def test_manifest_records_what_ran(tmp_path, capsys):
+    p = tmp_path / "g.cg"
+    p.write_text(K4_AFFINE)
+    m = tmp_path / "m.json"
+    run_cli(["--threads", "4", "--manifest", str(m), "tc", "--input", str(p)], capsys)
+    d = json.loads(m.read_text())
+    assert d["threads"] == 4
+    assert "seed" not in d and "generator" not in d
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "1", "mc", "--input", "g.cg"],
+    ["--format", "md", "mc", "--input", "g.cg"],
+    ["tc", "--input", "g.cg", "--exact"],
+])
+def test_removed_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -152,3 +156,25 @@ def test_budget_is_explicit():
         ex.tp_exact(g, budget=ex.SolveBudget(max_nodes=1))
     size, _ = ex.tp_exact(g)
     assert size == 3
+
+
+def test_certificate_gate_survives_python_O():
+    # under -O an assert would vanish; the verification gate must still raise
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = textwrap.dedent("""
+        import ryserlab.exact as ex
+        from ryserlab.core import VerifyResult, monochromatic_complete
+        ex.verify = lambda g, cert: VerifyResult(False, "patched to reject")
+        try:
+            ex.tc_exact(monochromatic_complete(3))
+        except AssertionError as exc:
+            print(exc)
+        else:
+            raise SystemExit("tc_exact returned a rejected certificate")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "patched to reject" in res.stdout

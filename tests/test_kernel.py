@@ -1,0 +1,203 @@
+"""The bitmask connectivity kernel against plain breadth-first references.
+
+Every reference below works on neighbor sets built from the public edge list,
+so it shares no code with the kernel in ryserlab.core.
+"""
+
+import itertools
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ryserlab import hypercover as hc
+from ryserlab.constructive import _ball
+from ryserlab.core import (ColoredMultigraph, closure, components,
+                           connected_subsets, diameter, mask_of,
+                           subgraph_diameter)
+from ryserlab.duality import ColoredHypergraph
+from ryserlab.signatures import SignatureSet, signature_of
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def multigraphs(draw):
+    """n <= 10, r <= 4; a pair carries any subset of the colors, so edges may be multi-colored."""
+    n = draw(st.integers(1, 10))
+    r = draw(st.integers(1, 4))
+    edges = {}
+    for pair in itertools.combinations(range(n), 2):
+        cols = draw(st.frozensets(st.integers(1, r), max_size=r))
+        if cols:
+            edges[pair] = cols
+    return ColoredMultigraph(n, r, edges)
+
+
+@st.composite
+def graph_and_subset(draw):
+    g = draw(multigraphs())
+    vs = draw(st.frozensets(st.integers(0, g.n - 1), min_size=1))
+    return g, sorted(vs)
+
+
+def ref_neighbors(g, c):
+    nb = {v: set() for v in range(g.n)}
+    for u, v, cols in g.edges():
+        if c in cols:
+            nb[u].add(v)
+            nb[v].add(u)
+    return nb
+
+
+def ref_dist(nb, src, inside):
+    dist = {src: 0}
+    queue = [src]
+    for u in queue:
+        for w in sorted(nb[u]):
+            if w in inside and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def ref_components(nb, inside):
+    parts, seen = [], set()
+    for v in sorted(inside):
+        if v not in seen:
+            comp = set(ref_dist(nb, v, inside))
+            seen |= comp
+            parts.append(tuple(sorted(comp)))
+    return sorted(parts)
+
+
+def ref_diameter(nb, vs):
+    inside = set(vs)
+    best = 0
+    for v in vs:
+        dist = ref_dist(nb, v, inside)
+        if len(dist) < len(inside):
+            return math.inf
+        best = max(best, max(dist.values()))
+    return best
+
+
+@SETTINGS
+@given(multigraphs())
+def test_components_match_bfs(g):
+    for c in range(1, g.r + 1):
+        assert list(components(g, c).parts) == ref_components(ref_neighbors(g, c),
+                                                              set(range(g.n)))
+
+
+@SETTINGS
+@given(multigraphs())
+def test_closure_matches_bfs(g):
+    want = {}
+    for u, v, cols in g.edges():
+        want.setdefault((u, v), set()).update(cols)
+    for c in range(1, g.r + 1):
+        for part in ref_components(ref_neighbors(g, c), set(range(g.n))):
+            for pair in itertools.combinations(part, 2):
+                want.setdefault(pair, set()).add(c)
+    got = {(u, v): set(cols) for u, v, cols in closure(g).edges()}
+    assert got == want
+
+
+@SETTINGS
+@given(graph_and_subset())
+def test_induced_diameter_matches_bfs(gv):
+    g, vs = gv
+    for c in range(1, g.r + 1):
+        assert diameter(g, vs, c) == ref_diameter(ref_neighbors(g, c), vs)
+
+
+@SETTINGS
+@given(graph_and_subset())
+def test_subgraph_diameter_matches_bfs(gv):
+    g, vs = gv
+    inside = set(vs)
+    for c in range(1, g.r + 1):
+        es = [(u, v) for u, v, cols in g.edges() if c in cols and u in inside and v in inside]
+        touched = sorted({u for e in es for u in e})
+        nb = {v: set() for v in touched}
+        for u, v in es:
+            nb[u].add(v)
+            nb[v].add(u)
+        want = ref_diameter(nb, touched) if touched else 0
+        assert subgraph_diameter(g.n, es) == want
+
+
+@SETTINGS
+@given(multigraphs(), st.data())
+def test_ball_matches_bfs(g, data):
+    center = data.draw(st.integers(0, g.n - 1))
+    for c in range(1, g.r + 1):
+        dist = ref_dist(ref_neighbors(g, c), center, set(range(g.n)))
+        for radius in (1, 2, 3):
+            want = tuple(sorted(v for v, d in dist.items() if d <= radius))
+            assert _ball(g, c, center, radius) == want
+
+
+@SETTINGS
+@given(graph_and_subset(), st.data())
+def test_signature_matches_bfs(gv, data):
+    g, X = gv
+    S = data.draw(st.frozensets(st.integers(1, g.r), min_size=1))
+    want = []
+    for c in sorted(S):
+        parts = ref_components(ref_neighbors(g, c), set(X))
+        want.append(tuple(sorted((len(p) for p in parts), reverse=True)))
+    assert signature_of(g, X, S) == SignatureSet.of(len(X), want)
+
+
+@SETTINGS
+@given(graph_and_subset(), st.data())
+def test_connected_subsets_match_brute_force(gv, data):
+    g, vs = gv
+    v = data.draw(st.sampled_from(vs))
+    inside = set(vs)
+    for c in range(1, g.r + 1):
+        nb = ref_neighbors(g, c)
+        want = set()
+        rest = sorted(inside - {v})
+        for k in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, k):
+                s = {v, *extra}
+                if len(ref_dist(nb, v, s)) == len(s):
+                    want.add(mask_of(s))
+        got = list(connected_subsets(g.adjacency(c), v, mask_of(vs)))
+        assert len(got) == len(set(got))
+        assert set(got) == want
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(4, 7))
+    r = draw(st.integers(1, 3))
+    edges = []
+    for e in itertools.combinations(range(n), 3):
+        c = draw(st.integers(0, r))
+        if c:
+            edges.append((c, e))
+    return ColoredHypergraph(n, 3, r, None, edges)
+
+
+@SETTINGS
+@given(hypergraphs(), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+def test_cl_components_match_pairwise_overlap(h, cl):
+    c, ell = cl
+    want = []
+    for color in sorted({col for col, _ in h.edges()}):
+        es = [vs for col, vs in h.edges() if col == color]
+        nb = {i: {j for j in range(len(es))
+                  if j != i and len(set(es[i]) & set(es[j])) >= ell}
+              for i in range(len(es))}
+        groups = ref_components(nb, set(range(len(es))))
+        cores = sorted((tuple(sorted(es[i] for i in grp)) for grp in groups),
+                       key=lambda core: core[0])
+        for core in cores:
+            shadow = {s for e in core for s in itertools.combinations(e, c)}
+            want.append((color, core, frozenset(shadow)))
+    got = [(comp.color, comp.edge_core, comp.shadow) for comp in hc.cl_components(h, c, ell)]
+    assert got == want
