@@ -32,6 +32,10 @@ class FormatError(ValueError):
         self.col = col
 
 
+class UsageError(ValueError):
+    """A bad command-line value; reported without a traceback, exit 3."""
+
+
 def _tokenize(text):
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -187,11 +191,16 @@ def _budget(args):
 
 
 def _parse_parts(spec_str, n):
-    parts = [[int(v) for v in chunk.split(",") if v != ""]
-             for chunk in spec_str.split(";") if chunk]
-    flat = sorted(v for p in parts for v in p)
-    if flat != list(range(n)):
-        raise SystemExit("--parts must partition 0..n-1")
+    """'0,1;2,3' -> [[0, 1], [2, 3]]; the parts must partition 0..n-1."""
+    if spec_str is None:
+        raise UsageError("this command needs --parts")
+    try:
+        parts = [[int(v) for v in chunk.split(",") if v != ""]
+                 for chunk in spec_str.split(";") if chunk]
+    except ValueError:
+        raise UsageError(f"--parts {spec_str!r}: vertices must be integers") from None
+    if sorted(v for p in parts for v in p) != list(range(n)):
+        raise UsageError(f"--parts {spec_str!r} must partition 0..{n - 1}")
     return parts
 
 
@@ -311,14 +320,12 @@ def cmd_signatures(args):
     from . import signatures as sg
 
     n, p = args.n, args.p
-    if args.stage == "enumerate":
-        sigs = sg.enumerate_signatures(n, p)
-    elif args.stage == "valid":
-        sigs = sg.valid_signatures(n, p)
-    elif args.stage == "residual":
-        sigs = sg.residual_cases(n, p)
-    else:
-        raise SystemExit(f"unknown stage {args.stage}")
+    stage = {"enumerate": sg.enumerate_signatures, "valid": sg.valid_signatures,
+             "residual": sg.residual_cases}[args.stage]
+    try:
+        sigs = stage(n, p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     lines = [",".join(str(s) for s in sig.sigs) for sig in sigs]
     _emit(args, f"# {args.stage}({n},{p}) = {len(sigs)}\n" + "\n".join(lines),
           {"count": len(sigs)})
@@ -543,7 +550,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as exc:
+    except (FormatError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except Infeasible as exc:

@@ -178,6 +178,7 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     values by piece-growing DFS from the lowest uncovered vertex.
     """
     budget = budget or SolveBudget()
+    deadline = time.monotonic() + budget.max_seconds
     n = g.n
     if n == 0:
         return 0, make_certificate([], mode="partition", max_size=0)
@@ -205,6 +206,10 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     # t = 2: scan bipartitions with vertex 0 on the left
     if n <= 22:
         for left in range(0, 1 << (n - 1)):
+            if left % 8192 == 8191 and \
+               (left >= budget.max_nodes or time.monotonic() > deadline):
+                raise Inconclusive("partition search budget exhausted",
+                                   {"nodes": left + 1, "stage": "bipartition scan"})
             lm = (left << 1) | 1
             rm = full & ~lm
             if rm == 0:
@@ -221,7 +226,6 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
         start_t = 2
 
     # iterative deepening DFS over pieces grown from the lowest uncovered vertex
-    deadline = time.monotonic() + budget.max_seconds
     state = {"nodes": 0}
 
     def pieces_from(v, avail):

@@ -143,7 +143,7 @@ def signature_of(g: ColoredMultigraph, X, S) -> SignatureSet:
 def enumerate_signatures(n: int, p: int) -> list[SignatureSet]:
     """All multisets of p integer partitions of n, in canonical descending order."""
     if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
+        raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     shapes = sorted(int_partitions(n), reverse=True)
     return [SignatureSet.of(n, combo)
             for combo in itertools.combinations_with_replacement(shapes, p)]
@@ -160,7 +160,12 @@ def passes_edge_count(sig: SignatureSet) -> bool:
 # realizability search
 
 class _ShapeTables:
-    """Per-(n) cache of set partitions, pair masks and W-restriction profiles."""
+    """Per-(n) cache of set partitions, pair masks and W-restriction codes.
+
+    The W tables behind `w_codes` and `qualifying_fourth` give one bit to each
+    pair (W, restriction profile) over the subsets W of size 3..5; they are
+    built on first use.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -169,27 +174,72 @@ class _ShapeTables:
         self.full = (1 << len(self.pairs)) - 1
         self.parts: dict[tuple[int, ...], list] = {}
         self.masks: dict[tuple[int, ...], list[int]] = {}
-        self.profiles: dict[tuple[int, ...], list[list[tuple[int, int, int]]]] = {}
-        self.w_subsets = [w for size in (3, 4, 5) if size <= n
-                          for w in itertools.combinations(range(n), size)]
-        self.w_size = [len(w) for w in self.w_subsets]
+        self.codes: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        self.w_subsets: list[tuple[int, ...]] = []
+        self.w_offset: list[int] = []
+        self.w_profiles: dict[int, list[tuple[int, int, int]]] = {}
+        self._qual: list[tuple[int, list[int]]] = []
 
-    def ensure(self, shape: tuple[int, ...], with_profiles: bool = False):
+    def ensure(self, shape: tuple[int, ...]):
         if shape not in self.parts:
             plist = set_partitions_with_shape(self.n, shape)
             self.parts[shape] = plist
             self.masks[shape] = [self._pmask(p) for p in plist]
-        if with_profiles and shape not in self.profiles:
-            self.profiles[shape] = [
-                [_restrict_profile(p, w) for w in self.w_subsets]
-                for p in self.parts[shape]
-            ]
 
     def _pmask(self, blocks) -> int:
         m = 0
         for b in blocks:
             for u, v in itertools.combinations(b, 2):
                 m |= 1 << self.pair_idx[(u, v)]
+        return m
+
+    def _build_w_tables(self):
+        """For each W, the qualifying-fourth-profile bits of every profile triple.
+
+        A restriction to W has the profile of an integer partition of |W|, so
+        |W| = 3, 4, 5 gives 3, 5, 7 profiles.  Entry (a*k + b)*k + c of W's
+        table has the bit of fourth profile d set iff `_w_qualifies` holds for
+        profiles (a, b, c, d).
+        """
+        offset = 0
+        for size in range(3, min(self.n, 5) + 1):
+            profs = [(len(q), sum(1 for x in q if x >= 2), sum(1 for x in q if x >= 3))
+                     for q in int_partitions(size)]
+            self.w_profiles[size] = profs
+            k = len(profs)
+            table = [sum(1 << d for d in range(k)
+                         if _w_qualifies(size, (profs[a], profs[b], profs[c], profs[d])))
+                     for a in range(k) for b in range(k) for c in range(k)]
+            for w in itertools.combinations(range(self.n), size):
+                self.w_subsets.append(w)
+                self.w_offset.append(offset)
+                self._qual.append((k, [m << offset for m in table]))
+                offset += k
+
+    def w_codes(self, shape: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """Per partition of this shape: (the bits of its profile on each W,
+        its profile index on each W)."""
+        if shape not in self.codes:
+            if not self._qual:
+                self._build_w_tables()
+            self.ensure(shape)
+            index = {size: {q: i for i, q in enumerate(profs)}
+                     for size, profs in self.w_profiles.items()}
+            out = []
+            for blocks in self.parts[shape]:
+                idx = tuple(index[len(w)][_restrict_profile(blocks, w)]
+                            for w in self.w_subsets)
+                bits = sum(1 << (off + i) for off, i in zip(self.w_offset, idx))
+                out.append((bits, idx))
+            self.codes[shape] = out
+        return self.codes[shape]
+
+    def qualifying_fourth(self, a, b, c) -> int:
+        """The (W, profile) bits of the fourth partitions that make some W
+        qualify, given the first three partitions' profile indices a, b, c."""
+        m = 0
+        for (k, q), x, y, z in zip(self._qual, a, b, c):
+            m |= q[(x * k + y) * k + z]
         return m
 
 
@@ -217,6 +267,51 @@ def _tables(n: int) -> _ShapeTables:
     return _TABLES[n]
 
 
+def _search_order(tab: _ShapeTables, sig: SignatureSet):
+    """(colors, shapes): the signature's colors ordered by how few set
+    partitions their shape has (ties by color), and the shapes in that order."""
+    shapes = sig.shapes()
+    for s in shapes:
+        tab.ensure(s)
+    order = sorted(range(len(shapes)), key=lambda i: (len(tab.parts[shapes[i]]), i))
+    return order, [shapes[i] for i in order]
+
+
+def _covering_tuples(tab: _ShapeTables, shapes):
+    """Index tuples into tab.parts[shape], one index per shape, whose set
+    partitions together cover every vertex pair, in lexicographic order.
+
+    The first partition is pinned to its canonical representative (vertex
+    symmetry), equal consecutive shapes take nondecreasing indices (color
+    symmetry), and a prefix is dropped once the union of every later shape's
+    masks cannot complete it.
+    """
+    masks = [tab.masks[shapes[0]][:1]] + [tab.masks[s] for s in shapes[1:]]
+    full, last = tab.full, len(shapes) - 1
+    suffix = [0] * (len(shapes) + 1)
+    for c in range(last, 0, -1):
+        u = suffix[c + 1]
+        for m in masks[c]:
+            u |= m
+        suffix[c] = u
+
+    def rec(c, acc, idxs):
+        lo = idxs[-1] if c and shapes[c] == shapes[c - 1] else 0
+        ms = masks[c]
+        if c == last:
+            for i in range(lo, len(ms)):
+                if acc | ms[i] == full:
+                    yield idxs + (i,)
+            return
+        rest = suffix[c + 1]
+        for i in range(lo, len(ms)):
+            a = acc | ms[i]
+            if a | rest == full:
+                yield from rec(c + 1, a, idxs + (i,))
+
+    return rec(0, 0, ())
+
+
 def _realization_graph(n: int, p: int, blocks_tuple) -> ColoredMultigraph:
     """The closed multicoloring of K_n whose color classes are the given partitions."""
     edges = []
@@ -227,63 +322,32 @@ def _realization_graph(n: int, p: int, blocks_tuple) -> ColoredMultigraph:
     return ColoredMultigraph.from_edges(n, p, edges)
 
 
-def is_valid(sig: SignatureSet) -> ColoredMultigraph | None:
-    """A realization of the signature as a closed multicoloring of K_n, or None.
-
-    Applies the edge-counting filter first, then searches tuples of set
-    partitions with the prescribed shapes whose blocks cover every vertex pair.
-    The first partition is pinned to a canonical representative (vertex
-    symmetry) and equal shapes are enumerated index-nondecreasing.
-    """
-    if not passes_edge_count(sig):
-        return None
-    tab = _tables(sig.n)
-    shapes = list(sig.shapes())
-    for s in shapes:
-        tab.ensure(s)
-    order = sorted(range(len(shapes)), key=lambda i: (len(tab.parts[shapes[i]]), i))
-    fixed_shape = shapes[order[0]]
-    rest = [shapes[i] for i in order[1:]]
-    rest_masks = [tab.masks[s] for s in rest]
-    suffix_union = [0] * (len(rest) + 1)
-    for c in range(len(rest) - 1, -1, -1):
-        u = suffix_union[c + 1]
-        for m in rest_masks[c]:
-            u |= m
-        suffix_union[c] = u
-
-    fixed_mask = tab.masks[fixed_shape][0]
-    hit: list[list[int]] = []
-
-    def rec(c, acc, idxs):
-        if c == len(rest):
-            if acc == tab.full:
-                hit.append(idxs)
-                return True
-            return False
-        if acc | suffix_union[c] != tab.full:
-            return False
-        lo = idxs[-1] if (idxs and rest[c] == rest[c - 1]) else 0
-        ms = rest_masks[c]
-        for i in range(lo, len(ms)):
-            if rec(c + 1, acc | ms[i], idxs + [i]):
-                return True
-        return False
-
-    if not rec(0, fixed_mask, []):
-        return None
-    chosen = hit[0]
-    blocks = [tab.parts[fixed_shape][0]]
-    for c, s in enumerate(rest):
-        blocks.append(tab.parts[s][chosen[c]])
-    # reorder blocks back to the signature's color order
+def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):
+    """The realization graph of a covering tuple, colored in the signature's
+    order; raises unless it has exactly the signature sig."""
     by_color = [None] * len(shapes)
-    for pos, i in enumerate(order):
-        by_color[i] = blocks[pos]
+    for color, shape, i in zip(order, shapes, idxs):
+        by_color[color] = tab.parts[shape][i]
     g = _realization_graph(sig.n, sig.p, by_color)
     if signature_of(g, range(sig.n), range(1, sig.p + 1)) != sig:
         raise AssertionError(f"realization of {sig} has another signature")
     return g
+
+
+def is_valid(sig: SignatureSet) -> ColoredMultigraph | None:
+    """A realization of the signature as a closed multicoloring of K_n, or None.
+
+    Applies the edge-counting filter first, then takes the first covering
+    tuple of set partitions with the prescribed shapes (`_covering_tuples`).
+    """
+    if not passes_edge_count(sig):
+        return None
+    tab = _tables(sig.n)
+    order, shapes = _search_order(tab, sig)
+    first = next(_covering_tuples(tab, shapes), None)
+    if first is None:
+        return None
+    return _realization(sig, tab, order, shapes, first)
 
 
 # ---------------------------------------------------------------------------
@@ -347,58 +411,33 @@ def realization_admits_w(g: ColoredMultigraph) -> bool:
     return False
 
 
-def _analyze_r6ii(sig: SignatureSet) -> tuple[bool, bool]:
-    """(valid, free) where free means: some realization admits no qualifying W."""
+def _analyze_r6ii(sig: SignatureSet) -> tuple[bool, ColoredMultigraph | None]:
+    """(valid, free): free is a realization admitting no qualifying W, or None.
+
+    Walks the covering tuples of `_covering_tuples` and stops at the first
+    free one.  A tuple admits a qualifying W iff the bits of its fourth
+    partition meet `qualifying_fourth` of its first three, which is computed
+    once per prefix.  The free realization is rechecked by the independent
+    `realization_admits_w` before it is returned.
+    """
     if not passes_edge_count(sig):
-        return (False, False)
+        return False, None
     tab = _tables(sig.n)
-    shapes = list(sig.shapes())
-    for s in shapes:
-        tab.ensure(s, with_profiles=True)
-    order = sorted(range(4), key=lambda i: (len(tab.parts[shapes[i]]), i))
-    fixed_shape = shapes[order[0]]
-    rest = [shapes[i] for i in order[1:]]
-    fixed_prof = tab.profiles[fixed_shape][0]
-    fixed_mask = tab.masks[fixed_shape][0]
-    rest_masks = [tab.masks[s] for s in rest]
-    rest_profs = [tab.profiles[s] for s in rest]
-    suffix_union = [0] * 4
-    for c in range(2, -1, -1):
-        u = suffix_union[c + 1]
-        for m in rest_masks[c]:
-            u |= m
-        suffix_union[c] = u
-    n_w = len(tab.w_subsets)
-    w_size = tab.w_size
-    state = {"valid": False, "free": False}
-
-    def tuple_free(idxs) -> bool:
-        p0, p1, p2 = (rest_profs[0][idxs[0]], rest_profs[1][idxs[1]],
-                      rest_profs[2][idxs[2]])
-        for w_i in range(n_w):
-            if _w_qualifies(w_size[w_i],
-                            (fixed_prof[w_i], p0[w_i], p1[w_i], p2[w_i])):
-                return False
-        return True
-
-    def rec(c, acc, idxs):
-        if c == 3:
-            if acc == tab.full:
-                state["valid"] = True
-                if not state["free"] and tuple_free(idxs):
-                    state["free"] = True
-            return
-        if acc | suffix_union[c] != tab.full:
-            return
-        lo = idxs[-1] if (idxs and rest[c] == rest[c - 1]) else 0
-        ms = rest_masks[c]
-        for i in range(lo, len(ms)):
-            rec(c + 1, acc | ms[i], idxs + [i])
-            if state["free"]:
-                return
-
-    rec(0, fixed_mask, [])
-    return state["valid"], state["free"]
+    order, shapes = _search_order(tab, sig)
+    codes = [tab.w_codes(s) for s in shapes]
+    valid, prefix, qualifying = False, None, 0
+    for idxs in _covering_tuples(tab, shapes):
+        valid = True
+        if idxs[:3] != prefix:
+            prefix = idxs[:3]
+            qualifying = tab.qualifying_fourth(
+                *(codes[c][i][1] for c, i in enumerate(prefix)))
+        if not qualifying & codes[3][idxs[3]][0]:
+            g = _realization(sig, tab, order, shapes, idxs)
+            if realization_admits_w(g):
+                raise AssertionError(f"free realization of {sig} admits a qualifying W")
+            return True, g
+    return valid, None
 
 
 def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = None) -> bool:
@@ -407,7 +446,9 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
     R5 applies at (n,p)=(5,3), R6 and R6II at (6,4).  R6II with a concrete
     realization g tests that single realization; without one it quantifies
     over every realization found by the validity search (a signature is
-    eliminated only when each realization admits a qualifying subset W).
+    eliminated only when each realization admits a qualifying subset W).  The
+    search stops at the first free realization, one admitting no qualifying
+    W, and raises unless `realization_admits_w` confirms that it is free.
     """
     which = which.upper()
     if which == "R5":
@@ -424,7 +465,7 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
         if g is not None:
             return realization_admits_w(g)
         valid, free = _analyze_r6ii(sig)
-        return valid and not free
+        return valid and free is None
     raise ValueError(f"unknown lemma filter {which!r}")
 
 
@@ -433,23 +474,24 @@ def valid_signatures(n: int, p: int) -> list[SignatureSet]:
 
 
 def residual_cases(n: int, p: int) -> list[SignatureSet]:
-    """Valid signatures surviving every applicable lemma filter, sorted."""
+    """Valid signatures surviving every applicable lemma filter, sorted.
+
+    Cheap filters run first.  At (5,3): lemma R5 on the shapes, then
+    `is_valid`.  At (6,4): lemma R6 on the shapes, the edge count, then one
+    realization search that stops at the first realization admitting no
+    qualifying W (lemma R6II); each such free realization is confirmed by
+    `realization_admits_w` before its signature is reported, and the call
+    raises if one is not.
+    """
     if (n, p) == (5, 3):
         out = [s for s in enumerate_signatures(5, 3)
-               if is_valid(s) is not None and not _lemma_r5(s.shapes())]
-        return sorted(out, key=lambda s: s.shapes(), reverse=True)
-    if (n, p) == (6, 4):
-        out = []
-        for s in enumerate_signatures(6, 4):
-            valid, free = _analyze_r6ii(s)
-            if not valid:
-                continue
-            if _lemma_r6(s.shapes()):
-                continue
-            if free:
-                out.append(s)
-        return sorted(out, key=lambda s: s.shapes(), reverse=True)
-    raise ValueError(f"residual_cases supports (5,3) and (6,4), not ({n},{p})")
+               if not _lemma_r5(s.shapes()) and is_valid(s) is not None]
+    elif (n, p) == (6, 4):
+        out = [s for s in enumerate_signatures(6, 4)
+               if not _lemma_r6(s.shapes()) and _analyze_r6ii(s)[1] is not None]
+    else:
+        raise ValueError(f"residual_cases supports (5,3) and (6,4), not ({n},{p})")
+    return sorted(out, key=lambda s: s.shapes(), reverse=True)
 
 
 def load_r6_fixture() -> list[SignatureSet]:

@@ -100,6 +100,35 @@ def test_signatures_command(capsys):
     assert lines[0].endswith("= 2") and len(lines) == 3
 
 
+def test_signatures_residual_64_manifest(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    code, out = run_cli(["--manifest", str(m), "signatures", "--n", "6", "--p", "4",
+                         "--stage", "residual"], capsys)
+    assert code == 0 and out.startswith("# residual(6,4) = 173")
+    assert json.loads(m.read_text())["count"] == 173
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--n", "4", "--p", "2", "--stage", "residual"], "(4,2)"),
+    (["--n", "0", "--p", "2", "--stage", "enumerate"], "n=0"),
+])
+def test_signatures_bad_sizes_exit_3(argv, named, capsys):
+    code = cli.main(["signatures"] + argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, named", [("0;x", "'0;x'"), ("0;0", "'0;0'")])
+def test_bad_parts_exit_3(tmp_path, capsys, spec, named):
+    g = tmp_path / "g.cg"
+    g.write_text(K4_AFFINE)
+    code = cli.main(["classify", "--input", str(g), "--parts", spec])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert named in err and "Traceback" not in err
+
+
 def test_hunt_command(capsys):
     code, out = run_cli(["hunt", "--n", "4", "--r", "3", "--bound", "1"], capsys)
     assert code == 1 and out.startswith("counterexample: tc = 2")

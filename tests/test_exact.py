@@ -158,6 +158,17 @@ def test_budget_is_explicit():
     assert size == 3
 
 
+def test_bipartition_scan_checks_budget():
+    # badmulti(3,1) has no partition into two parts, so the t = 2 scan runs
+    # through its 2^18 bipartitions unless the budget stops it
+    from ryserlab.goodpart import badmulti_graph
+
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.tp_exact(badmulti_graph(3, 1), budget=ex.SolveBudget(max_seconds=0))
+    assert exc.value.stats["stage"] == "bipartition scan"
+    assert exc.value.stats["nodes"] == 8192
+
+
 def test_certificate_gate_survives_python_O():
     # under -O an assert would vanish; the verification gate must still raise
     src = os.path.dirname(os.path.dirname(ex.__file__))

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -100,3 +104,84 @@ def test_r6ii_per_realization():
 def test_unsupported_residual():
     with pytest.raises(ValueError):
         sg.residual_cases(4, 2)
+
+
+def test_w_tables_agree_with_w_qualifies():
+    tab = sg._tables(6)
+    tab.w_codes((6,))
+    sizes = [len(w) for w in tab.w_subsets]
+    assert sizes.count(3) == 20 and sizes.count(4) == 15 and sizes.count(5) == 6
+    # the profiles listed for |W| are exactly those that restrictions produce
+    for size, profs in tab.w_profiles.items():
+        w = tuple(range(size))
+        seen = {sg._restrict_profile(blocks, w)
+                for shape in sg.int_partitions(6)
+                for blocks in sg.set_partitions_with_shape(6, shape)}
+        assert seen == set(profs) and len(profs) == {3: 3, 4: 5, 5: 7}[size]
+    # every 4-tuple of profiles, on every W of each size
+    for size, profs in tab.w_profiles.items():
+        k = len(profs)
+        for a in range(k):
+            for b in range(k):
+                for c in range(k):
+                    vecs = [tuple(x if s == size else 0 for s in sizes) for x in (a, b, c)]
+                    got = tab.qualifying_fourth(*vecs)
+                    for d in range(k):
+                        want = sg._w_qualifies(size, (profs[a], profs[b], profs[c], profs[d]))
+                        for wi, s in enumerate(sizes):
+                            if s == size:
+                                assert bool(got >> (tab.w_offset[wi] + d) & 1) == want
+    # whole partitions: the bit test equals the per-W specification
+    rng = random.Random(5)
+    shapes = sg.int_partitions(6)
+    outcomes = set()
+    for _ in range(300):
+        picks = []
+        for _ in range(4):
+            shape = rng.choice(shapes)
+            codes = tab.w_codes(shape)
+            i = rng.randrange(len(codes))
+            picks.append((tab.parts[shape][i], codes[i]))
+        got = bool(tab.qualifying_fourth(*(c[1] for _, c in picks[:3])) & picks[3][1][0])
+        want = any(sg._w_qualifies(len(w), [sg._restrict_profile(p, w) for p, _ in picks])
+                   for w in tab.w_subsets)
+        assert got == want
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_r6ii_eliminations_hold_on_every_realization():
+    # valid, not eliminated by R6, eliminated by R6II: every realization the
+    # search enumerates must admit a qualifying W by the independent checker
+    elim = [s for s in sg.enumerate_signatures(6, 4)
+            if not sg._lemma_r6(s.shapes()) and sg.lemma_filter(s, "R6II")]
+    assert len(elim) == 18
+    tab = sg._tables(6)
+    count = 0
+    for s in elim:
+        assert sg.is_valid(s) is not None
+        order, shapes = sg._search_order(tab, s)
+        for idxs in sg._covering_tuples(tab, shapes):
+            assert sg.realization_admits_w(sg._realization(s, tab, order, shapes, idxs))
+            count += 1
+    assert count == 20560
+
+
+def test_free_witness_gate_survives_python_O():
+    src = os.path.dirname(os.path.dirname(sg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = textwrap.dedent("""
+        import ryserlab.signatures as sg
+        sg.realization_admits_w = lambda g: True
+        try:
+            sg.residual_cases(6, 4)
+        except AssertionError as exc:
+            print(exc)
+        else:
+            raise SystemExit("residual_cases reported an unconfirmed free signature")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "admits a qualifying W" in res.stdout
