@@ -204,6 +204,15 @@ def _parse_parts(spec_str, n):
     return parts
 
 
+def _two_parts(spec_str, n):
+    """_parse_parts for the commands that split the vertices into two sides."""
+    parts = _parse_parts(spec_str, n)
+    if len(parts) != 2:
+        raise UsageError(f"--parts {spec_str!r}: this command needs exactly two "
+                         f"parts, got {len(parts)}")
+    return parts
+
+
 def _emit(args, text, payload=None):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     if args.manifest:
@@ -276,7 +285,7 @@ def cmd_classify(args):
 
     g = parse_graph(_read(args.input))
     if args.parts:
-        parts = _parse_parts(args.parts, g.n)
+        parts = _two_parts(args.parts, g.n)
         cls, cert = classify_bipartite2(g, parts[0], parts[1])
         _emit(args, f"{cls.tag} {cls.data}\n{write_cover(cert)}")
     else:
@@ -298,10 +307,10 @@ def cmd_cover(args):
     elif m in ("r2", "r3", "r4"):
         cert = cover_complete(g, int(m[1]))
     elif m == "bip2":
-        parts = _parse_parts(args.parts, g.n)
+        parts = _two_parts(args.parts, g.n)
         _, cert = classify_bipartite2(g, parts[0], parts[1])
     elif m == "bip3":
-        parts = _parse_parts(args.parts, g.n)
+        parts = _two_parts(args.parts, g.n)
         cert = cover_bipartite3(g, parts[0], parts[1])
     elif m == "alpha2":
         cert = cover_alpha2(g)
@@ -356,14 +365,14 @@ def cmd_goodpart(args):
     from .goodpart import BipartiteColoring, good_partition
 
     g = parse_graph(_read(args.input))
-    parts = _parse_parts(args.parts, g.n)
-    Y, Z = parts[0], parts[1]
+    Y, Z = _two_parts(args.parts, g.n)
     color = {}
     for yi, y in enumerate(Y):
         for zi, z in enumerate(Z):
             cs = g.colors_of(y, z)
             if not cs:
-                raise SystemExit("goodpart needs a complete bipartite coloring")
+                raise UsageError("goodpart needs a complete bipartite coloring "
+                                 f"between the parts; pair {y},{z} has no color")
             color[(yi, zi)] = min(cs)
     col = BipartiteColoring(len(Y), len(Z), g.r, color)
     got = good_partition(col, _budget(args))
@@ -438,9 +447,16 @@ def cmd_hunt(args):
 
     bound = args.bound
     if bound not in ("alpha", "2alpha", "ryser"):
-        bound = int(bound)
-    got = hunt(args.n, args.r, bound, use_appendix_filters=args.filters,
-               budget=_budget(args))
+        try:
+            bound = int(bound)
+        except ValueError:
+            raise UsageError(f"--bound {bound!r}: expected an integer, alpha, "
+                             "2alpha or ryser") from None
+    try:
+        got = hunt(args.n, args.r, bound, use_appendix_filters=args.filters,
+                   budget=_budget(args))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if got is None:
         _emit(args, "none")
         return 0

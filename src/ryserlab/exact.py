@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (ColoredMultigraph, alpha, closure, components,
                    connected_subsets, diameter, make_certificate, mask_of, reach,
@@ -345,24 +345,84 @@ def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
 # counterexample hunt
 
 
-def _canonical_coloring(n: int, r: int, colv, pair_index, perms, color_perms) -> bool:
-    """Is this edge-color vector lexicographically minimal in its orbit?"""
-    for vp in perms:
-        for cp in color_perms:
-            smaller = False
-            for k, (u, v) in enumerate(pair_index):
-                a, b = vp[u], vp[v]
-                if a > b:
-                    a, b = b, a
-                mapped = cp[colv[(a * (2 * n - a - 1)) // 2 + (b - a - 1)]]
-                if mapped < colv[k]:
-                    smaller = True
+def _pair_permutations(n: int):
+    """For each non-identity permutation of K_n's vertices, the tuple that maps
+    each pair index (itertools.combinations order) to the index of its image."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    identity = tuple(range(len(pairs)))
+    out = []
+    for vp in itertools.permutations(range(n)):
+        image = tuple(index[min(vp[u], vp[v]), max(vp[u], vp[v])]
+                      for u, v in pairs)
+        if image != identity:
+            out.append(image)
+    return out
+
+
+def _restricted_growth(m: int, r: int):
+    """Color vectors of length m over 1..r in which every color first appears
+    after all smaller colors, in lexicographic order."""
+    colv = [1] * m
+    top = [1] * m  # top[k] = max(colv[:k + 1])
+    while True:
+        yield tuple(colv)
+        k = m - 1
+        while k > 0 and (colv[k] == r or colv[k] > top[k - 1]):
+            k -= 1
+        if k <= 0:
+            return
+        colv[k] += 1
+        top[k] = max(top[k - 1], colv[k])
+        colv[k + 1:] = [1] * (m - k - 1)
+        top[k + 1:] = [top[k]] * (m - k - 1)
+
+
+def _beaten_by(colv, pair_perms, r: int) -> int:
+    """Index of the first pair permutation whose image of the restricted-growth
+    vector colv, with colors relabelled 1, 2, ... in order of first appearance
+    (the smallest relabelling), is lexicographically smaller than colv; -1 if
+    there is none."""
+    for i, perm in enumerate(pair_perms):
+        label = [0] * (r + 1)
+        top = 0
+        for k, p in enumerate(perm):
+            c = label[colv[p]]
+            if c:
+                if c != colv[k]:
+                    if c < colv[k]:
+                        return i
                     break
-                if mapped > colv[k]:
-                    break
-            if smaller:
-                return False
-    return True
+            elif colv[k] == top + 1:
+                top = label[colv[p]] = top + 1
+            else:
+                # a first appearance is labelled top + 1 > colv[k]
+                break
+    return -1
+
+
+def _canonical_colorings(n: int, r: int, stats=None, deadline=float("inf")):
+    """The r-colorings of K_n's pairs (itertools.combinations order, colors
+    1..r) that are lexicographically minimal in their orbit under S_n x S_r,
+    in lexicographic order.
+
+    The identity with the best color relabelling already beats every vector
+    that is not restricted-growth, so only those are tested; stats["enumerated"]
+    counts them, and past the monotonic deadline the walk raises Inconclusive.
+    """
+    perms = _pair_permutations(n)
+    for enumerated, colv in enumerate(_restricted_growth(n * (n - 1) // 2, r), 1):
+        if stats is not None:
+            stats["enumerated"] = enumerated
+        if enumerated % 4096 == 0 and time.monotonic() > deadline:
+            raise Inconclusive("hunt budget exhausted", stats)
+        i = _beaten_by(colv, perms, r)
+        if i < 0:
+            yield colv
+        elif i:
+            # neighbouring vectors share long prefixes, so a permutation that
+            # beat this one is likely to beat the next: try it first
+            perms.insert(0, perms.pop(i))
 
 
 def _eval_bound(bound, r, a):
@@ -380,31 +440,32 @@ def _eval_bound(bound, r, a):
 
 def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
          budget: SolveBudget | None = None):
-    """Search all r-colorings of K_n (canonical forms) for tc_r > bound.
+    """Search all r-colorings of K_n, one per isomorphism class, for tc_r > bound.
+
+    A coloring is tested only in canonical form: its color vector over the
+    pairs of K_n (in itertools.combinations order) is lexicographically minimal
+    in its orbit under vertex permutations and color relabellings
+    (S_n x S_r).  Canonical forms are found among the restricted-growth
+    vectors (each color first appears after every smaller one);
+    stats["enumerated"] counts those, stats["canonical"] the forms among them.
 
     bound is an integer or one of "alpha", "2alpha", "ryser", evaluated on each
     closure.  With filters on, colorings violating the necessary properties of
     a minimal counterexample (every color class has > bound components, every
     vertex sees every color, every transversal of components meets in at most
-    one vertex) are pruned before the exact solve.  Returns None or a
-    counterexample (ColoredMultigraph closure, tc value, stats).
+    one vertex) are pruned before the exact solve.  The budget's seconds are
+    one deadline for the whole hunt, nested exact solves included.  Returns
+    None or a counterexample (ColoredMultigraph closure, tc value, stats).
     """
+    if n < 1 or r < 1:
+        raise ValueError(f"hunt needs n >= 1 and r >= 1, got n={n}, r={r}")
+    _eval_bound(bound, r, 0)  # reject an unknown bound before searching
     budget = budget or SolveBudget()
-    pairs = list(itertools.combinations(range(n), 2))
-    perms = list(itertools.permutations(range(n)))
-    color_perms = []
-    for cp in itertools.permutations(range(1, r + 1)):
-        d = {i + 1: cp[i] for i in range(r)}
-        color_perms.append(d)
     deadline = time.monotonic() + budget.max_seconds
+    pairs = list(itertools.combinations(range(n), 2))
     stats = {"enumerated": 0, "canonical": 0, "filtered": 0, "solved": 0}
 
-    for colv in itertools.product(range(1, r + 1), repeat=len(pairs)):
-        stats["enumerated"] += 1
-        if stats["enumerated"] % 4096 == 0 and time.monotonic() > deadline:
-            raise Inconclusive("hunt budget exhausted", stats)
-        if not _canonical_coloring(n, r, colv, pairs, perms, color_perms):
-            continue
+    for colv in _canonical_colorings(n, r, stats, deadline):
         stats["canonical"] += 1
         g = ColoredMultigraph.from_edges(
             n, r, [(u, v, colv[k]) for k, (u, v) in enumerate(pairs)])
@@ -413,8 +474,11 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
         b = _eval_bound(bound, r, a)
         if use_appendix_filters and _appendix_filtered(cg, b, stats):
             continue
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise Inconclusive("hunt budget exhausted", stats)
         stats["solved"] += 1
-        t, _cert = tc_exact(cg, budget=budget)
+        t, _cert = tc_exact(cg, budget=replace(budget, max_seconds=left))
         if t > b:
             return cg, t, stats
     return None

@@ -136,6 +136,42 @@ def test_hunt_command(capsys):
     assert code == 0 and out.strip() == "none"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--n", "4", "--r", "3", "--bound", "foo"], "'foo'"),
+    (["--n", "4", "--r", "0", "--bound", "1"], "r=0"),
+    (["--n", "0", "--r", "2", "--bound", "alpha"], "n=0"),
+])
+def test_hunt_bad_arguments_exit_3(argv, named, capsys):
+    code = cli.main(["hunt"] + argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--parts", "0,1,2,3"],
+    ["cover", "--method", "bip3", "--parts", "0,1,2,3"],
+    ["cover", "--method", "bip2", "--parts", "0;1;2,3"],
+    ["goodpart", "--parts", "0,1,2,3"],
+])
+def test_two_part_commands_need_two_parts(tmp_path, capsys, argv):
+    g = tmp_path / "g.cg"
+    g.write_text(K4_AFFINE)
+    code = cli.main(argv[:1] + ["--input", str(g)] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "exactly two parts" in err and "Traceback" not in err
+
+
+def test_goodpart_needs_complete_bipartite(tmp_path, capsys):
+    g = tmp_path / "g.cg"
+    g.write_text("cg 4 2\ne 0 2 1\ne 1 2 1\ne 1 3 2\n")
+    code = cli.main(["goodpart", "--input", str(g), "--parts", "0,1;2,3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "complete bipartite" in err and "0,3" in err
+
+
 def test_construct_and_cover_pipeline(tmp_path, capsys):
     code, out = run_cli(["construct", "star", "--k", "2", "--r", "3"], capsys)
     assert code == 0

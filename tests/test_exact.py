@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -134,7 +135,85 @@ def test_hunt_small():
     assert got is not None
     cg, t, stats = got
     assert t == 2
+    # the first counterexample in canonical order, edge for edge
+    assert list(cg.edges()) == [
+        (0, 1, frozenset({1, 2})), (0, 2, frozenset({1})), (0, 3, frozenset({2})),
+        (1, 2, frozenset({1})), (1, 3, frozenset({2})), (2, 3, frozenset({3}))]
+    assert (stats["canonical"], stats["solved"]) == (7, 7)
     assert ex.hunt(4, 3, "2alpha") is None
+
+
+def _orbit_minima(n, r):
+    """Lexicographic minimum of every S_n x S_r orbit of r-colorings of K_n's
+    pairs, by listing whole orbits."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: k for k, p in enumerate(pairs)}
+    vertex_perms = [[index[tuple(sorted((vp[u], vp[v])))] for u, v in pairs]
+                    for vp in itertools.permutations(range(n))]
+    color_perms = [(0,) + cp for cp in itertools.permutations(range(1, r + 1))]
+    seen, minima = set(), []
+    for colv in itertools.product(range(1, r + 1), repeat=len(pairs)):
+        if colv not in seen:
+            orbit = {tuple(cp[colv[p]] for p in vp)
+                     for vp in vertex_perms for cp in color_perms}
+            seen |= orbit
+            minima.append(min(orbit))
+    return sorted(minima)
+
+
+def _burnside_orbits(n, r):
+    """Number of S_n x S_r orbits on r-colorings of K_n's pairs: the mean
+    number of colorings fixed by a group element."""
+    pairs = list(itertools.combinations(range(n), 2))
+    total = 0
+    for vp in itertools.permutations(range(n)):
+        image = {(u, v): tuple(sorted((vp[u], vp[v]))) for u, v in pairs}
+        pair_cycles, seen = [], set()
+        for e in pairs:
+            length = 0
+            while e not in seen:
+                seen.add(e)
+                e = image[e]
+                length += 1
+            if length:
+                pair_cycles.append(length)
+        for cp in itertools.permutations(range(r)):
+            color_cycle = []
+            for c in range(r):
+                length, d = 1, cp[c]
+                while d != c:
+                    length, d = length + 1, cp[d]
+                color_cycle.append(length)
+            # a fixed coloring is constant up to cp along each pair cycle of
+            # length L, starting from a color whose cp-cycle divides L
+            fixed = 1
+            for length in pair_cycles:
+                fixed *= sum(1 for cl in color_cycle if length % cl == 0)
+            total += fixed
+    return total // (math.factorial(n) * math.factorial(r))
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(1, 6) for r in range(1, 4)]
+                         + [(4, 4)])
+def test_canonical_colorings_are_orbit_minima(n, r):
+    assert list(ex._canonical_colorings(n, r)) == _orbit_minima(n, r)
+
+
+def test_canonical_colorings_count_orbits():
+    known = {(2, 2): 1, (3, 3): 3, (4, 2): 6, (4, 3): 15, (4, 4): 22, (5, 2): 18,
+             (5, 3): 142, (5, 4): 513, (6, 2): 78}
+    sizes = [(n, r) for n in range(1, 6) for r in range(1, 4)] + [(4, 4), (5, 4), (6, 2)]
+    enumerated = {}
+    for n, r in sizes:
+        orbits = _burnside_orbits(n, r)
+        assert orbits == known.get((n, r), orbits)
+        stats = {"enumerated": 0}
+        assert sum(1 for _ in ex._canonical_colorings(n, r, stats)) == orbits
+        enumerated[n, r] = stats["enumerated"]
+    # only restricted-growth vectors are tested: at (5, 4) the set partitions
+    # of 10 pairs into at most 4 blocks, S(10,1..4) = 1 + 511 + 9330 + 34105
+    assert enumerated[5, 4] == 43947
+    assert enumerated[6, 2] == 2 ** 14
 
 
 def test_hunt_filters_prune():
@@ -145,6 +224,35 @@ def test_hunt_filters_prune():
     assert got is not None and got[1] == 2
     stats = got[2]
     assert stats["filtered"] > 0 and stats["solved"] < stats["canonical"]
+
+
+def test_hunt_has_one_deadline(monkeypatch):
+    # a spent budget stops the hunt before its first exact solve, even though
+    # far fewer than 4096 vectors have been enumerated
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.hunt(4, 3, 1, budget=ex.SolveBudget(max_seconds=0))
+    assert exc.value.stats["canonical"] >= 1
+    assert exc.value.stats["solved"] == 0
+    # each nested solve gets only the seconds that are left
+    given = []
+    real = ex.tc_exact
+
+    def spy(g, budget):
+        given.append(budget.max_seconds)
+        return real(g, budget=budget)
+
+    monkeypatch.setattr(ex, "tc_exact", spy)
+    assert ex.hunt(4, 3, "2alpha", budget=ex.SolveBudget(max_seconds=60)) is None
+    assert len(given) == 15
+    assert all(60 > a >= b > 0 for a, b in zip(given, given[1:]))
+
+
+def test_hunt_rejects_bad_arguments():
+    for n, r in ((0, 2), (3, 0)):
+        with pytest.raises(ValueError, match=f"n={n}, r={r}"):
+            ex.hunt(n, r, 1)
+    with pytest.raises(ValueError, match="'foo'"):
+        ex.hunt(3, 2, "foo")
 
 
 def test_budget_is_explicit():
