@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .core import (ColoredMultigraph, CoverCertificate, GraphError, adjacency,
                    alpha, component_masks, components, diameter, layers,
                    make_certificate, mask_of, reach, verify, vertices_of)
+from .exact import SolveBudget, min_cover, tc_exact
 
 
 # ---------------------------------------------------------------------------
@@ -70,63 +71,37 @@ def _ball(g, c, center, radius):
     return tuple(vertices_of(sum(layers(g.adjacency(c), center, radius=radius))))
 
 
-def _cover_search(g, zone, max_pieces, extra_candidates=()):
-    """Exact search for <= max_pieces monochromatic diam<=6 pieces covering zone.
+def _zone_cover(g, zone: int, max_pieces, extra_candidates=()):
+    """The pieces of a minimum cover of the vertex mask zone by monochromatic
+    pieces of diameter <= 6, which the calling proof bounds by max_pieces.
 
-    Candidates: radius<=3 balls of every color around every zone vertex, whole
-    components of induced diameter <= 6, plus any structured extras.  Returns a
-    piece list or None.
+    Candidates: any structured extras, radius <= 3 balls of every color around
+    every zone vertex and whole components of induced diameter <= 6.  A
+    minimum above max_pieces is an internal failure and raises with the
+    coloring.
     """
-    zone = sorted(set(zone))
-    zmask_all = 0
-    idx = {v: i for i, v in enumerate(zone)}
-    for v in zone:
-        zmask_all |= 1 << idx[v]
-    cands = []
-    seen_masks = set()
+    cands = {}
 
-    def add(piece):
-        c, vs = piece[0], tuple(sorted(set(piece[1])))
-        if not vs:
-            return
-        m = 0
-        for v in vs:
-            if v in idx:
-                m |= 1 << idx[v]
-        if m == 0 or (c, m) in seen_masks:
-            return
-        seen_masks.add((c, m))
-        cands.append((m, (c, vs)))
+    def add(c, vs):
+        m = mask_of(vs)
+        if m & zone:
+            cands.setdefault((c, m & zone), (m, (c, tuple(sorted(set(vs))))))
 
     for piece in extra_candidates:
-        add(piece)
+        add(piece[0], piece[1])
     for c in range(1, g.r + 1):
         for part in components(g, c).parts:
-            if len(part) > 1 and any(v in idx for v in part) \
+            if len(part) > 1 and mask_of(part) & zone \
                     and diameter(g, part, c) <= 6:
-                add((c, part))
-        for v in zone:
+                add(c, part)
+        for v in vertices_of(zone):
             for rad in (1, 2, 3):
-                add((c, _ball(g, c, v, rad)))
-    cands.sort(key=lambda t: -t[0].bit_count())
-
-    def rec(acc, chosen, left):
-        if acc == zmask_all:
-            return list(chosen)
-        if left == 0:
-            return None
-        rem = zmask_all & ~acc
-        v = zone[(rem & -rem).bit_length() - 1]
-        for m, piece in cands:
-            if m >> idx[v] & 1:
-                chosen.append(piece)
-                got = rec(acc | m, chosen, left - 1)
-                if got is not None:
-                    return got
-                chosen.pop()
-        return None
-
-    return rec(0, [], max_pieces)
+                add(c, _ball(g, c, v, rad))
+    size, pieces = min_cover(zone, list(cands.values()), SolveBudget())
+    if size > max_pieces:
+        raise AssertionError(f"no cover of the zone by {max_pieces} pieces: "
+                             f"graph={g!r} edges={g.edges()}")
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +610,7 @@ def _cover_complete4(g: ColoredMultigraph) -> CoverCertificate:
     h1 = (l, p1v, p1e)
     zone = list(Bij) + list(Bji) + list(Bki)
     extras = _r4_zone_candidates(g, col, x, i, j, k, l, Bij, Bji, Bki)
-    got = _cover_search(g, zone, 2, extras)
-    assert got is not None, f"r=4 endgame found no 2-cover of the B-zone: {g.edges()}"
+    got = _zone_cover(g, mask_of(zone), 2, extras)
     return _check(g, [h1] + got, 3, 6)
 
 
@@ -710,9 +684,7 @@ def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
 
     pieces = _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy)
     if pieces is None:
-        zone = list(range(n))
-        pieces = _cover_search(g, zone, 2)
-    assert pieces is not None, f"alpha2 cover not found: {g.edges()}"
+        pieces = _zone_cover(g, (1 << n) - 1, 2)
     return _check(g, pieces, 2, 6)
 
 
@@ -912,8 +884,7 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
 
     got = _bip3_layered(g, col, X, Y, side_comps, other)
     if got is None:
-        got = _cover_search(g, list(X) + list(Y), 4)
-    assert got is not None, f"bipartite r=3 cover not found: {g.edges()}"
+        got = _zone_cover(g, mask_of(X) | mask_of(Y), 4)
     return _check(g, got, 4, 6)
 
 
@@ -992,7 +963,6 @@ def _bip3_layered(g, col, X, Y, side_comps, other):
 
     # (d)/(e): [X1,Y1] is P2 or remaining P1 orientations; fall back to the
     # candidate search seeded with the structured pieces
-    zone = list(X) + list(Y)
     extras = [cstar]
     for rr in (r1, r2):
         extras.extend((c, vs) for c, vs, *_ in rr.tree_pieces)
@@ -1001,8 +971,7 @@ def _bip3_layered(g, col, X, Y, side_comps, other):
     y0p = [(ca, [v0] + [w for w in Y0 if col(*((v0, w) if v0 < w else (w, v0))) == ca]),
            (cb, [v0] + [w for w in Y0 if col(*((v0, w) if v0 < w else (w, v0))) == cb])]
     extras.extend(y0p)
-    got = _cover_search(g, zone, 4, extras)
-    return got
+    return _zone_cover(g, mask_of(X) | mask_of(Y), 4, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,38 +1025,6 @@ def _multipartite2(g, parts):
     return _check(g, dedup, 2)
 
 
-def _component_cover_search(g, max_pieces):
-    """Exact search for <= max_pieces whole monochromatic components covering V."""
-    n = g.n
-    cands = []
-    seen = set()
-    for c in range(1, g.r + 1):
-        for part in components(g, c).parts:
-            m = mask_of(part)
-            if (c, m) not in seen:
-                seen.add((c, m))
-                cands.append((m, (c, part)))
-    cands.sort(key=lambda t: -t[0].bit_count())
-    full = (1 << n) - 1
-
-    def rec(acc, chosen, left):
-        if acc == full:
-            return list(chosen)
-        if left == 0:
-            return None
-        v = ((full & ~acc) & -(full & ~acc)).bit_length() - 1
-        for m, piece in cands:
-            if m >> v & 1:
-                chosen.append(piece)
-                got = rec(acc | m, chosen, left - 1)
-                if got is not None:
-                    return got
-                chosen.pop()
-        return None
-
-    return rec(0, [], max_pieces)
-
-
 def _multipartite3(g, parts):
     sp = _spanning_component(g)
     if sp is not None:
@@ -1111,9 +1048,11 @@ def _multipartite3(g, parts):
                             dedup.append(p)
                     return _check(g, dedup, 3)
     # general case: the proof guarantees a 3-component cover exists
-    got = _component_cover_search(g, 3)
-    assert got is not None, f"three-part cover missing: {g.edges()}"
-    return _check(g, got, 3)
+    size, cert = tc_exact(g)
+    if size > 3:
+        raise AssertionError(f"three-part cover missing: graph={g!r} "
+                             f"edges={g.edges()}")
+    return _check(g, cert.pieces, 3)
 
 
 # ---------------------------------------------------------------------------

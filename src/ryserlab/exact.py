@@ -8,6 +8,7 @@ an exceeded budget yields an "inconclusive" outcome, never a wrong value.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -24,11 +25,16 @@ class SolveBudget:
 
 
 class Inconclusive(Exception):
-    """Budget exhausted before the search space was settled."""
+    """Budget exhausted before the search space was settled.
 
-    def __init__(self, message, stats=None):
+    stats holds JSON-safe counters; best, where the search has one, is the best
+    solution found before the budget ran out.
+    """
+
+    def __init__(self, message, stats=None, best=None):
         super().__init__(message)
         self.stats = stats or {}
+        self.best = best
 
 
 class Infeasible(Exception):
@@ -41,58 +47,76 @@ class Infeasible(Exception):
 
 # ---------------------------------------------------------------------------
 # minimum set cover over bitmask candidates
+#
+# Every exact answer in this package is a minimum set cover, and two backends
+# solve it under one contract.  min_cover(universe, candidates, budget) and
+# min_cover_milp with the same arguments cover the int bitmask universe with
+# (mask, payload) candidates, whose masks are read inside the universe.  They
+# return (size, payloads) of a minimum cover; raise Infeasible naming the
+# lowest element that no candidate covers; and when the budget runs out raise
+# Inconclusive with JSON-safe stats ("nodes", and "lower" from the MILP dual
+# bound) and the best cover found so far, as (size, payloads), on its best
+# attribute.
 
 
-def _min_set_cover(n: int, candidates, budget: SolveBudget):
-    """Exact minimum cover of {0..n-1} by the candidate (mask, payload) list.
-
-    Branch and bound: candidates sorted by decreasing size, greedy upper bound
-    first, branching on the least-covered element.
-    """
-    full = (1 << n) - 1
-    cands = [t for _, t in sorted(enumerate(candidates),
-                                  key=lambda it: (-it[1][0].bit_count(), it[0]))]
-    reach = 0
-    for m, _ in cands:
-        reach |= m
-    if reach != full:
-        missing = (full & ~reach)
+def _check_coverable(universe: int, masks):
+    reached = 0
+    for m in masks:
+        reached |= m
+    missing = universe & ~reached
+    if missing:
         v = (missing & -missing).bit_length() - 1
         raise Infeasible(f"vertex {v} is not coverable", witness_vertex=v)
+
+
+def min_cover(universe: int, candidates, budget: SolveBudget):
+    """Minimum set cover by branch and bound.
+
+    Candidates sorted by decreasing size, a greedy upper bound first, then
+    branching on the least-covered element, pruned by
+    ceil(uncovered / largest candidate).
+    """
+    cands = [(m & universe, p) for m, p in candidates]
+    _check_coverable(universe, (m for m, _ in cands))
+    if not universe:
+        return 0, []
+    cands = [t for _, t in sorted(enumerate(cands),
+                                  key=lambda it: (-it[1][0].bit_count(), it[0]))]
 
     # greedy upper bound
     acc = 0
     greedy = []
-    while acc != full:
+    while acc != universe:
         best = max(cands, key=lambda t: (t[0] & ~acc).bit_count())
         greedy.append(best)
         acc |= best[0]
     best_size = len(greedy)
     best_sol = [p for _, p in greedy]
 
-    by_elem = [[] for _ in range(n)]
+    by_elem = [[] for _ in range(universe.bit_length())]
     for m, p in cands:
         mm = m
         while mm:
             b = mm & -mm
             by_elem[b.bit_length() - 1].append((m, p))
             mm ^= b
-    maxsize = max(m.bit_count() for m, _ in cands)
+    maxsize = cands[0][0].bit_count()
     deadline = time.monotonic() + budget.max_seconds
-    state = {"nodes": 0}
+    nodes = 0
 
     def rec(acc, chosen):
-        nonlocal best_size, best_sol
-        state["nodes"] += 1
-        if state["nodes"] > budget.max_nodes or \
-           (state["nodes"] % 16384 == 0 and time.monotonic() > deadline):
-            raise Inconclusive("set cover budget exhausted", dict(state))
-        if acc == full:
+        nonlocal best_size, best_sol, nodes
+        nodes += 1
+        if nodes > budget.max_nodes or \
+           (nodes % 16384 == 0 and time.monotonic() > deadline):
+            raise Inconclusive("set cover budget exhausted", {"nodes": nodes},
+                               best=(best_size, best_sol))
+        if acc == universe:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_sol = list(chosen)
             return
-        uncovered = full & ~acc
+        uncovered = universe & ~acc
         uc = uncovered.bit_count()
         if len(chosen) + (uc + maxsize - 1) // maxsize >= best_size:
             return
@@ -116,17 +140,61 @@ def _min_set_cover(n: int, candidates, budget: SolveBudget):
     return best_size, best_sol
 
 
-def _connected_subsets_with_diam(g, c, max_diam, budget):
+def min_cover_milp(universe: int, candidates, budget: SolveBudget):
+    """Minimum set cover through the HiGHS MILP engine: one 0/1 variable per
+    candidate, one covering row per universe element."""
+    import numpy as np
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    masks = [m & universe for m, _ in candidates]
+    _check_coverable(universe, masks)
+    if not universe:
+        return 0, []
+    row = {e: i for i, e in enumerate(vertices_of(universe))}
+    rows, cols = [], []
+    for j, m in enumerate(masks):
+        for e in vertices_of(m):
+            rows.append(row[e])
+            cols.append(j)
+    k = len(masks)
+    A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(row), k))
+    res = milp(c=np.ones(k), constraints=LinearConstraint(A, lb=1, ub=np.inf),
+               integrality=np.ones(k), bounds=Bounds(0, 1),
+               options={"time_limit": max(0.0, budget.max_seconds),
+                        "node_limit": budget.max_nodes, "mip_rel_gap": 0.0})
+    found = None
+    if res.x is not None:
+        chosen = [j for j in range(k) if res.x[j] > 0.5]
+        acc = 0
+        for j in chosen:
+            acc |= masks[j]
+        if acc == universe:
+            found = (len(chosen), [candidates[j][1] for j in chosen])
+        elif res.status == 0:
+            raise AssertionError("MILP optimum leaves an element uncovered")
+    if res.status == 0:
+        return found
+    stats = {"nodes": int(getattr(res, "mip_node_count", None) or 0)}
+    dual = getattr(res, "mip_dual_bound", None)
+    if dual is not None and math.isfinite(dual):
+        stats["lower"] = max(0, math.ceil(dual - 1e-9))
+    raise Inconclusive(f"MILP stopped: {res.message}", stats, best=found)
+
+
+def _connected_subsets_with_diam(g, c, max_diam, deadline):
     """All (mask, vertexlist) of connected color-c subsets with induced diameter <= max_diam."""
     adj = g.adjacency(c)
     full = (1 << g.n) - 1
-    deadline = time.monotonic() + budget.max_seconds
     out = []
+    nodes = 0
     for v in range(g.n):
         # every subset once, grown from its lowest vertex
         for mask in connected_subsets(adj, v, full & ~((1 << v) - 1)):
+            nodes += 1
             if time.monotonic() > deadline:
-                raise Inconclusive("diameter-piece enumeration budget exhausted")
+                raise Inconclusive("diameter-piece enumeration budget exhausted",
+                                   {"nodes": nodes, "stage": "diameter pieces"})
             vs = vertices_of(mask)
             if len(vs) == 1 or diameter(g, vs, c) <= max_diam:
                 out.append((mask, vs))
@@ -150,6 +218,7 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
     with max_diam they are connected sub-pieces of induced diameter <= max_diam.
     """
     budget = budget or SolveBudget()
+    deadline = time.monotonic() + budget.max_seconds
     colors = sorted(allowed_colors) if allowed_colors is not None else range(1, g.r + 1)
     if g.n == 0:
         return 0, make_certificate([], max_size=0)
@@ -162,9 +231,11 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
         if g.n > 24:
             raise Inconclusive("diameter-constrained exact cover limited to n <= 24")
         for c in colors:
-            for mask, vs in _connected_subsets_with_diam(g, c, max_diam, budget):
+            for mask, vs in _connected_subsets_with_diam(g, c, max_diam, deadline):
                 candidates.append((mask, (c, tuple(vs))))
-    size, pieces = _min_set_cover(g.n, candidates, budget)
+    left = max(0.0, deadline - time.monotonic())
+    size, pieces = min_cover((1 << g.n) - 1, candidates,
+                             replace(budget, max_seconds=left))
     cert = make_certificate(pieces, max_size=size, max_diam=max_diam,
                             allowed_colors=allowed_colors)
     return size, _verified(g, cert)
@@ -286,14 +357,21 @@ def mc_graph(g: ColoredMultigraph):
 def tau_nu(h, budget: SolveBudget | None = None):
     """Exact matching and vertex cover numbers with witnesses: (tau, cover, nu, matching)."""
     budget = budget or SolveBudget()
+    deadline = time.monotonic() + budget.max_seconds
     edges = [frozenset(e) for e in h.edge_vertex_sets()]
     n = h.n
 
     # nu: maximum set of pairwise disjoint edges, branch and bound
     best_matching = []
+    nodes = 0
 
     def bb_nu(idx, used, cur):
-        nonlocal best_matching
+        nonlocal best_matching, nodes
+        nodes += 1
+        if nodes > budget.max_nodes or \
+           (nodes % 16384 == 0 and time.monotonic() > deadline):
+            raise Inconclusive("matching search budget exhausted",
+                               {"nodes": nodes, "stage": "matching"})
         if len(cur) > len(best_matching):
             best_matching = list(cur)
         if idx == len(edges):
@@ -313,7 +391,6 @@ def tau_nu(h, budget: SolveBudget | None = None):
     # tau: minimum hitting set via set cover on the edge universe
     if not edges:
         return 0, (), 0, ()
-    m = len(edges)
     covers_by_vertex = []
     for v in range(n):
         mask = 0
@@ -322,7 +399,9 @@ def tau_nu(h, budget: SolveBudget | None = None):
                 mask |= 1 << i
         if mask:
             covers_by_vertex.append((mask, v))
-    tau, chosen = _min_set_cover(m, covers_by_vertex, budget)
+    left = max(0.0, deadline - time.monotonic())
+    tau, chosen = min_cover((1 << len(edges)) - 1, covers_by_vertex,
+                            replace(budget, max_seconds=left))
     if tau < nu:
         raise AssertionError(f"tau = {tau} < nu = {nu}: a solver is wrong")
     return tau, tuple(sorted(chosen)), nu, tuple(best_matching)
@@ -337,7 +416,7 @@ def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
     csets = list(itertools.combinations(range(h.n), c))
     idx = {s: i for i, s in enumerate(csets)}
     candidates = [(mask_of(idx[s] for s in comp.shadow), comp) for comp in comps]
-    size, chosen = _min_set_cover(len(csets), candidates, budget)
+    size, chosen = min_cover((1 << len(csets)) - 1, candidates, budget)
     return size, chosen
 
 

@@ -13,9 +13,10 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .core import ColoredMultigraph
+from .core import ColoredMultigraph, mask_of
+from .exact import Inconclusive, SolveBudget, min_cover, min_cover_milp
 
 
 @dataclass(frozen=True, order=True)
@@ -156,122 +157,24 @@ def _lower_bound(r: int, d: int) -> int:
     return max(frac, d + 1)
 
 
-def _bb_min_dominating(r: int, d: int, ub_words, node_limit, deadline):
-    """Branch and bound minimum total dominating set of K_r^{x d}.
-
-    The first word is pinned to all-1s (the automorphism group is vertex
-    transitive), branching picks the uncovered word with fewest dominators and
-    tries its dominators by decreasing fresh coverage.
-    """
-    W = list(all_words(r, d))
-    n = len(W)
-    dom = [0] * n
-    for i, f in enumerate(W):
-        m = 0
-        for j, g in enumerate(W):
-            if everywhere_different(f, g):
-                m |= 1 << j
-        dom[i] = m
-    full = (1 << n) - 1
-    maxcov = (r - 1) ** d
-    best = len(ub_words) if ub_words is not None else n
-    best_set = list(ub_words) if ub_words is not None else [W[i] for i in range(n)]
-    nodes = 0
-    gave_up = False
-
-    def rec(uncovered, chosen):
-        nonlocal best, best_set, nodes, gave_up
-        if gave_up:
-            return
-        nodes += 1
-        if nodes > node_limit or (nodes % 65536 == 0 and time.monotonic() > deadline):
-            gave_up = True
-            return
-        if uncovered == 0:
-            if len(chosen) < best:
-                best = len(chosen)
-                best_set = [W[j] for j in chosen]
-            return
-        uc = uncovered.bit_count()
-        if len(chosen) + (uc + maxcov - 1) // maxcov >= best:
-            return
-        pick, pick_cnt = -1, 1 << 60
-        m = uncovered
-        while m:
-            b = m & -m
-            i = b.bit_length() - 1
-            m ^= b
-            c = dom[i].bit_count()
-            if c < pick_cnt:
-                pick_cnt, pick = c, i
-        cands = []
-        m = dom[pick]
-        while m:
-            b = m & -m
-            j = b.bit_length() - 1
-            m ^= b
-            cands.append(((dom[j] & uncovered).bit_count(), j))
-        cands.sort(reverse=True)
-        for _, j in cands:
-            chosen.append(j)
-            rec(uncovered & ~dom[j], chosen)
-            chosen.pop()
-            if gave_up:
-                return
-
-    w1 = W.index(tuple([1] * d))
-    rec(full & ~dom[w1], [w1])
-    return best, best_set, gave_up
-
-
-def _milp_min_dominating(r: int, d: int, time_limit: float):
-    """Exact transversal of H(r,d) through the HiGHS MILP engine."""
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    W = list(all_words(r, d))
-    n = len(W)
-    rows, cols = [], []
-    for i, f in enumerate(W):
-        for j, g in enumerate(W):
-            if everywhere_different(f, g):
-                rows.append(i)
-                cols.append(j)
-    A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    res = milp(c=np.ones(n), constraints=LinearConstraint(A, lb=1, ub=np.inf),
-               integrality=np.ones(n), bounds=Bounds(0, 1),
-               options={"time_limit": time_limit, "mip_rel_gap": 0.0})
-    if res.status == 0 and res.x is not None:
-        chosen = [W[j] for j in range(n) if res.x[j] > 0.5]
-        return len(chosen), chosen, False
-    lower = None
-    if getattr(res, "mip_dual_bound", None) is not None:
-        lower = math.ceil(res.mip_dual_bound - 1e-9)
-    upper_words = None
-    if res.x is not None:
-        upper_words = [W[j] for j in range(n) if res.x[j] > 0.5]
-    return lower, upper_words, True
-
-
 def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
     """Exact Z(r,d) with witness, or the proven interval when the budget runs out.
 
     Closed-form fast paths: r=2 (complement pairing forces all 2^d words) and
-    r >= d+1 (constant words meet the d+1 lower bound).  Small spaces go to the
-    hand-rolled branch and bound; the heavy cases delegate bound proving to the
-    HiGHS MILP engine.  Witnesses are re-verified by covers_all and gamma_t_check.
+    r >= d+1 (constant words meet the d+1 lower bound).  Otherwise Z(r,d) is a
+    minimum set cover of the r^d words by their everywhere-different sets: the
+    branch and bound settles spaces of at most 100 words, the HiGHS MILP the
+    larger ones.  Witnesses are re-verified by covers_all and gamma_t_check.
     """
-    from .exact import SolveBudget
-
     if r < 2 or d < 1:
         raise ValueError("need r >= 2 and d >= 1")
     budget = budget or SolveBudget()
+    deadline = time.monotonic() + budget.max_seconds
     lb = _lower_bound(r, d)
 
     def finish(lower, upper, words, method):
         ws = WordSet.of(r, d, words) if words is not None else None
-        if ws is not None and lower == upper:
+        if ws is not None:
             if covers_all(ws) is not True:
                 raise AssertionError(f"Z({r},{d}) witness fails the domination check")
             if r ** d <= 4096 and not gamma_t_check(r, d, ws):
@@ -288,30 +191,33 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
         ws = _constant_words_witness(r, d)
         return finish(d + 1, d + 1, ws.sorted_words(), "constants, r >= d+1")
 
-    upper_seed = None
-    if r == d:
-        upper_seed = _diagonal_plus_witness(r).sorted_words()
-
-    n = r ** d
-    deadline = time.monotonic() + budget.max_seconds
-    if n <= 100:
-        best, best_set, gave_up = _bb_min_dominating(
-            r, d, upper_seed, budget.max_nodes, deadline)
-        if not gave_up:
-            return finish(best, best, best_set, "branch-and-bound")
-        return finish(lb, best, best_set, "branch-and-bound (budget)")
-    remain = max(5.0, deadline - time.monotonic())
-    lower, words, hit_limit = _milp_min_dominating(r, d, remain)
-    if not hit_limit:
-        return finish(lower, lower, words, "milp")
-    lo = max(lb, lower or lb)
-    if words is not None:
-        ws = WordSet.of(r, d, words)
-        if covers_all(ws) is True:
-            return finish(lo, len(words), words, "milp (budget)")
-    if upper_seed is not None:
-        return finish(lo, len(upper_seed), upper_seed, "milp (budget) + construction")
-    return finish(lo, n, None, "milp (budget)")
+    words = list(all_words(r, d))
+    n = len(words)
+    dom = [mask_of(j for j, g in enumerate(words) if everywhere_different(f, g))
+           for f in words]
+    solve, method = (min_cover, "branch-and-bound") if n <= 100 \
+        else (min_cover_milp, "milp")
+    # K_r^{x d} is vertex-transitive, so some minimum total dominating set
+    # contains the all-ones word words[0]: pin it, cover only the words it
+    # leaves undominated, and add 1 to the size and to the lower bound.
+    residual = ((1 << n) - 1) & ~dom[0]
+    left = max(0.0, deadline - time.monotonic())
+    try:
+        size, chosen = solve(residual, list(zip(dom, words)),
+                             replace(budget, max_seconds=left))
+    except Inconclusive as exc:
+        lower = max(lb, exc.stats.get("lower", 0) + 1)
+        uppers = []
+        if exc.best is not None:
+            uppers.append(([words[0]] + exc.best[1], f"{method} (budget)"))
+        if r == d:
+            uppers.append((_diagonal_plus_witness(r).sorted_words(),
+                           f"{method} (budget) + construction"))
+        if not uppers:
+            return finish(lower, n, None, f"{method} (budget)")
+        best, how = min(uppers, key=lambda t: len(t[0]))
+        return finish(lower, len(best), best, how)
+    return finish(size + 1, size + 1, [words[0]] + chosen, method)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +247,6 @@ def good_partition(col: BipartiteColoring, budget=None):
     An assignment f: Y -> [r] is good iff every z has some y with color(z,y) =
     f(y); equivalently f must not be everywhere-different from every row word.
     """
-    from .exact import SolveBudget
-
     budget = budget or SolveBudget()
     dY, r = col.y_size, col.r
     if dY > 0 and r ** dY > budget.max_nodes:

@@ -257,6 +257,47 @@ def test_cover_multipartite_3():
         assert len(cert.pieces) <= 3 and verify(g, cert).ok
 
 
+def test_cover_multipartite_3_general_case(monkeypatch):
+    # no component spans V or contains a whole part, so only the exact
+    # component cover settles it
+    edges = [(0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 1), (0, 4, 3), (0, 5, 3),
+             (0, 6, 2), (1, 4, 1), (1, 5, 1), (1, 6, 3), (2, 4, 2), (2, 5, 2),
+             (2, 6, 1), (3, 4, 3), (3, 5, 3), (3, 6, 2)]
+    g = ColoredMultigraph.from_edges(7, 3, edges)
+    calls = []
+    real = ex.min_cover
+
+    def spy(universe, candidates, budget):
+        calls.append(universe)
+        return real(universe, candidates, budget)
+
+    monkeypatch.setattr(ex, "min_cover", spy)
+    cert = cv.cover_multipartite(g, [[0, 1], [2, 3], [4, 5, 6]], 3)
+    assert calls == [(1 << 7) - 1]
+    assert len(cert.pieces) <= 3 and verify(g, cert).ok
+
+
+def test_cover_bipartite3_zone_fallback(monkeypatch):
+    # the layered decomposition ends in its cases (d)/(e), whose pieces come
+    # from the exact cover of the zone X + Y seeded with the structured pieces
+    # row x holds the colors of the edges from x to 6, 7, ..., 10
+    cols = ["22311", "33212", "21121", "11223", "32223", "13331"]
+    edges = [(x, 6 + i, int(c)) for x, row in enumerate(cols)
+             for i, c in enumerate(row)]
+    g = ColoredMultigraph.from_edges(11, 3, edges)
+    calls = []
+    real = cv.min_cover
+
+    def spy(universe, candidates, budget):
+        calls.append(universe)
+        return real(universe, candidates, budget)
+
+    monkeypatch.setattr(cv, "min_cover", spy)
+    cert = cv.cover_bipartite3(g, range(6), range(6, 11))
+    assert calls == [(1 << 11) - 1]
+    assert len(cert.pieces) <= 4 and verify(g, cert).ok
+
+
 def test_multipartite_star_needs_r():
     from ryserlab.constructions import multipartite_star_example
 

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ryserlab import exact as ex
 from ryserlab.core import (ColoredMultigraph, alpha, closure, complete_graph,
@@ -122,6 +126,51 @@ def test_tau_nu_ryser_r3():
                               [(None, e) for e in edges])
         tau, _, nu, _ = ex.tau_nu(h)
         assert nu <= tau <= 2 * nu
+
+
+def test_matching_search_checks_budget():
+    h = ColoredHypergraph(4, 2, 0, None, [(None, (0, 1)), (None, (2, 3))])
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.tau_nu(h, budget=ex.SolveBudget(max_nodes=1))
+    assert exc.value.stats == {"nodes": 2, "stage": "matching"}
+    assert ex.tau_nu(h)[0] == 2
+
+
+def brute_min_cover(universe, masks):
+    """Fewest masks whose union contains universe, or None."""
+    for k in range(len(masks) + 1):
+        for combo in itertools.combinations(masks, k):
+            if universe & ~functools.reduce(operator.or_, combo, 0) == 0:
+                return k
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, (1 << 12) - 1),
+       st.lists(st.integers(0, (1 << 12) - 1), max_size=15))
+@example(0b111111, [0b001011, 0b000111, 0b111000])  # greedy takes 3, 2 suffice
+def test_cover_backends_agree_with_brute_force(universe, masks):
+    want = brute_min_cover(universe, masks)
+    candidates = [(m, i) for i, m in enumerate(masks)]
+    for solve in (ex.min_cover, ex.min_cover_milp):
+        if want is None:
+            with pytest.raises(ex.Infeasible) as exc:
+                solve(universe, candidates, ex.SolveBudget())
+            assert exc.value.witness_vertex == min(
+                v for v in range(12)
+                if universe >> v & 1 and not any(m >> v & 1 for m in masks))
+            continue
+        size, chosen = solve(universe, candidates, ex.SolveBudget())
+        assert size == want == len(chosen)
+        covered = functools.reduce(operator.or_, (masks[i] for i in chosen), 0)
+        assert universe & ~covered == 0
+
+
+def test_cover_backends_name_the_uncoverable_element():
+    for solve in (ex.min_cover, ex.min_cover_milp):
+        with pytest.raises(ex.Infeasible) as exc:
+            solve(0b11110, [(0b00110, "a"), (0b01000, "b")], ex.SolveBudget())
+        assert exc.value.witness_vertex == 4
 
 
 def test_mc_examples():
@@ -245,6 +294,24 @@ def test_hunt_has_one_deadline(monkeypatch):
     assert ex.hunt(4, 3, "2alpha", budget=ex.SolveBudget(max_seconds=60)) is None
     assert len(given) == 15
     assert all(60 > a >= b > 0 for a, b in zip(given, given[1:]))
+
+
+def test_tc_exact_diameter_has_one_deadline(monkeypatch):
+    c7 = ColoredMultigraph.from_edges(7, 1, [(i, (i + 1) % 7, 1) for i in range(7)])
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.tc_exact(c7, max_diam=2, budget=ex.SolveBudget(max_seconds=0))
+    assert exc.value.stats == {"nodes": 1, "stage": "diameter pieces"}
+    # the cover search gets only the seconds the piece enumeration left
+    given = []
+    real = ex.min_cover
+
+    def spy(universe, candidates, budget):
+        given.append(budget.max_seconds)
+        return real(universe, candidates, budget)
+
+    monkeypatch.setattr(ex, "min_cover", spy)
+    assert ex.tc_exact(c7, max_diam=2, budget=ex.SolveBudget(max_seconds=60))[0] == 3
+    assert len(given) == 1 and 0 < given[0] < 60
 
 
 def test_hunt_rejects_bad_arguments():

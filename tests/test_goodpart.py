@@ -4,6 +4,7 @@ import pytest
 
 from ryserlab import exact as ex
 from ryserlab import goodpart as gp
+from ryserlab.core import mask_of
 
 
 def test_covers_all_examples():
@@ -52,6 +53,38 @@ def test_z_search_33():
     assert out.value == 5
     assert gp.covers_all(out.witness) is True
     assert gp.gamma_t_check(3, 3, out.witness)
+
+
+def test_z33_on_both_cover_backends_with_and_without_pin():
+    words = list(gp.all_words(3, 3))
+    dom = [mask_of(j for j, g in enumerate(words) if gp.everywhere_different(f, g))
+           for f in words]
+    full = (1 << len(words)) - 1
+    for solve in (ex.min_cover, ex.min_cover_milp):
+        size, chosen = solve(full, list(zip(dom, words)), ex.SolveBudget())
+        assert size == 5 and gp.covers_all(gp.WordSet.of(3, 3, chosen)) is True
+        # pinning the all-ones word leaves 4 words to find
+        size, chosen = solve(full & ~dom[0], list(zip(dom, words)), ex.SolveBudget())
+        assert size == 4
+        assert gp.covers_all(gp.WordSet.of(3, 3, [words[0]] + chosen)) is True
+
+
+def test_z_exact_gives_the_milp_only_the_seconds_left(monkeypatch):
+    import scipy.optimize
+
+    limits = []
+    real = scipy.optimize.milp
+
+    def spy(*args, options, **kwargs):
+        limits.append(options["time_limit"])
+        return real(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    out = gp.z_exact(4, 4, ex.SolveBudget(max_seconds=0))
+    assert limits == [0.0]
+    assert 5 <= out.lower <= out.upper <= 7
+    assert len(out.witness.words) == out.upper
+    assert gp.covers_all(out.witness) is True
 
 
 def test_z_monotone_in_r():
