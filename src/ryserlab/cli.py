@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
 from .core import ColoredMultigraph, GraphError, make_certificate, verify
 from .duality import ColoredHypergraph, HypergraphError
-from .exact import Inconclusive, Infeasible
+from .exact import Inconclusive, Infeasible, SolveBudget
 
 
 class FormatError(ValueError):
@@ -180,16 +179,6 @@ def _read(path):
         return f.read()
 
 
-def _threads(args):
-    return args.threads or int(os.environ.get("RYSERLAB_THREADS", "1"))
-
-
-def _budget(args):
-    from .exact import SolveBudget
-
-    return SolveBudget(max_seconds=args.budget_seconds, threads=_threads(args))
-
-
 def _parse_parts(spec_str, n):
     """'0,1;2,3' -> [[0, 1], [2, 3]]; the parts must partition 0..n-1."""
     if spec_str is None:
@@ -219,7 +208,7 @@ def _emit(args, text, payload=None):
         manifest = {
             "command": " ".join(sys.argv[1:]),
             "budget_seconds": args.budget_seconds,
-            "threads": _threads(args),
+            "nodes": args.budget.nodes,
             "version": __version__,
             "digest": hashlib.sha256(text.encode()).hexdigest(),
         }
@@ -236,7 +225,7 @@ def cmd_tc(args):
     g = parse_graph(_read(args.input))
     size, cert = tc_exact(g, max_diam=args.max_diam,
                           allowed_colors=set(args.colors) if args.colors else None,
-                          budget=_budget(args))
+                          budget=args.budget)
     _emit(args, f"tc = {size}\n{write_cover(cert)}", {"tc": size})
     return 0
 
@@ -245,7 +234,7 @@ def cmd_tp(args):
     from .exact import tp_exact
 
     g = parse_graph(_read(args.input))
-    size, cert = tp_exact(g, budget=_budget(args))
+    size, cert = tp_exact(g, budget=args.budget)
     _emit(args, f"tp = {size}\n{write_cover(cert)}", {"tp": size})
     return 0
 
@@ -254,7 +243,7 @@ def cmd_taunu(args):
     from .exact import tau_nu
 
     h = parse_hypergraph(_read(args.input))
-    tau, cover, nu, matching = tau_nu(h, _budget(args))
+    tau, cover, nu, matching = tau_nu(h, args.budget)
     _emit(args, f"tau = {tau} cover = {' '.join(map(str, cover))}\n"
                 f"nu = {nu} matching-edges = {' '.join(map(str, matching))}")
     return 0
@@ -303,7 +292,7 @@ def cmd_cover(args):
     g = parse_graph(_read(args.input))
     m = args.method
     if m == "exact":
-        size, cert = tc_exact(g, max_diam=args.max_diam, budget=_budget(args))
+        size, cert = tc_exact(g, max_diam=args.max_diam, budget=args.budget)
     elif m in ("r2", "r3", "r4"):
         cert = cover_complete(g, int(m[1]))
     elif m == "bip2":
@@ -331,10 +320,7 @@ def cmd_signatures(args):
     n, p = args.n, args.p
     stage = {"enumerate": sg.enumerate_signatures, "valid": sg.valid_signatures,
              "residual": sg.residual_cases}[args.stage]
-    try:
-        sigs = stage(n, p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    sigs = stage(n, p)
     lines = [",".join(str(s) for s in sig.sigs) for sig in sigs]
     _emit(args, f"# {args.stage}({n},{p}) = {len(sigs)}\n" + "\n".join(lines),
           {"count": len(sigs)})
@@ -344,7 +330,7 @@ def cmd_signatures(args):
 def cmd_zrd(args):
     from .goodpart import z_exact
 
-    out = z_exact(args.r, args.d, _budget(args))
+    out = z_exact(args.r, args.d, args.budget)
     witness = ""
     if out.witness is not None:
         witness = " ".join("".join(map(str, w)) for w in out.witness.sorted_words())
@@ -375,10 +361,7 @@ def cmd_goodpart(args):
                                  f"between the parts; pair {y},{z} has no color")
             color[(yi, zi)] = min(cs)
     col = BipartiteColoring(len(Y), len(Z), g.r, color)
-    got = good_partition(col, _budget(args))
-    if got == "inconclusive":
-        _emit(args, "inconclusive")
-        return 2
+    got = good_partition(col, args.budget)
     if got is None:
         _emit(args, "no good partition")
         return 1
@@ -395,7 +378,7 @@ def cmd_hyper(args):
     h = parse_hypergraph(_read(args.input))
     c, ell = args.c, args.ell
     if args.method == "exact":
-        size, comps = tc_cl_exact(h, c, ell, _budget(args))
+        size, comps = tc_cl_exact(h, c, ell, args.budget)
         _emit(args, f"tc^{{{c},{ell}}} = {size}")
     elif args.method == "kiraly":
         comps = kiraly_cover(h)
@@ -452,11 +435,8 @@ def cmd_hunt(args):
         except ValueError:
             raise UsageError(f"--bound {bound!r}: expected an integer, alpha, "
                              "2alpha or ryser") from None
-    try:
-        got = hunt(args.n, args.r, bound, use_appendix_filters=args.filters,
-                   budget=_budget(args))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    got = hunt(args.n, args.r, bound, use_appendix_filters=args.filters,
+               budget=args.budget)
     if got is None:
         _emit(args, "none")
         return 0
@@ -479,7 +459,6 @@ def cmd_verify(args):
 def main(argv=None):
     ap = _Parser(prog="ryserlab", description="monochromatic cover workbench")
     ap.add_argument("--budget-seconds", type=float, default=600.0)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--format", choices=("csv", "plain"), default="plain")
     ap.add_argument("--manifest", default=None)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -564,17 +543,19 @@ def main(argv=None):
     p.add_argument("--cover", required=True)
 
     args = ap.parse_args(argv)
+    args.budget = SolveBudget(max_seconds=args.budget_seconds)
     try:
         return args.fn(args)
-    except (FormatError, UsageError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
     except Infeasible as exc:
         _emit(args, f"infeasible: {exc}")
         return 1
     except Inconclusive as exc:
         _emit(args, f"inconclusive: {exc} {exc.stats}", {"stats": exc.stats})
         return 2
+    except ValueError as exc:
+        # FormatError, UsageError and every domain error: bad input, not a finding
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -1265,6 +1265,8 @@ class ThreeColorClass:
 
 def classify3(g: ColoredMultigraph) -> ThreeColorClass:
     """The spanning/blow-up/broom trichotomy for <= 3-colored complete graphs."""
+    if g.n == 0:
+        raise GraphError("classify3 needs at least one vertex")
     if not g.is_complete():
         raise GraphError("classify3 needs a complete graph")
     if g.r > 3:

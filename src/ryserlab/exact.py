@@ -10,18 +10,42 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
 
-from .core import (ColoredMultigraph, alpha, closure, components,
+from .core import (ColoredMultigraph, GraphError, alpha, closure, components,
                    connected_subsets, diameter, make_certificate, mask_of, reach,
                    verify, vertices_of)
 
+# the search a stage belongs to, as an exhausted budget's message names it
+_SEARCH = {"matching": "matching search",
+           "diameter pieces": "diameter-piece enumeration",
+           "bipartition scan": "partition search"}
 
-@dataclass(frozen=True)
+
 class SolveBudget:
-    max_nodes: int = 50_000_000
-    max_seconds: float = 600.0
-    threads: int = 1
+    """One deadline, fixed when the budget is made, and one node allowance for
+    a whole run; solvers hand the same budget to the solvers they call."""
+
+    def __init__(self, max_nodes: int = 50_000_000, max_seconds: float = 600.0):
+        self.max_nodes = max_nodes
+        self.nodes = 0
+        self._deadline = time.monotonic() + max_seconds
+        self._check_at = 1  # the node count at which the budget is next checked
+
+    def charge(self, stage: str, nodes: int = 1):
+        """Count nodes spent in stage; past max_nodes or the deadline (read on
+        the first charge, then every 8192 nodes) raise Inconclusive."""
+        self.nodes += nodes
+        if self.nodes >= self._check_at:
+            if self.nodes > self.max_nodes or time.monotonic() >= self._deadline:
+                raise Inconclusive(f"{_SEARCH.get(stage, stage)} budget exhausted",
+                                   {"nodes": self.nodes, "stage": stage})
+            self._check_at = min(self.nodes + 8192, self.max_nodes + 1)
+
+    def seconds_left(self) -> float:
+        return max(0.0, self._deadline - time.monotonic())
+
+    def nodes_left(self) -> int:
+        return max(0, self.max_nodes - self.nodes)
 
 
 class Inconclusive(Exception):
@@ -101,16 +125,11 @@ def min_cover(universe: int, candidates, budget: SolveBudget):
             by_elem[b.bit_length() - 1].append((m, p))
             mm ^= b
     maxsize = cands[0][0].bit_count()
-    deadline = time.monotonic() + budget.max_seconds
-    nodes = 0
+    charge = budget.charge
 
     def rec(acc, chosen):
-        nonlocal best_size, best_sol, nodes
-        nodes += 1
-        if nodes > budget.max_nodes or \
-           (nodes % 16384 == 0 and time.monotonic() > deadline):
-            raise Inconclusive("set cover budget exhausted", {"nodes": nodes},
-                               best=(best_size, best_sol))
+        nonlocal best_size, best_sol
+        charge("set cover")
         if acc == universe:
             if len(chosen) < best_size:
                 best_size = len(chosen)
@@ -136,7 +155,11 @@ def min_cover(universe: int, candidates, budget: SolveBudget):
             rec(acc | m, chosen)
             chosen.pop()
 
-    rec(0, [])
+    try:
+        rec(0, [])
+    except Inconclusive as exc:
+        exc.best = (best_size, best_sol)
+        raise
     return best_size, best_sol
 
 
@@ -161,8 +184,8 @@ def min_cover_milp(universe: int, candidates, budget: SolveBudget):
     A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(row), k))
     res = milp(c=np.ones(k), constraints=LinearConstraint(A, lb=1, ub=np.inf),
                integrality=np.ones(k), bounds=Bounds(0, 1),
-               options={"time_limit": max(0.0, budget.max_seconds),
-                        "node_limit": budget.max_nodes, "mip_rel_gap": 0.0})
+               options={"time_limit": budget.seconds_left(),
+                        "node_limit": budget.nodes_left(), "mip_rel_gap": 0.0})
     found = None
     if res.x is not None:
         chosen = [j for j in range(k) if res.x[j] > 0.5]
@@ -182,19 +205,15 @@ def min_cover_milp(universe: int, candidates, budget: SolveBudget):
     raise Inconclusive(f"MILP stopped: {res.message}", stats, best=found)
 
 
-def _connected_subsets_with_diam(g, c, max_diam, deadline):
+def _connected_subsets_with_diam(g, c, max_diam, budget):
     """All (mask, vertexlist) of connected color-c subsets with induced diameter <= max_diam."""
     adj = g.adjacency(c)
     full = (1 << g.n) - 1
     out = []
-    nodes = 0
     for v in range(g.n):
         # every subset once, grown from its lowest vertex
         for mask in connected_subsets(adj, v, full & ~((1 << v) - 1)):
-            nodes += 1
-            if time.monotonic() > deadline:
-                raise Inconclusive("diameter-piece enumeration budget exhausted",
-                                   {"nodes": nodes, "stage": "diameter pieces"})
+            budget.charge("diameter pieces")
             vs = vertices_of(mask)
             if len(vs) == 1 or diameter(g, vs, c) <= max_diam:
                 out.append((mask, vs))
@@ -218,7 +237,6 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
     with max_diam they are connected sub-pieces of induced diameter <= max_diam.
     """
     budget = budget or SolveBudget()
-    deadline = time.monotonic() + budget.max_seconds
     colors = sorted(allowed_colors) if allowed_colors is not None else range(1, g.r + 1)
     if g.n == 0:
         return 0, make_certificate([], max_size=0)
@@ -231,11 +249,9 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
         if g.n > 24:
             raise Inconclusive("diameter-constrained exact cover limited to n <= 24")
         for c in colors:
-            for mask, vs in _connected_subsets_with_diam(g, c, max_diam, deadline):
+            for mask, vs in _connected_subsets_with_diam(g, c, max_diam, budget):
                 candidates.append((mask, (c, tuple(vs))))
-    left = max(0.0, deadline - time.monotonic())
-    size, pieces = min_cover((1 << g.n) - 1, candidates,
-                             replace(budget, max_seconds=left))
+    size, pieces = min_cover((1 << g.n) - 1, candidates, budget)
     cert = make_certificate(pieces, max_size=size, max_diam=max_diam,
                             allowed_colors=allowed_colors)
     return size, _verified(g, cert)
@@ -249,10 +265,11 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     values by piece-growing DFS from the lowest uncovered vertex.
     """
     budget = budget or SolveBudget()
-    deadline = time.monotonic() + budget.max_seconds
     n = g.n
     if n == 0:
         return 0, make_certificate([], mode="partition", max_size=0)
+    if g.r == 0:
+        raise Infeasible("vertex 0 is not coverable", witness_vertex=0)
     full = (1 << n) - 1
     adjs = [(c, g.adjacency(c)) for c in range(1, g.r + 1)]
 
@@ -277,10 +294,8 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     # t = 2: scan bipartitions with vertex 0 on the left
     if n <= 22:
         for left in range(0, 1 << (n - 1)):
-            if left % 8192 == 8191 and \
-               (left >= budget.max_nodes or time.monotonic() > deadline):
-                raise Inconclusive("partition search budget exhausted",
-                                   {"nodes": left + 1, "stage": "bipartition scan"})
+            if left % 8192 == 8191:
+                budget.charge("bipartition scan", 8192)
             lm = (left << 1) | 1
             rm = full & ~lm
             if rm == 0:
@@ -297,7 +312,7 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
         start_t = 2
 
     # iterative deepening DFS over pieces grown from the lowest uncovered vertex
-    state = {"nodes": 0}
+    charge = budget.charge
 
     def pieces_from(v, avail):
         """(color, mask) of the connected monochromatic subsets containing v
@@ -309,10 +324,7 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
                     yield c, mask
 
     def dfs(avail, t_left, acc):
-        state["nodes"] += 1
-        if state["nodes"] > budget.max_nodes or \
-           (state["nodes"] % 8192 == 0 and time.monotonic() > deadline):
-            raise Inconclusive("partition search budget exhausted", dict(state))
+        charge("partition search")
         if avail == 0:
             return list(acc)
         if t_left == 0:
@@ -340,6 +352,8 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
 
 def mc_graph(g: ColoredMultigraph):
     """Largest monochromatic component: (size, color, vertex tuple)."""
+    if g.n == 0 or g.r == 0:
+        raise GraphError("mc needs a graph with a vertex and a color")
     best = None
     for c in range(1, g.r + 1):
         for part in components(g, c).parts:
@@ -357,21 +371,15 @@ def mc_graph(g: ColoredMultigraph):
 def tau_nu(h, budget: SolveBudget | None = None):
     """Exact matching and vertex cover numbers with witnesses: (tau, cover, nu, matching)."""
     budget = budget or SolveBudget()
-    deadline = time.monotonic() + budget.max_seconds
     edges = [frozenset(e) for e in h.edge_vertex_sets()]
     n = h.n
 
     # nu: maximum set of pairwise disjoint edges, branch and bound
     best_matching = []
-    nodes = 0
 
     def bb_nu(idx, used, cur):
-        nonlocal best_matching, nodes
-        nodes += 1
-        if nodes > budget.max_nodes or \
-           (nodes % 16384 == 0 and time.monotonic() > deadline):
-            raise Inconclusive("matching search budget exhausted",
-                               {"nodes": nodes, "stage": "matching"})
+        nonlocal best_matching
+        budget.charge("matching")
         if len(cur) > len(best_matching):
             best_matching = list(cur)
         if idx == len(edges):
@@ -399,9 +407,7 @@ def tau_nu(h, budget: SolveBudget | None = None):
                 mask |= 1 << i
         if mask:
             covers_by_vertex.append((mask, v))
-    left = max(0.0, deadline - time.monotonic())
-    tau, chosen = min_cover((1 << len(edges)) - 1, covers_by_vertex,
-                            replace(budget, max_seconds=left))
+    tau, chosen = min_cover((1 << len(edges)) - 1, covers_by_vertex, budget)
     if tau < nu:
         raise AssertionError(f"tau = {tau} < nu = {nu}: a solver is wrong")
     return tau, tuple(sorted(chosen)), nu, tuple(best_matching)
@@ -480,21 +486,20 @@ def _beaten_by(colv, pair_perms, r: int) -> int:
     return -1
 
 
-def _canonical_colorings(n: int, r: int, stats=None, deadline=float("inf")):
+def _canonical_colorings(n: int, r: int, stats=None, budget=None):
     """The r-colorings of K_n's pairs (itertools.combinations order, colors
     1..r) that are lexicographically minimal in their orbit under S_n x S_r,
     in lexicographic order.
 
     The identity with the best color relabelling already beats every vector
     that is not restricted-growth, so only those are tested; stats["enumerated"]
-    counts them, and past the monotonic deadline the walk raises Inconclusive.
+    counts them, and each is charged to the budget once it is settled.
     """
+    budget = budget or SolveBudget()
     perms = _pair_permutations(n)
     for enumerated, colv in enumerate(_restricted_growth(n * (n - 1) // 2, r), 1):
         if stats is not None:
             stats["enumerated"] = enumerated
-        if enumerated % 4096 == 0 and time.monotonic() > deadline:
-            raise Inconclusive("hunt budget exhausted", stats)
         i = _beaten_by(colv, perms, r)
         if i < 0:
             yield colv
@@ -502,6 +507,7 @@ def _canonical_colorings(n: int, r: int, stats=None, deadline=float("inf")):
             # neighbouring vectors share long prefixes, so a permutation that
             # beat this one is likely to beat the next: try it first
             perms.insert(0, perms.pop(i))
+        budget.charge("hunt")
 
 
 def _eval_bound(bound, r, a):
@@ -532,34 +538,34 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
     closure.  With filters on, colorings violating the necessary properties of
     a minimal counterexample (every color class has > bound components, every
     vertex sees every color, every transversal of components meets in at most
-    one vertex) are pruned before the exact solve.  The budget's seconds are
-    one deadline for the whole hunt, nested exact solves included.  Returns
-    None or a counterexample (ColoredMultigraph closure, tc value, stats).
+    one vertex) are pruned before the exact solve.  The walk and the exact
+    solves draw on one budget, and an Inconclusive carries the counters too.
+    Returns None or a counterexample (ColoredMultigraph closure, tc value, stats).
     """
     if n < 1 or r < 1:
         raise ValueError(f"hunt needs n >= 1 and r >= 1, got n={n}, r={r}")
     _eval_bound(bound, r, 0)  # reject an unknown bound before searching
     budget = budget or SolveBudget()
-    deadline = time.monotonic() + budget.max_seconds
     pairs = list(itertools.combinations(range(n), 2))
     stats = {"enumerated": 0, "canonical": 0, "filtered": 0, "solved": 0}
 
-    for colv in _canonical_colorings(n, r, stats, deadline):
-        stats["canonical"] += 1
-        g = ColoredMultigraph.from_edges(
-            n, r, [(u, v, colv[k]) for k, (u, v) in enumerate(pairs)])
-        cg = closure(g)
-        a, _ = alpha(cg)
-        b = _eval_bound(bound, r, a)
-        if use_appendix_filters and _appendix_filtered(cg, b, stats):
-            continue
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise Inconclusive("hunt budget exhausted", stats)
-        stats["solved"] += 1
-        t, _cert = tc_exact(cg, budget=replace(budget, max_seconds=left))
-        if t > b:
-            return cg, t, stats
+    try:
+        for colv in _canonical_colorings(n, r, stats, budget):
+            stats["canonical"] += 1
+            g = ColoredMultigraph.from_edges(
+                n, r, [(u, v, colv[k]) for k, (u, v) in enumerate(pairs)])
+            cg = closure(g)
+            a, _ = alpha(cg)
+            b = _eval_bound(bound, r, a)
+            if use_appendix_filters and _appendix_filtered(cg, b, stats):
+                continue
+            t, _cert = tc_exact(cg, budget=budget)
+            stats["solved"] += 1
+            if t > b:
+                return cg, t, stats
+    except Inconclusive as exc:
+        exc.stats.update(stats)
+        raise
     return None
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import ColoredMultigraph, mask_of
 from .exact import Inconclusive, SolveBudget, min_cover, min_cover_milp
@@ -169,7 +168,6 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
     if r < 2 or d < 1:
         raise ValueError("need r >= 2 and d >= 1")
     budget = budget or SolveBudget()
-    deadline = time.monotonic() + budget.max_seconds
     lb = _lower_bound(r, d)
 
     def finish(lower, upper, words, method):
@@ -201,10 +199,8 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
     # contains the all-ones word words[0]: pin it, cover only the words it
     # leaves undominated, and add 1 to the size and to the lower bound.
     residual = ((1 << n) - 1) & ~dom[0]
-    left = max(0.0, deadline - time.monotonic())
     try:
-        size, chosen = solve(residual, list(zip(dom, words)),
-                             replace(budget, max_seconds=left))
+        size, chosen = solve(residual, list(zip(dom, words)), budget)
     except Inconclusive as exc:
         lower = max(lb, exc.stats.get("lower", 0) + 1)
         uppers = []
@@ -242,15 +238,17 @@ class BipartiteColoring:
 
 
 def good_partition(col: BipartiteColoring, budget=None):
-    """A partition {Y_1..Y_r} of Y good for every z, or None, or 'inconclusive'.
+    """A partition {Y_1..Y_r} of Y good for every z, or None.
 
     An assignment f: Y -> [r] is good iff every z has some y with color(z,y) =
     f(y); equivalently f must not be everywhere-different from every row word.
+    Each candidate is a budget node; more candidates than nodes left are refused.
     """
     budget = budget or SolveBudget()
     dY, r = col.y_size, col.r
-    if dY > 0 and r ** dY > budget.max_nodes:
-        return "inconclusive"
+    if dY > 0 and r ** dY > budget.nodes_left():
+        raise Inconclusive(f"good partition budget exhausted: {r ** dY} candidates",
+                           {"nodes": budget.nodes, "stage": "good partition"})
     rows = sorted({tuple(col.color[(y, z)] for y in range(dY))
                    for z in range(col.z_size)})
     if not rows:
@@ -258,6 +256,7 @@ def good_partition(col: BipartiteColoring, budget=None):
     else:
         f = None
         for cand in all_words(r, dY):
+            budget.charge("good partition")
             if not any(everywhere_different(cand, row) for row in rows):
                 f = cand
                 break

@@ -270,18 +270,59 @@ def test_manifest_records_what_ran(tmp_path, capsys):
     p = tmp_path / "g.cg"
     p.write_text(K4_AFFINE)
     m = tmp_path / "m.json"
-    run_cli(["--threads", "4", "--manifest", str(m), "tc", "--input", str(p)], capsys)
+    run_cli(["--manifest", str(m), "tc", "--input", str(p)], capsys)
     d = json.loads(m.read_text())
-    assert d["threads"] == 4
     assert "seed" not in d and "generator" not in d
+    assert d["nodes"] > 0
 
 
 @pytest.mark.parametrize("argv", [
     ["--seed", "1", "mc", "--input", "g.cg"],
     ["--format", "md", "mc", "--input", "g.cg"],
     ["tc", "--input", "g.cg", "--exact"],
+    ["--threads", "4", "mc", "--input", "g.cg"],
 ])
 def test_removed_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 3
+
+
+HG_2_UNIFORM = "hg 4 2 2\ne 1 0 1\ne 2 1 2\ne 1 2 3\ne 2 0 3\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["zrd", "--r", "1", "--d", "2"], None),
+    (["construct", "badmulti", "--k", "1"], None),
+    (["construct", "plane", "--q", "6"], None),
+    (["construct", "half-r", "--r", "2"], None),
+    (["construct", "star", "--k", "1"], None),
+    (["hyper", "--c", "3", "--method", "exact"], HG_2_UNIFORM),
+    (["hyper", "--method", "kiraly"], HG_2_UNIFORM),
+    (["hyper", "--method", "tight"], HG_2_UNIFORM),
+    (["dualize"], "cg 3 1\ne 0 1 1\n"),
+    (["classify"], "cg 4 2\ne 0 1 1\ne 1 2 2\n"),
+    (["mc"], "cg 0 1\n"),
+    (["classify"], "cg 0 1\n"),
+])
+def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
+    if text is not None:
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        argv = argv[:1] + ["--input", str(f)] + argv[1:]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_goodpart_inconclusive_exits_2(tmp_path, capsys):
+    # the first candidate word (1, 1) is everywhere-different from the row
+    # (2, 3), so the search needs more than one candidate
+    g = tmp_path / "g.cg"
+    g.write_text(K4_AFFINE)
+    code, out = run_cli(["--budget-seconds", "0", "goodpart", "--input", str(g),
+                         "--parts", "0,1;2,3"], capsys)
+    assert code == 2 and out.startswith("inconclusive: good partition budget")
+    code, out = run_cli(["goodpart", "--input", str(g), "--parts", "0,1;2,3"], capsys)
+    assert code == 0

@@ -176,6 +176,46 @@ def brute_verify(g, cert):
     return covered == set(range(g.n))
 
 
+def _near_valid_mutants(cert, n, r):
+    """Every certificate one vertex (dropped, added or swapped in one piece) or
+    one piece color away from cert."""
+    def rebuilt(i, c, vs):
+        pieces = list(cert.pieces)
+        pieces[i] = (c, vs)
+        return make_certificate(pieces, mode=cert.mode,
+                                max_size=cert.declared_max_size,
+                                max_diam=cert.declared_max_diam,
+                                allowed_colors=cert.allowed_colors)
+
+    for i, (c, vs) in enumerate(cert.pieces):
+        outside = [v for v in range(n) if v not in vs]
+        for u in vs:
+            yield rebuilt(i, c, [w for w in vs if w != u])
+            for v in outside:
+                yield rebuilt(i, c, [v if w == u else w for w in vs])
+        for v in outside:
+            yield rebuilt(i, c, list(vs) + [v])
+        for c2 in range(0, r + 2):
+            if c2 != c:
+                yield rebuilt(i, c2, vs)
+
+
+def test_verify_judges_near_valid_certificates_like_bruteforce():
+    from ryserlab.exact import tc_exact, tp_exact
+
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        g = random_graph(n, 3, rng)
+        for _, cert in (tc_exact(g), tc_exact(g, max_diam=1), tp_exact(g)):
+            rejected = 0
+            for mutant in _near_valid_mutants(cert, n, g.r):
+                ok = verify(g, mutant).ok
+                assert ok == brute_verify(g, mutant), mutant
+                rejected += not ok
+            assert rejected >= 1
+
+
 def test_verify_matches_bruteforce():
     rng = random.Random(4)
     agree = 0

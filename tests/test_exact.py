@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -282,18 +283,19 @@ def test_hunt_has_one_deadline(monkeypatch):
         ex.hunt(4, 3, 1, budget=ex.SolveBudget(max_seconds=0))
     assert exc.value.stats["canonical"] >= 1
     assert exc.value.stats["solved"] == 0
-    # each nested solve gets only the seconds that are left
+    # each nested solve draws on the very budget the hunt was given
     given = []
     real = ex.tc_exact
 
     def spy(g, budget):
-        given.append(budget.max_seconds)
+        given.append(budget)
         return real(g, budget=budget)
 
     monkeypatch.setattr(ex, "tc_exact", spy)
-    assert ex.hunt(4, 3, "2alpha", budget=ex.SolveBudget(max_seconds=60)) is None
+    budget = ex.SolveBudget(max_seconds=60)
+    assert ex.hunt(4, 3, "2alpha", budget=budget) is None
     assert len(given) == 15
-    assert all(60 > a >= b > 0 for a, b in zip(given, given[1:]))
+    assert all(b is budget for b in given)
 
 
 def test_tc_exact_diameter_has_one_deadline(monkeypatch):
@@ -301,17 +303,60 @@ def test_tc_exact_diameter_has_one_deadline(monkeypatch):
     with pytest.raises(ex.Inconclusive) as exc:
         ex.tc_exact(c7, max_diam=2, budget=ex.SolveBudget(max_seconds=0))
     assert exc.value.stats == {"nodes": 1, "stage": "diameter pieces"}
-    # the cover search gets only the seconds the piece enumeration left
+    # the cover search draws on the very budget the piece enumeration used
     given = []
     real = ex.min_cover
 
     def spy(universe, candidates, budget):
-        given.append(budget.max_seconds)
+        given.append(budget)
         return real(universe, candidates, budget)
 
     monkeypatch.setattr(ex, "min_cover", spy)
-    assert ex.tc_exact(c7, max_diam=2, budget=ex.SolveBudget(max_seconds=60))[0] == 3
-    assert len(given) == 1 and 0 < given[0] < 60
+    budget = ex.SolveBudget(max_seconds=60)
+    assert ex.tc_exact(c7, max_diam=2, budget=budget)[0] == 3
+    assert len(given) == 1 and given[0] is budget
+
+
+def test_hunt_shares_one_node_allowance():
+    # the walk and the nested solves draw on one allowance: the (5, 3) hunt
+    # makes 142 solves, each far below 100 nodes on its own
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.hunt(5, 3, "2alpha", budget=ex.SolveBudget(max_nodes=100))
+    assert exc.value.stats["nodes"] == 101
+    # the walk charges every vector it settles
+    budget, stats = ex.SolveBudget(), {"enumerated": 0}
+    assert sum(1 for _ in ex._canonical_colorings(5, 3, stats, budget)) == 142
+    assert budget.nodes == stats["enumerated"] > 142
+
+
+def test_budget_reads_the_clock_on_the_first_charge_then_every_8192_nodes(monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr(ex, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    budget = ex.SolveBudget(max_nodes=10 ** 6, max_seconds=10)
+    budget.charge("x")
+    assert (budget.nodes_left(), budget.seconds_left()) == (10 ** 6 - 1, 10.0)
+    now[0] = 11.0
+    for _ in range(8191):
+        budget.charge("x")
+    with pytest.raises(ex.Inconclusive) as exc:
+        budget.charge("x")
+    assert exc.value.stats == {"nodes": 8193, "stage": "x"}
+    assert budget.seconds_left() == 0.0
+
+
+def test_set_cover_budget_keeps_the_best_cover():
+    # greedy covers with three sets, so a one-node budget leaves that cover
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.min_cover(0b111111, [(0b001011, "a"), (0b000111, "b"), (0b111000, "c")],
+                     ex.SolveBudget(max_nodes=1))
+    assert exc.value.stats == {"nodes": 2, "stage": "set cover"}
+    assert exc.value.best == (3, ["a", "c", "b"])
+
+
+def test_tp_without_colors_is_infeasible():
+    with pytest.raises(ex.Infeasible) as exc:
+        ex.tp_exact(ColoredMultigraph.from_edges(3, 0, []))
+    assert exc.value.witness_vertex == 0
 
 
 def test_hunt_rejects_bad_arguments():

@@ -127,6 +127,15 @@ def test_good_partition_matches_word_model():
         assert (got is None) == dominated
 
 
+def test_good_partition_draws_on_the_budget():
+    col = gp.bad_bipartite_coloring(2, 4)
+    with pytest.raises(ex.Inconclusive):
+        gp.good_partition(col, ex.SolveBudget(max_nodes=1))
+    budget = ex.SolveBudget()
+    assert gp.good_partition(col, budget) is None
+    assert budget.nodes == 4  # every candidate word of length 2 over {1, 2}
+
+
 def test_bad_bipartite_requires_enough_z():
     with pytest.raises(ValueError):
         gp.bad_bipartite_coloring(3, 7)
