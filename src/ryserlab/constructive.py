@@ -30,12 +30,24 @@ def _reduced(g: ColoredMultigraph):
     Returns None on a non-adjacent pair, so callers on incomplete graphs can
     guard with a simple comparison.
     """
-    col = {}
-    for (u, v), cs in g._edges.items():
-        col[(u, v)] = min(cs)
+    rows = [(c, g.adjacency(c)) for c in range(1, g.r + 1)]
+
     def f(a, b):
-        return col.get((a, b) if a < b else (b, a))
+        for c, adj in rows:
+            if adj[a] >> b & 1:
+                return c
+        return None
     return f
+
+
+def _least_color_adjacency(g: ColoredMultigraph) -> dict:
+    """Per color c, the mask adjacency of the pairs whose least color is c."""
+    out, lower = {}, [0] * g.n
+    for c in range(1, g.r + 1):
+        row = g.adjacency(c)
+        out[c] = [m & ~s for m, s in zip(row, lower)]
+        lower = [m | s for m, s in zip(row, lower)]
+    return out
 
 
 def _split_adjacency(n: int, color_of: dict, colors) -> dict:
@@ -1272,12 +1284,12 @@ def classify3(g: ColoredMultigraph) -> ThreeColorClass:
     if g.r > 3:
         raise GraphError("classify3 needs at most three colors")
     if g.r < 3:
-        g = ColoredMultigraph(g.n, 3, dict(g._edges))
+        g = g.relabel_colors({c: c for c in range(1, g.r + 1)}, 3)
     col = _reduced(g)
     n = g.n
     if n == 1:
         return ThreeColorClass("TypeI", (1, (0,)))
-    adj = _split_adjacency(n, {p: col(*p) for p in g._edges}, (1, 2, 3))
+    adj = _least_color_adjacency(g)
 
     # maximal monochromatic component: largest, ties to lowest color/vertex
     best = None

@@ -22,66 +22,111 @@ def _norm_pair(u: int, v: int) -> tuple[int, int]:
 
 
 class ColoredMultigraph:
-    """Finite vertex set 0..n-1 with edges carrying nonempty color sets from 1..r."""
+    """Finite vertex set 0..n-1 with edges carrying nonempty color sets from 1..r.
 
-    __slots__ = ("n", "r", "_edges", "_adj", "_hash")
+    The graph is its color classes: bit w of _adj[c][u] is set when the pair
+    uw carries color c (row 0 is empty).  Every other view of it, the edge
+    list and the colors of a pair, is read off these masks.
+    """
+
+    __slots__ = ("n", "r", "_adj", "_hash")
 
     def __init__(self, n: int, r: int, edges: dict[tuple[int, int], frozenset[int]]):
-        if n < 0:
-            raise GraphError("vertex count must be nonnegative")
-        if r < 0:
-            raise GraphError("color count must be nonnegative")
-        norm: dict[tuple[int, int], frozenset[int]] = {}
-        for (u, v), cols in edges.items():
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            cols = frozenset(cols)
-            if not cols:
-                raise GraphError(f"edge ({u},{v}) has an empty color set")
-            for c in cols:
-                if not (1 <= c <= r):
-                    raise GraphError(f"color {c} on edge ({u},{v}) out of range for r={r}")
-            key = _norm_pair(u, v)
-            norm[key] = norm.get(key, frozenset()) | cols
-        self.n = n
-        self.r = r
-        self._edges = norm
-        # per color, per vertex: a bitmask of the color-c neighbors
-        adj = [[0] * n for _ in range(r + 1)]
-        for (u, v), cols in norm.items():
-            for c in cols:
-                adj[c][u] |= 1 << v
-                adj[c][v] |= 1 << u
-        self._adj = tuple(tuple(a) for a in adj)
-        self._hash = None
+        self._fill(n, r, [(u, v, cols) for (u, v), cols in edges.items()], False)
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges) -> "ColoredMultigraph":
         """Build from an iterable of (u, v, color) or (u, v, iterable-of-colors)."""
-        acc: dict[tuple[int, int], set[int]] = {}
-        for u, v, c in edges:
-            cols = {c} if isinstance(c, int) else set(c)
-            acc.setdefault(_norm_pair(u, v), set()).update(cols)
-        return cls(n, r, {k: frozenset(v) for k, v in acc.items()})
+        g = cls.__new__(cls)
+        g._fill(n, r, edges, True)
+        return g
+
+    @classmethod
+    def _of_rows(cls, n: int, r: int, adj: tuple) -> "ColoredMultigraph":
+        """The graph whose color-c adjacency is adj[c]; the masks are trusted."""
+        g = cls.__new__(cls)
+        g.n, g.r, g._adj, g._hash = n, r, adj, None
+        return g
+
+    def _fill(self, n: int, r: int, edges, listed: bool):
+        """Validate the edges and OR each one into its color rows, in one pass.
+
+        listed: the edges are a list whose pairs may repeat and name either
+        end first, so an error names a pair lower end first and a pair is
+        empty only if its colors add up to nothing; otherwise they are the
+        items of a dict, and each must carry a color.
+        """
+        if n < 0:
+            raise GraphError("vertex count must be nonnegative")
+        if r < 0:
+            raise GraphError("color count must be nonnegative")
+        adj = [[0] * n for _ in range(r + 1)]
+        uncolored = []
+        for u, v, cols in edges:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                if u == v:
+                    raise GraphError(f"loop at vertex {u}")
+                raise GraphError(f"edge {_named(u, v, listed)} out of range for n={n}")
+            if isinstance(cols, int):
+                # the common case, a bare color, builds no tuple and no flag
+                if not 1 <= cols <= r:
+                    raise _color_error(cols, u, v, r, listed)
+                row = adj[cols]
+                row[u] |= 1 << v
+                row[v] |= 1 << u
+                continue
+            colored = False
+            for c in cols:
+                if not 1 <= c <= r:
+                    raise _color_error(c, u, v, r, listed)
+                row = adj[c]
+                row[u] |= 1 << v
+                row[v] |= 1 << u
+                colored = True
+            if not colored:
+                if not listed:
+                    raise GraphError(f"edge ({u},{v}) has an empty color set")
+                uncolored.append((u, v))
+        for u, v in uncolored:
+            if not any(row[u] >> v & 1 for row in adj):
+                raise GraphError(f"edge {_named(u, v, listed)} has an empty color set")
+        self.n = n
+        self.r = r
+        self._adj = tuple(map(tuple, adj))
+        self._hash = None
+
+    def _neighbors(self) -> list[int]:
+        """Per vertex, the mask of the vertices joined to it in any color."""
+        out = [0] * self.n
+        for row in self._adj:
+            out = [a | b for a, b in zip(out, row)]
+        return out
 
     def edges(self):
         """Sorted list of (u, v, frozenset of colors)."""
-        return [(u, v, self._edges[(u, v)]) for (u, v) in sorted(self._edges)]
+        rows = tuple(enumerate(self._adj))[1:]
+        out = []
+        for u, nb in enumerate(self._neighbors()):
+            for v in vertices_of(nb >> (u + 1) << (u + 1)):
+                out.append((u, v, frozenset(c for c, row in rows if row[u] >> v & 1)))
+        return out
 
     def colors_of(self, u: int, v: int) -> frozenset[int]:
-        return self._edges.get(_norm_pair(u, v), frozenset())
+        if 0 <= u < self.n and 0 <= v < self.n:
+            return frozenset(c for c in range(1, self.r + 1) if self._adj[c][u] >> v & 1)
+        return frozenset()
 
     def has_color(self, u: int, v: int, c: int) -> bool:
-        return c in self._edges.get(_norm_pair(u, v), frozenset())
+        return (0 <= u < self.n and 0 <= v < self.n and 1 <= c <= self.r
+                and self._adj[c][u] >> v & 1 == 1)
 
     def adjacency(self, c: int) -> tuple[int, ...]:
         """The color-c class as a mask adjacency: bit w of entry u marks edge uw."""
         return self._adj[c]
 
     def is_complete(self) -> bool:
-        return len(self._edges) == self.n * (self.n - 1) // 2
+        full = (1 << self.n) - 1
+        return all(nb | 1 << u == full for u, nb in enumerate(self._neighbors()))
 
     def min_color_of(self, u: int, v: int) -> int:
         """Deterministic single-color reduction used by the constructive proofs."""
@@ -93,32 +138,48 @@ class ColoredMultigraph:
     def subgraph_colors(self, colors) -> "ColoredMultigraph":
         """The graph keeping only the given colors (color labels unchanged)."""
         colors = frozenset(colors)
-        kept = {}
-        for pair, cols in self._edges.items():
-            inter = cols & colors
-            if inter:
-                kept[pair] = inter
-        return ColoredMultigraph(self.n, self.r, kept)
+        empty = (0,) * self.n
+        return ColoredMultigraph._of_rows(
+            self.n, self.r,
+            tuple(row if c in colors else empty for c, row in enumerate(self._adj)))
 
     def relabel_colors(self, mapping: dict[int, int], new_r: int) -> "ColoredMultigraph":
-        kept = {}
-        for pair, cols in self._edges.items():
-            mapped = frozenset(mapping[c] for c in cols if c in mapping)
-            if mapped:
-                kept[pair] = mapped
-        return ColoredMultigraph(self.n, new_r, kept)
+        if new_r < 0:
+            raise GraphError("color count must be nonnegative")
+        adj = [(0,) * self.n for _ in range(new_r + 1)]
+        for c in range(1, self.r + 1):
+            row = self._adj[c]
+            if c not in mapping or not any(row):
+                continue
+            d = mapping[c]
+            if not 1 <= d <= new_r:
+                u = next(u for u, m in enumerate(row) if m)
+                v = (row[u] & -row[u]).bit_length() - 1
+                raise GraphError(f"color {d} on edge ({u},{v}) out of range for r={new_r}")
+            adj[d] = tuple(a | b for a, b in zip(adj[d], row))
+        return ColoredMultigraph._of_rows(self.n, new_r, tuple(adj))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredMultigraph) and self.n == other.n
-                and self.r == other.r and self._edges == other._edges)
+                and self.r == other.r and self._adj == other._adj)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.r, frozenset(self._edges.items())))
+            self._hash = hash((self.n, self.r, self._adj))
         return self._hash
 
     def __repr__(self):
-        return f"ColoredMultigraph(n={self.n}, r={self.r}, m={len(self._edges)})"
+        m = sum((nb >> (u + 1)).bit_count() for u, nb in enumerate(self._neighbors()))
+        return f"ColoredMultigraph(n={self.n}, r={self.r}, m={m})"
+
+
+def _named(u: int, v: int, lower_first: bool) -> str:
+    """A pair as an error message names it."""
+    return f"({min(u, v)},{max(u, v)})" if lower_first else f"({u},{v})"
+
+
+def _color_error(c: int, u: int, v: int, r: int, lower_first: bool) -> GraphError:
+    return GraphError(f"color {c} on edge {_named(u, v, lower_first)} out of range for r={r}")
 
 
 @dataclass(frozen=True)
@@ -294,14 +355,15 @@ def components(g: ColoredMultigraph, c: int) -> ComponentSet:
 
 def closure(g: ColoredMultigraph) -> ColoredMultigraph:
     """Complete every monochromatic component to a clique in its color."""
-    acc: dict[tuple[int, int], set[int]] = {}
-    for pair, cols in g._edges.items():
-        acc.setdefault(pair, set()).update(cols)
+    full = (1 << g.n) - 1
+    adj = [g._adj[0]]
     for c in range(1, g.r + 1):
-        for part in components(g, c).parts:
-            for u, v in combinations(part, 2):
-                acc.setdefault((u, v), set()).add(c)
-    return ColoredMultigraph(g.n, g.r, {k: frozenset(v) for k, v in acc.items()})
+        row = [0] * g.n
+        for m in component_masks(g._adj[c], full):
+            for v in vertices_of(m):
+                row[v] = m & ~(1 << v)
+        adj.append(tuple(row))
+    return ColoredMultigraph._of_rows(g.n, g.r, tuple(adj))
 
 
 def diameter(g: ColoredMultigraph, vertices, c: int) -> float:
@@ -332,7 +394,7 @@ def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
     with a greedy initial bound.  Any color counts as adjacency.
     """
     n = g.n
-    adjmask = adjacency(n, g._edges)
+    adjmask = g._neighbors()
 
     # greedy lower bound: repeatedly take the minimum-degree available vertex
     avail = (1 << n) - 1

@@ -23,7 +23,7 @@ class HypergraphError(ValueError):
 class ColoredHypergraph:
     """k-uniform (k=0: non-uniform) hypergraph, optionally r-partite / edge-colored."""
 
-    __slots__ = ("n", "k", "r", "parts", "_edges")
+    __slots__ = ("n", "k", "r", "parts", "_hyperedges")
 
     def __init__(self, n: int, k: int = 0, r: int = 0, parts=None, edges=()):
         self.n = n
@@ -51,7 +51,7 @@ class ColoredHypergraph:
             if color is not None and not (1 <= color <= max(r, 1)):
                 raise HypergraphError(f"edge color {color} out of range")
             norm.append((color, vs))
-        self._edges = tuple(norm)
+        self._hyperedges = tuple(norm)
         if parts is not None:
             parts = tuple(tuple(sorted(p)) for p in parts)
             flat = [v for p in parts for v in p]
@@ -72,17 +72,17 @@ class ColoredHypergraph:
         return cls(n, k, r, None, list(colored_edges))
 
     def edges(self):
-        return self._edges
+        return self._hyperedges
 
     def edge_vertex_sets(self):
-        return [vs for _, vs in self._edges]
+        return [vs for _, vs in self._hyperedges]
 
     def edge_color(self, i: int):
-        return self._edges[i][0]
+        return self._hyperedges[i][0]
 
     def __repr__(self):
         return (f"ColoredHypergraph(n={self.n}, k={self.k}, r={self.r}, "
-                f"m={len(self._edges)})")
+                f"m={len(self._hyperedges)})")
 
 
 def complete_uniform(n: int, k: int, coloring) -> ColoredHypergraph:

@@ -186,6 +186,8 @@ def min_cover_milp(universe: int, candidates, budget: SolveBudget):
                integrality=np.ones(k), bounds=Bounds(0, 1),
                options={"time_limit": budget.seconds_left(),
                         "node_limit": budget.nodes_left(), "mip_rel_gap": 0.0})
+    # added, not charged: a proven optimum must not turn into Inconclusive
+    budget.nodes += int(getattr(res, "mip_node_count", None) or 0)
     found = None
     if res.x is not None:
         chosen = [j for j in range(k) if res.x[j] > 0.5]
@@ -198,7 +200,7 @@ def min_cover_milp(universe: int, candidates, budget: SolveBudget):
             raise AssertionError("MILP optimum leaves an element uncovered")
     if res.status == 0:
         return found
-    stats = {"nodes": int(getattr(res, "mip_node_count", None) or 0)}
+    stats = {"nodes": budget.nodes}
     dual = getattr(res, "mip_dual_bound", None)
     if dual is not None and math.isfinite(dual):
         stats["lower"] = max(0, math.ceil(dual - 1e-9))
@@ -247,7 +249,8 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
                 candidates.append((mask_of(part), (c, part)))
     else:
         if g.n > 24:
-            raise Inconclusive("diameter-constrained exact cover limited to n <= 24")
+            raise GraphError("diameter-constrained exact cover is limited to n <= 24, "
+                             f"got n={g.n}")
         for c in colors:
             for mask, vs in _connected_subsets_with_diam(g, c, max_diam, budget):
                 candidates.append((mask, (c, tuple(vs))))

@@ -289,6 +289,7 @@ def test_removed_options_are_usage_errors(argv, capsys):
 
 
 HG_2_UNIFORM = "hg 4 2 2\ne 1 0 1\ne 2 1 2\ne 1 2 3\ne 2 0 3\n"
+PATH_25 = "cg 25 1\n" + "".join(f"e {v} {v + 1} 1\n" for v in range(24))
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -304,6 +305,8 @@ HG_2_UNIFORM = "hg 4 2 2\ne 1 0 1\ne 2 1 2\ne 1 2 3\ne 2 0 3\n"
     (["classify"], "cg 4 2\ne 0 1 1\ne 1 2 2\n"),
     (["mc"], "cg 0 1\n"),
     (["classify"], "cg 0 1\n"),
+    # the diameter-constrained cover's size limit is a domain limit, not a budget
+    (["tc", "--max-diam", "2"], PATH_25),
 ])
 def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     if text is not None:

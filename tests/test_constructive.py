@@ -154,7 +154,7 @@ def test_cover_bipartite3_random():
 
 def test_cover_bipartite3_monochrome_and_layered():
     g, X, Y = rand_bip(4, 4, 1, random.Random(4))
-    g = ColoredMultigraph(g.n, 3, dict(g._edges))
+    g = ColoredMultigraph.from_edges(g.n, 3, g.edges())
     cert = cv.cover_bipartite3(g, X, Y)
     assert len(cert.pieces) == 1
     # layered: a color-3 path component of diameter >= 6 spanning Y

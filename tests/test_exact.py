@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ryserlab import exact as ex
-from ryserlab.core import (ColoredMultigraph, alpha, closure, complete_graph,
-                           monochromatic_complete, verify)
+from ryserlab.core import (ColoredMultigraph, GraphError, alpha, closure,
+                           complete_graph, mask_of, monochromatic_complete, verify)
 from ryserlab.duality import ColoredHypergraph
 
 
@@ -315,6 +315,66 @@ def test_tc_exact_diameter_has_one_deadline(monkeypatch):
     budget = ex.SolveBudget(max_seconds=60)
     assert ex.tc_exact(c7, max_diam=2, budget=budget)[0] == 3
     assert len(given) == 1 and given[0] is budget
+
+
+def test_tc_exact_diameter_size_limit_is_a_domain_error():
+    path = ColoredMultigraph.from_edges(25, 1, [(v, v + 1, 1) for v in range(24)])
+    with pytest.raises(GraphError, match=r"limited to n <= 24, got n=25"):
+        ex.tc_exact(path, max_diam=2)
+
+
+def _milp_spy(monkeypatch, extra=0):
+    """Wrap scipy's milp; each call's mip_node_count (raised by extra) is logged."""
+    import scipy.optimize
+
+    reported = []
+    real = scipy.optimize.milp
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.mip_node_count = int(res.mip_node_count or 0) + extra
+        reported.append(res.mip_node_count)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    return reported
+
+
+def _z33_cover():
+    from ryserlab import goodpart as gp
+
+    words = list(gp.all_words(3, 3))
+    dom = [mask_of(j for j, w in enumerate(words) if gp.everywhere_different(f, w))
+           for f in words]
+    return (1 << len(words)) - 1, list(zip(dom, words))
+
+
+def test_milp_nodes_are_added_to_the_run(monkeypatch):
+    reported = _milp_spy(monkeypatch)
+    universe, candidates = _z33_cover()
+    budget = ex.SolveBudget()
+    budget.nodes = 40
+    assert ex.min_cover_milp(universe, candidates, budget)[0] == 5
+    assert len(reported) == 1 and budget.nodes == 40 + reported[0]
+
+
+def test_milp_nodes_never_turn_an_optimum_inconclusive(monkeypatch):
+    # more nodes than the allowance: added, not charged, so the optimum stands
+    reported = _milp_spy(monkeypatch, extra=1000)
+    universe, candidates = _z33_cover()
+    budget = ex.SolveBudget(max_nodes=100)
+    assert ex.min_cover_milp(universe, candidates, budget)[0] == 5
+    assert budget.nodes == reported[0] >= 1000
+
+
+def test_milp_early_stop_reports_the_run_total(monkeypatch):
+    reported = _milp_spy(monkeypatch, extra=3)
+    universe, candidates = _z33_cover()
+    budget = ex.SolveBudget(max_seconds=0)
+    budget.nodes = 40
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.min_cover_milp(universe, candidates, budget)
+    assert exc.value.stats["nodes"] == budget.nodes == 40 + reported[0]
 
 
 def test_hunt_shares_one_node_allowance():

@@ -1,0 +1,230 @@
+"""ColoredMultigraph against a dict-of-frozensets reference model.
+
+A graph is stored only as its per-color adjacency masks; every public view of
+it is checked here against a plain dict {(u, v): frozenset of colors}, pairs
+lower end first, built in this file from the same edge list.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ryserlab.core import ColoredMultigraph, GraphError, closure
+
+SETTINGS = settings(max_examples=80, deadline=None)
+
+
+@st.composite
+def edge_lists(draw, n=None, r=None):
+    """(n, r, entries): n <= 10, r <= 4; an entry is (u, v, color) or (u, v,
+    list of colors), either end first; some pairs repeat, and an entry may
+    carry [] when another entry of its pair carries a color."""
+    n = draw(st.integers(1, 10)) if n is None else n
+    r = draw(st.integers(1, 4)) if r is None else r
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    entries = []
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        if draw(st.booleans()):
+            entries.append((u, v, draw(st.integers(1, r))))
+        else:
+            entries.append((u, v, draw(st.lists(st.integers(1, r), min_size=1, max_size=3))))
+        if draw(st.integers(0, 4)) == 0:
+            entries.append((v, u, []))
+    return n, r, draw(st.permutations(entries))
+
+
+def ref_of(entries):
+    """{(u, v): frozenset} with u < v, the union of each pair's entries."""
+    acc = {}
+    for u, v, cols in entries:
+        cols = {cols} if isinstance(cols, int) else set(cols)
+        acc.setdefault((min(u, v), max(u, v)), set()).update(cols)
+    return {p: frozenset(cs) for p, cs in acc.items()}
+
+
+def ref_colors(ref, u, v):
+    return ref.get((min(u, v), max(u, v)), frozenset()) if u != v else frozenset()
+
+
+def ref_closure(n, r, ref):
+    """Every color-c component, found by merging labels, completed to a clique."""
+    out = {p: set(cs) for p, cs in ref.items()}
+    for c in range(1, r + 1):
+        label = list(range(n))
+        for (u, v), cs in ref.items():
+            if c in cs:
+                old, new = label[u], label[v]
+                label = [new if x == old else x for x in label]
+        for u, v in itertools.combinations(range(n), 2):
+            if label[u] == label[v]:
+                out.setdefault((u, v), set()).add(c)
+    return {p: frozenset(cs) for p, cs in out.items()}
+
+
+def graph_of(n, r, ref):
+    return ColoredMultigraph.from_edges(n, r, [(u, v, sorted(cs)) for (u, v), cs in ref.items()])
+
+
+@SETTINGS
+@given(edge_lists())
+def test_views_match_the_reference(nre):
+    n, r, entries = nre
+    ref = ref_of(entries)
+    g = ColoredMultigraph.from_edges(n, r, entries)
+    assert g.edges() == [(u, v, ref[(u, v)]) for u, v in sorted(ref)]
+    assert all(type(cs) is frozenset for _, _, cs in g.edges())
+    assert g.is_complete() == (len(ref) == n * (n - 1) // 2)
+    assert repr(g) == f"ColoredMultigraph(n={n}, r={r}, m={len(ref)})"
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            want = ref_colors(ref, u, v)
+            assert g.colors_of(u, v) == want
+            for c in range(-1, r + 2):
+                assert g.has_color(u, v, c) is (c in want)
+            if want:
+                assert g.min_color_of(u, v) == min(want)
+            else:
+                with pytest.raises(GraphError):
+                    g.min_color_of(u, v)
+    for c in range(1, r + 1):
+        for u in range(n):
+            assert g.adjacency(c)[u] == sum(1 << v for v in range(n) if c in ref_colors(ref, u, v))
+
+
+@SETTINGS
+@given(edge_lists())
+def test_both_constructors_agree(nre):
+    n, r, entries = nre
+    ref = ref_of(entries)
+    g = ColoredMultigraph.from_edges(n, r, entries)
+    h = ColoredMultigraph(n, r, ref)
+    assert h == g and hash(h) == hash(g)
+    assert h.edges() == g.edges()
+    # a dict may name a pair either end first
+    flipped = ColoredMultigraph(n, r, {(v, u): cs for (u, v), cs in ref.items()})
+    assert flipped == g and hash(flipped) == hash(g)
+
+
+@SETTINGS
+@given(st.data())
+def test_equality_follows_the_reference(data):
+    n, r, entries = data.draw(edge_lists())
+    _, _, others = data.draw(edge_lists(n, r))
+    g, h = ColoredMultigraph.from_edges(n, r, entries), ColoredMultigraph.from_edges(n, r, others)
+    assert (g == h) == (ref_of(entries) == ref_of(others))
+    if g == h:
+        assert hash(g) == hash(h)
+    assert g != ColoredMultigraph.from_edges(n, r + 1, entries)
+    assert g != ColoredMultigraph.from_edges(n + 1, r, entries)
+
+
+@SETTINGS
+@given(st.data())
+def test_color_operations_match_the_reference(data):
+    n, r, entries = data.draw(edge_lists())
+    ref = ref_of(entries)
+    g = ColoredMultigraph.from_edges(n, r, entries)
+
+    keep = data.draw(st.frozensets(st.integers(0, r + 1)))
+    want = {p: cs & keep for p, cs in ref.items() if cs & keep}
+    assert g.subgraph_colors(keep) == graph_of(n, r, want)
+
+    new_r = data.draw(st.integers(1, 5))
+    # target 0 leaves a color out; several colors may share a target
+    targets = data.draw(st.lists(st.integers(0, new_r), min_size=r, max_size=r))
+    mapping = {c: t for c, t in enumerate(targets, 1) if t}
+    want = {}
+    for p, cs in ref.items():
+        mapped = frozenset(mapping[c] for c in cs if c in mapping)
+        if mapped:
+            want[p] = mapped
+    got = g.relabel_colors(mapping, new_r)
+    assert got == graph_of(n, new_r, want) and got.r == new_r
+
+    assert closure(g) == graph_of(n, r, ref_closure(n, r, ref))
+    assert closure(g).edges() == sorted((u, v, cs) for (u, v), cs
+                                        in ref_closure(n, r, ref).items())
+
+
+def test_relabel_out_of_range_raises_only_on_a_used_color():
+    g = ColoredMultigraph.from_edges(3, 2, [(1, 2, 2)])
+    with pytest.raises(GraphError, match=r"color 5 on edge \(1,2\) out of range for r=3"):
+        g.relabel_colors({2: 5}, 3)
+    assert g.relabel_colors({1: 5, 2: 1}, 3).edges() == [(1, 2, frozenset({1}))]
+    two = ColoredMultigraph.from_edges(3, 2, [(0, 1, 1), (1, 2, 2)])
+    assert two.relabel_colors({1: 1, 2: 1}, 1).edges() == [
+        (0, 1, frozenset({1})), (1, 2, frozenset({1}))]
+    with pytest.raises(GraphError, match="color count must be nonnegative"):
+        g.relabel_colors({}, -1)
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """(n, r, entries, message): a valid edge list with one fault inserted."""
+    n, r, entries = draw(edge_lists())
+    u = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(("loop", "vertex", "color", "empty")))
+    if kind == "loop":
+        bad, msg = (u, u, 1), f"loop at vertex {u}"
+    elif kind == "vertex":
+        w = draw(st.sampled_from((-1, n, n + 3)))
+        bad = draw(st.sampled_from(((u, w, 1), (w, u, 1))))
+        msg = f"edge ({min(u, w)},{max(u, w)}) out of range for n={n}"
+    elif kind == "color":
+        c = draw(st.sampled_from((0, -1, r + 1)))
+        n = max(n, 2)
+        u, v = draw(st.sampled_from(list(itertools.permutations(range(n), 2))))
+        bad = (u, v, draw(st.sampled_from((c, [c], [1, c]))))
+        msg = f"color {c} on edge ({min(u, v)},{max(u, v)}) out of range for r={r}"
+    else:
+        # a pair that no other entry colors
+        free = [p for p in itertools.combinations(range(n), 2)
+                if p not in ref_of(entries)]
+        assume(free)
+        a, b = draw(st.sampled_from(free))
+        bad, msg = (b, a, []), f"edge ({a},{b}) has an empty color set"
+    at = draw(st.integers(0, len(entries)))
+    return n, r, entries[:at] + [bad] + entries[at:], msg
+
+
+@SETTINGS
+@given(faulty_edge_lists())
+def test_each_fault_raises_its_message(nrem):
+    n, r, entries, msg = nrem
+    with pytest.raises(GraphError) as exc:
+        ColoredMultigraph.from_edges(n, r, entries)
+    assert str(exc.value) == msg
+
+
+def test_error_cases_of_both_constructors():
+    cases = [
+        (lambda: ColoredMultigraph.from_edges(-1, 1, []), "vertex count must be nonnegative"),
+        (lambda: ColoredMultigraph.from_edges(2, -1, []), "color count must be nonnegative"),
+        (lambda: ColoredMultigraph(-1, 1, {}), "vertex count must be nonnegative"),
+        (lambda: ColoredMultigraph(2, -1, {}), "color count must be nonnegative"),
+        (lambda: ColoredMultigraph(3, 1, {(1, 1): {1}}), "loop at vertex 1"),
+        # the dict constructor names a pair as it was given
+        (lambda: ColoredMultigraph(3, 1, {(5, 0): {1}}), "edge (5,0) out of range for n=3"),
+        (lambda: ColoredMultigraph(3, 1, {(2, 0): {2}}),
+         "color 2 on edge (2,0) out of range for r=1"),
+        (lambda: ColoredMultigraph(3, 1, {(2, 0): frozenset()}),
+         "edge (2,0) has an empty color set"),
+        (lambda: ColoredMultigraph.from_edges(3, 1, [(0, 1, 1), (2, 0, []), (0, 2, ())]),
+         "edge (0,2) has an empty color set"),
+    ]
+    for build, msg in cases:
+        with pytest.raises(GraphError) as exc:
+            build()
+        assert str(exc.value) == msg
+
+
+def test_empty_entry_beside_a_colored_one_is_accepted():
+    g = ColoredMultigraph.from_edges(3, 2, [(0, 1, []), (1, 0, 2), (1, 2, []),
+                                            (2, 1, [1, 2])])
+    assert g.edges() == [(0, 1, frozenset({2})), (1, 2, frozenset({1, 2}))]
+    assert ColoredMultigraph.from_edges(0, 0, []).edges() == []
