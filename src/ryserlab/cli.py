@@ -306,10 +306,8 @@ def cmd_cover(args):
     elif m == "multipartite":
         parts = _parse_parts(args.parts, g.n)
         cert = cover_multipartite(g, parts, args.r or 2)
-    elif m == "restricted":
-        cert = restricted_cover(g, args.r or g.r, args.restrict_colors)
     else:
-        raise SystemExit(f"unknown method {m}")
+        cert = restricted_cover(g, args.r or g.r, args.restrict_colors)
     _emit(args, write_cover(cert), {"pieces": len(cert.pieces)})
     return 0
 
@@ -392,11 +390,9 @@ def cmd_hyper(args):
     elif args.method == "tight":
         comp = tight_spanning(h)
         _emit(args, f"spanning tight component: color {comp.color}")
-    elif args.method == "mc":
+    else:
         size, color, _ = mc_cl(h, c, ell)
         _emit(args, f"mc^{{{c},{ell}}} = {size} color = {color}")
-    else:
-        raise SystemExit(f"unknown hyper method {args.method}")
     return 0
 
 
@@ -417,11 +413,9 @@ def cmd_construct(args):
     elif kind == "badmulti":
         g = badmulti_graph(args.k, args.t)
         _emit(args, write_graph(g))
-    elif kind == "star":
+    else:
         g = cn.multipartite_star_example(args.k, args.r)
         _emit(args, write_graph(g))
-    else:
-        raise SystemExit(f"unknown construction {kind}")
     return 0
 
 

@@ -61,10 +61,20 @@ def _comp_of(g: ColoredMultigraph, c: int, v: int) -> tuple[int, ...]:
     return tuple(vertices_of(reach(g.adjacency(c), v)))
 
 
-def _star_piece(c, center, leaves):
-    vs = [center] + list(leaves)
-    es = [(center, w) for w in leaves]
-    return (c, vs, es)
+def _tree(c, x, leaves, attach=(), col=None):
+    """The color-c star from x to leaves, with each attach vertex hung on the
+    first leaf that joins it in color c."""
+    verts = [x] + list(leaves) + list(attach)
+    edges = [(x, w) for w in leaves]
+    edges += [(v, next(w for w in leaves if col(v, w) == c)) for v in attach]
+    return (c, verts, edges)
+
+
+def _biclique_tree(c, P, Q):
+    """A spanning double star of the color-c complete bipartite graph [P, Q]:
+    P[0] joined to all of Q, every other vertex of P joined to Q[0]."""
+    return (c, list(P) + list(Q),
+            [(P[0], q) for q in Q] + [(p, Q[0]) for p in P[1:]])
 
 
 def _check(g, pieces, max_size, max_diam=None, allowed_colors=None, mode="cover"):
@@ -184,13 +194,13 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
                 t1 = (ca, [va] + list(Y) + t1_att,
                       [(va, y) for y in Y] + [(x, anchor) for x in t1_att])
                 rest = [x for x in X if x != va and col[(x, anchor)] == cb]
-                t2 = _star_piece(cb, anchor, rest + ([vb] if col[(vb, anchor)] == cb else []))
+                t2 = _tree(cb, anchor, rest + ([vb] if col[(vb, anchor)] == cb else []))
             else:
                 t1_att = [y for y in Y if y != va and col[(anchor, y)] == ca]
                 t1 = (ca, [va] + list(X) + t1_att,
                       [(x, va) for x in X] + [(anchor, y) for y in t1_att])
                 rest = [y for y in Y if y != va and col[(anchor, y)] == cb]
-                t2 = _star_piece(cb, anchor, rest + ([vb] if col[(anchor, vb)] == cb else []))
+                t2 = _tree(cb, anchor, rest + ([vb] if col[(anchor, vb)] == cb else []))
             return _Bip2(cls, [t1, t2], None)
 
     # a single one-colored vertex forces its color to span (P3)
@@ -230,12 +240,8 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
             for y in Y1:
                 assert col[(x, y)] == ca
         cls = BipartiteClass("P2", (tuple(X1), tuple(X2), tuple(Y1), tuple(Y2)))
-        trees = []
-        for (Xi, Yi) in ((X1, Y1), (X2, Y2)):
-            c0 = Xi[0]
-            edges = [(c0, y) for y in Yi] + [(x, Yi[0]) for x in Xi[1:]]
-            trees.append((ca, list(Xi) + list(Yi), edges))
-        return _Bip2(cls, trees, None)
+        return _Bip2(cls, [_biclique_tree(ca, X1, Y1), _biclique_tree(ca, X2, Y2)],
+                     None)
 
     c = ca if conn[ca] else cb
     oc = cb if c == ca else ca
@@ -341,193 +347,91 @@ def classify_bipartite2(g: ColoredMultigraph, X, Y, colors=(1, 2)):
 
 
 def cover_complete(g: ColoredMultigraph, r: int) -> CoverCertificate:
-    """Diameter-bounded covers of complete graphs for r in {2, 3, 4}."""
-    if not g.is_complete():
-        raise GraphError("cover_complete needs a complete graph")
-    if r == 2:
-        return _cover_complete2(g)
-    if r == 3:
-        return _cover_complete3(g)
-    if r == 4:
-        return _cover_complete4(g)
-    raise GraphError("cover_complete supports r in {2, 3, 4}")
+    """At most r - 1 monochromatic pieces covering a complete graph whose
+    pairs all carry a color in 1..r (r in {2, 3, 4}): trees of diameter <= 4
+    for r <= 3, pieces of diameter <= 6 for r = 4.
+
+    The proofs share their opening.  Let x = 0, A_i the vertices joined to x
+    in least color i, and B_ij the part of A_i that sends no color j to A_j.
+    If some B_ij is empty, A_i hangs on the color-j star and the other stars
+    finish the cover.  For r = 2 that always happens: u in B_21 and v in B_12
+    would leave the pair uv with neither color.  Only r = 3 and r = 4 go on
+    to an endgame.
+    """
+    if r not in (2, 3, 4):
+        raise GraphError("cover_complete supports r in {2, 3, 4}")
+    if not g.subgraph_colors(range(1, r + 1)).is_complete():
+        raise GraphError(f"cover_complete needs every pair to carry a color in 1..{r}")
+    return _check(g, _complete_pieces(g, r), r - 1, 6 if r == 4 else 4)
 
 
-def _cover_complete2(g: ColoredMultigraph) -> CoverCertificate:
-    """One spanning tree of diameter <= 4 (hence one subgraph of diameter <= 3)."""
+def _complete_pieces(g, r):
     n = g.n
     if n <= 1:
-        return _check(g, [(1, list(range(n)))] if n else [], 1, 4)
+        return [(1, list(range(n)))] if n else []
     col = _reduced(g)
     x = 0
-    a1 = [v for v in range(1, n) if col(x, v) == 1]
-    a2 = [v for v in range(1, n) if col(x, v) != 1]
-    if not a2:
-        return _check(g, [_star_piece(col(x, a1[0]) if a1 else 1, x, a1)], 1, 4)
-    if not a1:
-        return _check(g, [_star_piece(col(x, a2[0]), x, a2)], 1, 4)
-    c1 = col(x, a1[0])
-    c2 = col(x, a2[0])
-    if c1 == c2:
-        return _check(g, [_star_piece(c1, x, a1 + a2)], 1, 4)
-    # try the radius-2 tree in color c1
-    hang = {}
-    stray = None
-    for u in a2:
-        t = next((w for w in a1 if col(u, w) == c1), None)
-        if t is None:
-            stray = u
-            break
-        hang[u] = t
-    if stray is None:
-        edges = [(x, v) for v in a1] + [(u, t) for u, t in hang.items()]
-        return _check(g, [(c1, list(range(n)), edges)], 1, 4)
-    # stray sends only c2 to a1: span in color c2 through it
-    edges = [(x, v) for v in a2] + [(stray, w) for w in a1]
-    return _check(g, [(c2, list(range(n)), edges)], 1, 4)
+    colors = range(1, r + 1)
+    A = {i: [v for v in range(1, n) if col(x, v) == i] for i in colors}
+    if not all(A.values()):
+        return [_tree(i, x, A[i]) for i in colors if A[i]]
+    B = {(i, j): [v for v in A[i] if all(col(v, u) != j for u in A[j])]
+         for i, j in itertools.permutations(colors, 2)}
+    for (i, j), Bij in B.items():
+        if not Bij:
+            return [_tree(j, x, A[j], A[i], col)] + \
+                   [_tree(m, x, A[m]) for m in colors if m not in (i, j)]
+    endgame = _complete3_endgame if r == 3 else _complete4_endgame
+    return endgame(g, col, x, A, B)
 
 
-def _cover_complete3(g: ColoredMultigraph) -> CoverCertificate:
-    """Two trees of diameter at most 4 covering a 3-colored complete graph."""
-    n = g.n
-    if n <= 1:
-        return _check(g, [(1, list(range(n)))] if n else [], 2, 4)
-    col = _reduced(g)
-    x = 0
-    A = {i: [v for v in range(1, n) if col(x, v) == i] for i in (1, 2, 3)}
-
-    empty = [i for i in (1, 2, 3) if not A[i]]
-    if empty:
-        rest = [i for i in (1, 2, 3) if A[i]]
-        pieces = [_star_piece(i, x, A[i]) for i in rest[:2]]
-        if len(rest) > 2:
-            raise AssertionError
-        if not pieces:
-            pieces = [(1, [x])]
-        return _check(g, pieces, 2, 4)
-
-    B = {}
-    for i, j in itertools.permutations((1, 2, 3), 2):
-        B[(i, j)] = [v for v in A[i] if all(col(v, u) != j for u in A[j])]
-
-    for i, j in itertools.permutations((1, 2, 3), 2):
-        if not B[(i, j)]:
-            k = next(m for m in (1, 2, 3) if m not in (i, j))
-            edges = [(x, u) for u in A[j]]
-            verts = [x] + A[j]
-            for v in A[i]:
-                t = next(u for u in A[j] if col(v, u) == j)
-                edges.append((v, t))
-                verts.append(v)
-            return _check(g, [(j, verts, edges), _star_piece(k, x, A[k])], 2, 4)
-
+def _complete3_endgame(g, col, x, A, B):
+    """Two trees of diameter <= 4 once every B_ij is nonempty."""
     for i, j, k in itertools.permutations((1, 2, 3)):
         extra = [z for z in B[(i, j)] if z not in B[(i, k)]]
         if not extra:
             continue
         z = extra[0]
-        u = next(w for w in A[k] if col(z, w) == k)
-        verts1 = [x] + A[k] + [z]
-        edges1 = [(x, w) for w in A[k]] + [(z, u)]
+        t1 = _tree(k, x, A[k], [z], col)
         for w in B[(j, i)]:
             assert col(w, z) == k, "B_ij x B_ji edges carry the third color"
-            verts1.append(w)
-            edges1.append((w, z))
-        verts2 = [x] + A[i]
-        edges2 = [(x, w) for w in A[i]]
-        for v in A[j]:
-            if v in B[(j, i)]:
-                continue
-            t = next(w for w in A[i] if col(v, w) == i)
-            verts2.append(v)
-            edges2.append((v, t))
-        return _check(g, [(k, verts1, edges1), (i, verts2, edges2)], 2, 4)
+            t1[1].append(w)
+            t1[2].append((w, z))
+        t2 = _tree(i, x, A[i], [v for v in A[j] if v not in B[(j, i)]], col)
+        return [t1, t2]
 
     # B_ij = B_ik =: B_i for all i
-    Bi = {i: B[(i, j)] for i, j in (((1, 2)), (2, 1), (3, 1))}
     Bi = {1: B[(1, 2)], 2: B[(2, 1)], 3: B[(3, 1)]}
     for i in (1, 2, 3):
-        assert set(B[(i, [j for j in (1, 2, 3) if j != i][0])]) == \
-               set(B[(i, [j for j in (1, 2, 3) if j != i][1])])
+        j, k = [m for m in (1, 2, 3) if m != i]
+        assert set(B[(i, j)]) == set(B[(i, k)])
 
     unequal = [i for i in (1, 2, 3) if set(A[i]) != set(Bi[i])]
     if unequal:
         i = unequal[0]
         j, k = [m for m in (1, 2, 3) if m != i]
-        verts1 = [x] + A[i]
-        edges1 = [(x, w) for w in A[i]]
-        for v in A[j] + A[k]:
-            if v in Bi[j] or v in Bi[k]:
-                continue
-            t = next(w for w in A[i] if col(v, w) == i)
-            verts1.append(v)
-            edges1.append((v, t))
         bj, bk = Bi[j], Bi[k]
+        hang = [v for v in A[j] + A[k] if v not in bj and v not in bk]
+        t1 = _tree(i, x, A[i], hang, col)
         assert bj and bk
-        c0 = bj[0]
-        verts2 = list(bj) + list(bk)
-        edges2 = [(c0, w) for w in bk] + [(b, bk[0]) for b in bj[1:]]
         for b in bj:
             for w in bk:
                 assert col(b, w) == i
-        return _check(g, [(i, verts1, edges1), (i, verts2, edges2)], 2, 4)
+        return [t1, _biclique_tree(i, bj, bk)]
 
     # A_i = B_i for all i: [A_2, A_3] is complete in color 1
-    a2, a3 = A[2], A[3]
-    c0 = a2[0]
-    verts2 = list(a2) + list(a3)
-    edges2 = [(c0, w) for w in a3] + [(b, a3[0]) for b in a2[1:]]
-    return _check(g, [_star_piece(1, x, A[1]), (1, verts2, edges2)], 2, 4)
+    return [_tree(1, x, A[1]), _biclique_tree(1, A[2], A[3])]
 
 
-def _cover_complete4(g: ColoredMultigraph) -> CoverCertificate:
-    """At most three subgraphs of diameter <= 6 covering a 4-colored complete graph."""
-    n = g.n
-    if n <= 1:
-        return _check(g, [(1, list(range(n)))] if n else [], 3, 6)
-    col = _reduced(g)
-    x = 0
-    A = {i: [v for v in range(1, n) if col(x, v) == i] for i in (1, 2, 3, 4)}
-
-    if any(not A[i] for i in (1, 2, 3, 4)):
-        pieces = [_star_piece(i, x, A[i]) for i in (1, 2, 3, 4) if A[i]][:3]
-        if not pieces:
-            pieces = [(1, [x])]
-        return _check(g, pieces, 3, 6)
-
-    B = {}
-    for i, j in itertools.permutations((1, 2, 3, 4), 2):
-        B[(i, j)] = [v for v in A[i] if all(col(v, u) != j for u in A[j])]
-
-    for i, j in itertools.permutations((1, 2, 3, 4), 2):
-        if not B[(i, j)]:
-            k, l = [m for m in (1, 2, 3, 4) if m not in (i, j)]
-            verts = [x] + A[j]
-            edges = [(x, u) for u in A[j]]
-            for v in A[i]:
-                t = next(u for u in A[j] if col(v, u) == j)
-                verts.append(v)
-                edges.append((v, t))
-            return _check(g, [(j, verts, edges), _star_piece(k, x, A[k]),
-                              _star_piece(l, x, A[l])], 3, 6)
-
+def _complete4_endgame(g, col, x, A, B):
+    """Three pieces of diameter <= 6 once every B_ij is nonempty."""
     # (C1): some triple intersection empty
     for i in (1, 2, 3, 4):
         others = [m for m in (1, 2, 3, 4) if m != i]
         triple = set(B[(i, others[0])]) & set(B[(i, others[1])]) & set(B[(i, others[2])])
         if not triple:
-            pieces = []
-            for m in others:
-                verts = [x] + A[m]
-                edges = [(x, u) for u in A[m]]
-                for v in A[i]:
-                    if v in B[(i, m)]:
-                        continue
-                    t = next(u for u in A[m] if col(v, u) == m)
-                    verts.append(v)
-                    edges.append((v, t))
-                pieces.append((m, verts, edges))
-            return _check(g, pieces, 3, 6)
+            return [_tree(m, x, A[m], [v for v in A[i] if v not in B[(i, m)]], col)
+                    for m in others]
 
     # (C2): B_ij minus (B_ik + B_il) nonempty
     for i, j, k, l in itertools.permutations((1, 2, 3, 4)):
@@ -535,28 +439,16 @@ def _cover_complete4(g: ColoredMultigraph) -> CoverCertificate:
         if not pool:
             continue
         u = pool[0]
-        p1v = [x] + A[i]
-        p1e = [(x, w) for w in A[i]]
-        for v in A[j]:
-            if v in B[(j, i)]:
-                continue
-            t = next(w for w in A[i] if col(v, w) == i)
-            p1v.append(v)
-            p1e.append((v, t))
-        tk = next(w for w in A[k] if col(u, w) == k)
-        tl = next(w for w in A[l] if col(u, w) == l)
-        p2v, p2e = [x] + A[k] + [u], [(x, w) for w in A[k]] + [(u, tk)]
-        p3v, p3e = [x] + A[l] + [u], [(x, w) for w in A[l]] + [(u, tl)]
+        p1 = _tree(i, x, A[i], [v for v in A[j] if v not in B[(j, i)]], col)
+        p2 = _tree(k, x, A[k], [u], col)
+        p3 = _tree(l, x, A[l], [u], col)
         for w in B[(j, i)]:
             cw = col(w, u)
             assert cw in (k, l), "B_ij x B_ji edges avoid colors i and j"
-            if cw == k:
-                p2v.append(w)
-                p2e.append((w, u))
-            else:
-                p3v.append(w)
-                p3e.append((w, u))
-        return _check(g, [(i, p1v, p1e), (k, p2v, p2e), (l, p3v, p3e)], 3, 6)
+            p = p2 if cw == k else p3
+            p[1].append(w)
+            p[2].append((w, u))
+        return [p1, p2, p3]
 
     # (C3): B_ik minus B_ij and B_ki minus B_kl both nonempty
     for i, j, k, l in itertools.permutations((1, 2, 3, 4)):
@@ -571,30 +463,18 @@ def _cover_complete4(g: ColoredMultigraph) -> CoverCertificate:
             i, j, k, l = k, l, i, j
             ui, uk = uk, ui
         # now the ui-uk edge has color j
-        p1v = [x] + A[k]
-        p1e = [(x, w) for w in A[k]]
-        for v in A[i]:
-            if v in B[(i, k)]:
-                continue
-            t = next(w for w in A[k] if col(v, w) == k)
-            p1v.append(v)
-            p1e.append((v, t))
-        tj = next(w for w in A[j] if col(ui, w) == j)
-        tl = next(w for w in A[l] if col(uk, w) == l)
-        p2v = [x] + A[j] + [ui, uk]
-        p2e = [(x, w) for w in A[j]] + [(ui, tj), (ui, uk)]
-        p3v = [x] + A[l] + [uk]
-        p3e = [(x, w) for w in A[l]] + [(uk, tl)]
+        p1 = _tree(k, x, A[k], [v for v in A[i] if v not in B[(i, k)]], col)
+        p2 = _tree(j, x, A[j], [ui], col)
+        p2[1].append(uk)
+        p2[2].append((ui, uk))
+        p3 = _tree(l, x, A[l], [uk], col)
         for w in B[(i, k)]:
             cw = col(w, uk)
             assert cw in (j, l)
-            if cw == j:
-                p2v.append(w)
-                p2e.append((w, uk))
-            else:
-                p3v.append(w)
-                p3e.append((w, uk))
-        return _check(g, [(k, p1v, p1e), (j, p2v, p2e), (l, p3v, p3e)], 3, 6)
+            p = p2 if cw == j else p3
+            p[1].append(w)
+            p[2].append((w, uk))
+        return [p1, p2, p3]
 
     # final case: B_ij = B_ik, B_jk+B_jl in B_ji, B_kj+B_kl in B_ki
     chosen = None
@@ -612,18 +492,11 @@ def _cover_complete4(g: ColoredMultigraph) -> CoverCertificate:
     assert chosen is not None, f"claim structure missing: {g.edges()}"
     i, j, k, l = chosen
     Bij, Bji, Bki = B[(i, j)], B[(j, i)], B[(k, i)]
-    p1v = [x] + A[l]
-    p1e = [(x, w) for w in A[l]]
-    for v, home, bad in [(v, m, bb) for m, bb in ((i, Bij), (j, Bji), (k, Bki))
-                         for v in A[m] if v not in bb]:
-        t = next(w for w in A[l] if col(v, w) == l)
-        p1v.append(v)
-        p1e.append((v, t))
-    h1 = (l, p1v, p1e)
+    h1 = _tree(l, x, A[l], [v for m, bb in ((i, Bij), (j, Bji), (k, Bki))
+                            for v in A[m] if v not in bb], col)
     zone = list(Bij) + list(Bji) + list(Bki)
     extras = _r4_zone_candidates(g, col, x, i, j, k, l, Bij, Bji, Bki)
-    got = _zone_cover(g, mask_of(zone), 2, extras)
-    return _check(g, [h1] + got, 3, 6)
+    return [h1] + _zone_cover(g, mask_of(zone), 2, extras)
 
 
 def _r4_zone_candidates(g, col, x, i, j, k, l, Bij, Bji, Bki):
@@ -701,14 +574,11 @@ def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
 
 
 def _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy):
-    def swap_colors(d):
-        return {1: d[2], 2: d[1]}
-
     # Case 1: some side has diameter exactly 3 in both colors
-    for (sx, sy, ax, ay, aij, ddx, ddy, flipped) in (
-            (x, y, Ax, Ay, Aij, dx, dy, False),
+    for (sx, sy, ax, ay, aij, ddx, ddy) in (
+            (x, y, Ax, Ay, Aij, dx, dy),
             (y, x, Ay, Ax, {(i, j): Aij[(j, i)] for i in (1, 2) for j in (1, 2)},
-             dy, dx, True)):
+             dy, dx)):
         if min(ddx.values()) == 3:
             # color 1 below means: a color with diameter <= 3 on the other blob
             c1 = 1 if ddy[1] <= 3 else 2
@@ -894,20 +764,21 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
                                         other[c])
             return _check(g, pieces, 4, 6)
 
-    got = _bip3_layered(g, col, X, Y, side_comps, other)
+    got = _bip3_layered(g, col, X, Y, side_comps, other, adj)
     if got is None:
         got = _zone_cover(g, mask_of(X) | mask_of(Y), 4)
     return _check(g, got, 4, 6)
 
 
-def _bip3_layered(g, col, X, Y, side_comps, other):
-    """The distance-layer decomposition for a wide side-containing component."""
+def _bip3_layered(g, col, X, Y, side_comps, other, adj):
+    """The distance-layer decomposition for a wide side-containing component;
+    adj holds the per-color mask adjacency of the X-Y pairs."""
     c3, comp, contains_y = side_comps[0]
     if not contains_y:
         X, Y = Y, X  # make Y the contained side
     ca, cb = other[c3]
     Xset = set(X)
-    adj = adjacency(g.n, [(x, y) for x in X for y in Y if col(x, y) == c3])
+    adj = adj[c3]
 
     # eccentricities inside the component, witnesses on the X side preferred
     best = None
@@ -960,10 +831,10 @@ def _bip3_layered(g, col, X, Y, side_comps, other):
             for y in Bi:
                 if y in (va, vb):
                     continue
-                cy = col(*((y, Ai[0]) if y < Ai[0] else (Ai[0], y)))
+                cy = col(y, Ai[0])
                 (ha_verts if cy == ca else hb_verts).append(y)
             for w in Y0:
-                cw = col(*((w, xstar) if w < xstar else (xstar, w)))
+                cw = col(w, xstar)
                 (ha_verts if cw == ca else hb_verts).append(w)
             return [(ca, ha_verts), (cb, hb_verts)] + oo.tree_pieces
     # (c) [X1, Y1] is P1 with Y1 double covered: specials in X1
@@ -980,8 +851,8 @@ def _bip3_layered(g, col, X, Y, side_comps, other):
         extras.extend((c, vs) for c, vs, *_ in rr.tree_pieces)
         if rr.single_piece:
             extras.append(rr.single_piece)
-    y0p = [(ca, [v0] + [w for w in Y0 if col(*((v0, w) if v0 < w else (w, v0))) == ca]),
-           (cb, [v0] + [w for w in Y0 if col(*((v0, w) if v0 < w else (w, v0))) == cb])]
+    y0p = [(ca, [v0] + [w for w in Y0 if col(v0, w) == ca]),
+           (cb, [v0] + [w for w in Y0 if col(v0, w) == cb])]
     extras.extend(y0p)
     return _zone_cover(g, mask_of(X) | mask_of(Y), 4, extras)
 
@@ -1071,64 +942,6 @@ def _multipartite3(g, parts):
 # restricted covers (two-sided color classes)
 
 
-def _konig_cover(g, s1, s2):
-    """Minimum component cover of the {s1,s2}-colored subgraph via Konig.
-
-    Every vertex lies in one component per color; the bipartite graph on
-    components (edges = vertices) has vertex cover = matching, found by
-    augmenting paths.
-    """
-    comps1 = components(g, s1).parts
-    comps2 = components(g, s2).parts
-    of1 = {}
-    for i, p in enumerate(comps1):
-        for v in p:
-            of1[v] = i
-    of2 = {}
-    for i, p in enumerate(comps2):
-        for v in p:
-            of2[v] = i
-    adj = [[] for _ in range(len(comps1))]
-    for v in range(g.n):
-        a, b = of1[v], of2[v]
-        if b not in adj[a]:
-            adj[a].append(b)
-    match1 = [-1] * len(comps1)
-    match2 = [-1] * len(comps2)
-
-    def augment(a, seen):
-        for b in adj[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if match2[b] == -1 or augment(match2[b], seen):
-                match1[a] = b
-                match2[b] = a
-                return True
-        return False
-
-    for a in range(len(comps1)):
-        augment(a, set())
-    # Konig: reachable via alternating paths from unmatched left vertices
-    reach1 = set(a for a in range(len(comps1)) if match1[a] == -1)
-    reach2 = set()
-    frontier = list(reach1)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in adj[a]:
-                if b not in reach2:
-                    reach2.add(b)
-                    a2 = match2[b]
-                    if a2 != -1 and a2 not in reach1:
-                        reach1.add(a2)
-                        nxt.append(a2)
-        frontier = nxt
-    cover = [(s1, comps1[a]) for a in range(len(comps1)) if a not in reach1]
-    cover += [(s2, comps2[b]) for b in sorted(reach2)]
-    return cover
-
-
 def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
     """An (r-1)-cover of a closed complete r-colored graph whose pieces are all
     colored inside S or all inside its complement (|S| = 2, r in {3,4,5})."""
@@ -1139,12 +952,13 @@ def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
         raise GraphError("S must be two colors in 1..r")
     if not g.is_complete():
         raise GraphError("restricted_cover needs a complete graph")
-    s1, s2 = S
-    gS = g.subgraph_colors(S)
-    aS, witness = alpha(gS)
+    aS, witness = alpha(g.subgraph_colors(S))
     if aS <= r - 1:
-        pieces = _konig_cover(g, s1, s2)
-        assert len(pieces) <= r - 1, (len(pieces), r - 1)
+        # A minimum cover by S-colored components has König's size: it equals
+        # a maximum set of vertices in pairwise different components of each
+        # color of S, and such vertices are independent in the S-colored graph.
+        cands = [(mask_of(p), (c, p)) for c in S for p in components(g, c).parts]
+        _, pieces = min_cover((1 << g.n) - 1, cands, SolveBudget())
         return _check(g, pieces, r - 1, None, allowed_colors=S)
     X = sorted(witness)[:r]
     P = [c for c in range(1, r + 1) if c not in S]

@@ -189,12 +189,6 @@ class ComponentSet:
     color: int
     parts: tuple[tuple[int, ...], ...]
 
-    def part_of(self, v: int) -> tuple[int, ...]:
-        for p in self.parts:
-            if v in p:
-                return p
-        raise KeyError(v)
-
 
 @dataclass(frozen=True)
 class CoverCertificate:
@@ -210,9 +204,6 @@ class CoverCertificate:
     declared_max_size: int | None = None
     declared_max_diam: int | None = None
     allowed_colors: frozenset[int] | None = None
-
-    def piece_vertices(self, i: int) -> tuple[int, ...]:
-        return tuple(self.pieces[i][1])
 
     def __len__(self):
         return len(self.pieces)

@@ -67,18 +67,11 @@ class ColoredHypergraph:
                     raise HypergraphError(f"edge {vs} meets a class twice")
         self.parts = parts
 
-    @classmethod
-    def uniform(cls, n, k, colored_edges, r=0):
-        return cls(n, k, r, None, list(colored_edges))
-
     def edges(self):
         return self._hyperedges
 
     def edge_vertex_sets(self):
         return [vs for _, vs in self._hyperedges]
-
-    def edge_color(self, i: int):
-        return self._hyperedges[i][0]
 
     def __repr__(self):
         return (f"ColoredHypergraph(n={self.n}, k={self.k}, r={self.r}, "

@@ -220,8 +220,10 @@ def kiraly_cover(h: ColoredHypergraph):
     covered = set()
     for comp in dedup:
         covered |= shadow_vertices[(comp.color, comp.edge_core)]
-    assert covered == set(range(n)), "kiraly cover failed to span"
-    assert len(dedup) <= target, (len(dedup), target)
+    if covered != set(range(n)):
+        raise AssertionError("kiraly cover failed to span")
+    if len(dedup) > target:
+        raise AssertionError(f"kiraly cover has {len(dedup)} pieces, above {target}")
     return dedup
 
 
@@ -298,7 +300,8 @@ def cover_product(h: ColoredHypergraph, c: int, ell: int):
     covered = set()
     for pc in pieces:
         covered |= pc.shadow
-    assert covered == set(csets), "product cover must span all c-sets"
+    if covered != set(csets):
+        raise AssertionError("product cover must span all c-sets")
     return pieces
 
 
@@ -332,7 +335,8 @@ def cover_midrange(h: ColoredHypergraph, c: int, ell: int):
 
     if r == 2:
         size, cert = tc_exact(gc)  # Konig scale: component set cover is tiny here
-        assert size <= 2, size
+        if size > 2:
+            raise AssertionError(f"two-color closure graph needs {size} > 2 components")
         pieces = []
         for color, vs in [(p[0], p[1]) for p in cert.pieces]:
             s0 = csets[vs[0]]
@@ -354,7 +358,8 @@ def cover_midrange(h: ColoredHypergraph, c: int, ell: int):
             for comp in comps:
                 if csets[i] in comp.shadow:
                     blocked.update(idx[s] for s in comp.shadow)
-        assert len(indep) <= r, (len(indep), r)
+        if len(indep) > r:
+            raise AssertionError(f"independent set of {len(indep)} c-sets exceeds r = {r}")
         chosen = []
         seen = set()
         for i in indep:
@@ -382,7 +387,8 @@ def cover_midrange(h: ColoredHypergraph, c: int, ell: int):
     covered = set()
     for comp in chosen:
         covered |= comp.shadow
-    assert covered == set(csets)
+    if covered != set(csets):
+        raise AssertionError("midrange cover must span all c-sets")
     return chosen
 
 

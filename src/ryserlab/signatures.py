@@ -38,9 +38,6 @@ class IntPartition:
     def total(self) -> int:
         return sum(self.parts)
 
-    def count_at_least(self, k: int) -> int:
-        return sum(1 for p in self.parts if p >= k)
-
     def __len__(self):
         return len(self.parts)
 

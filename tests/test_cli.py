@@ -307,6 +307,9 @@ PATH_25 = "cg 25 1\n" + "".join(f"e {v} {v + 1} 1\n" for v in range(24))
     (["classify"], "cg 0 1\n"),
     # the diameter-constrained cover's size limit is a domain limit, not a budget
     (["tc", "--max-diam", "2"], PATH_25),
+    # pairs whose only color lies outside 1..3 are outside the r = 3 proof
+    (["cover", "--method", "r3"],
+     "cg 4 4\ne 0 1 1\ne 0 2 2\ne 0 3 3\ne 1 2 4\ne 1 3 4\ne 2 3 4\n"),
 ])
 def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     if text is not None:

@@ -72,6 +72,9 @@ def test_cover_complete_needs_complete():
     g = ColoredMultigraph.from_edges(3, 2, [(0, 1, 1)])
     with pytest.raises(GraphError):
         cv.cover_complete(g, 2)
+    # complete, but in a color outside 1..2
+    with pytest.raises(GraphError):
+        cv.cover_complete(monochromatic_complete(3, r=3, color=3), 2)
 
 
 def test_cover_bound_vs_exact():
@@ -322,6 +325,27 @@ def test_restricted_cover_random():
             cols = {p[0] for p in cert.pieces}
             assert cols <= set(S) or cols <= set(range(1, r + 1)) - set(S)
             assert verify(g, cert).ok
+
+
+def test_restricted_cover_konig_branch_is_minimum():
+    rng = random.Random(11)
+    checked = 0
+    for r in (3, 4, 5):
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            g = closure(rand_complete(n, r, rng))
+            S = sorted(rng.sample(range(1, r + 1), 2))
+            if alpha(g.subgraph_colors(S))[0] > r - 1:
+                continue
+            comps = [set(p) for c in S for p in
+                     {tuple(sorted(v for v in range(n) if v == u or c in
+                                   g.colors_of(u, v))) for u in range(n)}]
+            best = next(k for k in range(len(comps) + 1)
+                        if any(set().union(*sub) == set(range(n))
+                               for sub in itertools.combinations(comps, k)))
+            assert len(cv.restricted_cover(g, r, S).pieces) == best
+            checked += 1
+    assert checked >= 60
 
 
 def engineer_residual(case):

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -89,6 +93,28 @@ def test_kiraly_random_five_colors():
         for comp in cov:
             covered |= {v for (v,) in comp.shadow}
         assert covered == set(range(8))
+
+
+def test_coverage_gate_survives_python_O():
+    # under -O an assert would vanish; the coverage gate must still raise
+    src = os.path.dirname(os.path.dirname(hc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = textwrap.dedent("""
+        import ryserlab.hypercover as hc
+        from ryserlab.duality import complete_uniform
+        hc.kiraly_cover = lambda aux: []
+        try:
+            hc.cover_product(complete_uniform(7, 6, lambda e: 1 + sum(e) % 2), 2, 1)
+        except AssertionError as exc:
+            print(exc)
+        else:
+            raise SystemExit("cover_product returned a cover that misses c-sets")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "product cover must span all c-sets" in res.stdout
 
 
 def test_cover_product_examples():
