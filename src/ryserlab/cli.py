@@ -341,7 +341,10 @@ def cmd_zrd(args):
     if args.format == "csv":
         text = "r,d,lower,upper,exact,witness\n" \
                f"{args.r},{args.d},{out.lower},{out.upper},{out.exact},{witness}"
-    _emit(args, text, {"lower": out.lower, "upper": out.upper})
+    payload = {"lower": out.lower, "upper": out.upper}
+    if not out.exact:
+        payload["stats"] = out.stats
+    _emit(args, text, payload)
     return code
 
 

@@ -372,10 +372,13 @@ def _complete_pieces(g, r):
     col = _reduced(g)
     x = 0
     colors = range(1, r + 1)
-    A = {i: [v for v in range(1, n) if col(x, v) == i] for i in colors}
+    # col(u, v) == i exactly when bit v of least[i][u] is set
+    least = _least_color_adjacency(g)
+    amask = {i: least[i][x] for i in colors}
+    A = {i: vertices_of(amask[i]) for i in colors}
     if not all(A.values()):
         return [_tree(i, x, A[i]) for i in colors if A[i]]
-    B = {(i, j): [v for v in A[i] if all(col(v, u) != j for u in A[j])]
+    B = {(i, j): [v for v in A[i] if not least[j][v] & amask[j]]
          for i, j in itertools.permutations(colors, 2)}
     for (i, j), Bij in B.items():
         if not Bij:

@@ -332,6 +332,17 @@ def _mask_diameter(adj, mask: int) -> float:
     return max(len(layers(adj, v, mask)) - 1 for v in vertices_of(mask))
 
 
+def _tree_diameter(adj, v: int) -> int:
+    """Diameter of the tree through v whose edges adj holds: a vertex farthest
+    from any vertex ends a longest path (the double sweep)."""
+    return len(layers(adj, _lowest(layers(adj, v)[-1]))) - 1
+
+
+def _lowest(mask: int) -> int:
+    """The lowest vertex of a nonempty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 # ---------------------------------------------------------------------------
 # primitive operations
 
@@ -367,15 +378,6 @@ def diameter(g: ColoredMultigraph, vertices, c: int) -> float:
     if not mask:
         raise GraphError("diameter of an empty vertex set")
     return _mask_diameter(g._adj[c], mask)
-
-
-def subgraph_diameter(n: int, edges) -> float:
-    """Diameter of an explicit edge set (used for tree pieces)."""
-    edges = list(edges)
-    mask = mask_of(u for e in edges for u in e)
-    if not mask:
-        return 0
-    return _mask_diameter(adjacency(n, edges), mask)
 
 
 def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
@@ -457,12 +459,19 @@ class VerifyResult:
 
 
 def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
-    """Check a cover/partition certificate; the first failure is reported."""
+    """Check a cover/partition certificate; the first failure is reported.
+
+    Pieces, coverage and disjointness are vertex masks.  A piece is connected
+    when one `reach` from its lowest vertex spans it: in its color class for
+    an induced piece, along its own edges for a piece given with edges.  The
+    diameter is computed only against a declared bound, and for a piece whose
+    edges form a tree it takes two BFS sweeps instead of one per vertex.
+    """
+    n, bound = g.n, cert.declared_max_diam
     if cert.declared_max_size is not None and len(cert.pieces) > cert.declared_max_size:
         return VerifyResult(False, f"{len(cert.pieces)} pieces exceed declared max "
                                    f"{cert.declared_max_size}")
-    covered = set()
-    seen_disjoint: set[int] = set()
+    covered = seen = 0
     for i, piece in enumerate(cert.pieces):
         c, vs = piece[0], piece[1]
         es = piece[2] if len(piece) > 2 else None
@@ -472,38 +481,50 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
             return VerifyResult(False, f"piece {i} has color {c} out of range")
         if cert.allowed_colors is not None and c not in cert.allowed_colors:
             return VerifyResult(False, f"piece {i} uses disallowed color {c}")
-        for v in vs:
-            if not (0 <= v < g.n):
-                return VerifyResult(False, f"piece {i} contains vertex {v} out of range")
+        if min(vs) < 0 or max(vs) >= n:
+            v = next(v for v in vs if not 0 <= v < n)
+            return VerifyResult(False, f"piece {i} contains vertex {v} out of range")
+        m = mask_of(vs)
         if cert.mode == "partition":
-            overlap = seen_disjoint.intersection(vs)
-            if overlap:
-                return VerifyResult(False, f"piece {i} overlaps vertex {min(overlap)}")
-            seen_disjoint.update(vs)
+            if seen & m:
+                return VerifyResult(False, f"piece {i} overlaps vertex {_lowest(seen & m)}")
+            seen |= m
+        low, row, d = _lowest(m), g._adj[c], 0
         if es is not None:
-            vset = set(vs)
-            for (u, v) in es:
-                if u not in vset or v not in vset:
+            adj = [0] * n
+            for u, v in es:
+                # a negative end lies in no mask but cannot be shifted by
+                if u < 0 or v < 0 or not m >> u & m >> v & 1:
                     return VerifyResult(False, f"piece {i} edge ({u},{v}) leaves its vertex set")
-                if not g.has_color(u, v, c):
+                if not row[u] >> v & 1:
                     return VerifyResult(False, f"piece {i} edge ({u},{v}) is not color {c}")
-            d = subgraph_diameter(g.n, es) if len(vs) > 1 else 0
-            touched = {u for e in es for u in e}
-            if len(vs) > 1 and touched != vset:
-                return VerifyResult(False, f"piece {i} edge set does not span its vertices")
-            if d == math.inf:
-                return VerifyResult(False, f"piece {i} edge set is disconnected")
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            if len(vs) > 1:
+                # the edges stay inside m, so they span it and connect it
+                # exactly when low has an edge and one reach from low covers m
+                if not adj[low] or reach(adj, low) != m:
+                    if mask_of(u for u, nb in enumerate(adj) if nb) != m:
+                        return VerifyResult(False, f"piece {i} edge set does not span "
+                                                   "its vertices")
+                    return VerifyResult(False, f"piece {i} edge set is disconnected")
+                if bound is not None:
+                    # connected with |m| - 1 distinct edges: a tree
+                    if sum(map(int.bit_count, adj)) == 2 * m.bit_count() - 2:
+                        d = _tree_diameter(adj, low)
+                    else:
+                        d = _mask_diameter(adj, m)
         else:
-            d = diameter(g, vs, c)
-            if d == math.inf:
+            if reach(row, low, m) != m:
                 return VerifyResult(False, f"piece {i} (color {c}) is not connected")
-        if cert.declared_max_diam is not None and d > cert.declared_max_diam:
-            return VerifyResult(False, f"piece {i} has diameter {d} > "
-                                       f"{cert.declared_max_diam}")
-        covered.update(vs)
-    for v in range(g.n):
-        if v not in covered:
-            return VerifyResult(False, f"vertex {v} uncovered")
+            if bound is not None:
+                d = _mask_diameter(row, m)
+        if bound is not None and d > bound:
+            return VerifyResult(False, f"piece {i} has diameter {d} > {bound}")
+        covered |= m
+    missing = ~covered & ((1 << n) - 1)
+    if missing:
+        return VerifyResult(False, f"vertex {_lowest(missing)} uncovered")
     return VerifyResult(True)
 
 

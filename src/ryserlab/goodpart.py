@@ -124,6 +124,8 @@ class SolveOutcome:
     witness: WordSet | None
     exact: bool = field(init=False)
     method: str = ""
+    # the stopped search's counters and why it stopped, when not exact
+    stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.exact = self.lower == self.upper
@@ -170,16 +172,14 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
     budget = budget or SolveBudget()
     lb = _lower_bound(r, d)
 
-    def finish(lower, upper, words, method):
+    def finish(lower, upper, words, method, stats=None):
         ws = WordSet.of(r, d, words) if words is not None else None
         if ws is not None:
             if covers_all(ws) is not True:
                 raise AssertionError(f"Z({r},{d}) witness fails the domination check")
             if r ** d <= 4096 and not gamma_t_check(r, d, ws):
                 raise AssertionError(f"Z({r},{d}) witness fails the gamma_t check")
-        out = SolveOutcome(lower, upper, ws)
-        out.method = method
-        return out
+        return SolveOutcome(lower, upper, ws, method, stats or {})
 
     if r == 2:
         # each word dominates exactly its complement, so all 2^d words are needed
@@ -203,6 +203,7 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
         size, chosen = solve(residual, list(zip(dom, words)), budget)
     except Inconclusive as exc:
         lower = max(lb, exc.stats.get("lower", 0) + 1)
+        stats = {**exc.stats, "stopped": str(exc)}
         uppers = []
         if exc.best is not None:
             uppers.append(([words[0]] + exc.best[1], f"{method} (budget)"))
@@ -210,9 +211,9 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
             uppers.append((_diagonal_plus_witness(r).sorted_words(),
                            f"{method} (budget) + construction"))
         if not uppers:
-            return finish(lower, n, None, f"{method} (budget)")
+            return finish(lower, n, None, f"{method} (budget)", stats)
         best, how = min(uppers, key=lambda t: len(t[0]))
-        return finish(lower, len(best), best, how)
+        return finish(lower, len(best), best, how, stats)
     return finish(size + 1, size + 1, [words[0]] + chosen, method)
 
 

@@ -245,6 +245,16 @@ def test_inconclusive_exits_2_with_stats(tmp_path, capsys):
     assert json.loads(m.read_text())["stats"]["nodes"] > 0
 
 
+def test_zrd_stopped_in_milp_records_the_stop(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    code, out = run_cli(["--budget-seconds", "0", "--manifest", str(m),
+                         "zrd", "--r", "4", "--d", "4"], capsys)
+    assert code == 2 and out.startswith("Z(4,4) in [")
+    stats = json.loads(m.read_text())["stats"]
+    assert stats["stopped"].startswith("MILP stopped")
+    assert "nodes" in stats
+
+
 @pytest.mark.parametrize("argv, text, where", [
     (["verify", "--input", "{g}", "--cover", "{f}"], "cover\n", "line 1, field 2"),
     (["verify", "--input", "{g}", "--cover", "{f}"],

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from ryserlab import hypercover as hc
 from ryserlab.constructive import _ball
 from ryserlab.core import (ColoredMultigraph, closure, components,
-                           connected_subsets, diameter, mask_of,
-                           subgraph_diameter)
+                           connected_subsets, diameter, mask_of)
 from ryserlab.duality import ColoredHypergraph
 from ryserlab.signatures import SignatureSet, signature_of
 
@@ -110,22 +109,6 @@ def test_induced_diameter_matches_bfs(gv):
     g, vs = gv
     for c in range(1, g.r + 1):
         assert diameter(g, vs, c) == ref_diameter(ref_neighbors(g, c), vs)
-
-
-@SETTINGS
-@given(graph_and_subset())
-def test_subgraph_diameter_matches_bfs(gv):
-    g, vs = gv
-    inside = set(vs)
-    for c in range(1, g.r + 1):
-        es = [(u, v) for u, v, cols in g.edges() if c in cols and u in inside and v in inside]
-        touched = sorted({u for e in es for u in e})
-        nb = {v: set() for v in touched}
-        for u, v in es:
-            nb[u].add(v)
-            nb[v].add(u)
-        want = ref_diameter(nb, touched) if touched else 0
-        assert subgraph_diameter(g.n, es) == want
 
 
 @SETTINGS
