@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .core import (ColoredMultigraph, CoverCertificate, GraphError, adjacency,
                    alpha, component_masks, components, diameter, layers,
-                   make_certificate, mask_of, reach, verify, vertices_of)
+                   lowest_vertex, make_certificate, mask_of, reach, verify,
+                   vertices_of)
 from .exact import SolveBudget, min_cover, tc_exact
 
 
@@ -252,15 +253,12 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
     dist = layers(adj[c], v0)
     by_dist = [vertices_of(m) for m in dist]
 
-    def lowest(mask):
-        return (mask & -mask).bit_length() - 1
-
     if d <= 2:
         edges = []
         for u in by_dist[1]:
             edges.append((v0, u) if v0 in set(X) else (u, v0))
         for u in (by_dist[2] if d == 2 else []):
-            t = lowest(adj[c][u] & dist[1])
+            t = lowest_vertex(adj[c][u] & dist[1])
             edges.append((u, t) if u in set(X) else (t, u))
         piece = (c, both, edges)
         return _Bip2(BipartiteClass("P3", (c,)), [piece],
@@ -272,7 +270,7 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
     if d == 3:
         t1_edges = [pair(v0, u) for u in by_dist[1]]
         for u in by_dist[2]:
-            t = lowest(adj[c][u] & dist[1])
+            t = lowest_vertex(adj[c][u] & dist[1])
             t1_edges.append(pair(u, t))
         t1 = (c, by_dist[0] + by_dist[1] + by_dist[2], t1_edges)
         t2 = (oc, [v0] + by_dist[3], [pair(v0, u) for u in by_dist[3]])
@@ -290,12 +288,12 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
             t3 = adj[oc][u] & dist[3]
             if t3:
                 t1_verts.append(u)
-                t1_edges.append(pair(u, lowest(t3)))
+                t1_edges.append(pair(u, lowest_vertex(t3)))
             else:
                 t1a = adj[oc][u] & dist[1]
                 assert t1a, "every middle vertex sees the other color"
                 t2_verts.append(u)
-                t2_edges.append(pair(u, lowest(t1a)))
+                t2_edges.append(pair(u, lowest_vertex(t1a)))
         trees = [(oc, t1_verts, t1_edges), (oc, t2_verts, t2_edges)]
     else:
         # d >= 5: two double stars in the other color
@@ -374,7 +372,8 @@ def _complete_pieces(g, r):
     colors = range(1, r + 1)
     # col(u, v) == i exactly when bit v of least[i][u] is set
     least = _least_color_adjacency(g)
-    amask = {i: least[i][x] for i in colors}
+    # a color above g.r has no pairs, so its A_i is empty
+    amask = {i: least[i][x] if i in least else 0 for i in colors}
     A = {i: vertices_of(amask[i]) for i in colors}
     if not all(A.values()):
         return [_tree(i, x, A[i]) for i in colors if A[i]]

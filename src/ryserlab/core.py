@@ -239,6 +239,11 @@ def mask_of(vertices) -> int:
     return m
 
 
+def lowest_vertex(mask: int) -> int:
+    """The lowest vertex of a nonempty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def vertices_of(mask: int) -> list[int]:
     """The vertices of a mask, ascending."""
     out = []
@@ -297,7 +302,7 @@ def component_masks(adj, mask: int) -> list[int]:
     """Components of the subgraph induced on mask, ordered by lowest vertex."""
     out = []
     while mask:
-        comp = reach(adj, (mask & -mask).bit_length() - 1, mask)
+        comp = reach(adj, lowest_vertex(mask), mask)
         out.append(comp)
         mask &= ~comp
     return out
@@ -325,22 +330,15 @@ def connected_subsets(adj, v: int, mask: int = -1):
         stack.extend(reversed(children))
 
 
-def _mask_diameter(adj, mask: int) -> float:
-    """Diameter of the subgraph induced on a nonempty mask; math.inf if disconnected."""
-    if reach(adj, (mask & -mask).bit_length() - 1, mask) != mask:
-        return math.inf
+def _connected_diameter(adj, mask: int) -> int:
+    """Diameter of the connected subgraph induced on a nonempty mask."""
     return max(len(layers(adj, v, mask)) - 1 for v in vertices_of(mask))
 
 
 def _tree_diameter(adj, v: int) -> int:
     """Diameter of the tree through v whose edges adj holds: a vertex farthest
     from any vertex ends a longest path (the double sweep)."""
-    return len(layers(adj, _lowest(layers(adj, v)[-1]))) - 1
-
-
-def _lowest(mask: int) -> int:
-    """The lowest vertex of a nonempty mask."""
-    return (mask & -mask).bit_length() - 1
+    return len(layers(adj, lowest_vertex(layers(adj, v)[-1]))) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +375,10 @@ def diameter(g: ColoredMultigraph, vertices, c: int) -> float:
     mask = mask_of(vertices)
     if not mask:
         raise GraphError("diameter of an empty vertex set")
-    return _mask_diameter(g._adj[c], mask)
+    adj = g._adj[c]
+    if reach(adj, lowest_vertex(mask), mask) != mask:
+        return math.inf
+    return _connected_diameter(adj, mask)
 
 
 def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
@@ -487,9 +488,9 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
         m = mask_of(vs)
         if cert.mode == "partition":
             if seen & m:
-                return VerifyResult(False, f"piece {i} overlaps vertex {_lowest(seen & m)}")
+                return VerifyResult(False, f"piece {i} overlaps vertex {lowest_vertex(seen & m)}")
             seen |= m
-        low, row, d = _lowest(m), g._adj[c], 0
+        low, row, d = lowest_vertex(m), g._adj[c], 0
         if es is not None:
             adj = [0] * n
             for u, v in es:
@@ -513,18 +514,18 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
                     if sum(map(int.bit_count, adj)) == 2 * m.bit_count() - 2:
                         d = _tree_diameter(adj, low)
                     else:
-                        d = _mask_diameter(adj, m)
+                        d = _connected_diameter(adj, m)
         else:
             if reach(row, low, m) != m:
                 return VerifyResult(False, f"piece {i} (color {c}) is not connected")
             if bound is not None:
-                d = _mask_diameter(row, m)
+                d = _connected_diameter(row, m)
         if bound is not None and d > bound:
             return VerifyResult(False, f"piece {i} has diameter {d} > {bound}")
         covered |= m
     missing = ~covered & ((1 << n) - 1)
     if missing:
-        return VerifyResult(False, f"vertex {_lowest(missing)} uncovered")
+        return VerifyResult(False, f"vertex {lowest_vertex(missing)} uncovered")
     return VerifyResult(True)
 
 

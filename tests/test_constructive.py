@@ -77,6 +77,17 @@ def test_cover_complete_needs_complete():
         cv.cover_complete(monochromatic_complete(3, r=3, color=3), 2)
 
 
+def test_cover_complete_fewer_colors_than_r():
+    # the graph's own r is below the cover's r: the missing colors' A_i are empty
+    rng = random.Random(5)
+    graphs = [monochromatic_complete(5), monochromatic_complete(1)]
+    graphs += [rand_complete(n, 2, rng) for n in (2, 4, 6, 8)]
+    for g in graphs:
+        for r in range(max(2, g.r), 5):
+            cert = cv.cover_complete(g, r)
+            assert verify(g, cert).ok and len(cert.pieces) <= r - 1
+
+
 def test_cover_bound_vs_exact():
     rng = random.Random(1)
     for _ in range(30):
