@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (ColoredMultigraph, CoverCertificate, GraphError, adjacency,
-                   alpha, component_masks, components, diameter, layers,
-                   lowest_vertex, make_certificate, mask_of, reach, verify,
-                   vertices_of)
+from .core import (ColoredMultigraph, CoverCertificate, GraphError, alpha,
+                   component_masks, components, diameter, layers, lowest_vertex,
+                   make_certificate, mask_of, reach, verify, vertices_of)
 from .exact import SolveBudget, min_cover, tc_exact
 
 
@@ -25,36 +24,46 @@ from .exact import SolveBudget, min_cover, tc_exact
 # small helpers
 
 
-def _reduced(g: ColoredMultigraph):
-    """Deterministic single color per edge: the minimum of the color set.
-
-    Returns None on a non-adjacent pair, so callers on incomplete graphs can
-    guard with a simple comparison.
-    """
-    rows = [(c, g.adjacency(c)) for c in range(1, g.r + 1)]
-
-    def f(a, b):
-        for c, adj in rows:
-            if adj[a] >> b & 1:
-                return c
-        return None
-    return f
-
-
-def _least_color_adjacency(g: ColoredMultigraph) -> dict:
-    """Per color c, the mask adjacency of the pairs whose least color is c."""
+def _least_colors(g: ColoredMultigraph, colors) -> dict:
+    """The reduced coloring, in which each pair keeps its first color in the
+    given order: per color, the mask adjacency of the pairs it keeps (a color
+    above g.r has empty rows)."""
     out, lower = {}, [0] * g.n
-    for c in range(1, g.r + 1):
-        row = g.adjacency(c)
+    for c in colors:
+        row = g.adjacency(c) if c <= g.r else [0] * g.n
         out[c] = [m & ~s for m, s in zip(row, lower)]
         lower = [m | s for m, s in zip(row, lower)]
     return out
 
 
-def _split_adjacency(n: int, color_of: dict, colors) -> dict:
-    """Per color, the mask adjacency of the pairs that color_of maps to it."""
-    return {c: adjacency(n, [p for p, pc in color_of.items() if pc == c])
-            for c in colors}
+def _color_reader(least: dict):
+    """col(u, v): the color that the table least keeps on the pair uv, or None."""
+    rows = tuple(least.items())
+
+    def col(u, v):
+        for c, adj in rows:
+            if adj[u] >> v & 1:
+                return c
+        return None
+    return col
+
+
+def _bipartite_colors(g: ColoredMultigraph, X, Y, colors) -> dict:
+    """The least-color table of the X-Y pairs alone; every such pair must
+    carry one of the colors."""
+    xm, ym = mask_of(X), mask_of(Y)
+    # per vertex, the other side
+    side = [xm if ym >> v & 1 else ym if xm >> v & 1 else 0 for v in range(g.n)]
+    least = {c: [m & s for m, s in zip(rows, side)]
+             for c, rows in _least_colors(g, colors).items()}
+    for x in X:
+        # the rows are disjoint, so their sum is their union
+        missing = ym & ~sum(rows[x] for rows in least.values())
+        if missing:
+            names = ", ".join(map(str, colors))
+            raise GraphError(f"pair ({x},{lowest_vertex(missing)}) carries none "
+                             f"of the colors {names}")
+    return least
 
 
 def _comp_of(g: ColoredMultigraph, c: int, v: int) -> tuple[int, ...]:
@@ -155,97 +164,61 @@ class _Bip2:
 def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
     """Classify the (ca,cb)-coloring of the complete bipartite graph [X, Y].
 
-    Every X-Y pair must carry ca or cb (exclusively: the reduced color is
-    used).  Precedence P1 > P2 > P3.
+    Every X-Y pair must carry ca or cb; a pair that carries both counts as
+    ca.  Precedence P1 > P2 > P3.
     """
     X = sorted(X)
     Y = sorted(Y)
     if not X or not Y:
         raise GraphError("classify2 needs two nonempty sides")
-    col = {}
-    for x in X:
-        for y in Y:
-            cs = g.colors_of(x, y)
-            if ca in cs:
-                col[(x, y)] = ca
-            elif cb in cs:
-                col[(x, y)] = cb
-            else:
-                raise GraphError(f"pair ({x},{y}) carries neither color "
-                                 f"{ca} nor {cb}")
-
-    def all_color(v, side_other, c):
-        if v in set(X):
-            return all(col[(v, y)] == c for y in side_other)
-        return all(col[(x, v)] == c for x in side_other)
+    adj = _bipartite_colors(g, X, Y, (ca, cb))
+    both = X + Y
+    full = mask_of(both)
+    # every X-Y pair keeps one color, so a vertex is one-colored in c exactly
+    # when it keeps no pair in the other color
+    other_color = {ca: cb, cb: ca}
 
     # P1: two one-colored vertices on a common side
-    for side, other, name in ((X, Y, "X"), (Y, X, "Y")):
-        pa = [v for v in side if all_color(v, other, ca)]
-        pb = [v for v in side if all_color(v, other, cb)]
+    for side, other, dc_side in ((X, Y, "Y"), (Y, X, "X")):
+        pa = [v for v in side if not adj[cb][v]]
+        pb = [v for v in side if not adj[ca][v]]
         if pa and pb:
             va, vb = pa[0], pb[0]
-            dc_side = "Y" if name == "X" else "X"
-            cls = BipartiteClass("P1", (dc_side, va, vb))
             # cover: color-ca tree through va and a cb star, both from the
             # lowest vertex of the covered side
             anchor = other[0]
-            if name == "X":
-                t1_att = [x for x in X if x != va and col[(x, anchor)] == ca]
-                t1 = (ca, [va] + list(Y) + t1_att,
-                      [(va, y) for y in Y] + [(x, anchor) for x in t1_att])
-                rest = [x for x in X if x != va and col[(x, anchor)] == cb]
-                t2 = _tree(cb, anchor, rest + ([vb] if col[(vb, anchor)] == cb else []))
-            else:
-                t1_att = [y for y in Y if y != va and col[(anchor, y)] == ca]
-                t1 = (ca, [va] + list(X) + t1_att,
-                      [(x, va) for x in X] + [(anchor, y) for y in t1_att])
-                rest = [y for y in Y if y != va and col[(anchor, y)] == cb]
-                t2 = _tree(cb, anchor, rest + ([vb] if col[(anchor, vb)] == cb else []))
-            return _Bip2(cls, [t1, t2], None)
+            hang = vertices_of(adj[ca][anchor] & ~(1 << va))
+            t1 = (ca, [va] + other + hang,
+                  [(va, w) for w in other] + [(v, anchor) for v in hang])
+            t2 = _tree(cb, anchor, vertices_of(adj[cb][anchor]))
+            return _Bip2(BipartiteClass("P1", (dc_side, va, vb)), [t1, t2], None)
 
     # a single one-colored vertex forces its color to span (P3)
-    for c, oc in ((ca, cb), (cb, ca)):
-        pures = [v for v in X if all_color(v, Y, c)] + \
-                [v for v in Y if all_color(v, X, c)]
-        if pures:
-            v = pures[0]
-            own, other = (X, Y) if v in set(X) else (Y, X)
-            edges = [(v, w) if v in set(X) else (w, v) for w in other]
-            verts = [v] + list(other)
-            for u in own:
-                if u == v:
-                    continue
-                t = next(w for w in other if col[(u, w) if u in set(X) else (w, u)] == c)
-                edges.append((u, t) if u in set(X) else (t, u))
-                verts.append(u)
-            piece = (c, verts, [tuple(e) for e in edges])
-            return _Bip2(BipartiteClass("P3", (c,)),
-                         [piece], (c, sorted(set(X) | set(Y))))
+    for c in (ca, cb):
+        v = next((v for v in both if not adj[other_color[c]][v]), None)
+        if v is not None:
+            own = vertices_of(full & ~adj[c][v] & ~(1 << v))
+            edges = [(v, w) for w in vertices_of(adj[c][v])]
+            edges += [(u, lowest_vertex(adj[c][u])) for u in own]
+            return _Bip2(BipartiteClass("P3", (c,)), [(c, both, edges)],
+                         (c, sorted(both)))
 
-    # adjacency restricted to the bipartite pairs
-    both = X + Y
-    adj = _split_adjacency(g.n, col, (ca, cb))
-    conn = {c: reach(adj[c], both[0]) == mask_of(both) for c in (ca, cb)}
+    conn = {c: reach(adj[c], both[0]) == full for c in (ca, cb)}
 
     if not conn[ca] and not conn[cb]:
-        # P2: both classes disconnected
-        C = set(vertices_of(reach(adj[cb], both[0])))
-        X1 = [x for x in X if x in C]
-        X2 = [x for x in X if x not in C]
-        Yc = [y for y in Y if y in C]
-        Ync = [y for y in Y if y not in C]
-        # orient so that [X1,Y1] and [X2,Y2] are the color-ca blocks
-        Y1, Y2 = Ync, Yc
-        for x in X1:
-            for y in Y1:
-                assert col[(x, y)] == ca
-        cls = BipartiteClass("P2", (tuple(X1), tuple(X2), tuple(Y1), tuple(Y2)))
+        # P2: both classes disconnected; the cb-component of X[0] holds
+        # X1 and Y2, and [X1,Y1], [X2,Y2] are the color-ca blocks
+        C = reach(adj[cb], both[0])
+        xm, ym = mask_of(X), mask_of(Y)
+        X1, X2, Y1, Y2 = (tuple(vertices_of(m))
+                          for m in (xm & C, xm & ~C, ym & ~C, ym & C))
+        assert all(adj[ca][x] & ym & ~C == ym & ~C for x in X1)
+        cls = BipartiteClass("P2", (X1, X2, Y1, Y2))
         return _Bip2(cls, [_biclique_tree(ca, X1, Y1), _biclique_tree(ca, X2, Y2)],
                      None)
 
     c = ca if conn[ca] else cb
-    oc = cb if c == ca else ca
+    oc = other_color[c]
     # eccentricities in the connected class
     eccs = {v: len(layers(adj[c], v)) - 1 for v in both}
     d = max(eccs.values())
@@ -253,71 +226,59 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
     dist = layers(adj[c], v0)
     by_dist = [vertices_of(m) for m in dist]
 
+    # the color-c BFS tree from v0 to depth 2
+    deep = by_dist[2] if d >= 2 else []
+    t1 = (c, by_dist[0] + by_dist[1] + deep,
+          [(v0, u) for u in by_dist[1]]
+          + [(u, lowest_vertex(adj[c][u] & dist[1])) for u in deep])
     if d <= 2:
-        edges = []
-        for u in by_dist[1]:
-            edges.append((v0, u) if v0 in set(X) else (u, v0))
-        for u in (by_dist[2] if d == 2 else []):
-            t = lowest_vertex(adj[c][u] & dist[1])
-            edges.append((u, t) if u in set(X) else (t, u))
-        piece = (c, both, edges)
-        return _Bip2(BipartiteClass("P3", (c,)), [piece],
-                     (c, sorted(both)))
-
-    def pair(a, b):
-        return (a, b) if a in set(X) else (b, a)
+        return _Bip2(BipartiteClass("P3", (c,)), [t1], (c, sorted(both)))
 
     if d == 3:
-        t1_edges = [pair(v0, u) for u in by_dist[1]]
-        for u in by_dist[2]:
-            t = lowest_vertex(adj[c][u] & dist[1])
-            t1_edges.append(pair(u, t))
-        t1 = (c, by_dist[0] + by_dist[1] + by_dist[2], t1_edges)
-        t2 = (oc, [v0] + by_dist[3], [pair(v0, u) for u in by_dist[3]])
-        trees = [t1, t2]
+        trees = [t1, (oc, [v0] + by_dist[3], [(v0, u) for u in by_dist[3]])]
     elif d == 4:
         # two radius-2 trees in the other color
-        t1_verts, t1_edges = [v0] + by_dist[3], [pair(v0, u) for u in by_dist[3]]
+        t1_verts, t1_edges = [v0] + by_dist[3], [(v0, u) for u in by_dist[3]]
         w0 = by_dist[4][0]
         t2_verts = [w0] + by_dist[1]
-        t2_edges = [pair(w0, u) for u in by_dist[1]]
+        t2_edges = [(w0, u) for u in by_dist[1]]
         for u in by_dist[4][1:]:
             t2_verts.append(u)
-            t2_edges.append(pair(u, by_dist[1][0]))
+            t2_edges.append((u, by_dist[1][0]))
         for u in by_dist[2]:
             t3 = adj[oc][u] & dist[3]
             if t3:
                 t1_verts.append(u)
-                t1_edges.append(pair(u, lowest_vertex(t3)))
+                t1_edges.append((u, lowest_vertex(t3)))
             else:
                 t1a = adj[oc][u] & dist[1]
                 assert t1a, "every middle vertex sees the other color"
                 t2_verts.append(u)
-                t2_edges.append(pair(u, lowest_vertex(t1a)))
+                t2_edges.append((u, lowest_vertex(t1a)))
         trees = [(oc, t1_verts, t1_edges), (oc, t2_verts, t2_edges)]
     else:
         # d >= 5: two double stars in the other color
         z = by_dist[5][0]
         y1 = by_dist[1][0]
         w4 = by_dist[4][0]
-        t1_verts, t1_edges = [v0, z], [pair(v0, z)]
-        t2_verts, t2_edges = [y1, w4], [pair(w4, y1)]
+        t1_verts, t1_edges = [v0, z], [(v0, z)]
+        t2_verts, t2_edges = [y1, w4], [(w4, y1)]
         for i in range(len(by_dist)):
             for u in by_dist[i]:
                 if u in (v0, z, y1, w4):
                     continue
                 if i >= 3 and i % 2 == 1:
                     t1_verts.append(u)
-                    t1_edges.append(pair(v0, u))
+                    t1_edges.append((v0, u))
                 elif i == 2 or (i >= 8 and i % 2 == 0):
                     t1_verts.append(u)
-                    t1_edges.append(pair(u, z))
+                    t1_edges.append((u, z))
                 elif i >= 4 and i % 2 == 0:
                     t2_verts.append(u)
-                    t2_edges.append(pair(u, y1))
+                    t2_edges.append((u, y1))
                 elif i == 1:
                     t2_verts.append(u)
-                    t2_edges.append(pair(w4, u))
+                    t2_edges.append((w4, u))
                 else:
                     raise AssertionError((i, u))
         trees = [(oc, t1_verts, t1_edges), (oc, t2_verts, t2_edges)]
@@ -367,13 +328,12 @@ def _complete_pieces(g, r):
     n = g.n
     if n <= 1:
         return [(1, list(range(n)))] if n else []
-    col = _reduced(g)
     x = 0
     colors = range(1, r + 1)
     # col(u, v) == i exactly when bit v of least[i][u] is set
-    least = _least_color_adjacency(g)
-    # a color above g.r has no pairs, so its A_i is empty
-    amask = {i: least[i][x] if i in least else 0 for i in colors}
+    least = _least_colors(g, colors)
+    col = _color_reader(least)
+    amask = {i: least[i][x] for i in colors}
     A = {i: vertices_of(amask[i]) for i in colors}
     if not all(A.values()):
         return [_tree(i, x, A[i]) for i in colors if A[i]]
@@ -531,34 +491,25 @@ def _r4_zone_candidates(g, col, x, i, j, k, l, Bij, Bji, Bki):
 
 
 def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
-    """Two monochromatic subgraphs of diameter <= 6 covering a 2-colored graph
-    with independence number exactly 2."""
+    """Two monochromatic subgraphs of diameter <= 6 covering a graph whose
+    pairs carry colors 1 and 2 only, with independence number exactly 2."""
+    stray = [(u, v) for u, v, cs in g.edges() if not cs & {1, 2}]
+    if stray:
+        raise GraphError(f"cover_alpha2 needs colors 1 and 2: pair "
+                         f"({stray[0][0]},{stray[0][1]}) carries neither")
     a, wit = alpha(g)
     if a != 2:
         raise GraphError(f"cover_alpha2 needs alpha = 2, got {a}")
-    col = _reduced(g)
+    least = _least_colors(g, (1, 2))
+    col = _color_reader(least)
     n = g.n
+    nb = [m1 | m2 for m1, m2 in zip(least[1], least[2])]
     # lexicographically first independent pair
-    xy = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.colors_of(u, v):
-                xy = (u, v)
-                break
-        if xy:
-            break
-    assert xy is not None
-    x, y = xy
-
-    def N(v):
-        return {w for w in range(n)
-                if w != v and g.colors_of(v, w)}
-
-    Nx, Ny = N(x), N(y)
-    Ax = sorted(Nx - Ny)
-    Ay = sorted(Ny - Nx)
-    Amid = sorted(Nx & Ny)
-    Aij = {(i, j): [v for v in Amid if col(x, v) == i and col(y, v) == j]
+    x, y = next((u, v) for u in range(n) for v in range(u + 1, n)
+                if not nb[u] >> v & 1)
+    Ax = vertices_of(nb[x] & ~nb[y])
+    Ay = vertices_of(nb[y] & ~nb[x])
+    Aij = {(i, j): vertices_of(least[i][x] & least[j][y])
            for i in (1, 2) for j in (1, 2)}
 
     def blob_diams(side, anchor):
@@ -704,93 +655,67 @@ def _alpha2_case22(g, col, x, y, Ax, Ay, Aij, c1):
 
 def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
     """At most four monochromatic subgraphs of diameter <= 6 covering a
-    3-colored complete bipartite graph with sides X and Y."""
+    complete bipartite graph with sides X and Y whose pairs each carry a
+    color in 1..3."""
     X = sorted(X)
     Y = sorted(Y)
     if not X or not Y:
         raise GraphError("cover_bipartite3 needs two nonempty sides")
-    col = _reduced(g)
-    sides = (set(X), set(Y))
-    adj = _split_adjacency(g.n, {(x, y): col(x, y) for x in X for y in Y}, (1, 2, 3))
+    adj = _bipartite_colors(g, X, Y, (1, 2, 3))
+    xm, ym = mask_of(X), mask_of(Y)
 
-    # all two-sided components, per color, deduped
+    # all two-sided components, per color, deduped, as (color, mask)
     comps = []
-    seen_keys = set()
-    ymask = mask_of(Y)
     for c in (1, 2, 3):
         for v in X:
             comp = reach(adj[c], v)
-            if (c, comp) not in seen_keys and comp & ymask:
-                seen_keys.add((c, comp))
-                comps.append((c, frozenset(vertices_of(comp))))
+            if comp & ym and (c, comp) not in comps:
+                comps.append((c, comp))
 
     other = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
-    def sub_bip_cover(A, B, colors):
-        """<= 2 tree pieces of diameter <= 4 covering the 2-colored [A, B]."""
-        if not A or not B:
-            return None
-        return _classify2(g, A, B, colors[0], colors[1]).tree_pieces
+    def sub_bip_cover(a, b, colors):
+        """<= 2 tree pieces of diameter <= 4 covering the 2-colored [a, b]."""
+        return _classify2(g, vertices_of(a), vertices_of(b), *colors).tree_pieces
 
-    # Step 1: a component missing part of both sides and meeting both
+    # Step 1: a component missing part of both sides (it meets both)
     for c, comp in comps:
-        Xin = [v for v in X if v in comp]
-        Yin = [v for v in Y if v in comp]
-        Xout = [v for v in X if v not in comp]
-        Yout = [v for v in Y if v not in comp]
-        if Xin and Yin and Xout and Yout:
-            p1 = sub_bip_cover(Xout, Yin, other[c])
-            p2 = sub_bip_cover(Yout, Xin, other[c])
-            return _check(g, p1 + p2, 4, 6)
+        if xm & ~comp and ym & ~comp:
+            return _check(g, sub_bip_cover(xm & ~comp, ym & comp, other[c])
+                          + sub_bip_cover(ym & ~comp, xm & comp, other[c]), 4, 6)
 
     # Step 2: every two-sided component contains a full side; pick one with
     # small diameter if possible
-    side_comps = []
-    for c, comp in comps:
-        contains_x = sides[0] <= comp
-        contains_y = sides[1] <= comp
-        if contains_x or contains_y:
-            side_comps.append((c, comp, contains_y))
+    side_comps = [(c, comp) for c, comp in comps
+                  if comp & xm == xm or comp & ym == ym]
     assert side_comps, "a component of any edge contains a side here"
-    for c, comp, _cy in side_comps:
-        d = diameter(g, sorted(comp), c)
-        if d <= 5:
-            rest_x = [v for v in X if v not in comp]
-            rest_y = [v for v in Y if v not in comp]
-            pieces = [(c, sorted(comp))]
-            if rest_x:
-                pieces += sub_bip_cover(rest_x, [v for v in Y if v in comp],
-                                        other[c])
-            if rest_y:
-                pieces += sub_bip_cover(rest_y, [v for v in X if v in comp],
-                                        other[c])
+    for c, comp in side_comps:
+        if diameter(g, vertices_of(comp), c) <= 5:
+            pieces = [(c, vertices_of(comp))]
+            if xm & ~comp:
+                pieces += sub_bip_cover(xm & ~comp, ym & comp, other[c])
+            if ym & ~comp:
+                pieces += sub_bip_cover(ym & ~comp, xm & comp, other[c])
             return _check(g, pieces, 4, 6)
 
-    got = _bip3_layered(g, col, X, Y, side_comps, other, adj)
+    got = _bip3_layered(g, xm, ym, side_comps[0], other, adj)
     if got is None:
-        got = _zone_cover(g, mask_of(X) | mask_of(Y), 4)
+        got = _zone_cover(g, xm | ym, 4)
     return _check(g, got, 4, 6)
 
 
-def _bip3_layered(g, col, X, Y, side_comps, other, adj):
-    """The distance-layer decomposition for a wide side-containing component;
-    adj holds the per-color mask adjacency of the X-Y pairs."""
-    c3, comp, contains_y = side_comps[0]
-    if not contains_y:
-        X, Y = Y, X  # make Y the contained side
+def _bip3_layered(g, xm, ym, side_comp, other, adj):
+    """The distance-layer decomposition for a wide side-containing component
+    (color, mask) of the complete bipartite graph on the vertex masks xm and
+    ym; adj is the least-color table of its pairs."""
+    c3, comp = side_comp
+    if comp & ym != ym:
+        xm, ym = ym, xm  # make Y the contained side
     ca, cb = other[c3]
-    Xset = set(X)
-    adj = adj[c3]
 
     # eccentricities inside the component, witnesses on the X side preferred
-    best = None
-    cmask = mask_of(comp)
-    for v in sorted(comp):
-        if v not in Xset:
-            continue
-        dist = layers(adj, v, cmask)
-        if best is None or len(dist) > len(best[1]):
-            best = (v, dist)
+    best = max(((v, layers(adj[c3], v, comp)) for v in vertices_of(comp & xm)),
+               key=lambda vd: len(vd[1]), default=None)
     if best is None:
         return None
     v0, dist = best
@@ -799,18 +724,18 @@ def _bip3_layered(g, col, X, Y, side_comps, other, adj):
         return None
     by_dist = [vertices_of(m) for m in dist]
     X1 = by_dist[0] + by_dist[2]
-    X2 = [v for v in X if v not in comp] + \
-         [u for i in range(4, d + 1, 2) for u in by_dist[i]]
+    X2 = vertices_of(xm & ~comp) + \
+        [u for i in range(4, d + 1, 2) for u in by_dist[i]]
     Y2 = by_dist[1]
     Y0 = by_dist[3]
     Y1 = [u for i in range(5, d + 1, 2) for u in by_dist[i]]
     if not Y1 or not X2:
         return None
-    far_x2 = [v for v in X2 if v not in set(by_dist[4])]
+    far_x2 = [v for v in X2 if not dist[4] >> v & 1]
 
     r1 = _classify2(g, X1, Y1, ca, cb)
     r2 = _classify2(g, X2, Y2, ca, cb)
-    cstar = (c3, sorted(set(by_dist[0] + by_dist[1] + by_dist[2] + by_dist[3])))
+    cstar = (c3, vertices_of(dist[0] | dist[1] | dist[2] | dist[3]))
 
     # (a) one of the sub-bipartite graphs has a spanning piece of diameter <= 6
     for rr, oo in ((r1, r2), (r2, r1)):
@@ -826,18 +751,14 @@ def _bip3_layered(g, col, X, Y, side_comps, other, adj):
             xf = by_dist[0] if Ai is X1 else far_x2
             if not xf:
                 continue
-            xstar = xf[0]
-            # vertices reached in each color through va/vb/xstar
+            # vertices reached in each color through va/vb/xf[0]
             ha_verts = [va] + list(Ai)
             hb_verts = [vb] + list(Ai)
             for y in Bi:
-                if y in (va, vb):
-                    continue
-                cy = col(y, Ai[0])
-                (ha_verts if cy == ca else hb_verts).append(y)
+                if y not in (va, vb):
+                    (ha_verts if adj[ca][y] >> Ai[0] & 1 else hb_verts).append(y)
             for w in Y0:
-                cw = col(w, xstar)
-                (ha_verts if cw == ca else hb_verts).append(w)
+                (ha_verts if adj[ca][w] >> xf[0] & 1 else hb_verts).append(w)
             return [(ca, ha_verts), (cb, hb_verts)] + oo.tree_pieces
     # (c) [X1, Y1] is P1 with Y1 double covered: specials in X1
     if r1.cls.tag == "P1":
@@ -853,10 +774,8 @@ def _bip3_layered(g, col, X, Y, side_comps, other, adj):
         extras.extend((c, vs) for c, vs, *_ in rr.tree_pieces)
         if rr.single_piece:
             extras.append(rr.single_piece)
-    y0p = [(ca, [v0] + [w for w in Y0 if col(v0, w) == ca]),
-           (cb, [v0] + [w for w in Y0 if col(v0, w) == cb])]
-    extras.extend(y0p)
-    return _zone_cover(g, mask_of(X) | mask_of(Y), 4, extras)
+    extras += [(c, [v0] + vertices_of(adj[c][v0] & dist[3])) for c in (ca, cb)]
+    return _zone_cover(g, xm | ym, 4, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,13 +1018,10 @@ def classify3(g: ColoredMultigraph) -> ThreeColorClass:
         raise GraphError("classify3 needs a complete graph")
     if g.r > 3:
         raise GraphError("classify3 needs at most three colors")
-    if g.r < 3:
-        g = g.relabel_colors({c: c for c in range(1, g.r + 1)}, 3)
-    col = _reduced(g)
     n = g.n
     if n == 1:
         return ThreeColorClass("TypeI", (1, (0,)))
-    adj = _least_color_adjacency(g)
+    adj = _least_colors(g, (1, 2, 3))
 
     # maximal monochromatic component: largest, ties to lowest color/vertex
     best = None
@@ -1122,7 +1038,7 @@ def classify3(g: ColoredMultigraph) -> ThreeColorClass:
     U = [v for v in range(n) if v not in B]
     # component of the lowest B-U edge
     eb, eu = min((b, u) for b in sorted(B) for u in U)
-    red = col(min(eb, eu), max(eb, eu))
+    red = _color_reader(adj)(eb, eu)
     R = set(vertices_of(reach(adj[red], eb)))
     assert red != blue
     green = next(c for c in (1, 2, 3) if c not in (blue, red))

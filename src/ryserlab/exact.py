@@ -433,18 +433,22 @@ def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
 # counterexample hunt
 
 
-def _pair_permutations(n: int):
+def _pair_permutations(n: int, budget: SolveBudget):
     """For each non-identity permutation of K_n's vertices, the tuple that maps
-    each pair index (itertools.combinations order) to the index of its image."""
+    each pair index (itertools.combinations order) to the index of its image.
+
+    Each completed block of 8192 permutations is charged to the budget."""
     pairs = list(itertools.combinations(range(n), 2))
     index = {pair: k for k, pair in enumerate(pairs)}
     identity = tuple(range(len(pairs)))
     out = []
-    for vp in itertools.permutations(range(n)):
+    for i, vp in enumerate(itertools.permutations(range(n))):
         image = tuple(index[min(vp[u], vp[v]), max(vp[u], vp[v])]
                       for u, v in pairs)
         if image != identity:
             out.append(image)
+        if i % 8192 == 8191:
+            budget.charge("pair permutations", 8192)
     return out
 
 
@@ -496,10 +500,11 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
 
     The identity with the best color relabelling already beats every vector
     that is not restricted-growth, so only those are tested; stats["enumerated"]
-    counts them, and each is charged to the budget once it is settled.
+    counts them, and each is charged to the budget once it is settled; the
+    pair permutations are charged as they are built.
     """
     budget = budget or SolveBudget()
-    perms = _pair_permutations(n)
+    perms = _pair_permutations(n, budget)
     for enumerated, colv in enumerate(_restricted_growth(n * (n - 1) // 2, r), 1):
         if stats is not None:
             stats["enumerated"] = enumerated

@@ -318,6 +318,8 @@ def cover_midrange(h: ColoredHypergraph, c: int, ell: int):
     _check_params(h, c, ell)
     if c < ell:
         raise HypergraphError("cover_midrange needs c >= ell")
+    if any(col is None for col, _ in h.edges()):
+        raise HypergraphError("cover_midrange needs an edge-colored hypergraph")
     r = h.r if h.r else max(col for col, _ in h.edges())
     if not (h.k / 2 < c <= h.k - (1 - 1 / r) * ell):
         raise HypergraphError("cover_midrange range violated")

@@ -320,6 +320,11 @@ PATH_25 = "cg 25 1\n" + "".join(f"e {v} {v + 1} 1\n" for v in range(24))
     # pairs whose only color lies outside 1..3 are outside the r = 3 proof
     (["cover", "--method", "r3"],
      "cg 4 4\ne 0 1 1\ne 0 2 2\ne 0 3 3\ne 1 2 4\ne 1 3 4\ne 2 3 4\n"),
+    # alpha = 2, but two pairs carry only color 3
+    (["cover", "--method", "alpha2"], "cg 4 3\ne 0 1 3\ne 2 3 3\ne 0 2 1\n"),
+    # the midrange cover needs colored hyperedges
+    (["hyper", "--method", "midrange", "--c", "2", "--ell", "1"],
+     "hg 4 3 0\ne 0 1 2\ne 0 1 3\ne 0 2 3\ne 1 2 3\n"),
 ])
 def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     if text is not None:

@@ -132,22 +132,63 @@ def test_classify_bipartite2_p7_example():
     assert len(cert.pieces) <= 2 and verify(g, cert).ok
 
 
+def reference_class2(g, X, Y, ca=1, cb=2):
+    """The tag, with the P1 or P2 data, of the (ca,cb)-coloring of [X, Y],
+    read off the definitions; a pair carrying both colors counts as ca."""
+    X, Y = sorted(X), sorted(Y)
+
+    def col(u, v):
+        return ca if g.has_color(u, v, ca) else cb
+
+    def one_colored(v, others, c):
+        return all(col(v, w) == c for w in others)
+
+    for side, other, covered in ((X, Y, "Y"), (Y, X, "X")):
+        pa = [v for v in side if one_colored(v, other, ca)]
+        pb = [v for v in side if one_colored(v, other, cb)]
+        if pa and pb:
+            return "P1", (covered, pa[0], pb[0])
+
+    def component(c, v):
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for w in (Y if u in X else X):
+                if w not in seen and col(u, w) == c:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    if all(len(component(c, X[0])) < len(X) + len(Y) for c in (ca, cb)):
+        C = component(cb, X[0])
+        return "P2", (tuple(x for x in X if x in C), tuple(x for x in X if x not in C),
+                      tuple(y for y in Y if y not in C), tuple(y for y in Y if y in C))
+    return "P3", None
+
+
+def check_class2(g, X, Y):
+    cls, cert = cv.classify_bipartite2(g, X, Y)
+    assert len(cert.pieces) <= 2 and verify(g, cert).ok
+    tag, data = reference_class2(g, X, Y)
+    assert cls.tag == tag
+    if data is not None:
+        assert cls.data == data
+
+
 def test_classify_bipartite2_random_and_exhaustive():
     rng = random.Random(2)
-    for _ in range(200):
+    for k in range(200):
         g, X, Y = rand_bip(rng.randint(1, 10), rng.randint(1, 10), 2, rng)
-        cls, cert = cv.classify_bipartite2(g, X, Y)
-        assert len(cert.pieces) <= 2 and verify(g, cert).ok
-    for nx, ny in ((2, 2), (2, 3)):
+        if k % 2:
+            # some pairs carry both colors
+            g = ColoredMultigraph.from_edges(g.n, 2, [
+                (u, v, (1, 2) if rng.random() < 0.2 else cs) for u, v, cs in g.edges()])
+        check_class2(g, X, Y)
+    for nx, ny in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        X, Y = list(range(nx)), list(range(nx, nx + ny))
         for colv in itertools.product((1, 2), repeat=nx * ny):
-            edges = []
-            i = 0
-            for x in range(nx):
-                for y in range(nx, nx + ny):
-                    edges.append((x, y, colv[i]))
-                    i += 1
-            g = ColoredMultigraph.from_edges(nx + ny, 2, edges)
-            cv.classify_bipartite2(g, list(range(nx)), list(range(nx, nx + ny)))
+            edges = [(x, y, c) for (x, y), c in zip(itertools.product(X, Y), colv)]
+            check_class2(ColoredMultigraph.from_edges(nx + ny, 2, edges), X, Y)
 
 
 def test_classification_precedence():
@@ -164,6 +205,13 @@ def test_cover_bipartite3_random():
         g, X, Y = rand_bip(rng.randint(1, 10), rng.randint(1, 10), 3, rng)
         cert = cv.cover_bipartite3(g, X, Y)
         assert len(cert.pieces) <= 4 and verify(g, cert).ok
+
+
+def test_cover_bipartite3_names_a_pair_outside_its_colors():
+    g = ColoredMultigraph.from_edges(
+        4, 4, [(0, 2, 4), (0, 3, 1), (1, 2, 2), (1, 3, 3)])
+    with pytest.raises(GraphError, match=r"^pair \(0,2\) carries none of the colors 1, 2, 3$"):
+        cv.cover_bipartite3(g, [0, 1], [2, 3])
 
 
 def test_cover_bipartite3_monochrome_and_layered():
@@ -433,7 +481,10 @@ def check_type(g, res):
         return
     (blue, red, green), parts = res.data
     W, X, Y, Z = [set(p) for p in parts]
-    colf = cv._reduced(g)
+
+    def colf(a, b):
+        return min(g.colors_of(a, b))
+
     assert sorted(W | X | Y | Z) == list(range(g.n))
     if res.tag == "TypeII":
         assert W and X and Y and Z

@@ -389,6 +389,15 @@ def test_hunt_shares_one_node_allowance():
     assert budget.nodes == stats["enumerated"] > 142
 
 
+def test_hunt_deadline_covers_the_permutation_table():
+    # K_8 has 8! pair permutations; a spent deadline stops their construction
+    # at the first block of 8192, before any coloring is enumerated
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.hunt(8, 2, 1, budget=ex.SolveBudget(max_seconds=0))
+    assert exc.value.stats["stage"] == "pair permutations"
+    assert exc.value.stats["enumerated"] == 0
+
+
 def test_budget_reads_the_clock_on_the_first_charge_then_every_8192_nodes(monkeypatch):
     now = [0.0]
     monkeypatch.setattr(ex, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
