@@ -173,7 +173,8 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
         raise GraphError("classify2 needs two nonempty sides")
     adj = _bipartite_colors(g, X, Y, (ca, cb))
     both = X + Y
-    full = mask_of(both)
+    xm, ym = mask_of(X), mask_of(Y)
+    full = xm | ym
     # every X-Y pair keeps one color, so a vertex is one-colored in c exactly
     # when it keeps no pair in the other color
     other_color = {ca: cb, cb: ca}
@@ -209,7 +210,6 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
         # P2: both classes disconnected; the cb-component of X[0] holds
         # X1 and Y2, and [X1,Y1], [X2,Y2] are the color-ca blocks
         C = reach(adj[cb], both[0])
-        xm, ym = mask_of(X), mask_of(Y)
         X1, X2, Y1, Y2 = (tuple(vertices_of(m))
                           for m in (xm & C, xm & ~C, ym & ~C, ym & C))
         assert all(adj[ca][x] & ym & ~C == ym & ~C for x in X1)
