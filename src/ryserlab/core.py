@@ -308,11 +308,18 @@ def component_masks(adj, mask: int) -> list[int]:
     return out
 
 
-def connected_subsets(adj, v: int, mask: int = -1):
+def connected_subsets(adj, v: int, mask: int = -1, lower_twins=None):
     """Yield every connected vertex set inside mask that contains v, once each.
 
     Each set is grown by one boundary vertex at a time.  A boundary vertex
     passed over is excluded from the rest of that branch, so no set repeats.
+
+    With lower_twins (per vertex, the mask of its twins of lower index; twins
+    have the same neighbors apart from each other) and v the lowest vertex of
+    its class in mask, only the sets that hold a prefix, in index order, of
+    each twin class's vertices in mask are yielded: a boundary vertex is not
+    branched on while a lower twin in mask is outside the set, but stays on
+    the boundary until it is.
     """
     start = 1 << v
     stack = [(start, adj[v] & mask & ~start, 0)]
@@ -320,12 +327,16 @@ def connected_subsets(adj, v: int, mask: int = -1):
         s, boundary, excluded = stack.pop()
         yield s
         children = []
-        while boundary:
-            b = boundary & -boundary
-            boundary ^= b
+        rest = boundary
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            u = b.bit_length() - 1
+            if lower_twins is not None and lower_twins[u] & mask & ~s:
+                continue
             grown = s | b
-            children.append((grown, (boundary | adj[b.bit_length() - 1])
-                             & mask & ~(grown | excluded), excluded))
+            children.append((grown, (boundary | adj[u]) & mask & ~(grown | excluded),
+                             excluded))
             excluded |= b
         stack.extend(reversed(children))
 

@@ -17,8 +17,7 @@ from .core import (ColoredMultigraph, GraphError, alpha, closure, components,
 
 # the search a stage belongs to, as an exhausted budget's message names it
 _SEARCH = {"matching": "matching search",
-           "diameter pieces": "diameter-piece enumeration",
-           "bipartition scan": "partition search"}
+           "diameter pieces": "diameter-piece enumeration"}
 
 
 class SolveBudget:
@@ -264,8 +263,12 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     """Minimum monochromatic partition: (size, CoverCertificate in partition mode).
 
     Parts are vertex-disjoint connected monochromatic subgraphs, possibly proper
-    subgraphs of components.  t=1 and t=2 are decided by direct scans, deeper
-    values by piece-growing DFS from the lowest uncovered vertex.
+    subgraphs of components.  t = 1 is one connectivity test per color; from
+    t = 2 on, an iterative-deepening search grows each part from the lowest
+    uncovered vertex.  Twins (vertices u, v with c(u, w) = c(v, w) for every
+    color c and every other vertex w) are interchangeable, so a part takes only
+    a prefix, in index order, of each twin class's uncovered vertices.  An
+    exhausted budget's Inconclusive carries "lower": every smaller t was refuted.
     """
     budget = budget or SolveBudget()
     n = g.n
@@ -290,39 +293,28 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
                                 mode="partition", max_size=len(pieces))
         return len(pieces), _verified(g, cert)
 
-    # t = 1
     c = color_connecting(full)
     if c is not None:
         return certified([(c, full)])
-    # t = 2: scan bipartitions with vertex 0 on the left
-    if n <= 22:
-        for left in range(0, 1 << (n - 1)):
-            if left % 8192 == 8191:
-                budget.charge("bipartition scan", 8192)
-            lm = (left << 1) | 1
-            rm = full & ~lm
-            if rm == 0:
-                continue
-            lc = color_connecting(lm)
-            if lc is None:
-                continue
-            rc = color_connecting(rm)
-            if rc is None:
-                continue
-            return certified([(lc, lm), (rc, rm)])
-        start_t = 3
-    else:
-        start_t = 2
+
+    # lower_twins[u]: the twins of u of lower index
+    lower_twins = [0] * n
+    for u in range(n):
+        for v in range(u):
+            pair = ~((1 << u) | (1 << v))
+            if all((adj[u] ^ adj[v]) & pair == 0 for _, adj in adjs):
+                lower_twins[u] |= 1 << v
 
     # iterative deepening DFS over pieces grown from the lowest uncovered vertex
     charge = budget.charge
 
     def pieces_from(v, avail):
         """(color, mask) of the connected monochromatic subsets containing v
-        inside avail; the singleton comes once, under color 1."""
+        inside avail that hold a prefix of each twin class's vertices in avail;
+        the singleton comes once, under color 1."""
         single = 1 << v
         for c, adj in adjs:
-            for mask in connected_subsets(adj, v, avail):
+            for mask in connected_subsets(adj, v, avail, lower_twins):
                 if mask != single or c == 1:
                     yield c, mask
 
@@ -346,8 +338,12 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
             acc.pop()
         return None
 
-    for t in range(start_t, n + 1):
-        got = dfs(full, t, [])
+    for t in range(2, n + 1):
+        try:
+            got = dfs(full, t, [])
+        except Inconclusive as exc:
+            exc.stats["lower"] = t
+            raise
         if got is not None:
             return certified(got)
     raise AssertionError("singleton pieces always partition")

@@ -447,15 +447,102 @@ def test_budget_is_explicit():
     assert size == 3
 
 
-def test_bipartition_scan_checks_budget():
-    # badmulti(3,1) has no partition into two parts, so the t = 2 scan runs
-    # through its 2^18 bipartitions unless the budget stops it
+def test_partition_search_checks_budget():
+    # badmulti(3,1) has no partition into one part, so the partition search
+    # starts at t = 2 and its first node reads the clock
     from ryserlab.goodpart import badmulti_graph
 
     with pytest.raises(ex.Inconclusive) as exc:
         ex.tp_exact(badmulti_graph(3, 1), budget=ex.SolveBudget(max_seconds=0))
-    assert exc.value.stats["stage"] == "bipartition scan"
-    assert exc.value.stats["nodes"] == 8192
+    assert exc.value.stats["stage"] == "partition search"
+    assert exc.value.stats["nodes"] == 1
+    assert exc.value.stats["lower"] == 2
+
+
+def test_exhausted_partition_search_reports_its_lower_bound():
+    # tp(badmulti(2,2)) = 4: the search refutes t = 2 in a few hundred nodes
+    # and is stopped while refuting t = 3, so tp >= 3 is proved
+    from ryserlab.goodpart import badmulti_graph
+
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.tp_exact(badmulti_graph(2, 2), budget=ex.SolveBudget(max_nodes=500))
+    assert exc.value.stats["lower"] == 3
+
+
+def pair_colors(n, edges):
+    """{(u, v): frozenset of colors} over every pair u < v of range(n)."""
+    colors = {pair: frozenset() for pair in itertools.combinations(range(n), 2)}
+    for u, v, c in edges:
+        colors[u, v] |= {c}
+    return colors
+
+
+@st.composite
+def typed_graphs(draw):
+    """(n, r, pair colors) on n <= 8 vertices of at most 4 types: the colors of
+    a pair are those of its two types, so a type's vertices are twins, except
+    on a few overridden pairs; color sets may be empty or hold two colors."""
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(1, 3))
+    types = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    color_sets = st.frozensets(st.integers(1, r), max_size=2)
+    between = {(a, b): draw(color_sets) for a in range(4) for b in range(a, 4)}
+    colors = {(u, v): between[min(types[u], types[v]), max(types[u], types[v])]
+              for u, v in itertools.combinations(range(n), 2)}
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] < p[1])
+        for pair in draw(st.lists(pairs, max_size=2)):
+            colors[pair] = draw(color_sets)
+    return n, r, colors
+
+
+def brute_tp(n, r, colors):
+    """Fewest blocks in a set partition of range(n) whose every block is
+    connected in one color, by enumerating the set partitions."""
+    def connected(block):
+        for c in range(1, r + 1):
+            seen, stack = {block[0]}, [block[0]]
+            while stack:
+                x = stack.pop()
+                for y in block:
+                    if y not in seen and c in colors[min(x, y), max(x, y)]:
+                        seen.add(y)
+                        stack.append(y)
+            if len(seen) == len(block):
+                return True
+        return False
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for k in range(len(rest) + 1):
+            for others in itertools.combinations(rest, k):
+                left = [x for x in rest if x not in others]
+                for p in partitions(left):
+                    yield [(first, *others)] + p
+
+    good = functools.lru_cache(maxsize=None)(connected)
+    return min(len(p) for p in partitions(list(range(n)))
+               if all(good(b) for b in p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(typed_graphs())
+# twins {0, 4}, {1, 5}, {2, 3}: the only 3-partitions, {0, 1, 5} {2, 3, 4} {6}
+# and {0, 2, 3} {1, 4, 5} {6}, each put a vertex in the second part whose
+# lower twin is in the first
+@example((7, 2, pair_colors(7, [(0, 1, 1), (0, 4, 1), (0, 5, 1), (1, 4, 1), (4, 5, 1),
+                                (0, 2, 2), (0, 3, 2), (2, 4, 2), (3, 4, 2)])))
+def test_tp_exact_matches_brute_force_on_planted_twins(gv):
+    n, r, colors = gv
+    g = ColoredMultigraph.from_edges(
+        n, r, [(u, v, sorted(cs)) for (u, v), cs in colors.items() if cs])
+    tp, cert = ex.tp_exact(g)
+    assert tp == brute_tp(n, r, colors)
+    assert verify(g, cert).ok
 
 
 def test_certificate_gate_survives_python_O():

@@ -4,7 +4,7 @@ import pytest
 
 from ryserlab import exact as ex
 from ryserlab import goodpart as gp
-from ryserlab.core import mask_of
+from ryserlab.core import mask_of, verify
 
 
 def test_covers_all_examples():
@@ -142,10 +142,13 @@ def test_bad_bipartite_requires_enough_z():
 
 
 def test_badmulti_small():
-    g = gp.badmulti_graph(2, 1)
-    assert g.n == 10
-    tp, cert = ex.tp_exact(g)
-    assert tp >= 2 >= gp.badmulti_lower_bound(2, 1)
-    g3 = gp.badmulti_graph(3, 1)
-    tp3, _ = ex.tp_exact(g3)
-    assert tp3 >= 2
+    # tp of the binary-block colorings, each one above the partition lower
+    # bound they imply
+    assert gp.badmulti_graph(2, 1).n == 10
+    for (k, t), want, lower in (((2, 1), 3, 2), ((2, 2), 4, 3), ((2, 3), 5, 4),
+                                ((3, 1), 3, 2)):
+        g = gp.badmulti_graph(k, t)
+        tp, cert = ex.tp_exact(g)
+        assert cert.mode == "partition" and verify(g, cert).ok
+        assert tp == want
+        assert gp.badmulti_lower_bound(k, t) == lower == want - 1

@@ -134,22 +134,38 @@ def test_signature_matches_bfs(gv, data):
     assert signature_of(g, X, S) == SignatureSet.of(len(X), want)
 
 
+def ref_connected_sets(nb, v, inside):
+    """Every connected vertex set inside `inside` that contains v, as sets."""
+    rest = sorted(inside - {v})
+    out = []
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            s = {v, *extra}
+            if len(ref_dist(nb, v, s)) == len(s):
+                out.append(s)
+    return out
+
+
 @SETTINGS
 @given(graph_and_subset(), st.data())
 def test_connected_subsets_match_brute_force(gv, data):
     g, vs = gv
     v = data.draw(st.sampled_from(vs))
     inside = set(vs)
-    for c in range(1, g.r + 1):
-        nb = ref_neighbors(g, c)
-        want = set()
-        rest = sorted(inside - {v})
-        for k in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, k):
-                s = {v, *extra}
-                if len(ref_dist(nb, v, s)) == len(s):
-                    want.add(mask_of(s))
+    nbs = [ref_neighbors(g, c) for c in range(1, g.r + 1)]
+    # with twins (the same neighbors in every color, apart from each other),
+    # sets grown from the lowest vertex keep a prefix of each twin class
+    twin = [[all(nb[u] - {w} == nb[w] - {u} for nb in nbs) for w in range(g.n)]
+            for u in range(g.n)]
+    lower_twins = [mask_of(u for u in range(w) if twin[u][w]) for w in range(g.n)]
+    for c, nb in enumerate(nbs, 1):
+        want = {mask_of(s) for s in ref_connected_sets(nb, v, inside)}
         got = list(connected_subsets(g.adjacency(c), v, mask_of(vs)))
+        assert len(got) == len(set(got))
+        assert set(got) == want
+        want = {mask_of(s) for s in ref_connected_sets(nb, vs[0], inside)
+                if all(u in s for w in s for u in inside if u < w and twin[u][w])}
+        got = list(connected_subsets(g.adjacency(c), vs[0], mask_of(vs), lower_twins))
         assert len(got) == len(set(got))
         assert set(got) == want
 
