@@ -492,7 +492,14 @@ def _r4_zone_candidates(g, col, x, i, j, k, l, Bij, Bji, Bki):
 
 def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
     """Two monochromatic subgraphs of diameter <= 6 covering a graph whose
-    pairs carry colors 1 and 2 only, with independence number exactly 2."""
+    pairs carry colors 1 and 2 only, with independence number exactly 2.
+
+    The cases are exhaustive, so no search ending is needed: by the folklore
+    bound each blob (A_x + x, A_y + y) has diameter <= 3 in some color, so
+    either a blob's smaller diameter is exactly 3 (case 1) or both blobs have
+    a color of diameter <= 2 (case 2, the same color or two different ones),
+    and every branch of each case returns its two pieces.
+    """
     stray = [(u, v) for u, v, cs in g.edges() if not cs & {1, 2}]
     if stray:
         raise GraphError(f"cover_alpha2 needs colors 1 and 2: pair "
@@ -520,10 +527,7 @@ def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
     dy = blob_diams(Ay, y)
     assert min(dx.values()) <= 3 and min(dy.values()) <= 3, "folklore bound"
 
-    pieces = _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy)
-    if pieces is None:
-        pieces = _zone_cover(g, (1 << n) - 1, 2)
-    return _check(g, pieces, 2, 6)
+    return _check(g, _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy), 2, 6)
 
 
 def _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy):
@@ -926,9 +930,6 @@ def _restricted4(g, X, P):
 
 
 def _restricted5(g, X, P):
-    from .signatures import signature_of
-
-    sig = signature_of(g, X, P)
     comps_by_color = {c: _on_x_comps(g, c, X) for c in P}
     tX = {c: [len([v for v in X if v in comp]) for comp in comps_by_color[c]]
           for c in P}

@@ -413,7 +413,10 @@ def tau_nu(h, budget: SolveBudget | None = None):
 
 
 def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
-    """Minimum cover of all c-sets by monochromatic (c,ell)-components."""
+    """Minimum cover of all c-sets by monochromatic (c,ell)-components.
+
+    Raises Infeasible naming the first c-set no component holds; its
+    witness_vertex is that c-set's index in combinations order."""
     from .hypercover import cl_components
 
     budget = budget or SolveBudget()
@@ -421,8 +424,11 @@ def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
     csets = list(itertools.combinations(range(h.n), c))
     idx = {s: i for i, s in enumerate(csets)}
     candidates = [(mask_of(idx[s] for s in comp.shadow), comp) for comp in comps]
-    size, chosen = min_cover((1 << len(csets)) - 1, candidates, budget)
-    return size, chosen
+    try:
+        return min_cover((1 << len(csets)) - 1, candidates, budget)
+    except Infeasible as exc:
+        i = exc.witness_vertex
+        raise Infeasible(f"c-set {csets[i]} is not coverable", witness_vertex=i) from None
 
 
 # ---------------------------------------------------------------------------

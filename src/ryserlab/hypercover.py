@@ -12,10 +12,12 @@ computable refinement every theorem here uses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import adjacency, component_masks, mask_of, vertices_of
 from .duality import ColoredHypergraph, HypergraphError
+from .exact import tc_cl_exact
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,6 @@ class CLComponent:
     shadow: frozenset[tuple[int, ...]]
 
     def spans(self, n: int, c: int) -> bool:
-        import math
         return len(self.shadow) == math.comb(n, c)
 
 
@@ -127,39 +128,55 @@ def tight_spanning(h: ColoredHypergraph):
 # constructive covers
 
 
+def _check_complete(h: ColoredHypergraph, who: str):
+    """Reject h unless it is an edge-colored complete K_n^k with n >= k, as
+    every cover below assumes: each k-set of vertices is one edge with one
+    color."""
+    edges = h.edges()
+    if any(col is None for col, _ in edges):
+        raise HypergraphError(f"{who} needs an edge-colored hypergraph")
+    m = math.comb(h.n, h.k)
+    if h.n < h.k or len(edges) != m or len({vs for _, vs in edges}) != m:
+        raise HypergraphError(f"{who} expects a complete K_n^k with n >= k")
+
+
+def _comp_lookup(comps):
+    """(color, c-set) -> the component of that color whose shadow holds the
+    c-set; unique because every caller has c >= ell (disjoint shadows)."""
+    return {(comp.color, s): comp for comp in comps for s in comp.shadow}
+
+
+def _checked(h: ColoredHypergraph, c: int, pieces, bound: int, what: str):
+    """pieces, once their shadows are seen to cover every c-set of h with at
+    most bound pieces.  Raises AssertionError, not assert, so -O keeps it."""
+    covered = set().union(*(comp.shadow for comp in pieces))
+    if len(covered) != math.comb(h.n, c):
+        raise AssertionError(f"{what} cover must span all c-sets")
+    if len(pieces) > bound:
+        raise AssertionError(f"{what} cover has {len(pieces)} pieces, above {bound}")
+    return pieces
+
+
 def kiraly_cover(h: ColoredHypergraph):
-    """At most ceil(r/k) monochromatic (1,1)-components covering the vertices.
+    """At most ceil(r/k) monochromatic (1,1)-components covering the vertices
+    of a complete K_n^k.
 
     Follows the recursion: either some (k-1)-set meets few colors and its star
     components cover, or the top color is absorbed into a lower one.
     """
     if h.k < 3:
         raise HypergraphError("kiraly_cover needs k >= 3")
-    base_edges = list(h.edges())
-    if any(c is None for c, _ in base_edges):
-        raise HypergraphError("kiraly_cover needs an edge-colored hypergraph")
+    _check_complete(h, "kiraly_cover")
     n, k = h.n, h.k
-    colors_in_use = sorted({c for c, _ in base_edges})
-    r = max(colors_in_use) if colors_in_use else 1
-    target = -(-r // k)  # ceil
-
-    color_of = {vs: c for c, vs in base_edges}
-    import math
-    if math.comb(n, k) != len(base_edges):
-        raise HypergraphError("kiraly_cover expects a complete K_n^k")
-
-    current = dict(color_of)
-    rr = r
+    current = {vs: col for col, vs in h.edges()}
+    rr = max(current.values(), default=1)
+    target = -(-rr // k)  # ceil
     while True:
         thresh = -(-rr // k)
-        # colors on the superedges of each (k-1)-set
+        # the first (k-1)-set whose superedges carry at most thresh colors
         found = None
         for S in itertools.combinations(range(n), k - 1):
-            cols = set()
-            rest = [v for v in range(n) if v not in S]
-            for v in rest:
-                e = tuple(sorted(S + (v,)))
-                cols.add(current[e])
+            cols = {current[tuple(sorted(S + (v,)))] for v in range(n) if v not in S}
             if len(cols) <= thresh:
                 found = (S, sorted(cols))
                 break
@@ -167,19 +184,17 @@ def kiraly_cover(h: ColoredHypergraph):
             S, cols = found
             break
         # absorb the highest active color
-        active = sorted({c for c in current.values()})
-        top = active[-1]
+        top = max(current.values())
         subset_colors: dict[tuple[int, ...], set[int]] = {}
-        for e, c in current.items():
+        for e, col in current.items():
             for T in itertools.combinations(e, k - 1):
-                subset_colors.setdefault(T, set()).add(c)
+                subset_colors.setdefault(T, set()).add(col)
         new = dict(current)
-        for e, c in current.items():
-            if c != top:
+        for e, col in current.items():
+            if col != top:
                 continue
-            subs = list(itertools.combinations(e, k - 1))
             lower = None
-            for T1, T2 in itertools.combinations(subs, 2):
+            for T1, T2 in itertools.combinations(itertools.combinations(e, k - 1), 2):
                 common = sorted((subset_colors[T1] & subset_colors[T2]) - {top})
                 if common:
                     lower = common[0]
@@ -190,208 +205,107 @@ def kiraly_cover(h: ColoredHypergraph):
         rr -= 1
         assert rr >= 1
 
-    # pieces: for each current color c on S's stars, the ORIGINAL color-c
-    # component whose shadow contains the witness edge.  Absorption keeps
-    # per-color component shadows unchanged (an absorbed edge's vertices lie
-    # inside one existing component, and distinct (1,1)-components of a color
-    # are vertex-disjoint), so that component covers every v whose star edge
-    # currently has color c.
-    comps = cl_components(h, 1, 1)
-    shadow_vertices = {}
-    for cp in comps:
-        shadow_vertices[(cp.color, cp.edge_core)] = {v for (v,) in cp.shadow}
-    rest = [v for v in range(n) if v not in S]
-    dedup = []
-    seen = set()
-    for c in cols:
-        witness = None
-        for v in rest:
-            e = tuple(sorted(S + (v,)))
-            if current[e] == c:
-                witness = e
-                break
-        assert witness is not None
-        comp = next(cp for cp in comps if cp.color == c
-                    and set(witness) <= shadow_vertices[(cp.color, cp.edge_core)])
-        key = (comp.color, comp.edge_core)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(comp)
-    covered = set()
-    for comp in dedup:
-        covered |= shadow_vertices[(comp.color, comp.edge_core)]
-    if covered != set(range(n)):
-        raise AssertionError("kiraly cover failed to span")
-    if len(dedup) > target:
-        raise AssertionError(f"kiraly cover has {len(dedup)} pieces, above {target}")
-    return dedup
+    # pieces: for each current color on S's stars, the ORIGINAL component of
+    # that color through S.  Absorption keeps per-color component shadows
+    # unchanged (an absorbed edge's vertices lie inside one existing
+    # component, and distinct (1,1)-components of a color are vertex-disjoint),
+    # so that component covers every v whose star edge currently has the color.
+    lookup = _comp_lookup(cl_components(h, 1, 1))
+    pieces = [lookup[(col, S[:1])] for col in cols]
+    return _checked(h, 1, pieces, target, "kiraly")
 
 
 def cover_product(h: ColoredHypergraph, c: int, ell: int):
-    """Cover of the c-sets via the floor(k/c)-uniform auxiliary hypergraph.
+    """Cover of the c-sets of a complete K_n^k via the floor(k/c)-uniform
+    auxiliary hypergraph.
 
     For floor(k/c) >= 3 this is the recursion bound ceil(r / floor(k/c)); for
     floor(k/c) = 2 the trivial route (components through a fixed c-set) gives
     at most r pieces.
     """
     _check_params(h, c, ell)
+    _check_complete(h, "cover_product")
     if not (ell <= c <= h.k / 2):
         raise HypergraphError("cover_product needs ell <= c <= k/2")
     n, k = h.n, h.k
     kk = k // c
     csets = list(itertools.combinations(range(n), c))
-    comps = cl_components(h, c, ell)
-
-    def comp_containing(cset, color):
-        for comp in comps:
-            if comp.color == color and cset in comp.shadow:
-                return comp
-        raise AssertionError("every c-set inside an edge lies in a component")
-
+    lookup = _comp_lookup(cl_components(h, c, ell))
     color_of = {vs: col for col, vs in h.edges()}
+    r = max(color_of.values())
 
-    def complete_to_edge(union):
+    def witness_color(union):
+        """Color of the first edge holding the vertex set union."""
         e = sorted(union)
-        for v in range(n):
-            if len(e) == k:
-                break
-            if v not in union:
-                e.append(v)
-        return tuple(sorted(e))
+        e += [v for v in range(n) if v not in union][:k - len(e)]
+        return color_of[tuple(sorted(e))]
 
     if kk >= 3:
         # auxiliary complete kk-uniform hypergraph on c-sets, colored by witness edges
         aux_edges = []
         for combo in itertools.combinations(range(len(csets)), kk):
-            union = set()
-            for i in combo:
-                union.update(csets[i])
+            union = set().union(*(csets[i] for i in combo))
             assert len(union) <= k, "kk*c <= k keeps every union inside an edge"
-            witness = complete_to_edge(union)
-            aux_edges.append((color_of[witness], tuple(combo)))
+            aux_edges.append((witness_color(union), combo))
         aux = ColoredHypergraph(len(csets), kk, h.r, None, aux_edges)
-        aux_cover = kiraly_cover(aux)
-        pieces = []
-        seen = set()
-        for comp in aux_cover:
-            # pull back: any aux core edge's first c-set, in the same color
-            first_aux_edge = comp.edge_core[0]
-            cset = csets[first_aux_edge[0]]
-            pc = comp_containing(cset, comp.color)
-            key = (pc.color, pc.edge_core)
-            if key not in seen:
-                seen.add(key)
-                pieces.append(pc)
+        # pull back: any aux core edge's first c-set, in the same color
+        pieces = dict.fromkeys(lookup[(comp.color, csets[comp.edge_core[0][0]])]
+                               for comp in kiraly_cover(aux))
+        bound = -(-r // kk)
     else:
         # trivial route: the components through the first c-set
         x0 = csets[0]
-        pieces = []
-        seen = set()
-        for s in csets:
-            union = set(x0) | set(s)
-            assert len(union) <= k, "2c <= k guarantees a common edge"
-            witness = complete_to_edge(union)
-            pc = comp_containing(x0, color_of[witness])
-            key = (pc.color, pc.edge_core)
-            if key not in seen:
-                seen.add(key)
-                pieces.append(pc)
-
-    covered = set()
-    for pc in pieces:
-        covered |= pc.shadow
-    if covered != set(csets):
-        raise AssertionError("product cover must span all c-sets")
-    return pieces
+        pieces = dict.fromkeys(lookup[(witness_color(set(x0) | set(s)), x0)]
+                               for s in csets)
+        bound = r
+    return _checked(h, c, list(pieces), bound, "product")
 
 
 def cover_midrange(h: ColoredHypergraph, c: int, ell: int):
-    """Cover in the regime k/2 < c <= k-(1-1/r)l via the closure graph on c-sets.
+    """Cover of the c-sets of a complete K_n^k in the regime
+    k/2 < c <= k-(1-1/r)l.
 
-    r=2 goes through Konig on the closure graph (<= 2 components); otherwise a
-    maximal independent set I (|I| <= r by the theorem) yields the <= r|I|
-    components through its elements, greedily pruned.
+    r=2 is the minimum (c,ell)-cover from the exact kernel, tc_cl_exact, which
+    the theorem (Konig on the closure graph of the c-sets) keeps at <= 2
+    components.  Otherwise a maximal independent set I of the closure graph
+    (|I| <= r by the theorem) yields the <= r|I| components through its
+    elements, greedily pruned.
     """
-    from .core import ColoredMultigraph
-    from .exact import tc_exact
-
     _check_params(h, c, ell)
+    _check_complete(h, "cover_midrange")
     if c < ell:
         raise HypergraphError("cover_midrange needs c >= ell")
-    if any(col is None for col, _ in h.edges()):
-        raise HypergraphError("cover_midrange needs an edge-colored hypergraph")
     r = h.r if h.r else max(col for col, _ in h.edges())
     if not (h.k / 2 < c <= h.k - (1 - 1 / r) * ell):
         raise HypergraphError("cover_midrange range violated")
-    n = h.n
-    csets = list(itertools.combinations(range(n), c))
-    idx = {s: i for i, s in enumerate(csets)}
-    comps = cl_components(h, c, ell)
-    # closure graph: vertices = c-sets, color i edge iff same (c,l)-component
-    edges = []
-    for comp in comps:
-        sh = sorted(comp.shadow)
-        for a, b in itertools.combinations(sh, 2):
-            edges.append((idx[a], idx[b], comp.color))
-    gc = ColoredMultigraph.from_edges(len(csets), r, edges)
-
     if r == 2:
-        size, cert = tc_exact(gc)  # Konig scale: component set cover is tiny here
-        if size > 2:
-            raise AssertionError(f"two-color closure graph needs {size} > 2 components")
-        pieces = []
-        for color, vs in [(p[0], p[1]) for p in cert.pieces]:
-            s0 = csets[vs[0]]
-            pc = next(q for q in comps if q.color == color and s0 in q.shadow)
-            pieces.append(pc)
-        chosen = pieces
-    else:
-        # greedy maximal independent set in the closure graph
-        in_comp: dict[tuple[int, int], CLComponent] = {}
-        for comp in comps:
-            for s in comp.shadow:
-                in_comp[(comp.color, idx[s])] = comp
-        indep: list[int] = []
-        blocked = set()
-        for i in range(len(csets)):
-            if i in blocked:
-                continue
-            indep.append(i)
-            for comp in comps:
-                if csets[i] in comp.shadow:
-                    blocked.update(idx[s] for s in comp.shadow)
-        if len(indep) > r:
-            raise AssertionError(f"independent set of {len(indep)} c-sets exceeds r = {r}")
-        chosen = []
-        seen = set()
-        for i in indep:
-            for color in range(1, r + 1):
-                comp = in_comp.get((color, i))
-                if comp is None:
-                    continue
-                key = (comp.color, comp.edge_core)
-                if key not in seen:
-                    seen.add(key)
-                    chosen.append(comp)
-        # prune redundant pieces greedily (smallest contribution first)
-        changed = True
-        while changed:
-            changed = False
-            for j in range(len(chosen) - 1, -1, -1):
-                rest = set()
-                for t, comp in enumerate(chosen):
-                    if t != j:
-                        rest |= comp.shadow
-                if rest == set(csets):
-                    chosen.pop(j)
-                    changed = True
-                    break
-    covered = set()
-    for comp in chosen:
-        covered |= comp.shadow
-    if covered != set(csets):
-        raise AssertionError("midrange cover must span all c-sets")
-    return chosen
+        _, pieces = tc_cl_exact(h, c, ell)
+        return _checked(h, c, pieces, 2, "midrange")
+    csets = list(itertools.combinations(range(h.n), c))
+    lookup = _comp_lookup(cl_components(h, c, ell))
+    # greedy maximal independent set in the closure graph: c-sets sharing no component
+    indep: list[tuple[int, ...]] = []
+    blocked = set()
+    for s in csets:
+        if s in blocked:
+            continue
+        indep.append(s)
+        for color in range(1, r + 1):
+            if (color, s) in lookup:
+                blocked |= lookup[(color, s)].shadow
+    if len(indep) > r:
+        raise AssertionError(f"independent set of {len(indep)} c-sets exceeds r = {r}")
+    chosen = list(dict.fromkeys(lookup[(color, s)] for s in indep
+                                for color in range(1, r + 1) if (color, s) in lookup))
+    # prune redundant pieces greedily, the last redundant one first, until none is
+    while True:
+        j = next((j for j in range(len(chosen) - 1, -1, -1)
+                  if len(set().union(*(comp.shadow for t, comp in enumerate(chosen)
+                                       if t != j))) == len(csets)), None)
+        if j is None:
+            break
+        chosen.pop(j)
+    return _checked(h, c, chosen, r * len(indep), "midrange")
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,8 @@ def test_removed_options_are_usage_errors(argv, capsys):
 
 
 HG_2_UNIFORM = "hg 4 2 2\ne 1 0 1\ne 2 1 2\ne 1 2 3\ne 2 0 3\n"
+# K_6^4 with three of its fifteen edges
+HG_SPARSE_64 = "hg 6 4 2\ne 1 0 1 2 3\ne 2 2 3 4 5\ne 1 0 1 4 5\n"
 PATH_25 = "cg 25 1\n" + "".join(f"e {v} {v + 1} 1\n" for v in range(24))
 
 
@@ -325,6 +327,9 @@ PATH_25 = "cg 25 1\n" + "".join(f"e {v} {v + 1} 1\n" for v in range(24))
     # the midrange cover needs colored hyperedges
     (["hyper", "--method", "midrange", "--c", "2", "--ell", "1"],
      "hg 4 3 0\ne 0 1 2\ne 0 1 3\ne 0 2 3\ne 1 2 3\n"),
+    # the product and midrange covers need a complete K_n^k
+    (["hyper", "--method", "product", "--c", "1", "--ell", "1"], HG_SPARSE_64),
+    (["hyper", "--method", "midrange", "--c", "3", "--ell", "2"], HG_SPARSE_64),
 ])
 def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     if text is not None:
@@ -335,6 +340,15 @@ def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_hyper_exact_infeasible_names_the_c_set(tmp_path, capsys):
+    p = tmp_path / "h.hg"
+    p.write_text(HG_SPARSE_64)
+    code, out = run_cli(["hyper", "--input", str(p), "--method", "exact",
+                         "--c", "3", "--ell", "3"], capsys)
+    assert code == 1
+    assert out.strip() == "infeasible: c-set (0, 2, 4) is not coverable"
 
 
 def test_goodpart_inconclusive_exits_2(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_tc_singletons_cover_under_color_restriction():
 def test_infeasible_is_explicit():
     # a sparse hypergraph whose colored components cannot reach every c-set
     h = ColoredHypergraph(5, 3, 1, None, [(1, (0, 1, 2))])
-    with pytest.raises(ex.Infeasible) as info:
+    with pytest.raises(ex.Infeasible, match=r"c-set \(3,\) is not coverable") as info:
         ex.tc_cl_exact(h, 1, 1)
     assert info.value.witness_vertex is not None
 

@@ -213,3 +213,67 @@ def test_monotonicity_observations():
         tl, _ = ex.tc_cl_exact(hlink, 1, 1)
         t12, _ = ex.tc_cl_exact(h4, 1, 2)
         assert t12 <= tl
+
+
+def _check_pieces(h, c, ell, pieces):
+    """Independent check of a cover's pieces: each core is a set of h's edges
+    in the piece's color, ell-overlap connected (own BFS), and the c-subsets
+    of the cores cover every c-set of the vertices."""
+    color_of = {vs: col for col, vs in h.edges()}
+    covered = set()
+    for piece in pieces:
+        core = piece.edge_core
+        assert core and all(color_of[e] == piece.color for e in core)
+        reached, frontier = {core[0]}, [core[0]]
+        while frontier:
+            e = frontier.pop()
+            for f in core:
+                if f not in reached and len(set(e) & set(f)) >= ell:
+                    reached.add(f)
+                    frontier.append(f)
+        assert reached == set(core), "core is not ell-overlap connected"
+        shadow = {s for e in core for s in itertools.combinations(e, c)}
+        assert shadow == piece.shadow
+        covered |= shadow
+    assert covered == set(itertools.combinations(range(h.n), c))
+
+
+def test_covers_hold_under_an_independent_checker():
+    rng = random.Random(12)
+    for _ in range(30):
+        k = rng.choice((3, 4))
+        h = rand_uniform(rng.randint(k, 7), k, rng.randint(1, 6), rng)
+        pieces = hc.kiraly_cover(h)
+        _check_pieces(h, 1, 1, pieces)
+        assert len(pieces) <= -(-h.r // k)
+    for k, c, ell in ((4, 1, 1), (4, 2, 1), (4, 2, 2), (6, 1, 1), (6, 2, 1),
+                      (6, 2, 2), (6, 3, 2)):
+        for _ in range(3):
+            h = rand_uniform(rng.randint(k, 7), k, rng.randint(1, 5), rng)
+            _check_pieces(h, c, ell, hc.cover_product(h, c, ell))
+    # each (k, c, ell, r) inside k/2 < c <= k - (1 - 1/r) ell
+    for k, c, ell, r in ((3, 2, 1, 2), (3, 2, 2, 2), (4, 3, 1, 2), (4, 3, 2, 2),
+                         (5, 3, 2, 2), (5, 4, 2, 2), (3, 2, 1, 3), (4, 3, 1, 3),
+                         (5, 3, 2, 4), (5, 4, 1, 4)):
+        for _ in range(3):
+            h = rand_uniform(rng.randint(k, 7), k, r, rng)
+            h = ColoredHypergraph(h.n, k, r, None, h.edges())
+            pieces = hc.cover_midrange(h, c, ell)
+            _check_pieces(h, c, ell, pieces)
+            if r == 2:
+                assert len(pieces) <= 2
+                assert len(pieces) == ex.tc_cl_exact(h, c, ell)[0]
+
+
+def test_covers_need_a_complete_hypergraph():
+    # K_6^4 with three of its fifteen edges, and K_5^3 with (0, 1, 2) listed
+    # twice in place of (2, 3, 4): both have a k-set that is no edge
+    sparse = ColoredHypergraph(6, 4, 2, None, [(1, (0, 1, 2, 3)), (2, (2, 3, 4, 5)),
+                                               (1, (0, 1, 4, 5))])
+    edges = [(1 + sum(e) % 2, e) for e in itertools.combinations(range(5), 3)]
+    twice = ColoredHypergraph(5, 3, 2, None, edges[:-1] + [(2, (0, 1, 2))])
+    for h, c, ell in ((sparse, 3, 2), (twice, 2, 1)):
+        for cover, args in ((hc.kiraly_cover, ()), (hc.cover_product, (1, 1)),
+                            (hc.cover_midrange, (c, ell))):
+            with pytest.raises(HypergraphError, match="complete K_n"):
+                cover(h, *args)
