@@ -316,9 +316,12 @@ def cmd_signatures(args):
     from . import signatures as sg
 
     n, p = args.n, args.p
-    stage = {"enumerate": sg.enumerate_signatures, "valid": sg.valid_signatures,
-             "residual": sg.residual_cases}[args.stage]
-    sigs = stage(n, p)
+    if args.stage == "enumerate":
+        sigs = sg.enumerate_signatures(n, p)
+    elif args.stage == "valid":
+        sigs = sg.valid_signatures(n, p, args.budget)
+    else:
+        sigs = sg.residual_cases(n, p, args.budget)
     lines = [",".join(str(s) for s in sig.sigs) for sig in sigs]
     _emit(args, f"# {args.stage}({n},{p}) = {len(sigs)}\n" + "\n".join(lines),
           {"count": len(sigs)})

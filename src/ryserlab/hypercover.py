@@ -26,9 +26,6 @@ class CLComponent:
     edge_core: tuple[tuple[int, ...], ...]
     shadow: frozenset[tuple[int, ...]]
 
-    def spans(self, n: int, c: int) -> bool:
-        return len(self.shadow) == math.comb(n, c)
-
 
 def _check_params(h: ColoredHypergraph, c: int, ell: int):
     if h.k < 2:

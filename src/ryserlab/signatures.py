@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (ColoredMultigraph, GraphError, component_masks, components,
-                   mask_of)
+from .core import ColoredMultigraph, GraphError, component_masks, mask_of
 
 
 @dataclass(frozen=True, order=True)
@@ -157,8 +156,13 @@ def passes_edge_count(sig: SignatureSet) -> bool:
 # realizability search
 
 class _ShapeTables:
-    """Per-(n) cache of set partitions, pair masks and W-restriction codes.
+    """Per-(n) cache of set partitions, pair masks, pair holders and
+    W-restriction codes.
 
+    `ensure(shape)` lists the set partitions of that shape (`parts`), the mask
+    of the vertex pairs each one covers (`masks`, bit j for `pairs[j]`), and,
+    bit-sliced the other way round, `holders[shape][j]`: the mask over the
+    shape's partition indices whose bit i is set iff partition i covers pair j.
     The W tables behind `w_codes` and `qualifying_fourth` give one bit to each
     pair (W, restriction profile) over the subsets W of size 3..5; they are
     built on first use.
@@ -171,6 +175,7 @@ class _ShapeTables:
         self.full = (1 << len(self.pairs)) - 1
         self.parts: dict[tuple[int, ...], list] = {}
         self.masks: dict[tuple[int, ...], list[int]] = {}
+        self.holders: dict[tuple[int, ...], list[int]] = {}
         self.codes: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
         self.w_subsets: list[tuple[int, ...]] = []
         self.w_offset: list[int] = []
@@ -180,8 +185,11 @@ class _ShapeTables:
     def ensure(self, shape: tuple[int, ...]):
         if shape not in self.parts:
             plist = set_partitions_with_shape(self.n, shape)
+            masks = [self._pmask(p) for p in plist]
             self.parts[shape] = plist
-            self.masks[shape] = [self._pmask(p) for p in plist]
+            self.masks[shape] = masks
+            self.holders[shape] = [sum(1 << i for i, m in enumerate(masks) if m >> j & 1)
+                                   for j in range(len(self.pairs))]
 
     def _pmask(self, blocks) -> int:
         m = 0
@@ -274,36 +282,48 @@ def _search_order(tab: _ShapeTables, sig: SignatureSet):
     return order, [shapes[i] for i in order]
 
 
-def _covering_tuples(tab: _ShapeTables, shapes):
+def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
     """Index tuples into tab.parts[shape], one index per shape, whose set
     partitions together cover every vertex pair, in lexicographic order.
 
     The first partition is pinned to its canonical representative (vertex
-    symmetry), equal consecutive shapes take nondecreasing indices (color
-    symmetry), and a prefix is dropped once the union of every later shape's
-    masks cannot complete it.
+    symmetry), and equal consecutive shapes take nondecreasing indices (color
+    symmetry).  Every partition of a shape covers the same number of pairs,
+    the sum of q(q-1)/2 over its block sizes q, so a prefix is dropped once it
+    misses more pairs than the later shapes cover together.  The last shape
+    is not scanned: its covering indices are the AND of its `holders` over
+    the pairs the prefix misses, walked in ascending order.  When nodes is
+    given, nodes[0] counts the prefixes the search visits.
     """
+    if nodes is None:
+        nodes = [0]
     masks = [tab.masks[shapes[0]][:1]] + [tab.masks[s] for s in shapes[1:]]
+    holders = tab.holders[shapes[-1]]
     full, last = tab.full, len(shapes) - 1
-    suffix = [0] * (len(shapes) + 1)
-    for c in range(last, 0, -1):
-        u = suffix[c + 1]
-        for m in masks[c]:
-            u |= m
-        suffix[c] = u
+    room = [0] * (len(shapes) + 1)  # room[c]: pairs that shapes c.. cover
+    for c in range(last, -1, -1):
+        room[c] = room[c + 1] + sum(q * (q - 1) // 2 for q in shapes[c])
 
     def rec(c, acc, idxs):
+        nodes[0] += 1
         lo = idxs[-1] if c and shapes[c] == shapes[c - 1] else 0
         ms = masks[c]
         if c == last:
-            for i in range(lo, len(ms)):
-                if acc | ms[i] == full:
-                    yield idxs + (i,)
+            hits = ((1 << len(ms)) - 1) >> lo << lo
+            miss = full ^ acc
+            while miss and hits:
+                j = miss & -miss
+                hits &= holders[j.bit_length() - 1]
+                miss ^= j
+            while hits:
+                i = hits & -hits
+                yield idxs + (i.bit_length() - 1,)
+                hits ^= i
             return
-        rest = suffix[c + 1]
+        room_after = room[c + 1]
         for i in range(lo, len(ms)):
             a = acc | ms[i]
-            if a | rest == full:
+            if (full ^ a).bit_count() <= room_after:
                 yield from rec(c + 1, a, idxs + (i,))
 
     return rec(0, 0, ())
@@ -331,17 +351,28 @@ def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):
     return g
 
 
-def is_valid(sig: SignatureSet) -> ColoredMultigraph | None:
+def _charge(budget, prefixes: int):
+    """Charge one signature and the search prefixes it visited."""
+    if budget is not None:
+        budget.charge("signature search", 1 + prefixes)
+
+
+def is_valid(sig: SignatureSet, budget=None) -> ColoredMultigraph | None:
     """A realization of the signature as a closed multicoloring of K_n, or None.
 
     Applies the edge-counting filter first, then takes the first covering
     tuple of set partitions with the prescribed shapes (`_covering_tuples`).
+    A given `SolveBudget` is charged once for the signature, with the number
+    of search prefixes visited.
     """
     if not passes_edge_count(sig):
+        _charge(budget, 0)
         return None
     tab = _tables(sig.n)
     order, shapes = _search_order(tab, sig)
-    first = next(_covering_tuples(tab, shapes), None)
+    nodes = [0]
+    first = next(_covering_tuples(tab, shapes, nodes), None)
+    _charge(budget, nodes[0])
     if first is None:
         return None
     return _realization(sig, tab, order, shapes, first)
@@ -395,35 +426,54 @@ def _w_qualifies(size: int, profs) -> bool:
 
 
 def realization_admits_w(g: ColoredMultigraph) -> bool:
-    """Whether some W of size 3..5 in this 4-colored realization satisfies lem:r6ii."""
-    n = g.n
-    blocks = []
-    for c in range(1, 5):
-        blocks.append(components(g, c).parts)
+    """Whether some W of size 3..5 in this 4-colored realization satisfies lem:r6ii.
+
+    Reads the graph, not the search tables: each color's blocks are its
+    component masks, and W's profile in a color counts the blocks that meet
+    `wmask` in at least one, two and three vertices.  Only `_w_qualifies`,
+    the lemma itself, is shared with the table path.
+    """
+    everything = (1 << g.n) - 1
+    blocks = [component_masks(g.adjacency(c), everything) for c in range(1, 5)]
     for size in (3, 4, 5):
-        for w in itertools.combinations(range(n), size):
-            profs = [_restrict_profile(b, w) for b in blocks]
+        for w in itertools.combinations(range(g.n), size):
+            wmask = mask_of(w)
+            profs = []
+            for bs in blocks:
+                t = g2 = g3 = 0
+                for b in bs:
+                    x = b & wmask
+                    if x:
+                        t += 1
+                        x &= x - 1  # drop one vertex of the block's meet with W
+                        if x:
+                            g2 += 1
+                            if x & (x - 1):
+                                g3 += 1
+                profs.append((t, g2, g3))
             if _w_qualifies(size, profs):
                 return True
     return False
 
 
-def _analyze_r6ii(sig: SignatureSet) -> tuple[bool, ColoredMultigraph | None]:
+def _analyze_r6ii(sig: SignatureSet, budget=None) -> tuple[bool, ColoredMultigraph | None]:
     """(valid, free): free is a realization admitting no qualifying W, or None.
 
     Walks the covering tuples of `_covering_tuples` and stops at the first
     free one.  A tuple admits a qualifying W iff the bits of its fourth
     partition meet `qualifying_fourth` of its first three, which is computed
     once per prefix.  The free realization is rechecked by the independent
-    `realization_admits_w` before it is returned.
+    `realization_admits_w` before it is returned.  A given budget is charged
+    as in `is_valid`.
     """
     if not passes_edge_count(sig):
+        _charge(budget, 0)
         return False, None
     tab = _tables(sig.n)
     order, shapes = _search_order(tab, sig)
     codes = [tab.w_codes(s) for s in shapes]
-    valid, prefix, qualifying = False, None, 0
-    for idxs in _covering_tuples(tab, shapes):
+    valid, prefix, qualifying, nodes = False, None, 0, [0]
+    for idxs in _covering_tuples(tab, shapes, nodes):
         valid = True
         if idxs[:3] != prefix:
             prefix = idxs[:3]
@@ -433,7 +483,9 @@ def _analyze_r6ii(sig: SignatureSet) -> tuple[bool, ColoredMultigraph | None]:
             g = _realization(sig, tab, order, shapes, idxs)
             if realization_admits_w(g):
                 raise AssertionError(f"free realization of {sig} admits a qualifying W")
+            _charge(budget, nodes[0])
             return True, g
+    _charge(budget, nodes[0])
     return valid, None
 
 
@@ -466,11 +518,13 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
     raise ValueError(f"unknown lemma filter {which!r}")
 
 
-def valid_signatures(n: int, p: int) -> list[SignatureSet]:
-    return [s for s in enumerate_signatures(n, p) if is_valid(s) is not None]
+def valid_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
+    """The signatures that `is_valid` realizes; a given `SolveBudget` is
+    charged per signature and raises `Inconclusive` once exhausted."""
+    return [s for s in enumerate_signatures(n, p) if is_valid(s, budget) is not None]
 
 
-def residual_cases(n: int, p: int) -> list[SignatureSet]:
+def residual_cases(n: int, p: int, budget=None) -> list[SignatureSet]:
     """Valid signatures surviving every applicable lemma filter, sorted.
 
     Cheap filters run first.  At (5,3): lemma R5 on the shapes, then
@@ -478,14 +532,15 @@ def residual_cases(n: int, p: int) -> list[SignatureSet]:
     realization search that stops at the first realization admitting no
     qualifying W (lemma R6II); each such free realization is confirmed by
     `realization_admits_w` before its signature is reported, and the call
-    raises if one is not.
+    raises if one is not.  A given budget is charged per searched signature,
+    as in `valid_signatures`.
     """
     if (n, p) == (5, 3):
         out = [s for s in enumerate_signatures(5, 3)
-               if not _lemma_r5(s.shapes()) and is_valid(s) is not None]
+               if not _lemma_r5(s.shapes()) and is_valid(s, budget) is not None]
     elif (n, p) == (6, 4):
         out = [s for s in enumerate_signatures(6, 4)
-               if not _lemma_r6(s.shapes()) and _analyze_r6ii(s)[1] is not None]
+               if not _lemma_r6(s.shapes()) and _analyze_r6ii(s, budget)[1] is not None]
     else:
         raise ValueError(f"residual_cases supports (5,3) and (6,4), not ({n},{p})")
     return sorted(out, key=lambda s: s.shapes(), reverse=True)

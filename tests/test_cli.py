@@ -108,6 +108,17 @@ def test_signatures_residual_64_manifest(tmp_path, capsys):
     assert json.loads(m.read_text())["count"] == 173
 
 
+@pytest.mark.parametrize("stage, n, p", [("valid", "7", "5"), ("residual", "6", "4")])
+def test_signatures_budget_exits_2_with_stats(tmp_path, capsys, stage, n, p):
+    m = tmp_path / "m.json"
+    code = cli.main(["--budget-seconds", "0", "--manifest", str(m), "signatures",
+                     "--n", n, "--p", p, "--stage", stage])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    assert captured.out.startswith("inconclusive: signature search budget exhausted")
+    assert json.loads(m.read_text())["stats"]["nodes"] > 0
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--n", "4", "--p", "2", "--stage", "residual"], "(4,2)"),
     (["--n", "0", "--p", "2", "--stage", "enumerate"], "n=0"),

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from ryserlab import signatures as sg
 from ryserlab.core import ColoredMultigraph, complete_graph, monochromatic_complete
+from ryserlab.exact import Inconclusive, SolveBudget
 
 
 def S(*parts):
@@ -39,6 +41,83 @@ def test_enumerate_counts():
 
 def test_valid_count_53():
     assert len(sg.valid_signatures(5, 3)) == 37
+
+
+def test_counts_75():
+    sigs = sg.enumerate_signatures(7, 5)
+    assert len(sigs) == 11628 == sg.signature_count(7, 5)
+    assert sum(sg.passes_edge_count(s) for s in sigs) == 9911
+
+
+def test_budget_is_charged_per_signature():
+    budget = SolveBudget()
+    assert len(sg.valid_signatures(5, 3, budget)) == 37
+    assert budget.nodes > 84
+    with pytest.raises(Inconclusive) as exc:
+        sg.residual_cases(6, 4, SolveBudget(max_nodes=1000))
+    assert exc.value.stats["stage"] == "signature search"
+
+
+def _brute_covering_tuples(tab, shapes):
+    """The filter _covering_tuples implements, over the whole product: the
+    first partition pinned, equal consecutive shapes nondecreasing, and the
+    union covering every pair."""
+    masks = [tab.masks[shapes[0]][:1]] + [tab.masks[s] for s in shapes[1:]]
+    eq = [c for c in range(1, len(shapes)) if shapes[c] == shapes[c - 1]]
+    out = []
+    for idxs in itertools.product(*(range(len(m)) for m in masks)):
+        if all(idxs[c - 1] <= idxs[c] for c in eq):
+            acc = 0
+            for m, i in zip(masks, idxs):
+                acc |= m[i]
+            if acc == tab.full:
+                out.append(idxs)
+    return out
+
+
+def test_covering_tuples_equal_brute_force():
+    cases = sg.enumerate_signatures(4, 3) + sg.enumerate_signatures(5, 3)
+    cases += random.Random(13).sample(sg.enumerate_signatures(6, 4), 200)
+    found = 0
+    for s in cases:
+        tab = sg._tables(s.n)
+        _, shapes = sg._search_order(tab, s)
+        want = _brute_covering_tuples(tab, shapes)
+        assert list(sg._covering_tuples(tab, shapes)) == want, s
+        found += bool(want)
+    assert 0 < found < len(cases)
+
+
+def _check_realization(g, sig):
+    """Independent of the search: from g's edge list alone, every pair carries
+    a color, each color class is a disjoint union of cliques, and the block
+    sizes per color are the signature."""
+    n = sig.n
+    edges = g.edges()
+    assert [(u, v) for u, v, _ in edges] == list(itertools.combinations(range(n), 2))
+    assert all(cs for _, _, cs in edges)
+    shapes = []
+    for c in range(1, sig.p + 1):
+        ball = [{v} for v in range(n)]
+        for u, v, cs in edges:
+            if c in cs:
+                ball[u].add(v)
+                ball[v].add(u)
+        assert all(ball[u] == ball[v] for v in range(n) for u in ball[v])
+        blocks = {frozenset(b) for b in ball}
+        shapes.append(tuple(sorted((len(b) for b in blocks), reverse=True)))
+    assert tuple(sorted(shapes, reverse=True)) == sig.shapes()
+
+
+@pytest.mark.parametrize("n, p, count", [(5, 3, 37), (6, 4, 560)])
+def test_realizations_pass_independent_checker(n, p, count):
+    checked = 0
+    for s in sg.enumerate_signatures(n, p):
+        g = sg.is_valid(s)
+        if g is not None:
+            _check_realization(g, s)
+            checked += 1
+    assert checked == count
 
 
 def test_invalid_example_and_soundness_of_edge_count():
