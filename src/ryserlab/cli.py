@@ -317,7 +317,7 @@ def cmd_signatures(args):
 
     n, p = args.n, args.p
     if args.stage == "enumerate":
-        sigs = sg.enumerate_signatures(n, p)
+        sigs = sg.enumerate_signatures(n, p, args.budget)
     elif args.stage == "valid":
         sigs = sg.valid_signatures(n, p, args.budget)
     else:

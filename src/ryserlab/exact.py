@@ -7,8 +7,10 @@ an exceeded budget yields an "inconclusive" outcome, never a wrong value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 
 from .core import (ColoredMultigraph, GraphError, alpha, closure, components,
@@ -454,29 +456,12 @@ def _pair_permutations(n: int, budget: SolveBudget):
     return out
 
 
-def _restricted_growth(m: int, r: int):
-    """Color vectors of length m over 1..r in which every color first appears
-    after all smaller colors, in lexicographic order."""
-    colv = [1] * m
-    top = [1] * m  # top[k] = max(colv[:k + 1])
-    while True:
-        yield tuple(colv)
-        k = m - 1
-        while k > 0 and (colv[k] == r or colv[k] > top[k - 1]):
-            k -= 1
-        if k <= 0:
-            return
-        colv[k] += 1
-        top[k] = max(top[k - 1], colv[k])
-        colv[k + 1:] = [1] * (m - k - 1)
-        top[k + 1:] = [top[k]] * (m - k - 1)
-
-
-def _beaten_by(colv, pair_perms, r: int) -> int:
-    """Index of the first pair permutation whose image of the restricted-growth
+def _beaten_by(colv, pair_perms, r: int):
+    """(i, K): the first pair permutation i whose image of the restricted-growth
     vector colv, with colors relabelled 1, 2, ... in order of first appearance
-    (the smallest relabelling), is lexicographically smaller than colv; -1 if
-    there is none."""
+    (the smallest relabelling), is lexicographically smaller than colv, and the
+    length K of the prefix of colv it read, max(perm[:k + 1]) + 1 for a win at
+    position k; (-1, len(colv)) if none wins."""
     for i, perm in enumerate(pair_perms):
         label = [0] * (r + 1)
         top = 0
@@ -485,14 +470,14 @@ def _beaten_by(colv, pair_perms, r: int) -> int:
             if c:
                 if c != colv[k]:
                     if c < colv[k]:
-                        return i
+                        return i, max(perm[:k + 1]) + 1
                     break
             elif colv[k] == top + 1:
                 top = label[colv[p]] = top + 1
             else:
                 # a first appearance is labelled top + 1 > colv[k]
                 break
-    return -1
+    return -1, len(colv)
 
 
 def _canonical_colorings(n: int, r: int, stats=None, budget=None):
@@ -501,23 +486,39 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
     in lexicographic order.
 
     The identity with the best color relabelling already beats every vector
-    that is not restricted-growth, so only those are tested; stats["enumerated"]
-    counts them, and each is charged to the budget once it is settled; the
-    pair permutations are charged as they are built.
+    that is not restricted-growth, so the walk visits only those.  A pair
+    permutation that beats a vector after reading its first K entries beats
+    every vector with that prefix, so the walk then skips to the next
+    restricted-growth vector that differs within them.  stats["enumerated"]
+    counts the visited vectors, and each is charged to the budget once it is
+    settled; the pair permutations are charged as they are built.
     """
     budget = budget or SolveBudget()
     perms = _pair_permutations(n, budget)
-    for enumerated, colv in enumerate(_restricted_growth(n * (n - 1) // 2, r), 1):
+    m = n * (n - 1) // 2
+    colv = [1] * m
+    top = [1] * m  # top[k] = max(colv[:k + 1])
+    for visited in itertools.count(1):
         if stats is not None:
-            stats["enumerated"] = enumerated
-        i = _beaten_by(colv, perms, r)
+            stats["enumerated"] = visited
+        i, k = _beaten_by(colv, perms, r)
         if i < 0:
-            yield colv
+            yield tuple(colv)
         elif i:
             # neighbouring vectors share long prefixes, so a permutation that
             # beat this one is likely to beat the next: try it first
             perms.insert(0, perms.pop(i))
         budget.charge("hunt")
+        # the last entry of colv[:k] that can grow; colv[0] is always 1
+        k -= 1
+        while k > 0 and (colv[k] == r or colv[k] > top[k - 1]):
+            k -= 1
+        if k <= 0:
+            return
+        colv[k] += 1
+        top[k] = max(top[k - 1], colv[k])
+        colv[k + 1:] = [1] * (m - k - 1)
+        top[k + 1:] = [top[k]] * (m - k - 1)
 
 
 def _eval_bound(bound, r, a):
@@ -541,8 +542,10 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
     pairs of K_n (in itertools.combinations order) is lexicographically minimal
     in its orbit under vertex permutations and color relabellings
     (S_n x S_r).  Canonical forms are found among the restricted-growth
-    vectors (each color first appears after every smaller one);
-    stats["enumerated"] counts those, stats["canonical"] the forms among them.
+    vectors (each color first appears after every smaller one); once a pair
+    permutation beats a vector after reading its first K entries, every vector
+    with that prefix is skipped.  stats["enumerated"] counts the vectors
+    visited, stats["canonical"] the forms among them.
 
     bound is an integer or one of "alpha", "2alpha", "ryser", evaluated on each
     closure.  With filters on, colorings violating the necessary properties of
@@ -586,19 +589,13 @@ def _appendix_filtered(cg: ColoredMultigraph, bound: int, stats) -> bool:
         if len(cs.parts) <= bound:
             stats["filtered"] += 1
             return True
-    # (iv) every vertex incident with an edge of every color
-    for v in range(cg.n):
-        for c in range(1, cg.r + 1):
-            if not cg.adjacency(c)[v]:
-                stats["filtered"] += 1
-                return True
-    # (v) every transversal of components (one per color) meets in <= 1 vertex
-    vertex_sets = []
-    for cs in comp_sets:
-        vertex_sets.append([set(p) for p in cs.parts if len(p) > 1])
-    for combo in itertools.product(*vertex_sets):
-        inter = set.intersection(*combo) if combo else set()
-        if len(inter) > 1:
+    # (iv) every vertex incident with an edge of every color; (v) every
+    # transversal of components (one per color) meets in <= 1 vertex, where in
+    # the closure u and v share a c-component exactly when uv has color c
+    adjs = [cg.adjacency(c) for c in range(1, cg.r + 1)]
+    for u in range(cg.n):
+        rows = [adj[u] for adj in adjs]
+        if not all(rows) or functools.reduce(operator.and_, rows):
             stats["filtered"] += 1
             return True
     return False

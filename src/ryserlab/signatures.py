@@ -136,10 +136,15 @@ def signature_of(g: ColoredMultigraph, X, S) -> SignatureSet:
     return SignatureSet.of(len(X), parts_list)
 
 
-def enumerate_signatures(n: int, p: int) -> list[SignatureSet]:
-    """All multisets of p integer partitions of n, in canonical descending order."""
+def enumerate_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
+    """All multisets of p integer partitions of n, in canonical descending order.
+
+    A given `SolveBudget` is charged `signature_count(n, p)` nodes before the
+    list is built, so a request too large for it raises `Inconclusive` first."""
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    if budget is not None:
+        budget.charge("signature enumeration", signature_count(n, p))
     shapes = sorted(int_partitions(n), reverse=True)
     return [SignatureSet.of(n, combo)
             for combo in itertools.combinations_with_replacement(shapes, p)]

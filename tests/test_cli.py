@@ -119,6 +119,20 @@ def test_signatures_budget_exits_2_with_stats(tmp_path, capsys, stage, n, p):
     assert json.loads(m.read_text())["stats"]["nodes"] > 0
 
 
+@pytest.mark.parametrize("budget, n, p", [("0", "7", "5"), ("600", "12", "8")])
+def test_signatures_enumerate_budget_exits_2_with_stats(tmp_path, capsys, budget, n, p):
+    # (12, 8) has 43 595 145 594 signatures, far past the default node
+    # allowance, so the run stops before it builds any of them
+    m = tmp_path / "m.json"
+    code = cli.main(["--budget-seconds", budget, "--manifest", str(m), "signatures",
+                     "--n", n, "--p", p, "--stage", "enumerate"])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    assert captured.out.startswith("inconclusive: signature enumeration budget exhausted")
+    stats = json.loads(m.read_text())["stats"]
+    assert stats["stage"] == "signature enumeration" and stats["nodes"] > 0
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--n", "4", "--p", "2", "--stage", "residual"], "(4,2)"),
     (["--n", "0", "--p", "2", "--stage", "enumerate"], "n=0"),

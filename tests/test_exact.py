@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from ryserlab import exact as ex
 from ryserlab.core import (ColoredMultigraph, GraphError, alpha, closure,
-                           complete_graph, mask_of, monochromatic_complete, verify)
+                           complete_graph, components, mask_of, monochromatic_complete,
+                           verify)
 from ryserlab.duality import ColoredHypergraph
 
 
@@ -260,10 +261,43 @@ def test_canonical_colorings_count_orbits():
         stats = {"enumerated": 0}
         assert sum(1 for _ in ex._canonical_colorings(n, r, stats)) == orbits
         enumerated[n, r] = stats["enumerated"]
-    # only restricted-growth vectors are tested: at (5, 4) the set partitions
-    # of 10 pairs into at most 4 blocks, S(10,1..4) = 1 + 511 + 9330 + 34105
-    assert enumerated[5, 4] == 43947
-    assert enumerated[6, 2] == 2 ** 14
+    # the walk visits fewer vectors than the restricted-growth ones: at (5, 4)
+    # the set partitions of 10 pairs into at most 4 blocks, S(10,1..4) =
+    # 1 + 511 + 9330 + 34105, and at (6, 2) those of 15 pairs into at most 2
+    assert enumerated[5, 4] == 3956 < 43947
+    assert enumerated[6, 2] == 729 < 2 ** 14
+
+
+def _flat_canonical(n, r):
+    """Canonical colorings by the flat walk: every restricted-growth vector,
+    in lexicographic order, against every pair permutation, with no skip."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: k for k, p in enumerate(pairs)}
+    perms = [[index[tuple(sorted((vp[u], vp[v])))] for u, v in pairs]
+             for vp in itertools.permutations(range(n))]
+    vectors = [()]
+    for _ in pairs:
+        vectors = [v + (c,) for v in vectors
+                   for c in range(1, min(max(v, default=0) + 1, r) + 1)]
+
+    def beats(perm, colv):
+        label = {}
+        image = tuple(label.setdefault(colv[p], len(label) + 1) for p in perm)
+        return image < colv
+
+    out = []
+    for colv in vectors:
+        i = next((i for i, perm in enumerate(perms) if beats(perm, colv)), -1)
+        if i < 0:
+            out.append(colv)
+        else:
+            perms.insert(0, perms.pop(i))  # the flat walk's move-to-front
+    return out
+
+
+@pytest.mark.parametrize("n, r", [(4, 4), (5, 3), (5, 4), (6, 2)])
+def test_canonical_colorings_match_the_flat_walk(n, r):
+    assert list(ex._canonical_colorings(n, r)) == _flat_canonical(n, r)
 
 
 def test_hunt_filters_prune():
@@ -274,6 +308,48 @@ def test_hunt_filters_prune():
     assert got is not None and got[1] == 2
     stats = got[2]
     assert stats["filtered"] > 0 and stats["solved"] < stats["canonical"]
+
+
+def _filter_reason(cg, bound):
+    """The first minimal-counterexample filter that cg fails, with (v) read off
+    every transversal of non-singleton components, one per color; None if it
+    passes them all."""
+    parts = [components(cg, c).parts for c in range(1, cg.r + 1)]
+    if any(len(ps) <= bound for ps in parts):
+        return "ii"
+    if any(not cg.adjacency(c)[v] for v in range(cg.n) for c in range(1, cg.r + 1)):
+        return "iv"
+    big = [[set(p) for p in ps if len(p) > 1] for ps in parts]
+    if any(len(set.intersection(*combo)) > 1 for combo in itertools.product(*big)):
+        return "v"
+    return None
+
+
+def test_appendix_filter_matches_the_transversal_reference():
+    rng = random.Random(14)
+    reasons = []
+    for i in range(600):
+        n, r = rng.randint(2, 8), rng.randint(1, 4)
+        if i % 2:
+            edges = [(u, v, c) for u, v in itertools.combinations(range(n), 2)
+                     for c in range(1, r + 1) if rng.random() < 0.45]
+        else:
+            # each color class random disjoint pairs (a triple when n is
+            # odd), so that (iv) holds and (v) decides more often
+            edges = []
+            for c in range(1, r + 1):
+                vs = rng.sample(range(n), n)
+                blocks = [vs[k:k + 2] for k in range(0, n - n % 2, 2)]
+                blocks[-1] += vs[n - n % 2:]
+                edges += [(u, v, c) for b in blocks for u, v in itertools.combinations(b, 2)]
+        cg = closure(ColoredMultigraph.from_edges(n, r, edges))
+        bound = rng.randint(0, 1)
+        stats = {"filtered": 0}
+        reasons.append(_filter_reason(cg, bound))
+        assert ex._appendix_filtered(cg, bound, stats) == (reasons[-1] is not None)
+        assert stats["filtered"] == (reasons[-1] is not None)
+    # (v) both fires and passes on graphs that (ii) and (iv) let through
+    assert reasons.count("v") >= 20 and reasons.count(None) >= 20
 
 
 def test_hunt_has_one_deadline(monkeypatch):

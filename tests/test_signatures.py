@@ -49,6 +49,14 @@ def test_counts_75():
     assert sum(sg.passes_edge_count(s) for s in sigs) == 9911
 
 
+def test_enumeration_charges_the_signature_count():
+    budget = SolveBudget()
+    assert len(sg.enumerate_signatures(6, 4, budget)) == budget.nodes == 1001
+    with pytest.raises(Inconclusive) as exc:
+        sg.enumerate_signatures(6, 4, SolveBudget(max_nodes=1000))
+    assert exc.value.stats == {"nodes": 1001, "stage": "signature enumeration"}
+
+
 def test_budget_is_charged_per_signature():
     budget = SolveBudget()
     assert len(sg.valid_signatures(5, 3, budget)) == 37
