@@ -435,13 +435,14 @@ def cmd_hunt(args):
         except ValueError:
             raise UsageError(f"--bound {bound!r}: expected an integer, alpha, "
                              "2alpha or ryser") from None
+    stats = {}
     got = hunt(args.n, args.r, bound, use_appendix_filters=args.filters,
-               budget=args.budget)
+               budget=args.budget, stats=stats)
     if got is None:
-        _emit(args, "none")
+        _emit(args, "none", {"stats": stats})
         return 0
-    cg, t, stats = got
-    _emit(args, f"counterexample: tc = {t}\n{write_graph(cg)}")
+    cg, t, _ = got
+    _emit(args, f"counterexample: tc = {t}\n{write_graph(cg)}", {"stats": stats, "tc": t})
     return 1
 
 

@@ -13,7 +13,7 @@ import math
 import operator
 import time
 
-from .core import (ColoredMultigraph, GraphError, alpha, closure, components,
+from .core import (ColoredMultigraph, GraphError, closure, components,
                    connected_subsets, diameter, make_certificate, mask_of, reach,
                    verify, vertices_of)
 
@@ -438,31 +438,34 @@ def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
 
 
 def _pair_permutations(n: int, budget: SolveBudget):
-    """For each non-identity permutation of K_n's vertices, the tuple that maps
-    each pair index (itertools.combinations order) to the index of its image.
+    """For each permutation vp of K_n's vertices, in itertools.permutations
+    order (the identity first), the tuple that maps each pair index
+    (itertools.combinations order) to the index of its image.  The
+    permutations that share vp[:j] form an aligned block of (n - j)!
+    consecutive entries.
 
     Each completed block of 8192 permutations is charged to the budget."""
     pairs = list(itertools.combinations(range(n), 2))
     index = {pair: k for k, pair in enumerate(pairs)}
-    identity = tuple(range(len(pairs)))
     out = []
     for i, vp in enumerate(itertools.permutations(range(n))):
-        image = tuple(index[min(vp[u], vp[v]), max(vp[u], vp[v])]
-                      for u, v in pairs)
-        if image != identity:
-            out.append(image)
+        out.append(tuple(index[min(vp[u], vp[v]), max(vp[u], vp[v])]
+                         for u, v in pairs))
         if i % 8192 == 8191:
             budget.charge("pair permutations", 8192)
     return out
 
 
-def _beaten_by(colv, pair_perms, r: int):
-    """(i, K): the first pair permutation i whose image of the restricted-growth
-    vector colv, with colors relabelled 1, 2, ... in order of first appearance
-    (the smallest relabelling), is lexicographically smaller than colv, and the
-    length K of the prefix of colv it read, max(perm[:k + 1]) + 1 for a win at
-    position k; (-1, len(colv)) if none wins."""
-    for i, perm in enumerate(pair_perms):
+def _first_winner(colv, pair_perms, r: int, lo: int, hi: int, sizes):
+    """(i, K) for the first pair permutation i in [lo, hi) that beats colv, as
+    _beaten_by defines it, or None.  Image position k < n - 1 reads only vp[0]
+    and vp[k + 1], so a loss there is shared by the whole block of
+    sizes[k] = (n - k - 2)! permutations with the same vp[:k + 2], and the scan
+    jumps past it."""
+    row = len(sizes)  # n - 1, the pairs of vertex 0
+    i = lo
+    while i < hi:
+        perm = pair_perms[i]
         label = [0] * (r + 1)
         top = 0
         for k, p in enumerate(perm):
@@ -477,7 +480,67 @@ def _beaten_by(colv, pair_perms, r: int):
             else:
                 # a first appearance is labelled top + 1 > colv[k]
                 break
-    return -1, len(colv)
+        else:
+            i += 1  # the image is colv itself
+            continue
+        if k < row:
+            i += sizes[k] - i % sizes[k]
+        else:
+            i += 1
+    return None
+
+
+def _beaten_by(colv, pair_perms, r: int, first: int = 0):
+    """(i, K): a pair permutation i whose image of the restricted-growth vector
+    colv, with colors relabelled 1, 2, ... in order of first appearance (the
+    smallest relabelling), is lexicographically smaller than colv, and the
+    length K of the prefix of colv it read, max(perm[:k + 1]) + 1 for a win at
+    position k; (-1, len(colv)) if none wins.
+
+    Permutation first (the last winner) is tried before any other.  Then the
+    permutations are taken in blocks of (n - 1)! by vp[0] = a.  Row 0 of an
+    image (positions 0..n - 2) lists the colors from a to the other vertices,
+    so the smallest row 0 in a's block is a's color-class sizes, largest
+    first, written out as labels 1...1 2...2 ... .  A block whose smallest row
+    is above colv[:n - 1] cannot win and is never scanned.  If some block's is
+    below, that block alone is scanned for its first winner; otherwise the
+    blocks whose smallest row equals colv[:n - 1] are scanned in order of a.
+    Within a block the scan skips every permutation that shares a losing
+    image's row-0 prefix (_first_winner)."""
+    m = len(colv)
+    n = (1 + math.isqrt(1 + 8 * m)) // 2
+    if first:
+        won = _first_winner(colv, pair_perms, r, first, first + 1, ())
+        if won:
+            return won
+    block = len(pair_perms) // n
+    sizes = [math.factorial(n - k - 2) for k in range(n - 1)]
+    row0 = list(colv[:n - 1])
+    equal = []
+    for a in range(n):
+        # the first permutation of a's block lists a's pairs in row 0
+        counts = [0] * (r + 1)
+        for p in pair_perms[a * block][:n - 1]:
+            counts[colv[p]] += 1
+        least = []
+        for c, size in enumerate(sorted(counts, reverse=True), 1):
+            least += [c] * size
+        if least < row0:
+            won = _first_winner(colv, pair_perms, r, a * block, (a + 1) * block, sizes)
+            if not won:
+                raise AssertionError(f"vertex {a}'s row 0 {least} is below "
+                                     f"{row0}, yet no permutation in its block "
+                                     f"beats {colv}")
+            return won
+        if least == row0:
+            equal.append(a)
+    for a in equal:
+        # the identity, first in block 0, never wins
+        won = _first_winner(colv, pair_perms, r, max(a * block, 1),
+                            (a + 1) * block, sizes)
+        if won:
+            return won
+    return -1, m
 
 
 def _canonical_colorings(n: int, r: int, stats=None, budget=None):
@@ -489,25 +552,29 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
     that is not restricted-growth, so the walk visits only those.  A pair
     permutation that beats a vector after reading its first K entries beats
     every vector with that prefix, so the walk then skips to the next
-    restricted-growth vector that differs within them.  stats["enumerated"]
-    counts the visited vectors, and each is charged to the budget once it is
-    settled; the pair permutations are charged as they are built.
+    restricted-growth vector that differs within them.  Each vector is tested
+    by _beaten_by: the last winning permutation first, since neighbouring
+    vectors share long prefixes, then only the blocks of permutations (by
+    first vertex) whose smallest row 0 is not above the vector's, skipping
+    within a block every permutation that shares a losing row-0 prefix.
+    stats["enumerated"] counts the visited
+    vectors, and each is charged to the budget once it is settled; the pair
+    permutations are charged as they are built.
     """
     budget = budget or SolveBudget()
     perms = _pair_permutations(n, budget)
     m = n * (n - 1) // 2
     colv = [1] * m
     top = [1] * m  # top[k] = max(colv[:k + 1])
+    last = 0  # the last winning permutation; 0, the identity, never wins
     for visited in itertools.count(1):
         if stats is not None:
             stats["enumerated"] = visited
-        i, k = _beaten_by(colv, perms, r)
+        i, k = _beaten_by(colv, perms, r, last)
         if i < 0:
             yield tuple(colv)
-        elif i:
-            # neighbouring vectors share long prefixes, so a permutation that
-            # beat this one is likely to beat the next: try it first
-            perms.insert(0, perms.pop(i))
+        else:
+            last = i
         budget.charge("hunt")
         # the last entry of colv[:k] that can grow; colv[0] is always 1
         k -= 1
@@ -535,7 +602,7 @@ def _eval_bound(bound, r, a):
 
 
 def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
-         budget: SolveBudget | None = None):
+         budget: SolveBudget | None = None, stats=None):
     """Search all r-colorings of K_n, one per isomorphism class, for tc_r > bound.
 
     A coloring is tested only in canonical form: its color vector over the
@@ -544,23 +611,31 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
     (S_n x S_r).  Canonical forms are found among the restricted-growth
     vectors (each color first appears after every smaller one); once a pair
     permutation beats a vector after reading its first K entries, every vector
-    with that prefix is skipped.  stats["enumerated"] counts the vectors
-    visited, stats["canonical"] the forms among them.
+    with that prefix is skipped.  A vector is tested against the last winning
+    permutation first, then only against the permutations whose first vertex's
+    color-class sizes can give a row 0 (the pairs of vertex 0) no larger than
+    the vector's, skipping every block of permutations that shares a losing
+    row-0 prefix (_beaten_by).
 
-    bound is an integer or one of "alpha", "2alpha", "ryser", evaluated on each
-    closure.  With filters on, colorings violating the necessary properties of
+    bound is an integer or one of "alpha", "2alpha", "ryser".  Every pair of
+    K_n is colored, so every closure is complete and alpha = 1: the bound is
+    evaluated once, before the walk.  With filters on, colorings violating the necessary properties of
     a minimal counterexample (every color class has > bound components, every
     vertex sees every color, every transversal of components meets in at most
     one vertex) are pruned before the exact solve.  The walk and the exact
-    solves draw on one budget, and an Inconclusive carries the counters too.
+    solves draw on one budget.  The counters go into the caller's stats dict
+    if one is given: "enumerated" counts the vectors visited, "canonical" the
+    forms among them, "filtered" those pruned and "solved" the exact solves;
+    an Inconclusive carries them too.
     Returns None or a counterexample (ColoredMultigraph closure, tc value, stats).
     """
     if n < 1 or r < 1:
         raise ValueError(f"hunt needs n >= 1 and r >= 1, got n={n}, r={r}")
-    _eval_bound(bound, r, 0)  # reject an unknown bound before searching
+    b = _eval_bound(bound, r, 1)
     budget = budget or SolveBudget()
     pairs = list(itertools.combinations(range(n), 2))
-    stats = {"enumerated": 0, "canonical": 0, "filtered": 0, "solved": 0}
+    stats = {} if stats is None else stats
+    stats.update(enumerated=0, canonical=0, filtered=0, solved=0)
 
     try:
         for colv in _canonical_colorings(n, r, stats, budget):
@@ -568,8 +643,6 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
             g = ColoredMultigraph.from_edges(
                 n, r, [(u, v, colv[k]) for k, (u, v) in enumerate(pairs)])
             cg = closure(g)
-            a, _ = alpha(cg)
-            b = _eval_bound(bound, r, a)
             if use_appendix_filters and _appendix_filtered(cg, b, stats):
                 continue
             t, _cert = tc_exact(cg, budget=budget)

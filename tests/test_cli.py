@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ryserlab import cli
+from ryserlab import exact as ex
 from ryserlab.core import ColoredMultigraph, make_certificate
 from ryserlab.duality import ColoredHypergraph
 
@@ -159,6 +160,29 @@ def test_hunt_command(capsys):
     assert code == 1 and out.startswith("counterexample: tc = 2")
     code, out = run_cli(["hunt", "--n", "4", "--r", "2", "--bound", "alpha"], capsys)
     assert code == 0 and out.strip() == "none"
+
+
+def test_hunt_manifest_records_the_counters(tmp_path, capsys):
+    # a settled hunt records how it was reached: every canonical (5, 3)
+    # coloring is solved, none filtered
+    m = tmp_path / "m.json"
+    code, out = run_cli(["--manifest", str(m), "hunt", "--n", "5", "--r", "3",
+                         "--bound", "2alpha"], capsys)
+    assert code == 0 and out.strip() == "none"
+    walk = {"enumerated": 0}
+    assert sum(1 for _ in ex._canonical_colorings(5, 3, walk)) == 142
+    d = json.loads(m.read_text())
+    assert d["stats"] == {"enumerated": walk["enumerated"], "canonical": 142,
+                          "filtered": 0, "solved": 142}
+    assert "tc" not in d and d["nodes"] > walk["enumerated"]
+    # a find records its tc beside the counters
+    code, out = run_cli(["--manifest", str(m), "hunt", "--n", "4", "--r", "3",
+                         "--bound", "1", "--filters"], capsys)
+    assert code == 1 and out.startswith("counterexample: tc = 2")
+    d = json.loads(m.read_text())
+    assert d["tc"] == 2
+    assert d["stats"]["filtered"] > 0
+    assert d["stats"]["solved"] + d["stats"]["filtered"] == d["stats"]["canonical"]
 
 
 @pytest.mark.parametrize("argv, named", [

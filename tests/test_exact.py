@@ -264,8 +264,8 @@ def test_canonical_colorings_count_orbits():
     # the walk visits fewer vectors than the restricted-growth ones: at (5, 4)
     # the set partitions of 10 pairs into at most 4 blocks, S(10,1..4) =
     # 1 + 511 + 9330 + 34105, and at (6, 2) those of 15 pairs into at most 2
-    assert enumerated[5, 4] == 3956 < 43947
-    assert enumerated[6, 2] == 729 < 2 ** 14
+    assert enumerated[5, 4] == 2268 < 43947
+    assert enumerated[6, 2] == 392 < 2 ** 14
 
 
 def _flat_canonical(n, r):
@@ -298,6 +298,55 @@ def _flat_canonical(n, r):
 @pytest.mark.parametrize("n, r", [(4, 4), (5, 3), (5, 4), (6, 2)])
 def test_canonical_colorings_match_the_flat_walk(n, r):
     assert list(ex._canonical_colorings(n, r)) == _flat_canonical(n, r)
+
+
+def _image_beats(perm, colv):
+    """Whether perm's image of colv, relabelled in order of first appearance,
+    is lexicographically smaller than colv."""
+    label = {}
+    return tuple(label.setdefault(colv[p], len(label) + 1) for p in perm) < tuple(colv)
+
+
+@pytest.mark.parametrize("n, r", [(4, 4), (5, 3)])
+def test_beaten_by_matches_the_flat_scan(n, r):
+    # every restricted-growth vector against a scan of every pair
+    # permutation, tested cold and with the previous winner first as the walk
+    # does
+    rng = random.Random(n * 10 + r)
+    perms = ex._pair_permutations(n, ex.SolveBudget())
+    assert len(perms) == math.factorial(n)
+    m = n * (n - 1) // 2
+    vectors = [()]
+    for _ in range(m):
+        vectors = [v + (c,) for v in vectors
+                   for c in range(1, min(max(v, default=0) + 1, r) + 1)]
+    last, beaten = 0, 0
+    for colv in vectors:
+        wins = [ex._beaten_by(colv, perms, r, first) for first in (0, last)]
+        if not any(_image_beats(perm, colv) for perm in perms):
+            assert wins == [(-1, m)] * 2
+            continue
+        for i, k in wins:
+            assert 0 < i and _image_beats(perms[i], colv)
+            # the win read only colv[:k], so it beats whatever follows that prefix
+            for _ in range(3):
+                rest = tuple(rng.randint(1, r) for _ in range(m - k))
+                assert _image_beats(perms[i], colv[:k] + rest)
+        last, beaten = wins[1][0], beaten + 1
+    assert beaten == len(vectors) - {(4, 4): 22, (5, 3): 142}[n, r]
+
+
+def test_beaten_by_never_calls_a_precheck_loser_canonical():
+    # vertex 0 sees colors 1, 2, 2, so its smallest row 0, (1, 1, 2), is below
+    # colv's (1, 2, 2) and some permutation with vp[0] = 0 beats colv; a table
+    # whose vertex-0 block holds only identities breaks that promise, and
+    # _beaten_by says so rather than call colv canonical
+    perms = ex._pair_permutations(4, ex.SolveBudget())
+    colv = (1, 2, 2, 1, 1, 1)
+    assert 0 < ex._beaten_by(colv, perms, 2)[0] < 6
+    broken = [perms[0]] * 6 + perms[6:]
+    with pytest.raises(AssertionError, match="vertex 0's row 0"):
+        ex._beaten_by(colv, broken, 2)
 
 
 def test_hunt_filters_prune():
