@@ -206,7 +206,7 @@ def _emit(args, text, payload=None):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     if args.manifest:
         manifest = {
-            "command": " ".join(sys.argv[1:]),
+            "command": " ".join(args.argv),
             "budget_seconds": args.budget_seconds,
             "nodes": args.budget.nodes,
             "version": __version__,
@@ -543,7 +543,9 @@ def main(argv=None):
     p.add_argument("--input", required=True)
     p.add_argument("--cover", required=True)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
+    args.argv = argv
     args.budget = SolveBudget(max_seconds=args.budget_seconds)
     try:
         return args.fn(args)

@@ -13,9 +13,9 @@ import math
 import operator
 import time
 
-from .core import (ColoredMultigraph, GraphError, closure, components,
-                   connected_subsets, diameter, make_certificate, mask_of, reach,
-                   verify, vertices_of)
+from .core import (ColoredMultigraph, GraphError, closure, component_masks,
+                   components, connected_subsets, diameter, lowest_vertex,
+                   make_certificate, mask_of, reach, verify, vertices_of)
 
 # the search a stage belongs to, as an exhausted budget's message names it
 _SEARCH = {"matching": "matching search",
@@ -84,6 +84,10 @@ class Infeasible(Exception):
 # attribute.
 
 
+class _Covered(Exception):
+    """A cover within at_most was found; the search stops."""
+
+
 def _check_coverable(universe: int, masks):
     reached = 0
     for m in masks:
@@ -94,12 +98,16 @@ def _check_coverable(universe: int, masks):
         raise Infeasible(f"vertex {v} is not coverable", witness_vertex=v)
 
 
-def min_cover(universe: int, candidates, budget: SolveBudget):
+def min_cover(universe: int, candidates, budget: SolveBudget, at_most=None):
     """Minimum set cover by branch and bound.
 
     Candidates sorted by decreasing size, a greedy upper bound first, then
     branching on the least-covered element, pruned by
     ceil(uncovered / largest candidate).
+
+    With at_most=k it decides instead: pruned at k + 1 from the start, it
+    returns the first cover of size <= k (the greedy one after one charged
+    node, if small enough) or None; an Inconclusive carries that cover or None.
     """
     cands = [(m & universe, p) for m, p in candidates]
     _check_coverable(universe, (m for m, _ in cands))
@@ -117,6 +125,9 @@ def min_cover(universe: int, candidates, budget: SolveBudget):
         acc |= best[0]
     best_size = len(greedy)
     best_sol = [p for _, p in greedy]
+    stop = -1 if at_most is None else at_most  # a cover this small ends the search
+    if best_size > stop and at_most is not None:
+        best_size, best_sol = at_most + 1, None
 
     by_elem = [[] for _ in range(universe.bit_length())]
     for m, p in cands:
@@ -135,6 +146,8 @@ def min_cover(universe: int, candidates, budget: SolveBudget):
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_sol = list(chosen)
+                if best_size <= stop:
+                    raise _Covered
             return
         uncovered = universe & ~acc
         uc = uncovered.bit_count()
@@ -157,11 +170,16 @@ def min_cover(universe: int, candidates, budget: SolveBudget):
             chosen.pop()
 
     try:
-        rec(0, [])
+        if best_size <= stop:
+            charge("set cover")
+        else:
+            rec(0, [])
+    except _Covered:
+        pass
     except Inconclusive as exc:
-        exc.best = (best_size, best_sol)
+        exc.best = None if best_sol is None else (best_size, best_sol)
         raise
-    return best_size, best_sol
+    return None if best_sol is None else (best_size, best_sol)
 
 
 def min_cover_milp(universe: int, candidates, budget: SolveBudget):
@@ -243,18 +261,15 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
     colors = sorted(allowed_colors) if allowed_colors is not None else range(1, g.r + 1)
     if g.n == 0:
         return 0, make_certificate([], max_size=0)
-    candidates = []
     if max_diam is None:
-        for c in colors:
-            for part in components(g, c).parts:
-                candidates.append((mask_of(part), (c, part)))
+        candidates = [(mask_of(part), (c, part)) for c in colors
+                      for part in components(g, c).parts]
     else:
         if g.n > 24:
             raise GraphError("diameter-constrained exact cover is limited to n <= 24, "
                              f"got n={g.n}")
-        for c in colors:
-            for mask, vs in _connected_subsets_with_diam(g, c, max_diam, budget):
-                candidates.append((mask, (c, tuple(vs))))
+        candidates = [(mask, (c, tuple(vs))) for c in colors
+                      for mask, vs in _connected_subsets_with_diam(g, c, max_diam, budget)]
     size, pieces = min_cover((1 << g.n) - 1, candidates, budget)
     cert = make_certificate(pieces, max_size=size, max_diam=max_diam,
                             allowed_colors=allowed_colors)
@@ -355,14 +370,9 @@ def mc_graph(g: ColoredMultigraph):
     """Largest monochromatic component: (size, color, vertex tuple)."""
     if g.n == 0 or g.r == 0:
         raise GraphError("mc needs a graph with a vertex and a color")
-    best = None
-    for c in range(1, g.r + 1):
-        for part in components(g, c).parts:
-            key = (-len(part), c, part)
-            if best is None or key < best:
-                best = key
-    size, c, part = -best[0], best[1], best[2]
-    return size, c, part
+    size, c, part = min((-len(part), c, part) for c in range(1, g.r + 1)
+                        for part in components(g, c).parts)
+    return -size, c, part
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +410,8 @@ def tau_nu(h, budget: SolveBudget | None = None):
     # tau: minimum hitting set via set cover on the edge universe
     if not edges:
         return 0, (), 0, ()
-    covers_by_vertex = []
-    for v in range(n):
-        mask = 0
-        for i, e in enumerate(edges):
-            if v in e:
-                mask |= 1 << i
-        if mask:
-            covers_by_vertex.append((mask, v))
+    covers_by_vertex = [(m, v) for v in range(n)
+                        if (m := mask_of(i for i, e in enumerate(edges) if v in e))]
     tau, chosen = min_cover((1 << len(edges)) - 1, covers_by_vertex, budget)
     if tau < nu:
         raise AssertionError(f"tau = {tau} < nu = {nu}: a solver is wrong")
@@ -504,9 +508,8 @@ def _beaten_by(colv, pair_perms, r: int, first: int = 0):
     first, written out as labels 1...1 2...2 ... .  A block whose smallest row
     is above colv[:n - 1] cannot win and is never scanned.  If some block's is
     below, that block alone is scanned for its first winner; otherwise the
-    blocks whose smallest row equals colv[:n - 1] are scanned in order of a.
-    Within a block the scan skips every permutation that shares a losing
-    image's row-0 prefix (_first_winner)."""
+    blocks whose smallest row equals colv[:n - 1] are scanned in order of a,
+    each by _first_winner."""
     m = len(colv)
     n = (1 + math.isqrt(1 + 8 * m)) // 2
     if first:
@@ -553,11 +556,8 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
     permutation that beats a vector after reading its first K entries beats
     every vector with that prefix, so the walk then skips to the next
     restricted-growth vector that differs within them.  Each vector is tested
-    by _beaten_by: the last winning permutation first, since neighbouring
-    vectors share long prefixes, then only the blocks of permutations (by
-    first vertex) whose smallest row 0 is not above the vector's, skipping
-    within a block every permutation that shares a losing row-0 prefix.
-    stats["enumerated"] counts the visited
+    by _beaten_by, the last winning permutation first, since neighbouring
+    vectors share long prefixes.  stats["enumerated"] counts the visited
     vectors, and each is charged to the budget once it is settled; the pair
     permutations are charged as they are built.
     """
@@ -588,87 +588,87 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
         top[k + 1:] = [top[k]] * (m - k - 1)
 
 
-def _eval_bound(bound, r, a):
-    if isinstance(bound, int):
-        return bound
-    expr = str(bound).lower()
-    if expr == "alpha":
-        return a
-    if expr == "2alpha":
-        return 2 * a
-    if expr == "ryser":
-        return (r - 1) * a
-    raise ValueError(f"unknown bound expression {bound!r}")
-
-
 def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
          budget: SolveBudget | None = None, stats=None):
     """Search all r-colorings of K_n, one per isomorphism class, for tc_r > bound.
 
-    A coloring is tested only in canonical form: its color vector over the
-    pairs of K_n (in itertools.combinations order) is lexicographically minimal
-    in its orbit under vertex permutations and color relabellings
-    (S_n x S_r).  Canonical forms are found among the restricted-growth
-    vectors (each color first appears after every smaller one); once a pair
-    permutation beats a vector after reading its first K entries, every vector
-    with that prefix is skipped.  A vector is tested against the last winning
-    permutation first, then only against the permutations whose first vertex's
-    color-class sizes can give a row 0 (the pairs of vertex 0) no larger than
-    the vector's, skipping every block of permutations that shares a losing
-    row-0 prefix (_beaten_by).
+    A coloring is tested only in canonical form (_canonical_colorings): its
+    color vector over the pairs of K_n (in itertools.combinations order) is
+    lexicographically minimal in its orbit under vertex permutations and
+    color relabellings (S_n x S_r).
 
     bound is an integer or one of "alpha", "2alpha", "ryser".  Every pair of
     K_n is colored, so every closure is complete and alpha = 1: the bound is
-    evaluated once, before the walk.  With filters on, colorings violating the necessary properties of
-    a minimal counterexample (every color class has > bound components, every
-    vertex sees every color, every transversal of components meets in at most
-    one vertex) are pruned before the exact solve.  The walk and the exact
-    solves draw on one budget.  The counters go into the caller's stats dict
-    if one is given: "enumerated" counts the vectors visited, "canonical" the
-    forms among them, "filtered" those pruned and "solved" the exact solves;
-    an Inconclusive carries them too.
+    evaluated once, before the walk.  A coloring's components are its
+    closure's, so min_cover(..., at_most=bound) decides each coloring on its
+    own component masks; a cover it finds is checked (at most bound masks,
+    each connected in its color, covering every vertex).  Only the coloring
+    returned is closed, and its verified tc_exact value must exceed the
+    bound.  With filters on, colorings that fail a necessary property of a
+    minimal counterexample (_appendix_filtered) are pruned first.  The walk
+    and the decisions draw on one budget.  The counters go into the caller's
+    stats dict if one is given: "enumerated" counts the vectors visited,
+    "canonical" the forms among them, "filtered" those pruned and "solved"
+    the decisions; an Inconclusive carries them too.
     Returns None or a counterexample (ColoredMultigraph closure, tc value, stats).
     """
     if n < 1 or r < 1:
         raise ValueError(f"hunt needs n >= 1 and r >= 1, got n={n}, r={r}")
-    b = _eval_bound(bound, r, 1)
+    b = bound if isinstance(bound, int) else {
+        "alpha": 1, "2alpha": 2, "ryser": r - 1}.get(str(bound).lower())
+    if b is None:
+        raise ValueError(f"unknown bound expression {bound!r}")
     budget = budget or SolveBudget()
     pairs = list(itertools.combinations(range(n), 2))
+    full = (1 << n) - 1
     stats = {} if stats is None else stats
     stats.update(enumerated=0, canonical=0, filtered=0, solved=0)
 
     try:
         for colv in _canonical_colorings(n, r, stats, budget):
             stats["canonical"] += 1
-            g = ColoredMultigraph.from_edges(
-                n, r, [(u, v, colv[k]) for k, (u, v) in enumerate(pairs)])
-            cg = closure(g)
-            if use_appendix_filters and _appendix_filtered(cg, b, stats):
+            adjs = [[0] * n for _ in range(r + 1)]
+            for (u, v), c in zip(pairs, colv):
+                adjs[c][u] |= 1 << v
+                adjs[c][v] |= 1 << u
+            masks = [component_masks(adjs[c], full) for c in range(1, r + 1)]
+            if use_appendix_filters and _appendix_filtered(masks, b, stats):
                 continue
-            t, _cert = tc_exact(cg, budget=budget)
+            got = min_cover(full, [(m, (c, m)) for c, ms in enumerate(masks, 1)
+                                   for m in ms], budget, at_most=b)
             stats["solved"] += 1
-            if t > b:
-                return cg, t, stats
+            if got is not None:
+                pieces = got[1]
+                if (len(pieces) > b or functools.reduce(operator.or_, (m for _, m in pieces)) != full
+                        or any(reach(adjs[c], lowest_vertex(m), m) != m for c, m in pieces)):
+                    raise AssertionError(f"decision witness {got} is not a cover by "
+                                         f"at most {b} connected pieces")
+                continue
+            cg = closure(ColoredMultigraph.from_edges(
+                n, r, [(u, v, c) for (u, v), c in zip(pairs, colv)]))
+            t, _cert = tc_exact(cg, budget=budget)
+            if t <= b:
+                raise AssertionError(f"tc_exact finds tc = {t} <= {b} on {colv}, "
+                                     "where the decision found none")
+            return cg, t, stats
     except Inconclusive as exc:
         exc.stats.update(stats)
         raise
     return None
 
 
-def _appendix_filtered(cg: ColoredMultigraph, bound: int, stats) -> bool:
-    comp_sets = [components(cg, c) for c in range(1, cg.r + 1)]
+def _appendix_filtered(masks, bound: int, stats) -> bool:
+    """Whether a coloring, given by each color's component masks, is pruned."""
     # (ii) every color class is itself a cover, so it needs more than `bound` parts
-    for cs in comp_sets:
-        if len(cs.parts) <= bound:
-            stats["filtered"] += 1
-            return True
-    # (iv) every vertex incident with an edge of every color; (v) every
-    # transversal of components (one per color) meets in <= 1 vertex, where in
-    # the closure u and v share a c-component exactly when uv has color c
-    adjs = [cg.adjacency(c) for c in range(1, cg.r + 1)]
-    for u in range(cg.n):
-        rows = [adj[u] for adj in adjs]
-        if not all(rows) or functools.reduce(operator.and_, rows):
+    if any(len(ms) <= bound for ms in masks):
+        stats["filtered"] += 1
+        return True
+    # (iv) every vertex incident with an edge of every color: none of its
+    # components is a singleton; (v) every transversal of components (one per
+    # color) meets in <= 1 vertex: no other vertex shares all of its components
+    for u in range(sum(m.bit_count() for m in masks[0])):  # the vertices
+        comps = [m for ms in masks for m in ms if m >> u & 1]  # u's, per color
+        if 1 << u in comps or functools.reduce(operator.and_, comps) != 1 << u:
             stats["filtered"] += 1
             return True
     return False

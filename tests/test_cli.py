@@ -185,6 +185,15 @@ def test_hunt_manifest_records_the_counters(tmp_path, capsys):
     assert d["stats"]["solved"] + d["stats"]["filtered"] == d["stats"]["canonical"]
 
 
+def test_manifest_command_is_the_parsed_argv(tmp_path, capsys, monkeypatch):
+    # main(argv) records argv, not the arguments of the script that called it
+    monkeypatch.setattr(sys, "argv", ["script.py", "extra", "args", "here"])
+    m = tmp_path / "m.json"
+    argv = ["--manifest", str(m), "hunt", "--n", "4", "--r", "2", "--bound", "alpha"]
+    assert run_cli(argv, capsys)[0] == 0
+    assert json.loads(m.read_text())["command"] == " ".join(argv)
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--n", "4", "--r", "3", "--bound", "foo"], "'foo'"),
     (["--n", "4", "--r", "0", "--bound", "1"], "r=0"),

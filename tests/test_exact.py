@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ryserlab import exact as ex
-from ryserlab.core import (ColoredMultigraph, GraphError, alpha, closure,
-                           complete_graph, components, mask_of, monochromatic_complete,
-                           verify)
+from ryserlab.core import (ColoredMultigraph, GraphError, adjacency, alpha, closure,
+                           complete_graph, component_masks, components, mask_of,
+                           monochromatic_complete, reach, verify, vertices_of)
 from ryserlab.duality import ColoredHypergraph
 
 
@@ -166,6 +166,66 @@ def test_cover_backends_agree_with_brute_force(universe, masks):
         assert size == want == len(chosen)
         covered = functools.reduce(operator.or_, (masks[i] for i in chosen), 0)
         assert universe & ~covered == 0
+
+
+def test_cover_decision_agrees_with_brute_force():
+    rng = random.Random(16)
+    for _ in range(300):
+        universe = rng.randrange(1 << 10)
+        masks = [rng.randrange(1 << 10) for _ in range(rng.randint(0, 10))]
+        candidates = [(m, i) for i, m in enumerate(masks)]
+        want = brute_min_cover(universe, masks)
+        for k in range(len(masks) + 2):
+            if want is None:
+                with pytest.raises(ex.Infeasible):
+                    ex.min_cover(universe, candidates, ex.SolveBudget(), at_most=k)
+                continue
+            got = ex.min_cover(universe, candidates, ex.SolveBudget(), at_most=k)
+            assert (got is not None) == (want <= k)
+            if got is not None:
+                size, chosen = got
+                assert size == len(chosen) <= k
+                covered = functools.reduce(operator.or_, (masks[i] for i in chosen), 0)
+                assert universe & ~covered == 0
+
+
+def test_cover_decision_on_a_zero_budget():
+    # greedy covers with three sets (a, c, b), two suffice (b, c)
+    universe = 0b111111
+    candidates = [(0b001011, "a"), (0b000111, "b"), (0b111000, "c")]
+    for budget in (dict(max_nodes=0), dict(max_seconds=0)):
+        for k, best in ((3, (3, ["a", "c", "b"])), (2, None), (1, None)):
+            with pytest.raises(ex.Inconclusive) as exc:
+                ex.min_cover(universe, candidates, ex.SolveBudget(**budget), at_most=k)
+            assert exc.value.stats["nodes"] >= 1
+            assert exc.value.best == best
+    budget = ex.SolveBudget()
+    assert ex.min_cover(universe, candidates, budget, at_most=3) == (3, ["a", "c", "b"])
+    assert budget.nodes == 1  # the greedy cover settles it after one charged node
+    assert sorted(ex.min_cover(universe, candidates, ex.SolveBudget(), at_most=2)[1]) == [
+        "b", "c"]
+    assert ex.min_cover(universe, candidates, ex.SolveBudget(), at_most=1) is None
+
+
+@pytest.mark.parametrize("n, r", [(4, 4), (5, 3), (5, 4)])
+def test_hunt_decision_agrees_with_tc_exact(n, r):
+    # on every canonical coloring, the coloring's own component masks hold a
+    # cover of at most b exactly when its closure has tc <= b
+    pairs = list(itertools.combinations(range(n), 2))
+    full = (1 << n) - 1
+    for colv in ex._canonical_colorings(n, r):
+        g = ColoredMultigraph.from_edges(n, r, [(u, v, c) for (u, v), c in zip(pairs, colv)])
+        tc = ex.tc_exact(closure(g))[0]
+        adjs = {c: adjacency(n, [p for p, pc in zip(pairs, colv) if pc == c])
+                for c in range(1, r + 1)}
+        candidates = [(m, (c, m)) for c in adjs for m in component_masks(adjs[c], full)]
+        for b in range(r):
+            got = ex.min_cover(full, candidates, ex.SolveBudget(), at_most=b)
+            assert (got is not None) == (tc <= b), (colv, b)
+            if got is not None:
+                assert got[0] == len(got[1]) <= b
+                assert functools.reduce(operator.or_, (m for _, m in got[1])) == full
+                assert all(reach(adjs[c], min(vertices_of(m)), m) == m for c, m in got[1])
 
 
 def test_cover_backends_name_the_uncoverable_element():
@@ -391,32 +451,34 @@ def test_appendix_filter_matches_the_transversal_reference():
                 blocks = [vs[k:k + 2] for k in range(0, n - n % 2, 2)]
                 blocks[-1] += vs[n - n % 2:]
                 edges += [(u, v, c) for b in blocks for u, v in itertools.combinations(b, 2)]
-        cg = closure(ColoredMultigraph.from_edges(n, r, edges))
+        g = ColoredMultigraph.from_edges(n, r, edges)
+        # the filter reads the coloring's own component masks, the closure's
+        masks = [component_masks(g.adjacency(c), (1 << n) - 1) for c in range(1, r + 1)]
         bound = rng.randint(0, 1)
         stats = {"filtered": 0}
-        reasons.append(_filter_reason(cg, bound))
-        assert ex._appendix_filtered(cg, bound, stats) == (reasons[-1] is not None)
+        reasons.append(_filter_reason(closure(g), bound))
+        assert ex._appendix_filtered(masks, bound, stats) == (reasons[-1] is not None)
         assert stats["filtered"] == (reasons[-1] is not None)
     # (v) both fires and passes on graphs that (ii) and (iv) let through
     assert reasons.count("v") >= 20 and reasons.count(None) >= 20
 
 
 def test_hunt_has_one_deadline(monkeypatch):
-    # a spent budget stops the hunt before its first exact solve, even though
+    # a spent budget stops the hunt before its first decision, even though
     # far fewer than 4096 vectors have been enumerated
     with pytest.raises(ex.Inconclusive) as exc:
         ex.hunt(4, 3, 1, budget=ex.SolveBudget(max_seconds=0))
     assert exc.value.stats["canonical"] >= 1
     assert exc.value.stats["solved"] == 0
-    # each nested solve draws on the very budget the hunt was given
+    # each decision draws on the very budget the hunt was given
     given = []
-    real = ex.tc_exact
+    real = ex.min_cover
 
-    def spy(g, budget):
+    def spy(universe, candidates, budget, at_most=None):
         given.append(budget)
-        return real(g, budget=budget)
+        return real(universe, candidates, budget, at_most=at_most)
 
-    monkeypatch.setattr(ex, "tc_exact", spy)
+    monkeypatch.setattr(ex, "min_cover", spy)
     budget = ex.SolveBudget(max_seconds=60)
     assert ex.hunt(4, 3, "2alpha", budget=budget) is None
     assert len(given) == 15
@@ -690,3 +752,33 @@ def test_certificate_gate_survives_python_O():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert "patched to reject" in res.stdout
+
+
+def test_hunt_checks_survive_python_O():
+    # under -O an assert would vanish; a bad decision witness, or a tc_exact
+    # that disagrees with the decision, must still raise
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = textwrap.dedent("""
+        import ryserlab.exact as ex
+        real = ex.min_cover
+        # the first canonical 3-coloring of K_4 is all color 1
+        for got in ((1, [(2, 0b1111)]), (1, [(1, 0b0011)]), None):
+            ex.min_cover = lambda *args, at_most=None, got=got: (
+                real(*args) if at_most is None else got)
+            try:
+                ex.hunt(4, 3, 1)
+            except AssertionError as exc:
+                print(exc)
+            else:
+                raise SystemExit(f"hunt accepted the decision {got}")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "decision witness (1, [(2, 15)]) is not a cover by at most 1 connected pieces",
+        "decision witness (1, [(1, 3)]) is not a cover by at most 1 connected pieces",
+        "tc_exact finds tc = 1 <= 1 on (1, 1, 1, 1, 1, 1), where the decision "
+        "found none"]
