@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shlex
 import sys
 
 from . import __version__
@@ -206,7 +207,7 @@ def _emit(args, text, payload=None):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     if args.manifest:
         manifest = {
-            "command": " ".join(args.argv),
+            "command": shlex.join(args.argv),
             "budget_seconds": args.budget_seconds,
             "nodes": args.budget.nodes,
             "version": __version__,
@@ -428,20 +429,16 @@ def cmd_construct(args):
 def cmd_hunt(args):
     from .exact import hunt
 
-    bound = args.bound
-    if bound not in ("alpha", "2alpha", "ryser"):
-        try:
-            bound = int(bound)
-        except ValueError:
-            raise UsageError(f"--bound {bound!r}: expected an integer, alpha, "
-                             "2alpha or ryser") from None
+    try:
+        bound = int(args.bound)
+    except ValueError:
+        bound = args.bound  # a bound word, or hunt's ValueError
     stats = {}
-    got = hunt(args.n, args.r, bound, use_appendix_filters=args.filters,
-               budget=args.budget, stats=stats)
+    got = hunt(args.n, args.r, bound, budget=args.budget, stats=stats)
     if got is None:
         _emit(args, "none", {"stats": stats})
         return 0
-    cg, t, _ = got
+    cg, t = got
     _emit(args, f"counterexample: tc = {t}\n{write_graph(cg)}", {"stats": stats, "tc": t})
     return 1
 
@@ -537,7 +534,6 @@ def main(argv=None):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--bound", required=True)
-    p.add_argument("--filters", action="store_true")
 
     p = add("verify", cmd_verify)
     p.add_argument("--input", required=True)

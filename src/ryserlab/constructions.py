@@ -303,12 +303,12 @@ def half_r_example(r: int, block_size: int | None = None) -> ColoredMultigraph:
     return ColoredMultigraph.from_edges(n, r, edges)
 
 
-def multipartite_star_example(k: int, r: int, other_part_size: int = 2) -> ColoredMultigraph:
+def multipartite_star_example(k: int, r: int) -> ColoredMultigraph:
     """Complete k-partite graph with tc_r = r: one part holds star vertices x_1..x_r,
-    every edge at x_i gets color i, the rest color 1."""
+    each other part two vertices; every edge at x_i gets color i, the rest color 1."""
     if k < 2 or r < 2:
         raise ValueError("need k, r >= 2")
-    sizes = [r] + [other_part_size] * (k - 1)
+    sizes = [r] + [2] * (k - 1)
     bounds = []
     acc = 0
     for s in sizes:

@@ -291,12 +291,12 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
     return _Bip2(BipartiteClass("P3", (c if d <= 6 else oc,)), trees, single)
 
 
-def classify_bipartite2(g: ColoredMultigraph, X, Y, colors=(1, 2)):
+def classify_bipartite2(g: ColoredMultigraph, X, Y):
     """Public classification of a 2-colored complete bipartite graph.
 
     Returns (BipartiteClass, CoverCertificate of <= 2 trees with diameter <= 4).
     """
-    res = _classify2(g, X, Y, colors[0], colors[1])
+    res = _classify2(g, X, Y, 1, 2)
     cert = _check(g, res.tree_pieces, 2, 4)
     return res.cls, cert
 

@@ -466,7 +466,6 @@ def _first_winner(colv, pair_perms, r: int, lo: int, hi: int, sizes):
     and vp[k + 1], so a loss there is shared by the whole block of
     sizes[k] = (n - k - 2)! permutations with the same vp[:k + 2], and the scan
     jumps past it."""
-    row = len(sizes)  # n - 1, the pairs of vertex 0
     i = lo
     while i < hi:
         perm = pair_perms[i]
@@ -487,35 +486,30 @@ def _first_winner(colv, pair_perms, r: int, lo: int, hi: int, sizes):
         else:
             i += 1  # the image is colv itself
             continue
-        if k < row:
+        if k < len(sizes):  # a loss in row 0
             i += sizes[k] - i % sizes[k]
         else:
             i += 1
     return None
 
 
-def _beaten_by(colv, pair_perms, r: int, first: int = 0):
+def _beaten_by(colv, pair_perms, r: int):
     """(i, K): a pair permutation i whose image of the restricted-growth vector
     colv, with colors relabelled 1, 2, ... in order of first appearance (the
     smallest relabelling), is lexicographically smaller than colv, and the
     length K of the prefix of colv it read, max(perm[:k + 1]) + 1 for a win at
     position k; (-1, len(colv)) if none wins.
 
-    Permutation first (the last winner) is tried before any other.  Then the
-    permutations are taken in blocks of (n - 1)! by vp[0] = a.  Row 0 of an
-    image (positions 0..n - 2) lists the colors from a to the other vertices,
-    so the smallest row 0 in a's block is a's color-class sizes, largest
-    first, written out as labels 1...1 2...2 ... .  A block whose smallest row
-    is above colv[:n - 1] cannot win and is never scanned.  If some block's is
-    below, that block alone is scanned for its first winner; otherwise the
-    blocks whose smallest row equals colv[:n - 1] are scanned in order of a,
-    each by _first_winner."""
+    The permutations are taken in blocks of (n - 1)! by vp[0] = a.  Row 0 of
+    an image (positions 0..n - 2) lists the colors from a to the other
+    vertices, so the smallest row 0 in a's block is a's color-class sizes,
+    largest first, written out as labels 1...1 2...2 ... .  A block whose
+    smallest row is above colv[:n - 1] cannot win and is never scanned.  If
+    some block's is below, that block alone is scanned for its first winner;
+    otherwise the blocks whose smallest row equals colv[:n - 1] are scanned in
+    order of a, each by _first_winner."""
     m = len(colv)
     n = (1 + math.isqrt(1 + 8 * m)) // 2
-    if first:
-        won = _first_winner(colv, pair_perms, r, first, first + 1, ())
-        if won:
-            return won
     block = len(pair_perms) // n
     sizes = [math.factorial(n - k - 2) for k in range(n - 1)]
     row0 = list(colv[:n - 1])
@@ -556,25 +550,21 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
     permutation that beats a vector after reading its first K entries beats
     every vector with that prefix, so the walk then skips to the next
     restricted-growth vector that differs within them.  Each vector is tested
-    by _beaten_by, the last winning permutation first, since neighbouring
-    vectors share long prefixes.  stats["enumerated"] counts the visited
-    vectors, and each is charged to the budget once it is settled; the pair
-    permutations are charged as they are built.
+    by _beaten_by.  stats["enumerated"] counts the visited vectors, and each
+    is charged to the budget once it is settled; the pair permutations are
+    charged as they are built.
     """
     budget = budget or SolveBudget()
     perms = _pair_permutations(n, budget)
     m = n * (n - 1) // 2
     colv = [1] * m
     top = [1] * m  # top[k] = max(colv[:k + 1])
-    last = 0  # the last winning permutation; 0, the identity, never wins
     for visited in itertools.count(1):
         if stats is not None:
             stats["enumerated"] = visited
-        i, k = _beaten_by(colv, perms, r, last)
+        i, k = _beaten_by(colv, perms, r)
         if i < 0:
             yield tuple(colv)
-        else:
-            last = i
         budget.charge("hunt")
         # the last entry of colv[:k] that can grow; colv[0] is always 1
         k -= 1
@@ -588,8 +578,7 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
         top[k + 1:] = [top[k]] * (m - k - 1)
 
 
-def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
-         budget: SolveBudget | None = None, stats=None):
+def hunt(n: int, r: int, bound, budget: SolveBudget | None = None, stats=None):
     """Search all r-colorings of K_n, one per isomorphism class, for tc_r > bound.
 
     A coloring is tested only in canonical form (_canonical_colorings): its
@@ -600,17 +589,15 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
     bound is an integer or one of "alpha", "2alpha", "ryser".  Every pair of
     K_n is colored, so every closure is complete and alpha = 1: the bound is
     evaluated once, before the walk.  A coloring's components are its
-    closure's, so min_cover(..., at_most=bound) decides each coloring on its
-    own component masks; a cover it finds is checked (at most bound masks,
-    each connected in its color, covering every vertex).  Only the coloring
-    returned is closed, and its verified tc_exact value must exceed the
-    bound.  With filters on, colorings that fail a necessary property of a
-    minimal counterexample (_appendix_filtered) are pruned first.  The walk
-    and the decisions draw on one budget.  The counters go into the caller's
-    stats dict if one is given: "enumerated" counts the vectors visited,
-    "canonical" the forms among them, "filtered" those pruned and "solved"
+    closure's, so min_cover(..., at_most=bound) decides each canonical
+    coloring on its own component masks; a cover it finds is checked (at most
+    bound masks, each connected in its color, covering every vertex).  Only
+    the coloring returned is closed, and its verified tc_exact value must
+    exceed the bound.  The walk and the decisions draw on one budget.  The
+    counters go into the caller's stats dict if one is given: "enumerated"
+    counts the vectors visited, "canonical" the forms among them and "solved"
     the decisions; an Inconclusive carries them too.
-    Returns None or a counterexample (ColoredMultigraph closure, tc value, stats).
+    Returns None or a counterexample (ColoredMultigraph closure, tc value).
     """
     if n < 1 or r < 1:
         raise ValueError(f"hunt needs n >= 1 and r >= 1, got n={n}, r={r}")
@@ -622,7 +609,7 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
     pairs = list(itertools.combinations(range(n), 2))
     full = (1 << n) - 1
     stats = {} if stats is None else stats
-    stats.update(enumerated=0, canonical=0, filtered=0, solved=0)
+    stats.update(enumerated=0, canonical=0, solved=0)
 
     try:
         for colv in _canonical_colorings(n, r, stats, budget):
@@ -631,11 +618,9 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
             for (u, v), c in zip(pairs, colv):
                 adjs[c][u] |= 1 << v
                 adjs[c][v] |= 1 << u
-            masks = [component_masks(adjs[c], full) for c in range(1, r + 1)]
-            if use_appendix_filters and _appendix_filtered(masks, b, stats):
-                continue
-            got = min_cover(full, [(m, (c, m)) for c, ms in enumerate(masks, 1)
-                                   for m in ms], budget, at_most=b)
+            got = min_cover(full, [(m, (c, m)) for c in range(1, r + 1)
+                                   for m in component_masks(adjs[c], full)],
+                            budget, at_most=b)
             stats["solved"] += 1
             if got is not None:
                 pieces = got[1]
@@ -650,25 +635,8 @@ def hunt(n: int, r: int, bound, use_appendix_filters: bool = False,
             if t <= b:
                 raise AssertionError(f"tc_exact finds tc = {t} <= {b} on {colv}, "
                                      "where the decision found none")
-            return cg, t, stats
+            return cg, t
     except Inconclusive as exc:
         exc.stats.update(stats)
         raise
     return None
-
-
-def _appendix_filtered(masks, bound: int, stats) -> bool:
-    """Whether a coloring, given by each color's component masks, is pruned."""
-    # (ii) every color class is itself a cover, so it needs more than `bound` parts
-    if any(len(ms) <= bound for ms in masks):
-        stats["filtered"] += 1
-        return True
-    # (iv) every vertex incident with an edge of every color: none of its
-    # components is a singleton; (v) every transversal of components (one per
-    # color) meets in <= 1 vertex: no other vertex shares all of its components
-    for u in range(sum(m.bit_count() for m in masks[0])):  # the vertices
-        comps = [m for ms in masks for m in ms if m >> u & 1]  # u's, per color
-        if 1 << u in comps or functools.reduce(operator.and_, comps) != 1 << u:
-            stats["filtered"] += 1
-            return True
-    return False

@@ -73,10 +73,10 @@ def mc_cl(h: ColoredHypergraph, c: int, ell: int):
     return len(best.shadow), best.color, best.shadow
 
 
-def exhaustive_tight_spanning(n: int, colors: int = 3) -> int:
-    """Check every coloring of K_n^3 for a spanning monochromatic tight component.
+def exhaustive_tight_spanning(n: int) -> int:
+    """Check every 3-coloring of K_n^3 for a spanning monochromatic tight component.
 
-    Lean enumeration over all colors^C(n,3) colorings, with components over the
+    Lean enumeration over all 3^C(n,3) colorings, with components over the
     edge-overlap mask adjacency; returns the number of colorings checked and
     raises on the first failure.  Used by the exhaustive acceptance run; spot
     instances are cross-checked against tight_spanning in the tests.
@@ -96,9 +96,9 @@ def exhaustive_tight_spanning(n: int, colors: int = 3) -> int:
         return False
 
     checked = 0
-    for coloring in itertools.product(range(colors), repeat=len(edges)):
+    for coloring in itertools.product(range(3), repeat=len(edges)):
         checked += 1
-        classes = [0] * colors
+        classes = [0] * 3
         for i, c in enumerate(coloring):
             classes[c] |= 1 << i
         if not any(spans(cm) for cm in classes):

@@ -207,7 +207,7 @@ def test_cover_decision_on_a_zero_budget():
     assert ex.min_cover(universe, candidates, ex.SolveBudget(), at_most=1) is None
 
 
-@pytest.mark.parametrize("n, r", [(4, 4), (5, 3), (5, 4)])
+@pytest.mark.parametrize("n, r", [(4, 4), (5, 3), (5, 4), (6, 2)])
 def test_hunt_decision_agrees_with_tc_exact(n, r):
     # on every canonical coloring, the coloring's own component masks hold a
     # cover of at most b exactly when its closure has tc <= b
@@ -242,9 +242,10 @@ def test_mc_examples():
 
 def test_hunt_small():
     assert ex.hunt(4, 2, "alpha") is None
-    got = ex.hunt(4, 3, 1)
+    stats = {}
+    got = ex.hunt(4, 3, 1, stats=stats)
     assert got is not None
-    cg, t, stats = got
+    cg, t = got
     assert t == 2
     # the first counterexample in canonical order, edge for edge
     assert list(cg.edges()) == [
@@ -324,8 +325,8 @@ def test_canonical_colorings_count_orbits():
     # the walk visits fewer vectors than the restricted-growth ones: at (5, 4)
     # the set partitions of 10 pairs into at most 4 blocks, S(10,1..4) =
     # 1 + 511 + 9330 + 34105, and at (6, 2) those of 15 pairs into at most 2
-    assert enumerated[5, 4] == 2268 < 43947
-    assert enumerated[6, 2] == 392 < 2 ** 14
+    assert enumerated[5, 4] == 1881 < 43947
+    assert enumerated[6, 2] == 350 < 2 ** 14
 
 
 def _flat_canonical(n, r):
@@ -369,9 +370,7 @@ def _image_beats(perm, colv):
 
 @pytest.mark.parametrize("n, r", [(4, 4), (5, 3)])
 def test_beaten_by_matches_the_flat_scan(n, r):
-    # every restricted-growth vector against a scan of every pair
-    # permutation, tested cold and with the previous winner first as the walk
-    # does
+    # every restricted-growth vector against a scan of every pair permutation
     rng = random.Random(n * 10 + r)
     perms = ex._pair_permutations(n, ex.SolveBudget())
     assert len(perms) == math.factorial(n)
@@ -380,19 +379,18 @@ def test_beaten_by_matches_the_flat_scan(n, r):
     for _ in range(m):
         vectors = [v + (c,) for v in vectors
                    for c in range(1, min(max(v, default=0) + 1, r) + 1)]
-    last, beaten = 0, 0
+    beaten = 0
     for colv in vectors:
-        wins = [ex._beaten_by(colv, perms, r, first) for first in (0, last)]
+        i, k = ex._beaten_by(colv, perms, r)
         if not any(_image_beats(perm, colv) for perm in perms):
-            assert wins == [(-1, m)] * 2
+            assert (i, k) == (-1, m)
             continue
-        for i, k in wins:
-            assert 0 < i and _image_beats(perms[i], colv)
-            # the win read only colv[:k], so it beats whatever follows that prefix
-            for _ in range(3):
-                rest = tuple(rng.randint(1, r) for _ in range(m - k))
-                assert _image_beats(perms[i], colv[:k] + rest)
-        last, beaten = wins[1][0], beaten + 1
+        assert 0 < i and _image_beats(perms[i], colv)
+        # the win read only colv[:k], so it beats whatever follows that prefix
+        for _ in range(3):
+            rest = tuple(rng.randint(1, r) for _ in range(m - k))
+            assert _image_beats(perms[i], colv[:k] + rest)
+        beaten += 1
     assert beaten == len(vectors) - {(4, 4): 22, (5, 3): 142}[n, r]
 
 
@@ -407,60 +405,6 @@ def test_beaten_by_never_calls_a_precheck_loser_canonical():
     broken = [perms[0]] * 6 + perms[6:]
     with pytest.raises(AssertionError, match="vertex 0's row 0"):
         ex._beaten_by(colv, broken, 2)
-
-
-def test_hunt_filters_prune():
-    # the affine K4 coloring satisfies the necessary properties at bound 1
-    # (two components per class >= bound+1, all colors at every vertex), so it
-    # is still found, but the filters cut the exact solves from 15 to 1
-    got = ex.hunt(4, 3, 1, use_appendix_filters=True)
-    assert got is not None and got[1] == 2
-    stats = got[2]
-    assert stats["filtered"] > 0 and stats["solved"] < stats["canonical"]
-
-
-def _filter_reason(cg, bound):
-    """The first minimal-counterexample filter that cg fails, with (v) read off
-    every transversal of non-singleton components, one per color; None if it
-    passes them all."""
-    parts = [components(cg, c).parts for c in range(1, cg.r + 1)]
-    if any(len(ps) <= bound for ps in parts):
-        return "ii"
-    if any(not cg.adjacency(c)[v] for v in range(cg.n) for c in range(1, cg.r + 1)):
-        return "iv"
-    big = [[set(p) for p in ps if len(p) > 1] for ps in parts]
-    if any(len(set.intersection(*combo)) > 1 for combo in itertools.product(*big)):
-        return "v"
-    return None
-
-
-def test_appendix_filter_matches_the_transversal_reference():
-    rng = random.Random(14)
-    reasons = []
-    for i in range(600):
-        n, r = rng.randint(2, 8), rng.randint(1, 4)
-        if i % 2:
-            edges = [(u, v, c) for u, v in itertools.combinations(range(n), 2)
-                     for c in range(1, r + 1) if rng.random() < 0.45]
-        else:
-            # each color class random disjoint pairs (a triple when n is
-            # odd), so that (iv) holds and (v) decides more often
-            edges = []
-            for c in range(1, r + 1):
-                vs = rng.sample(range(n), n)
-                blocks = [vs[k:k + 2] for k in range(0, n - n % 2, 2)]
-                blocks[-1] += vs[n - n % 2:]
-                edges += [(u, v, c) for b in blocks for u, v in itertools.combinations(b, 2)]
-        g = ColoredMultigraph.from_edges(n, r, edges)
-        # the filter reads the coloring's own component masks, the closure's
-        masks = [component_masks(g.adjacency(c), (1 << n) - 1) for c in range(1, r + 1)]
-        bound = rng.randint(0, 1)
-        stats = {"filtered": 0}
-        reasons.append(_filter_reason(closure(g), bound))
-        assert ex._appendix_filtered(masks, bound, stats) == (reasons[-1] is not None)
-        assert stats["filtered"] == (reasons[-1] is not None)
-    # (v) both fires and passes on graphs that (ii) and (iv) let through
-    assert reasons.count("v") >= 20 and reasons.count(None) >= 20
 
 
 def test_hunt_has_one_deadline(monkeypatch):
