@@ -450,11 +450,13 @@ def _pair_permutations(n: int, budget: SolveBudget):
 
     Each completed block of 8192 permutations is charged to the budget."""
     pairs = list(itertools.combinations(range(n), 2))
-    index = {pair: k for k, pair in enumerate(pairs)}
+    index = [[0] * n for _ in range(n)]
+    for k, (u, v) in enumerate(pairs):
+        index[u][v] = index[v][u] = k
     out = []
     for i, vp in enumerate(itertools.permutations(range(n))):
-        out.append(tuple(index[min(vp[u], vp[v]), max(vp[u], vp[v])]
-                         for u, v in pairs))
+        rows = [index[x] for x in vp]
+        out.append(tuple([rows[u][vp[v]] for u, v in pairs]))
         if i % 8192 == 8191:
             budget.charge("pair permutations", 8192)
     return out
@@ -462,10 +464,12 @@ def _pair_permutations(n: int, budget: SolveBudget):
 
 def _first_winner(colv, pair_perms, r: int, lo: int, hi: int, sizes):
     """(i, K) for the first pair permutation i in [lo, hi) that beats colv, as
-    _beaten_by defines it, or None.  Image position k < n - 1 reads only vp[0]
-    and vp[k + 1], so a loss there is shared by the whole block of
-    sizes[k] = (n - k - 2)! permutations with the same vp[:k + 2], and the scan
-    jumps past it."""
+    _beaten_by defines it, or None.  The scan skips the rest of vp[:j + 1]'s
+    block, sizes[j] = (n - 1 - j)! permutations (1 for j >= n - 1), after a
+    loss at position k, which reads only vp[:k + 2] (j = k + 1), or an image
+    equal to colv: then vp is an automorphism, and with j its first move
+    h -> vp o h maps the block of (0, ..., j), scanned earlier with no win,
+    onto vp[:j + 1]'s."""
     i = lo
     while i < hi:
         perm = pair_perms[i]
@@ -483,61 +487,56 @@ def _first_winner(colv, pair_perms, r: int, lo: int, hi: int, sizes):
             else:
                 # a first appearance is labelled top + 1 > colv[k]
                 break
-        else:
-            i += 1  # the image is colv itself
-            continue
-        if k < len(sizes):  # a loss in row 0
-            i += sizes[k] - i % sizes[k]
-        else:
-            i += 1
+        else:  # j = k + 1 is vp's first move: vp[:j] is the identity's while i < (n - j)!
+            k = -1
+            while k < len(sizes) - 2 and sizes[k + 1] > i:
+                k += 1
+        i += sizes[k + 1] - i % sizes[k + 1]
     return None
 
 
-def _beaten_by(colv, pair_perms, r: int):
-    """(i, K): a pair permutation i whose image of the restricted-growth vector
-    colv, with colors relabelled 1, 2, ... in order of first appearance (the
-    smallest relabelling), is lexicographically smaller than colv, and the
-    length K of the prefix of colv it read, max(perm[:k + 1]) + 1 for a win at
-    position k; (-1, len(colv)) if none wins.
-
-    The permutations are taken in blocks of (n - 1)! by vp[0] = a.  Row 0 of
-    an image (positions 0..n - 2) lists the colors from a to the other
-    vertices, so the smallest row 0 in a's block is a's color-class sizes,
-    largest first, written out as labels 1...1 2...2 ... .  A block whose
-    smallest row is above colv[:n - 1] cannot win and is never scanned.  If
-    some block's is below, that block alone is scanned for its first winner;
-    otherwise the blocks whose smallest row equals colv[:n - 1] are scanned in
-    order of a, each by _first_winner."""
-    m = len(colv)
-    n = (1 + math.isqrt(1 + 8 * m)) // 2
-    block = len(pair_perms) // n
-    sizes = [math.factorial(n - k - 2) for k in range(n - 1)]
-    row0 = list(colv[:n - 1])
-    equal = []
-    for a in range(n):
+def _least_rows(colv, pair_perms, r: int, kept=None, lo: int = 0):
+    """kept = (n, block, sizes, least) for _beaten_by, built if None, with
+    least[a], vertex a's smallest row 0, refilled for every vertex a >= lo."""
+    if kept is None:
+        n = (1 + math.isqrt(1 + 8 * len(colv))) // 2
+        kept = (n, len(pair_perms) // n,
+                [math.factorial(max(n - 1 - j, 0)) for j in range(len(colv) + 1)], [None] * n)
+    n, block, _sizes, least = kept
+    for a in range(lo, n):
         # the first permutation of a's block lists a's pairs in row 0
         counts = [0] * (r + 1)
         for p in pair_perms[a * block][:n - 1]:
             counts[colv[p]] += 1
-        least = []
+        least[a] = []
         for c, size in enumerate(sorted(counts, reverse=True), 1):
-            least += [c] * size
-        if least < row0:
-            won = _first_winner(colv, pair_perms, r, a * block, (a + 1) * block, sizes)
-            if not won:
-                raise AssertionError(f"vertex {a}'s row 0 {least} is below "
-                                     f"{row0}, yet no permutation in its block "
-                                     f"beats {colv}")
-            return won
-        if least == row0:
-            equal.append(a)
-    for a in equal:
+            least[a] += [c] * size
+    return kept
+
+
+def _beaten_by(colv, pair_perms, r: int, _kept=None):
+    """(i, K): a pair permutation i whose image of the restricted-growth vector
+    colv, colors relabelled 1, 2, ... in order of first appearance, is below
+    colv lexicographically, and the length K = max(perm[:k + 1]) + 1 of the
+    prefix it read to win at position k; (-1, len(colv)) if none wins.
+
+    Block a, the permutations with vp[0] = a, has a's color-class sizes,
+    largest first, written out as labels 1...1 2...2 ..., as its smallest row 0
+    (the colors from a).  If some block's is below colv[:n - 1], the first such
+    block alone is scanned by _first_winner; otherwise each block whose is equal
+    is, in order of a.  _kept holds the walk's _least_rows."""
+    n, block, sizes, least = _kept or _least_rows(colv, pair_perms, r)
+    row0 = list(colv[:n - 1])
+    below = [a for a in range(n) if least[a] < row0][:1]
+    for a in below or [a for a in range(n) if least[a] == row0]:
         # the identity, first in block 0, never wins
-        won = _first_winner(colv, pair_perms, r, max(a * block, 1),
-                            (a + 1) * block, sizes)
+        won = _first_winner(colv, pair_perms, r, max(a * block, 1), (a + 1) * block, sizes)
         if won:
             return won
-    return -1, m
+        if below:
+            raise AssertionError(f"vertex {a}'s row 0 {least[a]} is below {row0}, "
+                                 f"yet no permutation in its block beats {colv}")
+    return -1, len(colv)
 
 
 def _canonical_colorings(n: int, r: int, stats=None, budget=None):
@@ -545,24 +544,24 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
     1..r) that are lexicographically minimal in their orbit under S_n x S_r,
     in lexicographic order.
 
-    The identity with the best color relabelling already beats every vector
-    that is not restricted-growth, so the walk visits only those.  A pair
-    permutation that beats a vector after reading its first K entries beats
-    every vector with that prefix, so the walk then skips to the next
-    restricted-growth vector that differs within them.  Each vector is tested
-    by _beaten_by.  stats["enumerated"] counts the visited vectors, and each
-    is charged to the budget once it is settled; the pair permutations are
-    charged as they are built.
+    The walk visits only restricted-growth vectors (the identity beats every
+    other one), each tested by _beaten_by.  A winner that read K entries beats
+    every vector with that prefix, so the walk moves on to the next vector
+    that differs within them.  Raising pair (u, v) changes only pairs between
+    vertices >= u, so only their smallest rows are rebuilt.  stats["enumerated"]
+    counts the visited vectors; each is charged to the budget once settled.
     """
     budget = budget or SolveBudget()
     perms = _pair_permutations(n, budget)
     m = n * (n - 1) // 2
+    lows = [u for u, _v in itertools.combinations(range(n), 2)]
     colv = [1] * m
     top = [1] * m  # top[k] = max(colv[:k + 1])
+    kept = _least_rows(colv, perms, r)
     for visited in itertools.count(1):
         if stats is not None:
             stats["enumerated"] = visited
-        i, k = _beaten_by(colv, perms, r)
+        i, k = _beaten_by(colv, perms, r, kept)
         if i < 0:
             yield tuple(colv)
         budget.charge("hunt")
@@ -576,6 +575,7 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
         top[k] = max(top[k - 1], colv[k])
         colv[k + 1:] = [1] * (m - k - 1)
         top[k + 1:] = [top[k]] * (m - k - 1)
+        _least_rows(colv, perms, r, kept, lows[k])
 
 
 def hunt(n: int, r: int, bound, budget: SolveBudget | None = None, stats=None):

@@ -329,13 +329,24 @@ def test_canonical_colorings_count_orbits():
     assert enumerated[6, 2] == 350 < 2 ** 14
 
 
+def _dict_pair_permutations(n):
+    """The pair permutations of K_n, each pair's image looked up in a dict."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: k for k, p in enumerate(pairs)}
+    return [tuple(index[tuple(sorted((vp[u], vp[v])))] for u, v in pairs)
+            for vp in itertools.permutations(range(n))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_permutations_match_the_dict_table(n):
+    assert ex._pair_permutations(n, ex.SolveBudget()) == _dict_pair_permutations(n)
+
+
 def _flat_canonical(n, r):
     """Canonical colorings by the flat walk: every restricted-growth vector,
     in lexicographic order, against every pair permutation, with no skip."""
     pairs = list(itertools.combinations(range(n), 2))
-    index = {p: k for k, p in enumerate(pairs)}
-    perms = [[index[tuple(sorted((vp[u], vp[v])))] for u, v in pairs]
-             for vp in itertools.permutations(range(n))]
+    perms = _dict_pair_permutations(n)
     vectors = [()]
     for _ in pairs:
         vectors = [v + (c,) for v in vectors
@@ -386,6 +397,9 @@ def test_beaten_by_matches_the_flat_scan(n, r):
             assert (i, k) == (-1, m)
             continue
         assert 0 < i and _image_beats(perms[i], colv)
+        # no skip passed over a winner in i's block of (n - 1)!
+        start = i - i % math.factorial(n - 1)
+        assert not any(_image_beats(perm, colv) for perm in perms[start:i])
         # the win read only colv[:k], so it beats whatever follows that prefix
         for _ in range(3):
             rest = tuple(rng.randint(1, r) for _ in range(m - k))
@@ -405,6 +419,24 @@ def test_beaten_by_never_calls_a_precheck_loser_canonical():
     broken = [perms[0]] * 6 + perms[6:]
     with pytest.raises(AssertionError, match="vertex 0's row 0"):
         ex._beaten_by(colv, broken, 2)
+
+
+class _CountingTable(list):
+    """A pair-permutation table that counts the entries read from it."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_beaten_by_skips_automorphic_blocks():
+    # every permutation of K_6 is an automorphism of the one-colored vector,
+    # and each one read proves the rest of its block a repeat: of the 720
+    # entries, 6 give the vertices' row-0 profiles and 15 are scanned
+    perms = _CountingTable(ex._pair_permutations(6, ex.SolveBudget()))
+    assert ex._beaten_by((1,) * 15, perms, 1) == (-1, 15)
+    assert perms.reads <= 21
 
 
 def test_hunt_has_one_deadline(monkeypatch):
