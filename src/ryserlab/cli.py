@@ -308,6 +308,8 @@ def cmd_cover(args):
         parts = _parse_parts(args.parts, g.n)
         cert = cover_multipartite(g, parts, args.r or 2)
     else:
+        if args.restrict_colors is None:
+            raise UsageError("--method restricted needs --restrict-colors")
         cert = restricted_cover(g, args.r or g.r, args.restrict_colors)
     _emit(args, write_cover(cert), {"pieces": len(cert.pieces)})
     return 0

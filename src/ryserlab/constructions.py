@@ -94,23 +94,10 @@ class GF:
         for d in range(1, deg // 2 + 1):
             for tail in itertools.product(range(self.p), repeat=d):
                 div = list(tail) + [1]
-                if self._divides(div, poly):
+                # div is monic, so it divides poly when _polymod leaves 0
+                if not any(self._polymod(poly, div)):
                     return False
         return True
-
-    def _divides(self, div, poly):
-        rem = list(poly)
-        dd = len(div) - 1
-        while len(rem) - 1 >= dd:
-            lead = rem[-1]
-            if lead:
-                inv = pow(div[-1], -1, self.p)
-                f = (lead * inv) % self.p
-                shift = len(rem) - 1 - dd
-                for i, c in enumerate(div):
-                    rem[shift + i] = (rem[shift + i] - f * c) % self.p
-            rem.pop()
-        return all(c == 0 for c in rem)
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -195,7 +182,8 @@ def galois_plane(q: int, kind: str = "projective") -> IncidenceDesign:
         keep_lines = [l for l in design.lines if drop not in l]
         # points stay densely numbered: only the top point disappears
         out = IncidenceDesign(design.points - 1, tuple(keep_lines), q, "truncated")
-        assert out.points == q * q + q and len(out.lines) == q * q
+        _ensure(out.points == q * q + q and len(out.lines) == q * q,
+                "truncated plane counts")
         return out
     if kind == "affine":
         gone_line = design.lines[0]
@@ -207,23 +195,31 @@ def galois_plane(q: int, kind: str = "projective") -> IncidenceDesign:
         keep = [tuple(sorted(remap[p] for p in l if p not in gone))
                 for l in design.lines[1:]]
         out = IncidenceDesign(len(remap), tuple(sorted(keep)), q, "affine")
-        assert out.points == q * q and len(out.lines) == q * q + q
-        assert all(len(l) == q for l in out.lines)
-        assert len(out.parallel_classes()) == q + 1
+        _ensure(out.points == q * q and len(out.lines) == q * q + q,
+                "affine plane counts")
+        _ensure(all(len(l) == q for l in out.lines), "affine line of size != q")
+        _ensure(len(out.parallel_classes()) == q + 1,
+                "affine plane parallel classes")
         return out
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _ensure(ok: bool, what: str):
+    """Raise AssertionError, not assert, so -O keeps the check."""
+    if not ok:
+        raise AssertionError(f"plane check failed: {what}")
+
+
 def _check_projective(d: IncidenceDesign):
     q = d.order
-    assert d.points == q * q + q + 1 == len(d.lines)
-    assert all(len(l) == q + 1 for l in d.lines)
+    _ensure(d.points == q * q + q + 1 == len(d.lines), "projective plane counts")
+    _ensure(all(len(l) == q + 1 for l in d.lines), "projective line of size != q + 1")
     seen = set()
     for l in d.lines:
         for pair in itertools.combinations(l, 2):
-            assert pair not in seen, "pair on two lines"
+            _ensure(pair not in seen, "pair on two lines")
             seen.add(pair)
-    assert len(seen) == d.points * (d.points - 1) // 2, "pair off all lines"
+    _ensure(len(seen) == d.points * (d.points - 1) // 2, "pair off all lines")
 
 
 def design_to_hypergraph(d: IncidenceDesign) -> ColoredHypergraph:

@@ -103,12 +103,15 @@ def _ball(g, c, center, radius):
     return tuple(vertices_of(sum(layers(g.adjacency(c), center, radius=radius))))
 
 
-def _zone_cover(g, zone: int, max_pieces, extra_candidates=()):
+def _zone_cover(g, zone: int, max_pieces):
     """The pieces of a minimum cover of the vertex mask zone by monochromatic
     pieces of diameter <= 6, which the calling proof bounds by max_pieces.
 
-    Candidates: any structured extras, radius <= 3 balls of every color around
-    every zone vertex and whole components of induced diameter <= 6.  A
+    Candidates: radius <= 3 balls of every color around every zone vertex and
+    whole components of induced diameter <= 6.  They need no seed pieces from
+    the proofs that end here: cut to the zone, each named piece of theirs lies
+    in such a ball (a color-c tree of radius t <= 3 about v in ball_c(v, t);
+    the color-j star from x to B_ji in ball_j(b, 2) for any b in B_ji).  A
     minimum above max_pieces is an internal failure and raises with the
     coloring.
     """
@@ -119,8 +122,6 @@ def _zone_cover(g, zone: int, max_pieces, extra_candidates=()):
         if m & zone:
             cands.setdefault((c, m & zone), (m, (c, tuple(sorted(set(vs))))))
 
-    for piece in extra_candidates:
-        add(piece[0], piece[1])
     for c in range(1, g.r + 1):
         for part in components(g, c).parts:
             if len(part) > 1 and mask_of(part) & zone \
@@ -456,34 +457,7 @@ def _complete4_endgame(g, col, x, A, B):
     Bij, Bji, Bki = B[(i, j)], B[(j, i)], B[(k, i)]
     h1 = _tree(l, x, A[l], [v for m, bb in ((i, Bij), (j, Bji), (k, Bki))
                             for v in A[m] if v not in bb], col)
-    zone = list(Bij) + list(Bji) + list(Bki)
-    extras = _r4_zone_candidates(g, col, x, i, j, k, l, Bij, Bji, Bki)
-    return [h1] + _zone_cover(g, mask_of(zone), 2, extras)
-
-
-def _r4_zone_candidates(g, col, x, i, j, k, l, Bij, Bji, Bki):
-    """Structured pieces for the final-case zone cover, from the proof's branches."""
-    out = [(j, [x] + list(Bji)), (k, [x] + list(Bki)), (i, [x] + list(Bij))]
-    # color-l structures inside the zone
-    zone = set(Bij) | set(Bji) | set(Bki)
-    # specials: vertices of one B-side whose edges to the facing side are one-colored
-    for side, facing, cc in ((Bij, Bji, (k, l)), (Bji, Bij, (k, l)),
-                             (Bij, Bki, (j, l)), (Bki, Bij, (j, l))):
-        for c in cc:
-            for v in side:
-                if facing and all(col(v, w) == c for w in facing):
-                    out.append((c, [v] + list(facing)))
-    # merged color-l component pieces through B12
-    for b in Bij:
-        out.append((l, _ball(g, l, b, 3)))
-    for v in list(Bji)[:4] + list(Bki)[:4]:
-        out.append((l, _ball(g, l, v, 3)))
-    # one-sided leftovers: vertices of Bji/Bki attach to Bij in a single color
-    for c in (j, k, l, i):
-        for b in list(Bij)[:4]:
-            att = [v for v in zone if v != b and col(v, b) == c]
-            out.append((c, [b] + att))
-    return out
+    return [h1] + _zone_cover(g, mask_of(Bij + Bji + Bki), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -711,18 +685,16 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
 def _bip3_layered(g, xm, ym, side_comp, other, adj):
     """The distance-layer decomposition for a wide side-containing component
     (color, mask) of the complete bipartite graph on the vertex masks xm and
-    ym; adj is the least-color table of its pairs."""
+    ym; adj is the least-color table of its pairs.  None where the caller's
+    zone cover ends the proof."""
     c3, comp = side_comp
     if comp & ym != ym:
         xm, ym = ym, xm  # make Y the contained side
     ca, cb = other[c3]
 
-    # eccentricities inside the component, witnesses on the X side preferred
-    best = max(((v, layers(adj[c3], v, comp)) for v in vertices_of(comp & xm)),
-               key=lambda vd: len(vd[1]), default=None)
-    if best is None:
-        return None
-    v0, dist = best
+    # the deepest layering inside the component from an X-side vertex
+    dist = max((layers(adj[c3], v, comp) for v in vertices_of(comp & xm)),
+               key=len, default=())
     d = len(dist) - 1
     if d < 5:
         return None
@@ -771,15 +743,8 @@ def _bip3_layered(g, xm, ym, side_comp, other, adj):
             h1 = (ca, [va] + list(Y1))
             return [h1, cstar] + r2.tree_pieces
 
-    # (d)/(e): [X1,Y1] is P2 or remaining P1 orientations; fall back to the
-    # candidate search seeded with the structured pieces
-    extras = [cstar]
-    for rr in (r1, r2):
-        extras.extend((c, vs) for c, vs, *_ in rr.tree_pieces)
-        if rr.single_piece:
-            extras.append(rr.single_piece)
-    extras += [(c, [v0] + vertices_of(adj[c][v0] & dist[3])) for c in (ca, cb)]
-    return _zone_cover(g, xm | ym, 4, extras)
+    # (d)/(e): [X1, Y1] is P2 or another P1 orientation
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -873,8 +838,8 @@ def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
     if r not in (3, 4, 5):
         raise GraphError("restricted_cover supports r in {3, 4, 5}")
     S = sorted(S)
-    if len(S) != 2 or any(not 1 <= c <= r for c in S):
-        raise GraphError("S must be two colors in 1..r")
+    if len(S) != 2 or S[0] == S[1] or any(not 1 <= c <= r for c in S):
+        raise GraphError("S must be two distinct colors in 1..r")
     if not g.is_complete():
         raise GraphError("restricted_cover needs a complete graph")
     aS, witness = alpha(g.subgraph_colors(S))

@@ -257,6 +257,8 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
     Without max_diam the pieces are whole components of the allowed colors;
     with max_diam they are connected sub-pieces of induced diameter <= max_diam.
     """
+    if max_diam is not None and max_diam < 0:
+        raise GraphError(f"max_diam must be >= 0, got {max_diam}")
     budget = budget or SolveBudget()
     colors = sorted(allowed_colors) if allowed_colors is not None else range(1, g.r + 1)
     if g.n == 0:

@@ -371,6 +371,7 @@ HG_2_UNIFORM = "hg 4 2 2\ne 1 0 1\ne 2 1 2\ne 1 2 3\ne 2 0 3\n"
 # K_6^4 with three of its fifteen edges
 HG_SPARSE_64 = "hg 6 4 2\ne 1 0 1 2 3\ne 2 2 3 4 5\ne 1 0 1 4 5\n"
 PATH_25 = "cg 25 1\n" + "".join(f"e {v} {v + 1} 1\n" for v in range(24))
+K3_RAINBOW = "cg 3 3\ne 0 1 1\ne 0 2 2\ne 1 2 3\n"
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -399,6 +400,11 @@ PATH_25 = "cg 25 1\n" + "".join(f"e {v} {v + 1} 1\n" for v in range(24))
     # the product and midrange covers need a complete K_n^k
     (["hyper", "--method", "product", "--c", "1", "--ell", "1"], HG_SPARSE_64),
     (["hyper", "--method", "midrange", "--c", "3", "--ell", "2"], HG_SPARSE_64),
+    # the restricted cover needs its two colors
+    (["cover", "--method", "restricted"], K3_RAINBOW),
+    # a negative diameter bound is a bad argument, not a solver failure
+    (["tc", "--max-diam", "-1"], K3_RAINBOW),
+    (["cover", "--method", "exact", "--max-diam", "-1"], K3_RAINBOW),
 ])
 def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     if text is not None:
@@ -409,6 +415,14 @@ def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cover_restricted_names_its_missing_flag(tmp_path, capsys):
+    g = tmp_path / "g.cg"
+    g.write_text(K3_RAINBOW)
+    assert cli.main(["cover", "--input", str(g), "--method", "restricted"]) == 3
+    assert capsys.readouterr().err == \
+        "error: --method restricted needs --restrict-colors\n"
 
 
 def test_hyper_exact_infeasible_names_the_c_set(tmp_path, capsys):

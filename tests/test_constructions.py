@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -104,3 +108,31 @@ def test_gf_arithmetic():
     for a in range(1, 9):
         assert f9.mul(a, f9.inv(a)) == 1
         assert f9.add(a, f9.neg(a)) == 0
+
+
+def test_gf_modpoly_is_the_first_irreducible_monic():
+    # little-endian coefficients, so [1, 1, 1] is t^2 + t + 1
+    want = {4: [1, 1, 1], 8: [1, 0, 1, 1], 9: [1, 0, 1], 16: [1, 0, 0, 1, 1],
+            27: [1, 0, 2, 1], 81: [1, 0, 1, 1, 1]}
+    assert {q: cn.GF(q).modpoly for q in want} == want
+
+
+def test_plane_checks_survive_python_O():
+    # every line (0, 1, 2): the counts hold, but pairs lie on several lines
+    src = os.path.dirname(os.path.dirname(cn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = textwrap.dedent("""
+        import ryserlab.constructions as cn
+        bad = cn.IncidenceDesign(7, ((0, 1, 2),) * 7, 2, "projective")
+        try:
+            cn._check_projective(bad)
+        except AssertionError as exc:
+            print(exc)
+        else:
+            raise SystemExit("a design with repeated lines passed the check")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "plane check failed: pair on two lines"

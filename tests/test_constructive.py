@@ -68,6 +68,27 @@ def test_cover_complete4_exhaustive_k4():
         assert len(cert.pieces) <= 3
 
 
+def test_cover_complete4_final_case_on_every_k5(monkeypatch):
+    # vertex 0 sends colors 1, 2, 3, 4 to vertices 1, 2, 3, 4; 64 of the 4^6
+    # colorings of the other pairs fall through (C1)-(C3) into the final
+    # case, which ends in a two-piece zone cover
+    zones, real = [], cv._zone_cover
+
+    def spy(g, zone, max_pieces):
+        zones.append(max_pieces)
+        return real(g, zone, max_pieces)
+
+    monkeypatch.setattr(cv, "_zone_cover", spy)
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    for colv in itertools.product((1, 2, 3, 4), repeat=6):
+        g = ColoredMultigraph.from_edges(5, 4, [(0, v, v) for v in range(1, 5)] + [
+            (u, v, c) for (u, v), c in zip(pairs, colv)])
+        cert = cv.cover_complete(g, 4)
+        assert len(cert.pieces) <= 3 and cert.declared_max_diam == 6
+        assert verify(g, cert).ok
+    assert zones == [2] * 64
+
+
 def test_cover_complete_needs_complete():
     g = ColoredMultigraph.from_edges(3, 2, [(0, 1, 1)])
     with pytest.raises(GraphError):
@@ -341,7 +362,7 @@ def test_cover_multipartite_3_general_case(monkeypatch):
 
 def test_cover_bipartite3_zone_fallback(monkeypatch):
     # the layered decomposition ends in its cases (d)/(e), whose pieces come
-    # from the exact cover of the zone X + Y seeded with the structured pieces
+    # from the exact cover of the zone X + Y
     # row x holds the colors of the edges from x to 6, 7, ..., 10
     cols = ["22311", "33212", "21121", "11223", "32223", "13331"]
     edges = [(x, 6 + i, int(c)) for x, row in enumerate(cols)
@@ -357,6 +378,45 @@ def test_cover_bipartite3_zone_fallback(monkeypatch):
     monkeypatch.setattr(cv, "min_cover", spy)
     cert = cv.cover_bipartite3(g, range(6), range(6, 11))
     assert calls == [(1 << 11) - 1]
+    assert len(cert.pieces) <= 4 and verify(g, cert).ok
+
+
+# Inputs on which the layered decomposition reaches cases (d)/(e), tagged with
+# the classes of [X1, Y1] and [X2, Y2]: found in a seeded stream of uniform
+# 3-colorings (random.Random(5), sides 3..10) and shrunk by dropping vertices
+# while (d)/(e) still fires.  Row x holds the colors from x to the Y side.
+LAYERED_DE = [
+    (("P2", "P1"), ["23323", "12112", "31321", "21233", "22131"]),
+    (("P2", "P1"), ["2133", "2213", "1211", "2331", "3223", "3121"]),
+    (("P2", "P1"), ["1323", "3213", "3222", "2233", "1132", "2111"]),
+    (("P2", "P1"), ["1231333", "1223231", "2133211", "3322312"]),
+    (("P2", "P1"), ["1332", "2321", "3133", "3131", "1213", "2211", "3122"]),
+]
+
+
+@pytest.mark.parametrize("tags, rows", LAYERED_DE)
+def test_cover_bipartite3_layered_cases_d_e(monkeypatch, tags, rows):
+    nx, ny = len(rows), len(rows[0])
+    g = ColoredMultigraph.from_edges(nx + ny, 3, [
+        (x, nx + y, int(c)) for x, row in enumerate(rows) for y, c in enumerate(row)])
+    classes, covers = [], []
+    real_classify, real_cover = cv._classify2, cv.min_cover
+
+    def classify(*args):
+        got = real_classify(*args)
+        classes.append(got.cls.tag)
+        return got
+
+    def cover(universe, candidates, budget):
+        covers.append(universe)
+        return real_cover(universe, candidates, budget)
+
+    monkeypatch.setattr(cv, "_classify2", classify)
+    monkeypatch.setattr(cv, "min_cover", cover)
+    cert = cv.cover_bipartite3(g, range(nx), range(nx, nx + ny))
+    # only the layered decomposition classifies here, and it returned None
+    assert tuple(classes) == tags
+    assert covers == [(1 << (nx + ny)) - 1]
     assert len(cert.pieces) <= 4 and verify(g, cert).ok
 
 
@@ -384,6 +444,13 @@ def test_restricted_cover_random():
             cols = {p[0] for p in cert.pieces}
             assert cols <= set(S) or cols <= set(range(1, r + 1)) - set(S)
             assert verify(g, cert).ok
+
+
+@pytest.mark.parametrize("S", [[1, 1], [2], [1, 2, 3], [0, 1], [1, 4]])
+def test_restricted_cover_needs_two_distinct_colors(S):
+    g = monochromatic_complete(4, r=3)
+    with pytest.raises(GraphError, match=r"^S must be two distinct colors in 1\.\.r$"):
+        cv.restricted_cover(g, 3, S)
 
 
 def test_restricted_cover_konig_branch_is_minimum():

@@ -486,6 +486,12 @@ def test_tc_exact_diameter_size_limit_is_a_domain_error():
         ex.tc_exact(path, max_diam=2)
 
 
+def test_tc_exact_rejects_a_negative_diameter():
+    g = ColoredMultigraph.from_edges(3, 1, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(GraphError, match=r"^max_diam must be >= 0, got -1$"):
+        ex.tc_exact(g, max_diam=-1)
+
+
 def _milp_spy(monkeypatch, extra=0):
     """Wrap scipy's milp; each call's mip_node_count (raised by extra) is logged."""
     import scipy.optimize
