@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (ColoredMultigraph, CoverCertificate, GraphError, alpha,
-                   component_masks, components, diameter, layers, lowest_vertex,
+                   component_masks, diameter, layers, lowest_vertex,
                    make_certificate, mask_of, reach, verify, vertices_of)
 from .exact import SolveBudget, min_cover, tc_exact
 
@@ -66,9 +66,10 @@ def _bipartite_colors(g: ColoredMultigraph, X, Y, colors) -> dict:
     return least
 
 
-def _comp_of(g: ColoredMultigraph, c: int, v: int) -> tuple[int, ...]:
-    """Vertex set of the color-c component of v."""
-    return tuple(vertices_of(reach(g.adjacency(c), v)))
+def _vertex_pieces(pairs):
+    """The (color, vertex list) pieces of (color, mask) pairs, each pair once,
+    in first-seen order."""
+    return [(c, vertices_of(m)) for c, m in dict.fromkeys(pairs)]
 
 
 def _tree(c, x, leaves, attach=(), col=None):
@@ -97,39 +98,34 @@ def _check(g, pieces, max_size, max_diam=None, allowed_colors=None, mode="cover"
     return cert
 
 
-def _ball(g, c, center, radius):
-    """Vertices within color-c distance <= radius of center; induced diam <= 2*radius."""
-    # the layers are disjoint, so their sum is their union
-    return tuple(vertices_of(sum(layers(g.adjacency(c), center, radius=radius))))
-
-
 def _zone_cover(g, zone: int, max_pieces):
     """The pieces of a minimum cover of the vertex mask zone by monochromatic
     pieces of diameter <= 6, which the calling proof bounds by max_pieces.
 
-    Candidates: radius <= 3 balls of every color around every zone vertex and
-    whole components of induced diameter <= 6.  They need no seed pieces from
-    the proofs that end here: cut to the zone, each named piece of theirs lies
-    in such a ball (a color-c tree of radius t <= 3 about v in ball_c(v, t);
-    the color-j star from x to B_ji in ball_j(b, 2) for any b in B_ji).  A
-    minimum above max_pieces is an internal failure and raises with the
-    coloring.
+    Candidates: the radius-3 ball of every color around every zone vertex
+    (its induced diameter is <= 6) and whole components of induced diameter
+    <= 6.  Smaller balls add nothing: a radius-1 or radius-2 ball lies in the
+    radius-3 ball about the same center, so cut to the zone it never covers
+    more.  The candidates need no seed pieces from the proofs that end here:
+    cut to the zone, each named piece of theirs lies in such a ball (a color-c
+    tree of radius t <= 3 about v in ball_c(v, 3); the color-j star from x to
+    B_ji in ball_j(b, 3) for any b in B_ji).  A minimum above max_pieces is an
+    internal failure and raises with the coloring.
     """
     cands = {}
 
-    def add(c, vs):
-        m = mask_of(vs)
+    def add(c, m):
         if m & zone:
-            cands.setdefault((c, m & zone), (m, (c, tuple(sorted(set(vs))))))
+            cands.setdefault((c, m & zone), (m, (c, vertices_of(m))))
 
     for c in range(1, g.r + 1):
-        for part in components(g, c).parts:
-            if len(part) > 1 and mask_of(part) & zone \
-                    and diameter(g, part, c) <= 6:
-                add(c, part)
+        adj = g.adjacency(c)
+        for m in component_masks(adj, (1 << g.n) - 1):
+            if m & (m - 1) and m & zone and diameter(g, vertices_of(m), c) <= 6:
+                add(c, m)
         for v in vertices_of(zone):
-            for rad in (1, 2, 3):
-                add(c, _ball(g, c, v, rad))
+            # the layers are disjoint, so their sum is their union
+            add(c, sum(layers(adj, v, radius=3)))
     size, pieces = min_cover(zone, list(cands.values()), SolveBudget())
     if size > max_pieces:
         raise AssertionError(f"no cover of the zone by {max_pieces} pieces: "
@@ -642,13 +638,11 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
     adj = _bipartite_colors(g, X, Y, (1, 2, 3))
     xm, ym = mask_of(X), mask_of(Y)
 
-    # all two-sided components, per color, deduped, as (color, mask)
+    # all two-sided components as (color, mask): per color, by lowest X vertex
     comps = []
     for c in (1, 2, 3):
-        for v in X:
-            comp = reach(adj[c], v)
-            if comp & ym and (c, comp) not in comps:
-                comps.append((c, comp))
+        two_sided = [m for m in component_masks(adj[c], xm | ym) if m & xm and m & ym]
+        comps += [(c, m) for m in sorted(two_sided, key=lambda m: lowest_vertex(m & xm))]
 
     other = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
@@ -758,74 +752,58 @@ def cover_multipartite(g: ColoredMultigraph, parts, r: int) -> CoverCertificate:
     flat = sorted(v for p in parts for v in p)
     if flat != list(range(g.n)):
         raise GraphError("parts must partition the vertex set")
-    if r == 2:
-        return _multipartite2(g, parts)
-    if r == 3:
-        if len(parts) != 3:
-            raise GraphError("the three-color bound needs exactly three parts")
-        return _multipartite3(g, parts)
-    raise GraphError("cover_multipartite supports r in {2, 3}")
-
-
-def _spanning_component(g):
+    if r not in (2, 3):
+        raise GraphError("cover_multipartite supports r in {2, 3}")
+    if r == 3 and len(parts) != 3:
+        raise GraphError("the three-color bound needs exactly three parts")
+    if not g.n:
+        return _check(g, [], r)
+    # a spanning color is a one-piece cover
+    full = (1 << g.n) - 1
     for c in range(1, g.r + 1):
-        comp = _comp_of(g, c, 0)
-        if len(comp) == g.n:
-            return (c, comp)
-    return None
+        if reach(g.adjacency(c), 0) == full:
+            return _check(g, [(c, vertices_of(full))], r)
+    return _multipartite2(g, parts) if r == 2 else _multipartite3(g, parts)
 
 
 def _multipartite2(g, parts):
-    sp = _spanning_component(g)
-    if sp is not None:
-        return _check(g, [sp], 2)
     V1 = parts[0]
     R = sorted(v for p in parts[1:] for v in p)
     res = _classify2(g, V1, R, 1, 2)
     if res.cls.tag == "P1":
         _, va, vb = res.cls.data
-        pieces = [(1, _comp_of(g, 1, va)), (2, _comp_of(g, 2, vb))]
+        roots = [(1, va), (2, vb)]
     elif res.cls.tag == "P2":
         X1, X2, Y1, Y2 = res.cls.data
-        pieces = [(1, _comp_of(g, 1, X1[0])), (1, _comp_of(g, 1, X2[0]))]
+        roots = [(1, X1[0]), (1, X2[0])]
     else:
-        c = res.cls.data[0]
-        pieces = [(c, _comp_of(g, c, V1[0]))]
-    dedup = []
-    for p in pieces:
-        if p not in dedup:
-            dedup.append(p)
-    return _check(g, dedup, 2)
+        roots = [(res.cls.data[0], V1[0])]
+    # the global components through the roots
+    return _check(g, _vertex_pieces((c, reach(g.adjacency(c), v)) for c, v in roots), 2)
 
 
 def _multipartite3(g, parts):
-    sp = _spanning_component(g)
-    if sp is not None:
-        return _check(g, [sp], 3)
-    # a component covering a full part leaves a 2-colored bipartite rest
-    for c in range(1, 4):
-        for comp in components(g, c).parts:
-            compset = set(comp)
-            for pi, part in enumerate(parts):
-                if set(part) <= compset:
-                    rest = [v for v in range(g.n) if v not in compset]
-                    if not rest:
-                        return _check(g, [(c, comp)], 3)
-                    oc = [cc for cc in (1, 2, 3) if cc != c]
-                    res = _classify2(g, rest, part, oc[0], oc[1])
-                    extra = [(pc, _comp_of(g, pc, pvs[0]))
-                             for pc, pvs, *_ in res.tree_pieces]
-                    dedup = [(c, comp)]
-                    for p in extra:
-                        if p not in dedup:
-                            dedup.append(p)
-                    return _check(g, dedup, 3)
-    # general case: the proof guarantees a 3-component cover exists
+    full = (1 << g.n) - 1
+    # a component covering a full part leaves a 2-colored bipartite rest; the
+    # caller has ruled out a spanning one
+    part_masks = [(part, mask_of(part)) for part in parts]
+    for c in (1, 2, 3):
+        for comp in component_masks(g.adjacency(c), full):
+            for part, pm in part_masks:
+                if pm & ~comp:
+                    continue
+                oc = [cc for cc in (1, 2, 3) if cc != c]
+                res = _classify2(g, vertices_of(full & ~comp), part, *oc)
+                extra = [(pc, reach(g.adjacency(pc), pvs[0]))
+                         for pc, pvs, *_ in res.tree_pieces]
+                return _check(g, _vertex_pieces([(c, comp)] + extra), 3)
+    # general case: the proof guarantees a 3-component cover exists, and
+    # tc_exact's certificate is already verified
     size, cert = tc_exact(g)
     if size > 3:
         raise AssertionError(f"three-part cover missing: graph={g!r} "
                              f"edges={g.edges()}")
-    return _check(g, cert.pieces, 3)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -847,57 +825,49 @@ def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
         # A minimum cover by S-colored components has König's size: it equals
         # a maximum set of vertices in pairwise different components of each
         # color of S, and such vertices are independent in the S-colored graph.
-        cands = [(mask_of(p), (c, p)) for c in S for p in components(g, c).parts]
-        _, pieces = min_cover((1 << g.n) - 1, cands, SolveBudget())
-        return _check(g, pieces, r - 1, None, allowed_colors=S)
+        size, cert = tc_exact(g, allowed_colors=S)
+        if size > r - 1:
+            raise AssertionError(f"no {r - 1}-cover in the colors {S}: "
+                                 f"graph={g!r} edges={g.edges()}")
+        return cert
     X = sorted(witness)[:r]
     P = [c for c in range(1, r + 1) if c not in S]
     if r == 3:
-        c0 = P[0]
-        comp = _comp_of(g, c0, X[0])
-        assert len(comp) == g.n, "a single component must cover"
-        return _check(g, [(c0, comp)], r - 1, None, allowed_colors=P)
+        comp = reach(g.adjacency(P[0]), X[0])
+        assert comp == (1 << g.n) - 1, "a single component must cover"
+        return _check(g, [(P[0], vertices_of(comp))], r - 1, None, allowed_colors=P)
     if r == 4:
         return _restricted4(g, X, P)
     return _restricted5(g, X, P)
 
 
-def _on_x_comps(g, c, X):
-    """Global components of color c through X, sorted by X-intersection size."""
-    seen = set()
-    out = []
-    for v in X:
-        comp = _comp_of(g, c, v)
-        if comp in seen:
-            continue
-        seen.add(comp)
-        out.append(comp)
-    out.sort(key=lambda comp: (-len([v for v in X if v in comp]), comp))
-    return out
+def _on_x_comps(g, c, xm):
+    """Global components (masks) of color c meeting the vertex mask xm, by
+    decreasing X-count; one color's components are disjoint, so ties go to
+    the lowest vertex."""
+    adj = g.adjacency(c)
+    comps = dict.fromkeys(reach(adj, v) for v in vertices_of(xm))
+    return sorted(comps, key=lambda m: (-(m & xm).bit_count(), lowest_vertex(m)))
 
 
 def _restricted4(g, X, P):
-    c1, c2 = P
+    xm = mask_of(X)
     # a spanning color on X: c1 connected on X, else c2
-    span = None
-    for c in (c1, c2):
-        comp0 = _comp_of(g, c, X[0])
-        if all(v in comp0 for v in X):
-            span = c
+    for span, oc in (P, P[::-1]):
+        comp = reach(g.adjacency(span), X[0])
+        if comp & xm == xm:
             break
-    assert span is not None, "one of two colors always spans a K_4"
-    oc = c2 if span == c1 else c1
-    pieces = [(span, _comp_of(g, span, X[0]))]
-    greedy = [comp for comp in _on_x_comps(g, oc, X)
-              if len([v for v in X if v in comp]) >= 2]
-    pieces += [(oc, comp) for comp in greedy[:2]]
-    return _check(g, pieces, 3, None, allowed_colors=P)
+    else:
+        raise AssertionError("one of two colors always spans a K_4")
+    greedy = [m for m in _on_x_comps(g, oc, xm) if (m & xm).bit_count() >= 2]
+    pieces = [(span, comp)] + [(oc, m) for m in greedy[:2]]
+    return _check(g, _vertex_pieces(pieces), 3, None, allowed_colors=P)
 
 
 def _restricted5(g, X, P):
-    comps_by_color = {c: _on_x_comps(g, c, X) for c in P}
-    tX = {c: [len([v for v in X if v in comp]) for comp in comps_by_color[c]]
-          for c in P}
+    xm = mask_of(X)
+    comps_by_color = {c: _on_x_comps(g, c, xm) for c in P}
+    tX = {c: [(m & xm).bit_count() for m in comps_by_color[c]] for c in P}
 
     def pieces_for(cond, roles):
         i, j, k = roles
@@ -909,7 +879,7 @@ def _restricted5(g, X, P):
             ps = [(i, comp) for comp in comps_by_color[i]]
             ps += [(j, comp) for comp, sz in zip(comps_by_color[j], tX[j]) if sz >= 2]
             ps += [(k, comp) for comp, sz in zip(comps_by_color[k], tX[k]) if sz >= 2]
-        return ps
+        return _vertex_pieces(ps)
 
     for i, j, k in itertools.permutations(P):
         if len(tX[i]) + len(tX[j]) + sum(1 for s in tX[k] if s >= 3) <= 4:
@@ -943,20 +913,21 @@ def _restricted5(g, X, P):
             candidates.append([(A, A1), (A, A2), (Bc, B1), (Bc, B2)])
             candidates.append([(A, A1), (A, A2), (Cc, C1), (Cc, C2)])
         # the deep branch: u, v outside both candidate covers join in color A
-        cover1 = set().union(*[set(p) for _, p in candidates[0]])
-        cover2 = set().union(*[set(p) for _, p in candidates[1]])
-        out1 = [v for v in range(g.n) if v not in cover1]
-        out2 = [v for v in range(g.n) if v not in cover2]
+        out1, out2 = (1 << g.n) - 1, (1 << g.n) - 1
+        for (_, m1), (_, m2) in zip(candidates[0], candidates[1]):
+            out1 &= ~m1
+            out2 &= ~m2
         if out1 and out2:
-            u, v = out1[0], out2[0]
+            u, v = lowest_vertex(out1), lowest_vertex(out2)
             if A in g.colors_of(u, v):
-                A3 = _comp_of(g, A, u)
+                A3 = reach(g.adjacency(A), u)
                 for Bc in rest:
                     B1 = comps_by_color[Bc][0]
                     candidates.append([(A, A1), (A, A2), (A, A3), (Bc, B1)])
 
     for cand in candidates:
-        cert = make_certificate(cand, max_size=4, allowed_colors=frozenset(P))
+        cert = make_certificate(_vertex_pieces(cand), max_size=4,
+                                allowed_colors=frozenset(P))
         if verify(g, cert).ok:
             return cert
     raise AssertionError(f"no residual-case cover verified: {g.edges()}")

@@ -122,6 +122,8 @@ class ColoredMultigraph:
 
     def adjacency(self, c: int) -> tuple[int, ...]:
         """The color-c class as a mask adjacency: bit w of entry u marks edge uw."""
+        if not 1 <= c <= self.r:
+            raise GraphError(f"color {c} out of range 1..{self.r}")
         return self._adj[c]
 
     def is_complete(self) -> bool:
@@ -129,7 +131,7 @@ class ColoredMultigraph:
         return all(nb | 1 << u == full for u, nb in enumerate(self._neighbors()))
 
     def min_color_of(self, u: int, v: int) -> int:
-        """Deterministic single-color reduction used by the constructive proofs."""
+        """The least color on the pair uv; GraphError when it carries none."""
         cols = self.colors_of(u, v)
         if not cols:
             raise GraphError(f"no edge between {u} and {v}")
@@ -358,9 +360,7 @@ def _tree_diameter(adj, v: int) -> int:
 
 def components(g: ColoredMultigraph, c: int) -> ComponentSet:
     """Connected components of the color-c subgraph; colorless vertices are singletons."""
-    if not (1 <= c <= g.r):
-        raise GraphError(f"color {c} out of range 1..{g.r}")
-    parts = component_masks(g._adj[c], (1 << g.n) - 1)
+    parts = component_masks(g.adjacency(c), (1 << g.n) - 1)
     return ComponentSet(c, tuple(tuple(vertices_of(m)) for m in parts))
 
 
@@ -383,10 +383,10 @@ def diameter(g: ColoredMultigraph, vertices, c: int) -> float:
     Only edges with both endpoints inside the set count.  Returns math.inf when
     the induced subgraph is disconnected, 0 for a single vertex.
     """
+    adj = g.adjacency(c)
     mask = mask_of(vertices)
     if not mask:
         raise GraphError("diameter of an empty vertex set")
-    adj = g._adj[c]
     if reach(adj, lowest_vertex(mask), mask) != mask:
         return math.inf
     return _connected_diameter(adj, mask)

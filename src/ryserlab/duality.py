@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ColoredMultigraph, alpha, closure, components
+from .core import ColoredMultigraph, alpha, component_masks, vertices_of
 
 
 class HypergraphError(ValueError):
@@ -95,38 +95,30 @@ def graph_to_hypergraph(g: ColoredMultigraph):
 
     Component-vertices are the monochromatic components with at least one edge,
     numbered color-major then by smallest contained graph vertex; edges are the
-    maximal sets of components sharing a graph vertex.
+    maximal sets of components sharing a graph vertex.  The closure has the
+    components of g, so they are read from g's own color classes.
     """
-    cg = closure(g)
-    comp_ids = {}
-    classes = []
-    comps = []
-    for c in range(1, cg.r + 1):
-        cls = []
-        for part in components(cg, c).parts:
-            if len(part) < 2:
-                continue
-            comp_ids[(c, part)] = len(comps)
-            cls.append(len(comps))
-            comps.append((c, part))
-        classes.append(tuple(cls))
+    full = (1 << g.n) - 1
+    masks, comps, classes = [], [], []
+    for c in range(1, g.r + 1):
+        nontrivial = [m for m in component_masks(g.adjacency(c), full) if m & (m - 1)]
+        classes.append(tuple(range(len(comps), len(comps) + len(nontrivial))))
+        masks += nontrivial
+        comps += [(c, tuple(vertices_of(m))) for m in nontrivial]
     # hyperedge candidate per graph vertex: the components through it
     raw = []
-    for v in range(cg.n):
-        e = []
-        for (c, part), i in comp_ids.items():
-            if v in part:
-                e.append(i)
+    for v in range(g.n):
+        e = frozenset(i for i, m in enumerate(masks) if m >> v & 1)
         if not e:
             raise HypergraphError(
                 f"vertex {v} lies in no nontrivial monochromatic component")
-        raw.append(frozenset(e))
+        raw.append(e)
     maximal = []
     for e in sorted(set(raw), key=lambda s: (-len(s), sorted(s))):
         if not any(e < f for f in maximal):
             maximal.append(e)
     maximal_sorted = sorted(tuple(sorted(e)) for e in maximal)
-    h = ColoredHypergraph(len(comps), 0, cg.r, classes,
+    h = ColoredHypergraph(len(comps), 0, g.r, classes,
                           [(None, e) for e in maximal_sorted])
     return h, comps
 

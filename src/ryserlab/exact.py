@@ -261,8 +261,6 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
         raise GraphError(f"max_diam must be >= 0, got {max_diam}")
     budget = budget or SolveBudget()
     colors = sorted(allowed_colors) if allowed_colors is not None else range(1, g.r + 1)
-    if g.n == 0:
-        return 0, make_certificate([], max_size=0)
     if max_diam is None:
         candidates = [(mask_of(part), (c, part)) for c in colors
                       for part in components(g, c).parts]

@@ -13,8 +13,10 @@ Reproduces the case counts 84 -> 37 -> 2 at (n,p)=(5,3) and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -387,31 +389,34 @@ def is_valid(sig: SignatureSet, budget=None) -> ColoredMultigraph | None:
 # lemma filters
 
 
-def _lemma_r5(shapes) -> bool:
-    t = [len(s) for s in shapes]
-    g2 = [sum(1 for x in s if x >= 2) for s in shapes]
-    g3 = [sum(1 for x in s if x >= 3) for s in shapes]
-    for i, j, k in itertools.permutations(range(3)):
-        if t[i] + t[j] + g3[k] <= 4:
-            return True
-        if t[i] + g2[j] + g2[k] <= 4:
+def _lemma_eliminates(shapes) -> bool:
+    """Lemmas R5 and R6 as one rule, for p shapes of n.
+
+    A threshold vector is a partition of 2p - 1 into p parts, assigned to the
+    colors in some order.  The signature is eliminated when, for some such
+    vector, the colors' counts of parts at least their threshold sum to at
+    most n - 1: (3,1,1) and (2,2,1) at (5,3), (4,1,1,1), (3,2,1,1) and
+    (2,2,2,1) at (6,4).
+    """
+    p, n = len(shapes), sum(shapes[0])
+    at_least = [_parts_at_least(s, p) for s in shapes]
+    for order in _threshold_orders(p):
+        if sum(map(operator.getitem, at_least, order)) <= n - 1:
             return True
     return False
 
 
-def _lemma_r6(shapes) -> bool:
-    t = [len(s) for s in shapes]
-    g2 = [sum(1 for x in s if x >= 2) for s in shapes]
-    g3 = [sum(1 for x in s if x >= 3) for s in shapes]
-    g4 = [sum(1 for x in s if x >= 4) for s in shapes]
-    for i, j, k, l in itertools.permutations(range(4)):
-        if t[i] + g2[j] + g2[k] + g2[l] <= 5:
-            return True
-        if t[i] + t[j] + g2[k] + g3[l] <= 5:
-            return True
-        if t[i] + t[j] + t[k] + g4[l] <= 5:
-            return True
-    return False
+@functools.cache
+def _threshold_orders(p: int) -> tuple[tuple[int, ...], ...]:
+    """Every ordering of every partition of 2p - 1 into p parts, once each."""
+    return tuple(sorted({order for lam in int_partitions(2 * p - 1) if len(lam) == p
+                         for order in itertools.permutations(lam)}))
+
+
+@functools.cache
+def _parts_at_least(shape: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Entry t, for t in 0..p: how many parts of shape are >= t."""
+    return tuple(sum(1 for x in shape if x >= t) for t in range(p + 1))
 
 
 def _w_qualifies(size: int, profs) -> bool:
@@ -505,22 +510,17 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
     W, and raises unless `realization_admits_w` confirms that it is free.
     """
     which = which.upper()
-    if which == "R5":
-        if (sig.n, sig.p) != (5, 3):
-            raise ValueError("R5 needs (n,p)=(5,3)")
-        return _lemma_r5(sig.shapes())
-    if which == "R6":
-        if (sig.n, sig.p) != (6, 4):
-            raise ValueError("R6 needs (n,p)=(6,4)")
-        return _lemma_r6(sig.shapes())
-    if which == "R6II":
-        if (sig.n, sig.p) != (6, 4):
-            raise ValueError("R6II needs (n,p)=(6,4)")
-        if g is not None:
-            return realization_admits_w(g)
-        valid, free = _analyze_r6ii(sig)
-        return valid and free is None
-    raise ValueError(f"unknown lemma filter {which!r}")
+    if which not in ("R5", "R6", "R6II"):
+        raise ValueError(f"unknown lemma filter {which!r}")
+    n, p = (5, 3) if which == "R5" else (6, 4)
+    if (sig.n, sig.p) != (n, p):
+        raise ValueError(f"{which} needs (n,p)=({n},{p})")
+    if which != "R6II":
+        return _lemma_eliminates(sig.shapes())
+    if g is not None:
+        return realization_admits_w(g)
+    valid, free = _analyze_r6ii(sig)
+    return valid and free is None
 
 
 def valid_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
@@ -542,10 +542,10 @@ def residual_cases(n: int, p: int, budget=None) -> list[SignatureSet]:
     """
     if (n, p) == (5, 3):
         out = [s for s in enumerate_signatures(5, 3)
-               if not _lemma_r5(s.shapes()) and is_valid(s, budget) is not None]
+               if not _lemma_eliminates(s.shapes()) and is_valid(s, budget) is not None]
     elif (n, p) == (6, 4):
         out = [s for s in enumerate_signatures(6, 4)
-               if not _lemma_r6(s.shapes()) and _analyze_r6ii(s, budget)[1] is not None]
+               if not _lemma_eliminates(s.shapes()) and _analyze_r6ii(s, budget)[1] is not None]
     else:
         raise ValueError(f"residual_cases supports (5,3) and (6,4), not ({n},{p})")
     return sorted(out, key=lambda s: s.shapes(), reverse=True)

@@ -340,6 +340,15 @@ def test_cover_multipartite_3():
         assert len(cert.pieces) <= 3 and verify(g, cert).ok
 
 
+def test_covers_of_the_empty_graph():
+    for r, parts in ((2, []), (3, [[], [], []])):
+        g = ColoredMultigraph(0, r, {})
+        cert = cv.cover_multipartite(g, parts, r)
+        assert cert.pieces == () and verify(g, cert).ok
+    cert = cv.restricted_cover(ColoredMultigraph(0, 3, {}), 3, [1, 2])
+    assert cert.pieces == () and cert.allowed_colors == frozenset({1, 2})
+
+
 def test_cover_multipartite_3_general_case(monkeypatch):
     # no component spans V or contains a whole part, so only the exact
     # component cover settles it
@@ -358,6 +367,8 @@ def test_cover_multipartite_3_general_case(monkeypatch):
     cert = cv.cover_multipartite(g, [[0, 1], [2, 3], [4, 5, 6]], 3)
     assert calls == [(1 << 7) - 1]
     assert len(cert.pieces) <= 3 and verify(g, cert).ok
+    # tc_exact's certificate, which declares its own size
+    assert cert.declared_max_size == len(cert.pieces)
 
 
 def test_cover_bipartite3_zone_fallback(monkeypatch):
@@ -469,7 +480,9 @@ def test_restricted_cover_konig_branch_is_minimum():
             best = next(k for k in range(len(comps) + 1)
                         if any(set().union(*sub) == set(range(n))
                                for sub in itertools.combinations(comps, k)))
-            assert len(cv.restricted_cover(g, r, S).pieces) == best
+            cert = cv.restricted_cover(g, r, S)
+            assert len(cert.pieces) == cert.declared_max_size == best
+            assert cert.allowed_colors == frozenset(S) and verify(g, cert).ok
             checked += 1
     assert checked >= 60
 

@@ -101,6 +101,14 @@ def test_diameter_examples():
     assert diameter(p4, [0, 3], 1) == math.inf
 
 
+def test_diameter_rejects_a_color_out_of_range():
+    # colour 0 once read an empty row (inf) and r + 1 an IndexError
+    g = monochromatic_complete(3, r=2)
+    for bad in (0, 3):
+        with pytest.raises(GraphError, match=f"color {bad} out of range 1..2"):
+            diameter(g, [0, 1, 2], bad)
+
+
 def test_alpha_examples_and_bruteforce():
     assert alpha(monochromatic_complete(6))[0] == 1
     assert alpha(ColoredMultigraph(4, 1, {}))[0] == 4

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ryserlab import duality as du
 from ryserlab import exact as ex
-from ryserlab.core import ColoredMultigraph, alpha, closure, monochromatic_complete
+from ryserlab.core import (ColoredMultigraph, alpha, closure, components,
+                           monochromatic_complete)
 
 
 def rainbow_triangle():
@@ -89,6 +92,53 @@ def test_same_components_same_hypergraph():
     h1, _ = du.graph_to_hypergraph(g1)
     h2, _ = du.graph_to_hypergraph(g2)
     assert h1.edges() == h2.edges() and h1.parts == h2.parts
+
+
+def ref_graph_to_hypergraph(g):
+    """The dual read from the closure's components, each vertex's hyperedge
+    found by scanning every component's vertex tuple; None when a vertex lies
+    in no nontrivial component."""
+    cg = closure(g)
+    comps, classes = [], []
+    for c in range(1, cg.r + 1):
+        parts = [p for p in components(cg, c).parts if len(p) > 1]
+        classes.append(tuple(range(len(comps), len(comps) + len(parts))))
+        comps += [(c, p) for p in parts]
+    raw = []
+    for v in range(cg.n):
+        e = frozenset(i for i, (_, p) in enumerate(comps) if v in p)
+        if not e:
+            return None
+        raw.append(e)
+    maximal = sorted(tuple(sorted(e)) for e in set(raw) if not any(e < f for f in raw))
+    return du.ColoredHypergraph(len(comps), 0, cg.r, classes,
+                                [(None, e) for e in maximal]), comps
+
+
+@st.composite
+def colored_graphs(draw):
+    """n <= 9, r <= 4; a pair carries any subset of the colors."""
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(1, 4))
+    edges = {}
+    for pair in itertools.combinations(range(n), 2):
+        cols = draw(st.frozensets(st.integers(1, r), max_size=r))
+        if cols:
+            edges[pair] = cols
+    return ColoredMultigraph(n, r, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_graphs())
+def test_graph_to_hypergraph_matches_the_closure_reference(g):
+    want = ref_graph_to_hypergraph(g)
+    if want is None:
+        with pytest.raises(du.HypergraphError):
+            du.graph_to_hypergraph(g)
+        return
+    (h, comps), (wh, wcomps) = du.graph_to_hypergraph(g), want
+    assert comps == wcomps
+    assert (h.n, h.k, h.r, h.parts, h.edges()) == (wh.n, wh.k, wh.r, wh.parts, wh.edges())
 
 
 def test_isolated_vertex_rejected():

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ryserlab import hypercover as hc
-from ryserlab.constructive import _ball
 from ryserlab.core import (ColoredMultigraph, closure, components,
-                           connected_subsets, diameter, mask_of)
+                           connected_subsets, diameter, layers, mask_of)
 from ryserlab.duality import ColoredHypergraph
 from ryserlab.signatures import SignatureSet, signature_of
 
@@ -118,8 +117,9 @@ def test_ball_matches_bfs(g, data):
     for c in range(1, g.r + 1):
         dist = ref_dist(ref_neighbors(g, c), center, set(range(g.n)))
         for radius in (1, 2, 3):
-            want = tuple(sorted(v for v, d in dist.items() if d <= radius))
-            assert _ball(g, c, center, radius) == want
+            want = mask_of(v for v, d in dist.items() if d <= radius)
+            # the layers are disjoint, so their sum is the ball
+            assert sum(layers(g.adjacency(c), center, radius=radius)) == want
 
 
 @SETTINGS

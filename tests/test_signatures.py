@@ -8,7 +8,8 @@ import textwrap
 import pytest
 
 from ryserlab import signatures as sg
-from ryserlab.core import ColoredMultigraph, complete_graph, monochromatic_complete
+from ryserlab.core import (ColoredMultigraph, GraphError, complete_graph,
+                           monochromatic_complete)
 from ryserlab.exact import Inconclusive, SolveBudget
 
 
@@ -138,6 +139,13 @@ def test_invalid_example_and_soundness_of_edge_count():
             assert sg.passes_edge_count(s)
 
 
+def test_signature_of_rejects_a_color_out_of_range():
+    g = monochromatic_complete(4, r=2)
+    for bad in (0, 3):
+        with pytest.raises(GraphError, match=f"color {bad} out of range 1..2"):
+            sg.signature_of(g, range(4), [bad, 1])
+
+
 def test_witness_reproduces_signature():
     for s in sg.valid_signatures(5, 3):
         w = sg.is_valid(s)
@@ -164,6 +172,32 @@ def test_lemma_r6_examples():
     assert sg.lemma_filter(S((5, 1), (3, 3), (3, 1, 1, 1), (2, 2, 2)), "R6")
     assert sg.lemma_filter(S((6,), (4, 2), (4, 2), (3, 3)), "R6")
     assert not sg.lemma_filter(S((6,), (4, 2), (4, 2), (4, 2)), "R6")
+
+
+def hand_written_r5(shapes):
+    t = [len(s) for s in shapes]
+    g2 = [sum(1 for x in s if x >= 2) for s in shapes]
+    g3 = [sum(1 for x in s if x >= 3) for s in shapes]
+    return any(t[i] + t[j] + g3[k] <= 4 or t[i] + g2[j] + g2[k] <= 4
+               for i, j, k in itertools.permutations(range(3)))
+
+
+def hand_written_r6(shapes):
+    t = [len(s) for s in shapes]
+    g2 = [sum(1 for x in s if x >= 2) for s in shapes]
+    g3 = [sum(1 for x in s if x >= 3) for s in shapes]
+    g4 = [sum(1 for x in s if x >= 4) for s in shapes]
+    return any(t[i] + g2[j] + g2[k] + g2[l] <= 5 or t[i] + t[j] + g2[k] + g3[l] <= 5
+               or t[i] + t[j] + t[k] + g4[l] <= 5
+               for i, j, k, l in itertools.permutations(range(4)))
+
+
+def test_one_lemma_rule_is_r5_and_r6():
+    for (n, p), which, ref, eliminated in (((5, 3), "R5", hand_written_r5, 62),
+                                           ((6, 4), "R6", hand_written_r6, 551)):
+        got = [sg.lemma_filter(s, which) for s in sg.enumerate_signatures(n, p)]
+        assert got == [ref(s.shapes()) for s in sg.enumerate_signatures(n, p)]
+        assert sum(got) == eliminated
 
 
 def test_residual_53():
@@ -241,7 +275,7 @@ def test_r6ii_eliminations_hold_on_every_realization():
     # valid, not eliminated by R6, eliminated by R6II: every realization the
     # search enumerates must admit a qualifying W by the independent checker
     elim = [s for s in sg.enumerate_signatures(6, 4)
-            if not sg._lemma_r6(s.shapes()) and sg.lemma_filter(s, "R6II")]
+            if not sg.lemma_filter(s, "R6") and sg.lemma_filter(s, "R6II")]
     assert len(elim) == 18
     tab = sg._tables(6)
     count = 0
