@@ -325,7 +325,7 @@ def cmd_signatures(args):
         sigs = sg.valid_signatures(n, p, args.budget)
     else:
         sigs = sg.residual_cases(n, p, args.budget)
-    lines = [",".join(str(s) for s in sig.sigs) for sig in sigs]
+    lines = [str(sig)[1:-1] for sig in sigs]  # the shapes, without the braces
     _emit(args, f"# {args.stage}({n},{p}) = {len(sigs)}\n" + "\n".join(lines),
           {"count": len(sigs)})
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import ColoredMultigraph
+from .core import ColoredMultigraph, closed_graph, mask_of
 from .duality import ColoredHypergraph
 
 
@@ -261,21 +261,11 @@ def affine_tc_coloring(r: int, alpha_copies: int = 1) -> ColoredMultigraph:
     plane = galois_plane(q, "affine")
     classes = plane.parallel_classes()
     assert len(classes) == r
-    line_class = {}
-    for ci, cls in enumerate(classes, start=1):
-        for li in cls:
-            line_class[li] = ci
-    pair_color = {}
-    for li, line in enumerate(plane.lines):
-        for u, v in itertools.combinations(line, 2):
-            pair_color[(u, v)] = line_class[li]
     nn = q * q
-    edges = []
-    for copy in range(alpha_copies):
-        off = copy * nn
-        for (u, v), c in sorted(pair_color.items()):
-            edges.append((off + u, off + v, c))
-    return ColoredMultigraph.from_edges(alpha_copies * nn, r, edges)
+    return closed_graph(alpha_copies * nn,
+                        [[mask_of(plane.lines[li]) << copy * nn
+                          for copy in range(alpha_copies) for li in cls]
+                         for cls in classes])
 
 
 def half_r_example(r: int, block_size: int | None = None) -> ColoredMultigraph:

@@ -50,8 +50,14 @@ def _color_reader(least: dict):
 
 def _bipartite_colors(g: ColoredMultigraph, X, Y, colors) -> dict:
     """The least-color table of the X-Y pairs alone; every such pair must
-    carry one of the colors."""
+    carry one of the colors.  The sides must be disjoint sets of vertices
+    of g."""
+    for v in (*X, *Y):
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} is outside 0..{g.n - 1}")
     xm, ym = mask_of(X), mask_of(Y)
+    if xm & ym:
+        raise GraphError(f"vertex {lowest_vertex(xm & ym)} is on both sides")
     # per vertex, the other side
     side = [xm if ym >> v & 1 else ym if xm >> v & 1 else 0 for v in range(g.n)]
     least = {c: [m & s for m, s in zip(rows, side)]
@@ -470,6 +476,8 @@ def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
     a color of diameter <= 2 (case 2, the same color or two different ones),
     and every branch of each case returns its two pieces.
     """
+    if g.r < 2:
+        raise GraphError(f"cover_alpha2 needs colors 1 and 2, got r={g.r}")
     stray = [(u, v) for u, v, cs in g.edges() if not cs & {1, 2}]
     if stray:
         raise GraphError(f"cover_alpha2 needs colors 1 and 2: pair "

@@ -364,17 +364,35 @@ def components(g: ColoredMultigraph, c: int) -> ComponentSet:
     return ComponentSet(c, tuple(tuple(vertices_of(m)) for m in parts))
 
 
+def closed_graph(n: int, blocks) -> ColoredMultigraph:
+    """The closed graph on 0..n-1 in which color c is a clique on each vertex
+    mask of blocks[c - 1]; r is len(blocks).
+
+    A mask that is negative, has a bit at n or above, or meets an earlier
+    mask of its color raises GraphError.
+    """
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    adj = [(0,) * n]
+    for c, masks in enumerate(blocks, start=1):
+        row = [0] * n
+        seen = 0
+        for m in masks:
+            if m < 0 or m >> n:
+                raise GraphError(f"color {c} block {m:#x} is not a vertex mask for n={n}")
+            if seen & m:
+                raise GraphError(f"color {c} blocks overlap at vertex {lowest_vertex(seen & m)}")
+            seen |= m
+            for v in vertices_of(m):
+                row[v] = m ^ (1 << v)
+        adj.append(tuple(row))
+    return ColoredMultigraph._of_rows(n, len(adj) - 1, tuple(adj))
+
+
 def closure(g: ColoredMultigraph) -> ColoredMultigraph:
     """Complete every monochromatic component to a clique in its color."""
     full = (1 << g.n) - 1
-    adj = [g._adj[0]]
-    for c in range(1, g.r + 1):
-        row = [0] * g.n
-        for m in component_masks(g._adj[c], full):
-            for v in vertices_of(m):
-                row[v] = m & ~(1 << v)
-        adj.append(tuple(row))
-    return ColoredMultigraph._of_rows(g.n, g.r, tuple(adj))
+    return closed_graph(g.n, [component_masks(row, full) for row in g._adj[1:]])
 
 
 def diameter(g: ColoredMultigraph, vertices, c: int) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ColoredMultigraph, alpha, component_masks, vertices_of
+from .core import ColoredMultigraph, alpha, closed_graph, component_masks, vertices_of
 
 
 class HypergraphError(ValueError):
@@ -124,24 +124,20 @@ def graph_to_hypergraph(g: ColoredMultigraph):
 
 
 def hypergraph_to_graph(h: ColoredHypergraph) -> ColoredMultigraph:
-    """One graph vertex per hyperedge; color i joins edges meeting inside class i."""
+    """One graph vertex per hyperedge; color i joins edges meeting inside class i.
+
+    through[v] is the mask of the hyperedges that hold v, and color i is a
+    clique on through[v] for each v in class i.  These cliques are disjoint,
+    since no hyperedge meets a class twice.
+    """
     if h.parts is None:
         raise HypergraphError("hypergraph_to_graph needs a declared partition")
-    r = len(h.parts)
-    cls = {}
-    for i, p in enumerate(h.parts):
-        for v in p:
-            cls[v] = i + 1
     sets = h.edge_vertex_sets()
-    edges = []
-    for i in range(len(sets)):
-        si = set(sets[i])
-        for j in range(i + 1, len(sets)):
-            common = si.intersection(sets[j])
-            cols = sorted({cls[v] for v in common})
-            if cols:
-                edges.append((i, j, cols))
-    return ColoredMultigraph.from_edges(len(sets), r, edges)
+    through = [0] * h.n
+    for j, vs in enumerate(sets):
+        for v in vs:
+            through[v] |= 1 << j
+    return closed_graph(len(sets), [[through[v] for v in p] for p in h.parts])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 import operator
 import time
 
-from .core import (ColoredMultigraph, GraphError, closure, component_masks,
+from .core import (ColoredMultigraph, GraphError, closed_graph, component_masks,
                    components, connected_subsets, diameter, lowest_vertex,
                    make_certificate, mask_of, reach, verify, vertices_of)
 
@@ -618,8 +618,9 @@ def hunt(n: int, r: int, bound, budget: SolveBudget | None = None, stats=None):
             for (u, v), c in zip(pairs, colv):
                 adjs[c][u] |= 1 << v
                 adjs[c][v] |= 1 << u
-            got = min_cover(full, [(m, (c, m)) for c in range(1, r + 1)
-                                   for m in component_masks(adjs[c], full)],
+            comps = [component_masks(adjs[c], full) for c in range(1, r + 1)]
+            got = min_cover(full, [(m, (c, m)) for c, ms in enumerate(comps, start=1)
+                                   for m in ms],
                             budget, at_most=b)
             stats["solved"] += 1
             if got is not None:
@@ -629,8 +630,7 @@ def hunt(n: int, r: int, bound, budget: SolveBudget | None = None, stats=None):
                     raise AssertionError(f"decision witness {got} is not a cover by "
                                          f"at most {b} connected pieces")
                 continue
-            cg = closure(ColoredMultigraph.from_edges(
-                n, r, [(u, v, c) for (u, v), c in zip(pairs, colv)]))
+            cg = closed_graph(n, comps)
             t, _cert = tc_exact(cg, budget=budget)
             if t <= b:
                 raise AssertionError(f"tc_exact finds tc = {t} <= {b} on {colv}, "

@@ -195,18 +195,23 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
            for f in words]
     solve, method = (min_cover, "branch-and-bound") if n <= 100 \
         else (min_cover_milp, "milp")
-    # K_r^{x d} is vertex-transitive, so some minimum total dominating set
-    # contains the all-ones word words[0]: pin it, cover only the words it
-    # leaves undominated, and add 1 to the size and to the lower bound.
-    residual = ((1 << n) - 1) & ~dom[0]
+    # K_r^{x d} is vertex-transitive, so some minimum total dominating set D
+    # holds the all-ones word 1^d.  Some u in D dominates 1^d, so u has no
+    # letter 1.  The per-position letter permutations that fix 1 are
+    # automorphisms; they fix 1^d and map u to 2^d.  So pin 1^d and 2^d,
+    # cover only the words that hold both a 1 and a 2, and add 2 to the size
+    # and to the lower bound.
+    twos = words.index((2,) * d)
+    pins = [words[0], words[twos]]
+    residual = ((1 << n) - 1) & ~dom[0] & ~dom[twos]
     try:
         size, chosen = solve(residual, list(zip(dom, words)), budget)
     except Inconclusive as exc:
-        lower = max(lb, exc.stats.get("lower", 0) + 1)
+        lower = max(lb, exc.stats.get("lower", 0) + 2)
         stats = {**exc.stats, "stopped": str(exc)}
         uppers = []
         if exc.best is not None:
-            uppers.append(([words[0]] + exc.best[1], f"{method} (budget)"))
+            uppers.append((pins + exc.best[1], f"{method} (budget)"))
         if r == d:
             uppers.append((_diagonal_plus_witness(r).sorted_words(),
                            f"{method} (budget) + construction"))
@@ -214,7 +219,7 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
             return finish(lower, n, None, f"{method} (budget)", stats)
         best, how = min(uppers, key=lambda t: len(t[0]))
         return finish(lower, len(best), best, how, stats)
-    return finish(size + 1, size + 1, [words[0]] + chosen, method)
+    return finish(size + 2, size + 2, pins + chosen, method)
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,15 @@ def tight_spanning(h: ColoredHypergraph):
     """A monochromatic (1,2)-component spanning all vertices of a 3-colored K_n^3.
 
     Existence is guaranteed; a missing witness is an internal failure and
-    raises with the offending hypergraph.
+    raises with the offending hypergraph.  Anything but an edge-colored
+    complete K_n^3 with colors in 1..3 is a HypergraphError.
     """
     if h.k != 3:
         raise HypergraphError("tight_spanning expects a 3-uniform hypergraph")
+    _check_complete(h, "tight_spanning")
+    for col, vs in h.edges():
+        if col > 3:
+            raise HypergraphError(f"tight_spanning needs colors 1..3: edge {vs} has color {col}")
     for comp in cl_components(h, 1, 2):
         if len(comp.shadow) == h.n:
             return comp

@@ -20,59 +20,46 @@ import operator
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import ColoredMultigraph, GraphError, component_masks, mask_of
+from .core import ColoredMultigraph, GraphError, closed_graph, component_masks, mask_of
 
 
-@dataclass(frozen=True, order=True)
-class IntPartition:
-    """Weakly decreasing positive integers."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("partition parts must be positive")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            raise ValueError("partition parts must be weakly decreasing")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __str__(self):
-        return "(" + ",".join(map(str, self.parts)) + ")"
+def _shape_str(shape) -> str:
+    return "(" + ",".join(map(str, shape)) + ")"
 
 
 @dataclass(frozen=True)
 class SignatureSet:
-    """Multiset of p integer partitions of n, stored sorted descending."""
+    """Multiset of p integer partitions of n, each a weakly decreasing tuple
+    of positive ints, stored sorted descending."""
 
     n: int
     p: int
-    sigs: tuple[IntPartition, ...]
+    sigs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for s in self.sigs:
+            if any(q <= 0 for q in s):
+                raise ValueError("partition parts must be positive")
+            if list(s) != sorted(s, reverse=True):
+                raise ValueError("partition parts must be weakly decreasing")
         if len(self.sigs) != self.p:
             raise ValueError("need exactly p partitions")
         for s in self.sigs:
-            if s.total != self.n:
-                raise ValueError(f"partition {s} does not sum to {self.n}")
+            if sum(s) != self.n:
+                raise ValueError(f"partition {_shape_str(s)} does not sum to {self.n}")
         if list(self.sigs) != sorted(self.sigs, reverse=True):
             raise ValueError("signature partitions must be stored sorted descending")
 
     @classmethod
     def of(cls, n: int, parts_list) -> "SignatureSet":
-        sigs = tuple(sorted((IntPartition(tuple(p)) for p in parts_list), reverse=True))
+        sigs = tuple(sorted((tuple(p) for p in parts_list), reverse=True))
         return cls(n, len(sigs), sigs)
 
     def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s.parts for s in self.sigs)
+        return self.sigs
 
     def __str__(self):
-        return "{" + ",".join(str(s) for s in self.sigs) + "}"
+        return "{" + ",".join(map(_shape_str, self.sigs)) + "}"
 
 
 def int_partitions(n: int) -> list[tuple[int, ...]]:
@@ -148,14 +135,14 @@ def enumerate_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
     if budget is not None:
         budget.charge("signature enumeration", signature_count(n, p))
     shapes = sorted(int_partitions(n), reverse=True)
-    return [SignatureSet.of(n, combo)
+    return [SignatureSet(n, p, combo)
             for combo in itertools.combinations_with_replacement(shapes, p)]
 
 
 def passes_edge_count(sig: SignatureSet) -> bool:
     """The counting necessary condition: component cliques must cover all pairs."""
     n = sig.n
-    total = sum(q * (q - 1) // 2 for s in sig.sigs for q in s.parts)
+    total = sum(q * (q - 1) // 2 for s in sig.sigs for q in s)
     return total >= n * (n - 1) // 2
 
 
@@ -336,23 +323,13 @@ def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
     return rec(0, 0, ())
 
 
-def _realization_graph(n: int, p: int, blocks_tuple) -> ColoredMultigraph:
-    """The closed multicoloring of K_n whose color classes are the given partitions."""
-    edges = []
-    for ci, blocks in enumerate(blocks_tuple, start=1):
-        for b in blocks:
-            for u, v in itertools.combinations(sorted(b), 2):
-                edges.append((u, v, ci))
-    return ColoredMultigraph.from_edges(n, p, edges)
-
-
 def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):
     """The realization graph of a covering tuple, colored in the signature's
     order; raises unless it has exactly the signature sig."""
     by_color = [None] * len(shapes)
     for color, shape, i in zip(order, shapes, idxs):
-        by_color[color] = tab.parts[shape][i]
-    g = _realization_graph(sig.n, sig.p, by_color)
+        by_color[color] = [mask_of(b) for b in tab.parts[shape][i]]
+    g = closed_graph(sig.n, by_color)
     if signature_of(g, range(sig.n), range(1, sig.p + 1)) != sig:
         raise AssertionError(f"realization of {sig} has another signature")
     return g

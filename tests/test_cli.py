@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import shlex
 import sys
@@ -415,6 +416,28 @@ def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+K53_FOUR_COLORS = "hg 5 3 4\n" + "".join(
+    f"e {sum(e) % 4 + 1} {e[0]} {e[1]} {e[2]}\n"
+    for e in itertools.combinations(range(5), 3))
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["cover", "--method", "alpha2"], "cg 2 0\n", "cover_alpha2 needs colors 1 and 2"),
+    (["cover", "--method", "alpha2"], "cg 3 1\ne 0 1 1\ne 1 2 1\n",
+     "cover_alpha2 needs colors 1 and 2"),
+    (["hyper", "--method", "tight"], "hg 6 3 1\npart 0 0 1\npart 1 2 3\npart 2 4 5\n",
+     "tight_spanning expects a complete K_n^k"),
+    (["hyper", "--method", "tight"], K53_FOUR_COLORS, "tight_spanning needs colors 1..3"),
+], ids=["alpha2-r0", "alpha2-r1", "tight-no-edges", "tight-four-colors"])
+def test_inputs_outside_a_proof_exit_3_not_1(tmp_path, capsys, argv, text, message):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    code = cli.main(argv[:1] + ["--input", str(f)] + argv[1:])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_cover_restricted_names_its_missing_flag(tmp_path, capsys):

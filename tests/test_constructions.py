@@ -8,7 +8,7 @@ import pytest
 
 from ryserlab import constructions as cn
 from ryserlab import exact as ex
-from ryserlab.core import alpha, components
+from ryserlab.core import ColoredMultigraph, alpha, components
 from ryserlab.exact import Infeasible
 
 
@@ -54,6 +54,27 @@ def test_affine_coloring_structure():
         parts = {p for p in components(g, ci).parts if len(p) > 1}
         lines = {tuple(sorted(plane.lines[li])) for li in cls}
         assert parts == lines
+
+
+def ref_affine_tc_coloring(r, alpha_copies):
+    """Each pair colored by the parallel class of the line through it, read
+    from a table of line classes and a table of pair colors."""
+    q = r - 1
+    plane = cn.galois_plane(q, "affine")
+    line_class = {li: ci for ci, cls in enumerate(plane.parallel_classes(), start=1)
+                  for li in cls}
+    pair_color = {pair: line_class[li] for li, line in enumerate(plane.lines)
+                  for pair in itertools.combinations(line, 2)}
+    nn = q * q
+    edges = [(copy * nn + u, copy * nn + v, c) for copy in range(alpha_copies)
+             for (u, v), c in sorted(pair_color.items())]
+    return ColoredMultigraph.from_edges(alpha_copies * nn, r, edges)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+@pytest.mark.parametrize("alpha_copies", [1, 2])
+def test_affine_coloring_matches_the_pair_table(r, alpha_copies):
+    assert cn.affine_tc_coloring(r, alpha_copies) == ref_affine_tc_coloring(r, alpha_copies)
 
 
 def test_affine_coloring_tc_values():

@@ -285,6 +285,27 @@ def test_cover_alpha2_random():
         assert cert.declared_max_diam == 6
 
 
+@pytest.mark.parametrize("cover", [cv.cover_bipartite3, cv.classify_bipartite2])
+@pytest.mark.parametrize("X, Y, message", [
+    ([0, 9], [1, 2], "vertex 9 is outside 0..3"),
+    ([0, -1], [1, 2], "vertex -1 is outside 0..3"),
+    ([0, 1, 2], [2, 3], "vertex 2 is on both sides"),
+], ids=["past-n", "negative", "overlap"])
+def test_bipartite_covers_check_their_sides(cover, X, Y, message):
+    with pytest.raises(GraphError) as err:
+        cover(monochromatic_complete(4, r=3), X, Y)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("g", [
+    ColoredMultigraph.from_edges(2, 0, []),
+    ColoredMultigraph.from_edges(3, 1, [(0, 1, 1), (1, 2, 1)]),
+], ids=["r0", "r1"])
+def test_cover_alpha2_needs_two_colors(g):
+    with pytest.raises(GraphError, match=r"^cover_alpha2 needs colors 1 and 2"):
+        cv.cover_alpha2(g)
+
+
 def test_cover_alpha2_cliques_and_guard():
     edges = [(u, v, 1) for u, v in itertools.combinations(range(3), 2)]
     edges += [(u, v, 2) for u, v in itertools.combinations(range(3, 6), 2)]

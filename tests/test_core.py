@@ -7,9 +7,9 @@ from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from ryserlab.core import (ColoredMultigraph, CoverCertificate, GraphError,
-                           alpha, closure, complete_graph, components,
-                           diameter, make_certificate, monochromatic_complete,
-                           verify)
+                           alpha, closed_graph, closure, complete_graph,
+                           components, diameter, make_certificate, mask_of,
+                           monochromatic_complete, verify)
 
 
 def rainbow_triangle():
@@ -85,6 +85,42 @@ def test_closure_preserves_tc_tp():
         cg = closure(g)
         assert tc_exact(g)[0] == tc_exact(cg)[0]
         assert tp_exact(g)[0] == tp_exact(cg)[0]
+
+
+@st.composite
+def block_partitions(draw):
+    """n <= 9 and, per color of r <= 4, a set partition of 0..n-1 as vertex
+    lists in a drawn order."""
+    n = draw(st.integers(0, 9))
+    r = draw(st.integers(0, 4))
+    blocks = []
+    for _ in range(r):
+        label = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        parts = [[v for v in range(n) if label[v] == b] for b in set(label)]
+        blocks.append(draw(st.permutations(parts)))
+    return n, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_partitions())
+def test_closed_graph_matches_from_edges(case):
+    n, blocks = case
+    ref = ColoredMultigraph.from_edges(
+        n, len(blocks), [(u, v, c) for c, parts in enumerate(blocks, start=1)
+                         for b in parts for u, v in itertools.combinations(b, 2)])
+    assert closed_graph(n, [[mask_of(b) for b in parts] for parts in blocks]) == ref
+
+
+@pytest.mark.parametrize("n, blocks, message", [
+    (4, [[0b0011], [0b0110, 0b1100]], "color 2 blocks overlap at vertex 2"),
+    (4, [[0b0011, -2]], "color 1 block -0x2 is not a vertex mask for n=4"),
+    (4, [[0b0011], [0b10000]], "color 2 block 0x10 is not a vertex mask for n=4"),
+    (-1, [], "vertex count must be nonnegative"),
+])
+def test_closed_graph_rejects_bad_blocks(n, blocks, message):
+    with pytest.raises(GraphError) as err:
+        closed_graph(n, blocks)
+    assert str(err.value) == message
 
 
 def test_diameter_examples():

@@ -141,6 +141,42 @@ def test_graph_to_hypergraph_matches_the_closure_reference(g):
     assert (h.n, h.k, h.r, h.parts, h.edges()) == (wh.n, wh.k, wh.r, wh.parts, wh.edges())
 
 
+def ref_hypergraph_to_graph(h):
+    """Color i on a pair of hyperedges that share a vertex of class i, found
+    by intersecting every pair of hyperedges."""
+    cls = {v: i + 1 for i, p in enumerate(h.parts) for v in p}
+    sets = h.edge_vertex_sets()
+    edges = []
+    for i in range(len(sets)):
+        si = set(sets[i])
+        for j in range(i + 1, len(sets)):
+            cols = sorted({cls[v] for v in si.intersection(sets[j])})
+            if cols:
+                edges.append((i, j, cols))
+    return ColoredMultigraph.from_edges(len(sets), len(h.parts), edges)
+
+
+@st.composite
+def rpartite_hypergraphs(draw):
+    """r <= 4 classes of 1..3 vertices and up to 10 edges, each meeting a
+    class in at most one vertex; edges may repeat."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    parts, acc = [], 0
+    for s in sizes:
+        parts.append(tuple(range(acc, acc + s)))
+        acc += s
+    picks = st.tuples(*(st.one_of(st.none(), st.sampled_from(p)) for p in parts))
+    edges = [tuple(v for v in e if v is not None)
+             for e in draw(st.lists(picks, max_size=10))]
+    return du.ColoredHypergraph(acc, 0, 0, parts, [(None, e) for e in edges if e])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rpartite_hypergraphs())
+def test_hypergraph_to_graph_matches_the_pairwise_reference(h):
+    assert du.hypergraph_to_graph(h) == ref_hypergraph_to_graph(h)
+
+
 def test_isolated_vertex_rejected():
     g = ColoredMultigraph.from_edges(3, 2, [(0, 2, 1)])
     with pytest.raises(du.HypergraphError):

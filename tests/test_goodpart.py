@@ -67,6 +67,12 @@ def test_z33_on_both_cover_backends_with_and_without_pin():
         size, chosen = solve(full & ~dom[0], list(zip(dom, words)), ex.SolveBudget())
         assert size == 4
         assert gp.covers_all(gp.WordSet.of(3, 3, [words[0]] + chosen)) is True
+        # pinning 1^3 and 2^3 too leaves 3
+        twos = words.index((2, 2, 2))
+        size, chosen = solve(full & ~dom[0] & ~dom[twos], list(zip(dom, words)),
+                             ex.SolveBudget())
+        assert size == 3
+        assert gp.covers_all(gp.WordSet.of(3, 3, [words[0], words[twos]] + chosen)) is True
 
 
 def test_z_exact_gives_the_milp_only_the_seconds_left(monkeypatch):

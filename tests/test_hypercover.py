@@ -156,6 +156,20 @@ def test_tight_spanning_examples():
         assert len(comp.shadow) == 6
 
 
+@pytest.mark.parametrize("h, message", [
+    (ColoredHypergraph(6, 3, 1, [(0, 1), (2, 3), (4, 5)], []),
+     "tight_spanning expects a complete K_n^k with n >= k"),
+    (ColoredHypergraph(3, 3, 1, None, [(None, (0, 1, 2))]),
+     "tight_spanning needs an edge-colored hypergraph"),
+    (complete_uniform(5, 3, lambda e: sum(e) % 4 + 1),
+     "tight_spanning needs colors 1..3: edge (0, 1, 2) has color 4"),
+], ids=["no-edges", "uncolored", "four-colors"])
+def test_tight_spanning_rejects_what_the_theorem_excludes(h, message):
+    with pytest.raises(HypergraphError) as err:
+        hc.tight_spanning(h)
+    assert str(err.value) == message
+
+
 def test_exhaustive_matches_component_scan():
     # the lean exhaustive checker agrees with tight_spanning on samples
     rng = random.Random(8)

@@ -17,6 +17,19 @@ def S(*parts):
     return sg.SignatureSet.of(sum(parts[0]), parts)
 
 
+@pytest.mark.parametrize("n, p, sigs, message", [
+    (3, 1, ((3, 0),), "partition parts must be positive"),
+    (3, 1, ((1, 2),), "partition parts must be weakly decreasing"),
+    (3, 2, ((3,),), "need exactly p partitions"),
+    (3, 2, ((3,), (2,)), "partition (2) does not sum to 3"),
+    (3, 2, ((2, 1), (3,)), "signature partitions must be stored sorted descending"),
+])
+def test_signature_set_validation_messages(n, p, sigs, message):
+    with pytest.raises(ValueError) as err:
+        sg.SignatureSet(n, p, sigs)
+    assert str(err.value) == message
+
+
 def test_signature_of_examples():
     g = monochromatic_complete(5, r=1)
     sig = sg.signature_of(g, range(5), [1])
