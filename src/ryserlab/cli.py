@@ -355,24 +355,14 @@ def cmd_zrd(args):
 
 
 def cmd_goodpart(args):
-    from .goodpart import BipartiteColoring, good_partition
+    from .goodpart import good_partition
 
     g = parse_graph(_read(args.input))
-    Y, Z = _two_parts(args.parts, g.n)
-    color = {}
-    for yi, y in enumerate(Y):
-        for zi, z in enumerate(Z):
-            cs = g.colors_of(y, z)
-            if not cs:
-                raise UsageError("goodpart needs a complete bipartite coloring "
-                                 f"between the parts; pair {y},{z} has no color")
-            color[(yi, zi)] = min(cs)
-    col = BipartiteColoring(len(Y), len(Z), g.r, color)
-    got = good_partition(col, args.budget)
+    got = good_partition(g, *_two_parts(args.parts, g.n), args.budget)
     if got is None:
         _emit(args, "no good partition")
         return 1
-    _emit(args, "\n".join(f"Y_{i+1}: " + " ".join(str(Y[j]) for j in part)
+    _emit(args, "\n".join(f"Y_{i+1}: " + " ".join(map(str, part))
                           for i, part in enumerate(got)))
     return 0
 

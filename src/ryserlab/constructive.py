@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (ColoredMultigraph, CoverCertificate, GraphError, alpha,
+from .core import (ColoredMultigraph, CoverCertificate, GraphError, alpha, checked,
                    component_masks, diameter, layers, lowest_vertex,
                    make_certificate, mask_of, reach, verify, vertices_of)
 from .exact import SolveBudget, min_cover, tc_exact
@@ -92,16 +92,6 @@ def _biclique_tree(c, P, Q):
     P[0] joined to all of Q, every other vertex of P joined to Q[0]."""
     return (c, list(P) + list(Q),
             [(P[0], q) for q in Q] + [(p, Q[0]) for p in P[1:]])
-
-
-def _check(g, pieces, max_size, max_diam=None, allowed_colors=None, mode="cover"):
-    cert = make_certificate(pieces, mode=mode, max_size=max_size,
-                            max_diam=max_diam, allowed_colors=allowed_colors)
-    res = verify(g, cert)
-    if not res.ok:
-        raise AssertionError(f"constructed cover failed verification: {res.reason}; "
-                             f"graph={g!r} edges={g.edges()}")
-    return cert
 
 
 def _zone_cover(g, zone: int, max_pieces):
@@ -300,7 +290,7 @@ def classify_bipartite2(g: ColoredMultigraph, X, Y):
     Returns (BipartiteClass, CoverCertificate of <= 2 trees with diameter <= 4).
     """
     res = _classify2(g, X, Y, 1, 2)
-    cert = _check(g, res.tree_pieces, 2, 4)
+    cert = checked(g, res.tree_pieces, 2, 4)
     return res.cls, cert
 
 
@@ -324,7 +314,7 @@ def cover_complete(g: ColoredMultigraph, r: int) -> CoverCertificate:
         raise GraphError("cover_complete supports r in {2, 3, 4}")
     if not g.subgraph_colors(range(1, r + 1)).is_complete():
         raise GraphError(f"cover_complete needs every pair to carry a color in 1..{r}")
-    return _check(g, _complete_pieces(g, r), r - 1, 6 if r == 4 else 4)
+    return checked(g, _complete_pieces(g, r), r - 1, 6 if r == 4 else 4)
 
 
 def _complete_pieces(g, r):
@@ -505,7 +495,7 @@ def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
     dy = blob_diams(Ay, y)
     assert min(dx.values()) <= 3 and min(dy.values()) <= 3, "folklore bound"
 
-    return _check(g, _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy), 2, 6)
+    return checked(g, _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy), 2, 6)
 
 
 def _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy):
@@ -661,8 +651,8 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
     # Step 1: a component missing part of both sides (it meets both)
     for c, comp in comps:
         if xm & ~comp and ym & ~comp:
-            return _check(g, sub_bip_cover(xm & ~comp, ym & comp, other[c])
-                          + sub_bip_cover(ym & ~comp, xm & comp, other[c]), 4, 6)
+            return checked(g, sub_bip_cover(xm & ~comp, ym & comp, other[c])
+                           + sub_bip_cover(ym & ~comp, xm & comp, other[c]), 4, 6)
 
     # Step 2: every two-sided component contains a full side; pick one with
     # small diameter if possible
@@ -676,12 +666,12 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
                 pieces += sub_bip_cover(xm & ~comp, ym & comp, other[c])
             if ym & ~comp:
                 pieces += sub_bip_cover(ym & ~comp, xm & comp, other[c])
-            return _check(g, pieces, 4, 6)
+            return checked(g, pieces, 4, 6)
 
     got = _bip3_layered(g, xm, ym, side_comps[0], other, adj)
     if got is None:
         got = _zone_cover(g, xm | ym, 4)
-    return _check(g, got, 4, 6)
+    return checked(g, got, 4, 6)
 
 
 def _bip3_layered(g, xm, ym, side_comp, other, adj):
@@ -765,12 +755,12 @@ def cover_multipartite(g: ColoredMultigraph, parts, r: int) -> CoverCertificate:
     if r == 3 and len(parts) != 3:
         raise GraphError("the three-color bound needs exactly three parts")
     if not g.n:
-        return _check(g, [], r)
+        return checked(g, [], r)
     # a spanning color is a one-piece cover
     full = (1 << g.n) - 1
     for c in range(1, g.r + 1):
         if reach(g.adjacency(c), 0) == full:
-            return _check(g, [(c, vertices_of(full))], r)
+            return checked(g, [(c, vertices_of(full))], r)
     return _multipartite2(g, parts) if r == 2 else _multipartite3(g, parts)
 
 
@@ -787,7 +777,7 @@ def _multipartite2(g, parts):
     else:
         roots = [(res.cls.data[0], V1[0])]
     # the global components through the roots
-    return _check(g, _vertex_pieces((c, reach(g.adjacency(c), v)) for c, v in roots), 2)
+    return checked(g, _vertex_pieces((c, reach(g.adjacency(c), v)) for c, v in roots), 2)
 
 
 def _multipartite3(g, parts):
@@ -804,7 +794,7 @@ def _multipartite3(g, parts):
                 res = _classify2(g, vertices_of(full & ~comp), part, *oc)
                 extra = [(pc, reach(g.adjacency(pc), pvs[0]))
                          for pc, pvs, *_ in res.tree_pieces]
-                return _check(g, _vertex_pieces([(c, comp)] + extra), 3)
+                return checked(g, _vertex_pieces([(c, comp)] + extra), 3)
     # general case: the proof guarantees a 3-component cover exists, and
     # tc_exact's certificate is already verified
     size, cert = tc_exact(g)
@@ -843,7 +833,7 @@ def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
     if r == 3:
         comp = reach(g.adjacency(P[0]), X[0])
         assert comp == (1 << g.n) - 1, "a single component must cover"
-        return _check(g, [(P[0], vertices_of(comp))], r - 1, None, allowed_colors=P)
+        return checked(g, [(P[0], vertices_of(comp))], r - 1, None, allowed_colors=P)
     if r == 4:
         return _restricted4(g, X, P)
     return _restricted5(g, X, P)
@@ -869,7 +859,7 @@ def _restricted4(g, X, P):
         raise AssertionError("one of two colors always spans a K_4")
     greedy = [m for m in _on_x_comps(g, oc, xm) if (m & xm).bit_count() >= 2]
     pieces = [(span, comp)] + [(oc, m) for m in greedy[:2]]
-    return _check(g, _vertex_pieces(pieces), 3, None, allowed_colors=P)
+    return checked(g, _vertex_pieces(pieces), 3, None, allowed_colors=P)
 
 
 def _restricted5(g, X, P):
@@ -892,11 +882,11 @@ def _restricted5(g, X, P):
     for i, j, k in itertools.permutations(P):
         if len(tX[i]) + len(tX[j]) + sum(1 for s in tX[k] if s >= 3) <= 4:
             ps = pieces_for(1, (i, j, k))
-            return _check(g, ps, 4, None, allowed_colors=P)
+            return checked(g, ps, 4, None, allowed_colors=P)
         if len(tX[i]) + sum(1 for s in tX[j] if s >= 2) + \
                 sum(1 for s in tX[k] if s >= 2) <= 4:
             ps = pieces_for(2, (i, j, k))
-            return _check(g, ps, 4, None, allowed_colors=P)
+            return checked(g, ps, 4, None, allowed_colors=P)
 
     shapes = sorted((tuple(sorted(t, reverse=True)) for t in tX.values()),
                     reverse=True)

@@ -558,6 +558,20 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
     return VerifyResult(True)
 
 
+def checked(g: ColoredMultigraph, pieces, max_size, max_diam=None, allowed_colors=None,
+            mode="cover") -> CoverCertificate:
+    """The certificate of pieces, after verify accepts it on g.  A rejection
+    is a bug in the code that built the pieces: it raises AssertionError
+    naming the graph, not an assert, so the gate holds under python -O."""
+    cert = make_certificate(pieces, mode=mode, max_size=max_size,
+                            max_diam=max_diam, allowed_colors=allowed_colors)
+    res = verify(g, cert)
+    if not res.ok:
+        raise AssertionError(f"certificate failed verification: {res.reason}; "
+                             f"graph={g!r} edges={g.edges()}")
+    return cert
+
+
 # small builders used across modules and tests
 
 def complete_graph(n: int, coloring, r: int) -> ColoredMultigraph:

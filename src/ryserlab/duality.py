@@ -11,6 +11,7 @@ component covers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import ColoredMultigraph, alpha, closed_graph, component_masks, vertices_of
@@ -31,13 +32,12 @@ class ColoredHypergraph:
         self.r = r
         norm = []
         for e in edges:
-            if (isinstance(e, tuple) and len(e) == 2
-                    and (e[0] is None or isinstance(e[0], int))
-                    and isinstance(e[1], (tuple, list, set, frozenset))):
+            try:
                 color, vs = e
-            else:
-                color, vs = None, e
-            raw = tuple(vs)
+                raw = tuple(vs)
+            except (TypeError, ValueError):
+                raise HypergraphError(f"edge {e!r} is not a (color, vertices) "
+                                      "pair") from None
             vs = tuple(sorted(set(raw)))
             if len(vs) != len(raw):
                 raise HypergraphError(f"edge {raw} repeats a vertex")
@@ -48,7 +48,8 @@ class ColoredHypergraph:
                     raise HypergraphError(f"vertex {v} out of range")
             if k and len(vs) != k:
                 raise HypergraphError(f"edge {vs} is not {k}-uniform")
-            if color is not None and not (1 <= color <= max(r, 1)):
+            if color is not None and not (isinstance(color, int)
+                                          and 1 <= color <= max(r, 1)):
                 raise HypergraphError(f"edge color {color} out of range")
             norm.append((color, vs))
         self._hyperedges = tuple(norm)
@@ -80,7 +81,6 @@ class ColoredHypergraph:
 
 def complete_uniform(n: int, k: int, coloring) -> ColoredHypergraph:
     """K_n^k with coloring(edge tuple) -> color in 1..r (r inferred)."""
-    import itertools
     edges = []
     r = 1
     for e in itertools.combinations(range(n), k):

@@ -13,9 +13,9 @@ import math
 import operator
 import time
 
-from .core import (ColoredMultigraph, GraphError, closed_graph, component_masks,
-                   components, connected_subsets, diameter, lowest_vertex,
-                   make_certificate, mask_of, reach, verify, vertices_of)
+from .core import (ColoredMultigraph, GraphError, checked, closed_graph,
+                   component_masks, components, connected_subsets, diameter,
+                   lowest_vertex, make_certificate, mask_of, reach, vertices_of)
 
 # the search a stage belongs to, as an exhausted budget's message names it
 _SEARCH = {"matching": "matching search",
@@ -242,14 +242,6 @@ def _connected_subsets_with_diam(g, c, max_diam, budget):
     return out
 
 
-def _verified(g: ColoredMultigraph, cert):
-    """cert, after the independent checker accepts it; a rejection is a solver bug."""
-    res = verify(g, cert)
-    if not res.ok:
-        raise AssertionError(f"solver certificate failed verification: {res.reason}")
-    return cert
-
-
 def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
              budget: SolveBudget | None = None):
     """Minimum monochromatic cover: (size, CoverCertificate).
@@ -271,9 +263,7 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
         candidates = [(mask, (c, tuple(vs))) for c in colors
                       for mask, vs in _connected_subsets_with_diam(g, c, max_diam, budget)]
     size, pieces = min_cover((1 << g.n) - 1, candidates, budget)
-    cert = make_certificate(pieces, max_size=size, max_diam=max_diam,
-                            allowed_colors=allowed_colors)
-    return size, _verified(g, cert)
+    return size, checked(g, pieces, size, max_diam, allowed_colors)
 
 
 def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
@@ -306,9 +296,8 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
 
     def certified(pieces):
         """(t, verified certificate) for a list of (color, mask) parts."""
-        cert = make_certificate([(c, vertices_of(m)) for c, m in pieces],
-                                mode="partition", max_size=len(pieces))
-        return len(pieces), _verified(g, cert)
+        return len(pieces), checked(g, [(c, vertices_of(m)) for c, m in pieces],
+                                    len(pieces), mode="partition")
 
     c = color_connecting(full)
     if c is not None:

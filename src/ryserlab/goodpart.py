@@ -4,7 +4,9 @@ Z(r,d) is the least z such that some z words of length d over [r] leave no word
 everywhere-different from all of them; equivalently the total domination number
 of the d-fold direct power of K_r, equivalently the transversal number of the
 hypergraph of punctured neighborhoods.  Two independent checkers (covers_all on
-words, gamma_t_check on the product graph) guard every witness.
+words, gamma_t_check on the product graph) guard every witness.  A 2-sided
+coloring [Y, Z] has a good partition exactly when its row words leave a word
+uncovered, so good_partition is covers_all on the rows.
 """
 
 from __future__ import annotations
@@ -14,39 +16,27 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .core import ColoredMultigraph, mask_of
+from .core import ColoredMultigraph, GraphError, mask_of
 from .exact import Inconclusive, SolveBudget, min_cover, min_cover_milp
-
-
-@dataclass(frozen=True, order=True)
-class Word:
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(a < 1 for a in self.letters):
-            raise ValueError("letters start at 1")
-
-    def __len__(self):
-        return len(self.letters)
 
 
 @dataclass(frozen=True)
 class WordSet:
     r: int
     d: int
-    words: frozenset[Word]
+    words: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
         for w in self.words:
-            if len(w.letters) != self.d or any(a > self.r for a in w.letters):
-                raise ValueError(f"word {w.letters} does not fit ({self.r},{self.d})")
+            if len(w) != self.d or any(not 1 <= a <= self.r for a in w):
+                raise ValueError(f"word {w} does not fit ({self.r},{self.d})")
 
     @classmethod
     def of(cls, r, d, seqs) -> "WordSet":
-        return cls(r, d, frozenset(Word(tuple(s)) for s in seqs))
+        return cls(r, d, frozenset(tuple(s) for s in seqs))
 
     def sorted_words(self) -> list[tuple[int, ...]]:
-        return sorted(w.letters for w in self.words)
+        return sorted(self.words)
 
 
 def all_words(r: int, d: int):
@@ -57,15 +47,18 @@ def everywhere_different(f, g) -> bool:
     return all(a != b for a, b in zip(f, g))
 
 
-def covers_all(ws: WordSet):
+def covers_all(ws: WordSet, budget=None):
     """True iff every word over the alphabet is everywhere-different from some member.
 
-    Returns an uncovered witness Word instead of False.
+    Returns the first uncovered word, in all_words order, instead of False.
+    With a budget, each word tried is one "good partition" node.
     """
     members = ws.sorted_words()
     for f in all_words(ws.r, ws.d):
+        if budget is not None:
+            budget.charge("good partition")
         if not any(everywhere_different(f, g) for g in members):
-            return Word(tuple(f))
+            return f
     return True
 
 
@@ -95,7 +88,7 @@ def gamma_t_check(r: int, d: int, ws: WordSet) -> bool:
     if ws.r != r or ws.d != d:
         raise ValueError("word set does not match (r,d)")
     # vertex index: word w -> sum (w_i - 1) * r^i
-    chosen = [sum((a - 1) * r ** i for i, a in enumerate(w.letters)) for w in ws.words]
+    chosen = [sum((a - 1) * r ** i for i, a in enumerate(w)) for w in ws.words]
     if not chosen:
         return False
     differs = _position_masks(r, d)
@@ -137,12 +130,12 @@ class SolveOutcome:
         return self.lower
 
 
-def _constant_words_witness(r: int, d: int) -> WordSet:
+def _constant_words_witness(d: int) -> list[tuple[int, ...]]:
     # constants 1..d+1 work whenever r >= d+1: any word omits one of them
-    return WordSet.of(r, d, [tuple([i] * d) for i in range(1, d + 2)])
+    return [tuple([i] * d) for i in range(1, d + 2)]
 
 
-def _diagonal_plus_witness(r: int) -> WordSet:
+def _diagonal_plus_witness(r: int) -> list[tuple[int, ...]]:
     """The r + ceil(r/2) + 1 words showing Z(r,r) <= r + ceil(r/2) + 1."""
     d = r
     h = (r + 1) // 2
@@ -150,7 +143,7 @@ def _diagonal_plus_witness(r: int) -> WordSet:
     for i in range(1, h + 2):
         tail = 1 if i == h + 1 else i + 1
         words.append(tuple([i] * h + [tail] * (d - h)))
-    return WordSet.of(r, r, words)
+    return words
 
 
 def _lower_bound(r: int, d: int) -> int:
@@ -186,8 +179,7 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
         words = [tuple(w) for w in all_words(2, d)]
         return finish(2 ** d, 2 ** d, words, "closed-form r=2")
     if r >= d + 1:
-        ws = _constant_words_witness(r, d)
-        return finish(d + 1, d + 1, ws.sorted_words(), "constants, r >= d+1")
+        return finish(d + 1, d + 1, _constant_words_witness(d), "constants, r >= d+1")
 
     words = list(all_words(r, d))
     n = len(words)
@@ -213,7 +205,7 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
         if exc.best is not None:
             uppers.append((pins + exc.best[1], f"{method} (budget)"))
         if r == d:
-            uppers.append((_diagonal_plus_witness(r).sorted_words(),
+            uppers.append((_diagonal_plus_witness(r),
                            f"{method} (budget) + construction"))
         if not uppers:
             return finish(lower, n, None, f"{method} (budget)", stats)
@@ -226,71 +218,61 @@ def z_exact(r: int, d: int, budget=None) -> SolveOutcome:
 # good partitions and the bad bipartite colorings
 
 
-@dataclass
-class BipartiteColoring:
-    """An r-coloring of the complete bipartite graph [Y, Z] as a matrix."""
+def good_partition(g: ColoredMultigraph, Y, Z, budget=None):
+    """A partition {Y_1..Y_r} of Y good for every z in Z, or None.
 
-    y_size: int
-    z_size: int
-    r: int
-    color: dict  # (y_index, z_index) -> color
-
-    def graph(self) -> ColoredMultigraph:
-        """Y occupies vertices 0..y_size-1, Z the rest."""
-        edges = []
-        for (y, z), c in sorted(self.color.items()):
-            edges.append((y, self.y_size + z, c))
-        return ColoredMultigraph.from_edges(self.y_size + self.z_size, self.r, edges)
-
-
-def good_partition(col: BipartiteColoring, budget=None):
-    """A partition {Y_1..Y_r} of Y good for every z, or None.
-
-    An assignment f: Y -> [r] is good iff every z has some y with color(z,y) =
-    f(y); equivalently f must not be everywhere-different from every row word.
-    Each candidate is a budget node; more candidates than nodes left are refused.
+    Row z is the word of the least colors on the pairs yz, y in Y's order.  An
+    assignment f: Y -> [r] is good iff every z has some y whose color is f(y),
+    that is iff no row is everywhere-different from f: the good assignments are
+    the words covers_all finds uncovered, and the first is the answer, as parts
+    of Y's vertices.  Each word tried is a budget node; more words than nodes
+    left are refused up front.
     """
     budget = budget or SolveBudget()
-    dY, r = col.y_size, col.r
+    least = {(y, z): min(g.colors_of(y, z), default=0) for y in Y for z in Z}
+    for (y, z), c in least.items():
+        if not c:
+            raise GraphError("goodpart needs a complete bipartite coloring "
+                             f"between the parts; pair {y},{z} has no color")
+    dY, r = len(Y), g.r
     if dY > 0 and r ** dY > budget.nodes_left():
         raise Inconclusive(f"good partition budget exhausted: {r ** dY} candidates",
                            {"nodes": budget.nodes, "stage": "good partition"})
-    rows = sorted({tuple(col.color[(y, z)] for y in range(dY))
-                   for z in range(col.z_size)})
-    if not rows:
-        f = tuple([1] * dY)
+    if not Z:
+        f = (1,) * dY
     else:
-        f = None
-        for cand in all_words(r, dY):
-            budget.charge("good partition")
-            if not any(everywhere_different(cand, row) for row in rows):
-                f = cand
-                break
-        if f is None:
+        f = covers_all(WordSet.of(r, dY, {tuple(least[y, z] for y in Y) for z in Z}),
+                       budget)
+        if f is True:
             return None
-    parts = [tuple(y for y in range(dY) if f[y] == c) for c in range(1, r + 1)]
-    return parts
+    return [tuple(y for y, a in zip(Y, f) if a == c) for c in range(1, r + 1)]
 
 
-def bad_bipartite_coloring(y_size: int, z_size: int) -> BipartiteColoring:
-    """The binary-string 2-coloring with no good partition (needs z >= 2^y).
-
-    Z splits into 2^y blocks, as equal as possible, indexed by words over
-    {1,2}; inside block b, the edge to y gets color b(y).
-    """
+def _binary_blocks(y_size: int, z_size: int) -> list[tuple[int, int, int]]:
+    """The colored edges of the binary-block coloring between Y = 0..y_size-1
+    and the z_size vertices after it."""
     if z_size < 2 ** y_size:
         raise ValueError(f"need z_size >= 2^{y_size} = {2 ** y_size}")
     blocks = list(all_words(2, y_size))
     base, extra = divmod(z_size, len(blocks))
-    color = {}
-    z = 0
+    edges = []
+    z = y_size
     for i, b in enumerate(blocks):
-        cnt = base + (1 if i < extra else 0)
-        for _ in range(cnt):
-            for y in range(y_size):
-                color[(y, z)] = b[y]
+        for _ in range(base + (1 if i < extra else 0)):
+            edges += [(y, z, c) for y, c in enumerate(b)]
             z += 1
-    return BipartiteColoring(y_size, z_size, 2, color)
+    return edges
+
+
+def bad_bipartite_coloring(y_size: int, z_size: int) -> ColoredMultigraph:
+    """The binary-string 2-coloring of [Y, Z] with no good partition (needs
+    z >= 2^y); Y is 0..y_size-1 and Z the vertices after it.
+
+    Z splits into 2^y blocks, as equal as possible, indexed by words over
+    {1,2}; inside block b, the edge to y gets color b(y).
+    """
+    return ColoredMultigraph.from_edges(y_size + z_size, 2,
+                                        _binary_blocks(y_size, z_size))
 
 
 def badmulti_graph(k: int, t: int) -> ColoredMultigraph:
@@ -302,29 +284,20 @@ def badmulti_graph(k: int, t: int) -> ColoredMultigraph:
     if k < 2 or t < 1:
         raise ValueError("need k >= 2 and t >= 1")
     y_size = k if k > 2 else 2
-    # distribute Y over k-1 parts as evenly as possible
-    part_sizes = [y_size // (k - 1) + (1 if i < y_size % (k - 1) else 0)
-                  for i in range(k - 1)]
-    y_size = sum(part_sizes)
+    # Y's parts: k-1 runs of vertices, as even as possible
+    part = [i for i in range(k - 1)
+            for _ in range(y_size // (k - 1) + (1 if i < y_size % (k - 1) else 0))]
     z_size = (t + 1) * 2 ** y_size
-    col = bad_bipartite_coloring(y_size, z_size)
-    edges = []
-    for (y, z), c in col.color.items():
-        edges.append((y, y_size + z, c))
-    # complete the Y side across its parts with color 1
-    bounds = []
-    acc = 0
-    for s in part_sizes:
-        bounds.append((acc, acc + s))
-        acc += s
-    for (a0, a1), (b0, b1) in itertools.combinations(bounds, 2):
-        for u in range(a0, a1):
-            for v in range(b0, b1):
-                edges.append((u, v, 1))
+    edges = _binary_blocks(y_size, z_size)
+    edges += [(u, v, 1) for u, v in itertools.combinations(range(y_size), 2)
+              if part[u] != part[v]]
     return ColoredMultigraph.from_edges(y_size + z_size, 2, edges)
 
 
 def badmulti_lower_bound(k: int, t: int) -> int:
-    y_size = k if k > 2 else 2
-    z_size = (t + 1) * 2 ** y_size
-    return z_size // 2 ** y_size
+    """The partition lower bound that badmulti_graph(k, t) carries: t + 1.
+
+    It is the size of one of Z's 2^y binary blocks, (t + 1) * 2^y // 2^y; the
+    division is exact for every y, so the bound does not depend on k.
+    """
+    return t + 1

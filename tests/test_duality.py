@@ -57,6 +57,13 @@ def test_check_duality_examples():
     assert rep.ok and rep.nu == rep.tau == 1
 
 
+@pytest.mark.parametrize("edge", [(0, 1), (0, 1, 2), [0, 2], 5, ("a", (0, 1))])
+def test_hyperedge_must_be_a_color_vertices_pair(edge):
+    # a bare vertex tuple is no longer read as an uncolored edge
+    with pytest.raises(du.HypergraphError, match="edge"):
+        du.ColoredHypergraph(3, 0, 1, None, [(None, (0, 1)), edge])
+
+
 def random_rpartite(rng):
     r = rng.randint(2, 4)
     sizes = [rng.randint(1, 3) for _ in range(r)]

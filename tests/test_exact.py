@@ -720,9 +720,10 @@ def test_certificate_gate_survives_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = textwrap.dedent("""
+        import ryserlab.core
         import ryserlab.exact as ex
         from ryserlab.core import VerifyResult, monochromatic_complete
-        ex.verify = lambda g, cert: VerifyResult(False, "patched to reject")
+        ryserlab.core.verify = lambda g, cert: VerifyResult(False, "patched to reject")
         try:
             ex.tc_exact(monochromatic_complete(3))
         except AssertionError as exc:

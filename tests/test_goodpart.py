@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from ryserlab import exact as ex
 from ryserlab import goodpart as gp
-from ryserlab.core import mask_of, verify
+from ryserlab.core import ColoredMultigraph, GraphError, mask_of, verify
 
 
 def test_covers_all_examples():
@@ -12,8 +13,8 @@ def test_covers_all_examples():
     assert gp.covers_all(ws) is True
     ws1 = gp.WordSet.of(3, 2, [(1, 1)])
     witness = gp.covers_all(ws1)
-    assert isinstance(witness, gp.Word)
-    assert not gp.everywhere_different(witness.letters, (1, 1))
+    assert isinstance(witness, tuple)
+    assert not gp.everywhere_different(witness, (1, 1))
     ws3 = gp.WordSet.of(3, 3, [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2), (3, 3, 3)])
     assert gp.covers_all(ws3) is True
 
@@ -100,46 +101,100 @@ def test_z_monotone_in_r():
 
 def test_diagonal_witness_construction():
     for r in (3, 4, 5):
-        ws = gp._diagonal_plus_witness(r)
+        ws = gp.WordSet.of(r, r, gp._diagonal_plus_witness(r))
         assert len(ws.words) == r + (r + 1) // 2 + 1
         assert gp.covers_all(ws) is True
 
 
+def _bipartite(c, y, z, r):
+    """The graph of the coloring c[(y, z)] of [Y, Z], with Y = 0..y-1 first."""
+    return ColoredMultigraph.from_edges(
+        y + z, r, [(yy, y + zz, col) for (yy, zz), col in c.items()])
+
+
 def test_good_partition_examples():
     # |Z| = 1: always a good partition
-    col = gp.BipartiteColoring(3, 1, 2, {(y, 0): 1 for y in range(3)})
-    assert gp.good_partition(col) is not None
+    g = _bipartite({(y, 0): 1 for y in range(3)}, 3, 1, 2)
+    assert gp.good_partition(g, [0, 1, 2], [3]) is not None
     # r=2, |Y|=3, |Z|=7 < 8: always exists
     rng = random.Random(5)
     for _ in range(50):
         c = {(y, z): rng.randint(1, 2) for y in range(3) for z in range(7)}
-        assert gp.good_partition(gp.BipartiteColoring(3, 7, 2, c)) is not None
+        g = _bipartite(c, 3, 7, 2)
+        assert gp.good_partition(g, [0, 1, 2], list(range(3, 10))) is not None
     # the binary-block coloring has none
-    assert gp.good_partition(gp.bad_bipartite_coloring(2, 4)) is None
-    assert gp.good_partition(gp.bad_bipartite_coloring(1, 2)) is None
-    assert gp.good_partition(gp.bad_bipartite_coloring(2, 8)) is None
+    for y, z in ((2, 4), (1, 2), (2, 8)):
+        g = gp.bad_bipartite_coloring(y, z)
+        assert gp.good_partition(g, list(range(y)), list(range(y, y + z))) is None
+
+
+def _good_by_definition(g, Y, Z):
+    """Every good assignment f: Y -> [r], by brute force over f: each z has
+    some y whose least color with z is f(y)."""
+    return [f for f in itertools.product(range(1, g.r + 1), repeat=len(Y))
+            if all(any(g.min_color_of(y, z) == a for y, a in zip(Y, f)) for z in Z)]
 
 
 def test_good_partition_matches_word_model():
+    # sides out of order and some pairs with several colors: row words read
+    # the least color of each pair, in Y's given order
     rng = random.Random(6)
-    for _ in range(100):
+    for _ in range(200):
         y, z, r = rng.randint(1, 3), rng.randint(1, 8), rng.randint(2, 3)
-        c = {(yy, zz): rng.randint(1, r) for yy in range(y) for zz in range(z)}
-        col = gp.BipartiteColoring(y, z, r, c)
-        got = gp.good_partition(col)
-        words = gp.WordSet.of(r, y, {tuple(c[(yy, zz)] for yy in range(y))
-                                     for zz in range(z)})
+        edges = [(yy, zz, rng.randint(1, r)) for yy in range(y)
+                 for zz in range(y, y + z) for _ in range(rng.choice((1, 1, 2)))]
+        g = ColoredMultigraph.from_edges(y + z, r, edges)
+        Y, Z = list(range(y)), list(range(y, y + z))
+        rng.shuffle(Y)
+        rng.shuffle(Z)
+        budget = ex.SolveBudget()
+        got = gp.good_partition(g, Y, Z, budget)
+        words = gp.WordSet.of(r, y, {tuple(g.min_color_of(v, w) for v in Y) for w in Z})
         dominated = gp.covers_all(words) is True
         assert (got is None) == dominated
+        good = _good_by_definition(g, Y, Z)
+        assert (got is None) == (not good)
+        if good:
+            # the first good assignment in word order, as parts of Y
+            f = good[0]
+            assert got == [tuple(v for v, a in zip(Y, f) if a == col)
+                           for col in range(1, r + 1)]
+            assert budget.nodes == list(gp.all_words(r, y)).index(f) + 1
+        else:
+            assert budget.nodes == r ** y
+
+
+def test_good_partition_empty_z():
+    # no row to dominate: the all-ones assignment, and no node charged
+    g = ColoredMultigraph.from_edges(3, 2, [(0, 1, 2)])
+    budget = ex.SolveBudget()
+    assert gp.good_partition(g, [2, 0, 1], [], budget) == [(2, 0, 1), ()]
+    assert budget.nodes == 0
+
+
+def test_good_partition_names_the_first_missing_pair():
+    # pairs 0,3 and 1,2 have no color; Y-major order names 0,3 first
+    g = ColoredMultigraph.from_edges(4, 2, [(0, 2, 1), (1, 3, 2)])
+    with pytest.raises(GraphError, match="complete bipartite.*pair 0,3 has no color"):
+        gp.good_partition(g, [0, 1], [2, 3])
+    with pytest.raises(GraphError, match="pair 1,2 has no color"):
+        gp.good_partition(g, [1, 0], [2, 3])
 
 
 def test_good_partition_draws_on_the_budget():
-    col = gp.bad_bipartite_coloring(2, 4)
+    g = gp.bad_bipartite_coloring(2, 4)
+    Y, Z = [0, 1], [2, 3, 4, 5]
     with pytest.raises(ex.Inconclusive):
-        gp.good_partition(col, ex.SolveBudget(max_nodes=1))
+        gp.good_partition(g, Y, Z, ex.SolveBudget(max_nodes=1))
     budget = ex.SolveBudget()
-    assert gp.good_partition(col, budget) is None
+    assert gp.good_partition(g, Y, Z, budget) is None
     assert budget.nodes == 4  # every candidate word of length 2 over {1, 2}
+
+
+def test_word_set_rejects_letters_outside_the_alphabet():
+    for word in ((0, 1), (1, 4)):
+        with pytest.raises(ValueError, match="does not fit"):
+            gp.WordSet.of(3, 2, [word])
 
 
 def test_bad_bipartite_requires_enough_z():
