@@ -20,7 +20,7 @@ import shlex
 import sys
 
 from . import __version__
-from .core import ColoredMultigraph, GraphError, make_certificate, verify
+from .core import ColoredMultigraph, make_certificate, verify
 from .duality import ColoredHypergraph, HypergraphError
 from .exact import Inconclusive, Infeasible, SolveBudget
 
@@ -62,15 +62,26 @@ def parse_graph(text: str) -> ColoredMultigraph:
     if len(header) != 3:
         raise FormatError(ln, 2, "header needs exactly n and r")
     n, r = _ints(ln, header[1:], 2)
+    if n < 0:
+        raise FormatError(ln, 2, "vertex count must be nonnegative")
+    if r < 0:
+        raise FormatError(ln, 3, "color count must be nonnegative")
     edges = []
     for ln, tok in rows[1:]:
         if tok[0] != "e" or len(tok) != 4:
             raise FormatError(ln, 1, "expected 'e <u> <v> <c>'")
-        edges.append(tuple(_ints(ln, tok[1:], 2)))
-    try:
-        return ColoredMultigraph.from_edges(n, r, edges)
-    except GraphError as exc:
-        raise FormatError(rows[0][0], 1, str(exc)) from None
+        u, v, c = _ints(ln, tok[1:], 2)
+        pair = f"({min(u, v)},{max(u, v)})"
+        if not 0 <= u < n:
+            raise FormatError(ln, 2, f"edge {pair} out of range for n={n}")
+        if u == v:
+            raise FormatError(ln, 3, f"loop at vertex {u}")
+        if not 0 <= v < n:
+            raise FormatError(ln, 3, f"edge {pair} out of range for n={n}")
+        if not 1 <= c <= r:
+            raise FormatError(ln, 4, f"color {c} on edge {pair} out of range for r={r}")
+        edges.append((u, v, c))
+    return ColoredMultigraph.from_edges(n, r, edges)
 
 
 def write_graph(g: ColoredMultigraph) -> str:
@@ -104,8 +115,13 @@ def parse_hypergraph(text: str) -> ColoredHypergraph:
                 if len(vals) < 2:
                     raise FormatError(ln, 2, "expected 'e <c> <v...>'")
                 c, vs = vals[0], tuple(vals[1:])
+                if not 1 <= c <= r:
+                    raise FormatError(ln, 2, f"edge color {c} out of range")
             else:
                 c, vs = None, tuple(vals)
+            for field, v in enumerate(vs, start=len(tok) - len(vs) + 1):
+                if not 0 <= v < n:
+                    raise FormatError(ln, field, f"vertex {v} out of range")
             key = (c, tuple(sorted(vs)))
             if key in seen_edges:
                 raise FormatError(ln, 1, f"duplicate hyperedge {vs}")
@@ -157,9 +173,8 @@ def parse_cover(text: str):
 
 def write_cover(cert) -> str:
     out = [f"cover {cert.mode} {len(cert.pieces)}"]
-    for piece in cert.pieces:
-        c, vs = piece[0], piece[1]
-        out.append("piece " + " ".join(str(x) for x in (c,) + tuple(vs)))
+    for c, vs in cert.pieces:
+        out.append("piece " + " ".join(map(str, (c, *vs))))
     return "\n".join(out) + "\n"
 
 

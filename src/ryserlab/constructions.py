@@ -260,7 +260,6 @@ def affine_tc_coloring(r: int, alpha_copies: int = 1) -> ColoredMultigraph:
     q = r - 1
     plane = galois_plane(q, "affine")
     classes = plane.parallel_classes()
-    assert len(classes) == r
     nn = q * q
     return closed_graph(alpha_copies * nn,
                         [[mask_of(plane.lines[li]) << copy * nn

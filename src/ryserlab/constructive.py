@@ -78,20 +78,10 @@ def _vertex_pieces(pairs):
     return [(c, vertices_of(m)) for c, m in dict.fromkeys(pairs)]
 
 
-def _tree(c, x, leaves, attach=(), col=None):
-    """The color-c star from x to leaves, with each attach vertex hung on the
-    first leaf that joins it in color c."""
-    verts = [x] + list(leaves) + list(attach)
-    edges = [(x, w) for w in leaves]
-    edges += [(v, next(w for w in leaves if col(v, w) == c)) for v in attach]
-    return (c, verts, edges)
-
-
-def _biclique_tree(c, P, Q):
-    """A spanning double star of the color-c complete bipartite graph [P, Q]:
-    P[0] joined to all of Q, every other vertex of P joined to Q[0]."""
-    return (c, list(P) + list(Q),
-            [(P[0], q) for q in Q] + [(p, Q[0]) for p in P[1:]])
+def _tree(c, x, leaves, attach=()):
+    """The color-c piece on x, its color-c neighbors leaves and the vertices
+    attach that the proof hangs on them."""
+    return (c, [x] + list(leaves) + list(attach))
 
 
 def _zone_cover(g, zone: int, max_pieces):
@@ -150,7 +140,7 @@ class BipartiteClass:
 @dataclass
 class _Bip2:
     cls: BipartiteClass
-    tree_pieces: list      # <= 2 trees, each of diameter <= 4
+    tree_pieces: list      # <= 2 (color, verts), each of radius <= 2 in its color
     single_piece: tuple | None  # one spanning (color, verts) of diameter <= 6, P3 only
 
 
@@ -178,12 +168,11 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
         pb = [v for v in side if not adj[ca][v]]
         if pa and pb:
             va, vb = pa[0], pb[0]
-            # cover: color-ca tree through va and a cb star, both from the
-            # lowest vertex of the covered side
+            # cover: the color-ca star from va with the ca-neighbors of the
+            # lowest vertex of the covered side hung on it, and that vertex's
+            # cb star
             anchor = other[0]
-            hang = vertices_of(adj[ca][anchor] & ~(1 << va))
-            t1 = (ca, [va] + other + hang,
-                  [(va, w) for w in other] + [(v, anchor) for v in hang])
+            t1 = (ca, [va] + other + vertices_of(adj[ca][anchor] & ~(1 << va)))
             t2 = _tree(cb, anchor, vertices_of(adj[cb][anchor]))
             return _Bip2(BipartiteClass("P1", (dc_side, va, vb)), [t1, t2], None)
 
@@ -191,11 +180,8 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
     for c in (ca, cb):
         v = next((v for v in both if not adj[other_color[c]][v]), None)
         if v is not None:
-            own = vertices_of(full & ~adj[c][v] & ~(1 << v))
-            edges = [(v, w) for w in vertices_of(adj[c][v])]
-            edges += [(u, lowest_vertex(adj[c][u])) for u in own]
-            return _Bip2(BipartiteClass("P3", (c,)), [(c, both, edges)],
-                         (c, sorted(both)))
+            # v joins its whole other side in c: radius <= 2 about v
+            return _Bip2(BipartiteClass("P3", (c,)), [(c, both)], (c, sorted(both)))
 
     conn = {c: reach(adj[c], both[0]) == full for c in (ca, cb)}
 
@@ -207,8 +193,7 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
                           for m in (xm & C, xm & ~C, ym & ~C, ym & C))
         assert all(adj[ca][x] & ym & ~C == ym & ~C for x in X1)
         cls = BipartiteClass("P2", (X1, X2, Y1, Y2))
-        return _Bip2(cls, [_biclique_tree(ca, X1, Y1), _biclique_tree(ca, X2, Y2)],
-                     None)
+        return _Bip2(cls, [(ca, X1 + Y1), (ca, X2 + Y2)], None)
 
     c = ca if conn[ca] else cb
     oc = other_color[c]
@@ -219,62 +204,41 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
     dist = layers(adj[c], v0)
     by_dist = [vertices_of(m) for m in dist]
 
-    # the color-c BFS tree from v0 to depth 2
-    deep = by_dist[2] if d >= 2 else []
-    t1 = (c, by_dist[0] + by_dist[1] + deep,
-          [(v0, u) for u in by_dist[1]]
-          + [(u, lowest_vertex(adj[c][u] & dist[1])) for u in deep])
+    # the color-c ball of radius 2 about v0
+    t1 = (c, [v for vs in by_dist[:3] for v in vs])
     if d <= 2:
         return _Bip2(BipartiteClass("P3", (c,)), [t1], (c, sorted(both)))
 
     if d == 3:
-        trees = [t1, (oc, [v0] + by_dist[3], [(v0, u) for u in by_dist[3]])]
+        trees = [t1, (oc, [v0] + by_dist[3])]
     elif d == 4:
-        # two radius-2 trees in the other color
-        t1_verts, t1_edges = [v0] + by_dist[3], [(v0, u) for u in by_dist[3]]
+        # two radius-2 pieces in the other color, about v0 and w0: a middle
+        # vertex hangs on layer 3 if it sees it in the other color, else on
+        # layer 1
+        t1_verts = [v0] + by_dist[3]
         w0 = by_dist[4][0]
-        t2_verts = [w0] + by_dist[1]
-        t2_edges = [(w0, u) for u in by_dist[1]]
-        for u in by_dist[4][1:]:
-            t2_verts.append(u)
-            t2_edges.append((u, by_dist[1][0]))
+        t2_verts = [w0] + by_dist[1] + by_dist[4][1:]
         for u in by_dist[2]:
-            t3 = adj[oc][u] & dist[3]
-            if t3:
+            if adj[oc][u] & dist[3]:
                 t1_verts.append(u)
-                t1_edges.append((u, lowest_vertex(t3)))
             else:
-                t1a = adj[oc][u] & dist[1]
-                assert t1a, "every middle vertex sees the other color"
+                assert adj[oc][u] & dist[1], "every middle vertex sees the other color"
                 t2_verts.append(u)
-                t2_edges.append((u, lowest_vertex(t1a)))
-        trees = [(oc, t1_verts, t1_edges), (oc, t2_verts, t2_edges)]
+        trees = [(oc, t1_verts), (oc, t2_verts)]
     else:
-        # d >= 5: two double stars in the other color
+        # d >= 5: two double stars in the other color, on the pairs v0 z and
+        # w4 y1: v0 joins the odd layers from 3 and z layer 2 and the even
+        # layers from 8; w4 joins layer 1 and y1 layers 4 and 6
         z = by_dist[5][0]
         y1 = by_dist[1][0]
         w4 = by_dist[4][0]
-        t1_verts, t1_edges = [v0, z], [(v0, z)]
-        t2_verts, t2_edges = [y1, w4], [(w4, y1)]
-        for i in range(len(by_dist)):
-            for u in by_dist[i]:
-                if u in (v0, z, y1, w4):
-                    continue
-                if i >= 3 and i % 2 == 1:
-                    t1_verts.append(u)
-                    t1_edges.append((v0, u))
-                elif i == 2 or (i >= 8 and i % 2 == 0):
-                    t1_verts.append(u)
-                    t1_edges.append((u, z))
-                elif i >= 4 and i % 2 == 0:
-                    t2_verts.append(u)
-                    t2_edges.append((u, y1))
-                elif i == 1:
-                    t2_verts.append(u)
-                    t2_edges.append((w4, u))
-                else:
-                    raise AssertionError((i, u))
-        trees = [(oc, t1_verts, t1_edges), (oc, t2_verts, t2_edges)]
+        t1_verts = [v0, z]
+        t2_verts = [y1, w4]
+        for i, vs in enumerate(by_dist[1:], start=1):
+            for u in vs:
+                if u not in (z, y1, w4):
+                    (t2_verts if i in (1, 4, 6) else t1_verts).append(u)
+        trees = [(oc, t1_verts), (oc, t2_verts)]
 
     if d <= 6:
         single = (c, sorted(both))
@@ -287,10 +251,11 @@ def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
 def classify_bipartite2(g: ColoredMultigraph, X, Y):
     """Public classification of a 2-colored complete bipartite graph.
 
-    Returns (BipartiteClass, CoverCertificate of <= 2 trees with diameter <= 4).
+    Returns (BipartiteClass, CoverCertificate of <= 2 pieces of radius <= 2,
+    so each holds a spanning tree of diameter <= 4).
     """
     res = _classify2(g, X, Y, 1, 2)
-    cert = checked(g, res.tree_pieces, 2, 4)
+    cert = checked(g, res.tree_pieces, 2, 4, max_radius=2)
     return res.cls, cert
 
 
@@ -314,7 +279,9 @@ def cover_complete(g: ColoredMultigraph, r: int) -> CoverCertificate:
         raise GraphError("cover_complete supports r in {2, 3, 4}")
     if not g.subgraph_colors(range(1, r + 1)).is_complete():
         raise GraphError(f"cover_complete needs every pair to carry a color in 1..{r}")
-    return checked(g, _complete_pieces(g, r), r - 1, 6 if r == 4 else 4)
+    if r == 4:
+        return checked(g, _complete_pieces(g, r), 3, 6)
+    return checked(g, _complete_pieces(g, r), r - 1, 4, max_radius=2)
 
 
 def _complete_pieces(g, r):
@@ -334,7 +301,7 @@ def _complete_pieces(g, r):
          for i, j in itertools.permutations(colors, 2)}
     for (i, j), Bij in B.items():
         if not Bij:
-            return [_tree(j, x, A[j], A[i], col)] + \
+            return [_tree(j, x, A[j], A[i])] + \
                    [_tree(m, x, A[m]) for m in colors if m not in (i, j)]
     endgame = _complete3_endgame if r == 3 else _complete4_endgame
     return endgame(g, col, x, A, B)
@@ -347,12 +314,11 @@ def _complete3_endgame(g, col, x, A, B):
         if not extra:
             continue
         z = extra[0]
-        t1 = _tree(k, x, A[k], [z], col)
+        t1 = _tree(k, x, A[k], [z])
         for w in B[(j, i)]:
             assert col(w, z) == k, "B_ij x B_ji edges carry the third color"
             t1[1].append(w)
-            t1[2].append((w, z))
-        t2 = _tree(i, x, A[i], [v for v in A[j] if v not in B[(j, i)]], col)
+        t2 = _tree(i, x, A[i], [v for v in A[j] if v not in B[(j, i)]])
         return [t1, t2]
 
     # B_ij = B_ik =: B_i for all i
@@ -367,15 +333,15 @@ def _complete3_endgame(g, col, x, A, B):
         j, k = [m for m in (1, 2, 3) if m != i]
         bj, bk = Bi[j], Bi[k]
         hang = [v for v in A[j] + A[k] if v not in bj and v not in bk]
-        t1 = _tree(i, x, A[i], hang, col)
+        t1 = _tree(i, x, A[i], hang)
         assert bj and bk
         for b in bj:
             for w in bk:
                 assert col(b, w) == i
-        return [t1, _biclique_tree(i, bj, bk)]
+        return [t1, (i, bj + bk)]
 
     # A_i = B_i for all i: [A_2, A_3] is complete in color 1
-    return [_tree(1, x, A[1]), _biclique_tree(1, A[2], A[3])]
+    return [_tree(1, x, A[1]), (1, A[2] + A[3])]
 
 
 def _complete4_endgame(g, col, x, A, B):
@@ -385,7 +351,7 @@ def _complete4_endgame(g, col, x, A, B):
         others = [m for m in (1, 2, 3, 4) if m != i]
         triple = set(B[(i, others[0])]) & set(B[(i, others[1])]) & set(B[(i, others[2])])
         if not triple:
-            return [_tree(m, x, A[m], [v for v in A[i] if v not in B[(i, m)]], col)
+            return [_tree(m, x, A[m], [v for v in A[i] if v not in B[(i, m)]])
                     for m in others]
 
     # (C2): B_ij minus (B_ik + B_il) nonempty
@@ -394,15 +360,13 @@ def _complete4_endgame(g, col, x, A, B):
         if not pool:
             continue
         u = pool[0]
-        p1 = _tree(i, x, A[i], [v for v in A[j] if v not in B[(j, i)]], col)
-        p2 = _tree(k, x, A[k], [u], col)
-        p3 = _tree(l, x, A[l], [u], col)
+        p1 = _tree(i, x, A[i], [v for v in A[j] if v not in B[(j, i)]])
+        p2 = _tree(k, x, A[k], [u])
+        p3 = _tree(l, x, A[l], [u])
         for w in B[(j, i)]:
             cw = col(w, u)
             assert cw in (k, l), "B_ij x B_ji edges avoid colors i and j"
-            p = p2 if cw == k else p3
-            p[1].append(w)
-            p[2].append((w, u))
+            (p2 if cw == k else p3)[1].append(w)
         return [p1, p2, p3]
 
     # (C3): B_ik minus B_ij and B_ki minus B_kl both nonempty
@@ -418,17 +382,14 @@ def _complete4_endgame(g, col, x, A, B):
             i, j, k, l = k, l, i, j
             ui, uk = uk, ui
         # now the ui-uk edge has color j
-        p1 = _tree(k, x, A[k], [v for v in A[i] if v not in B[(i, k)]], col)
-        p2 = _tree(j, x, A[j], [ui], col)
-        p2[1].append(uk)
-        p2[2].append((ui, uk))
-        p3 = _tree(l, x, A[l], [uk], col)
+        p1 = _tree(k, x, A[k], [v for v in A[i] if v not in B[(i, k)]])
+        # ui hangs on A_j and uk on ui
+        p2 = _tree(j, x, A[j], [ui, uk])
+        p3 = _tree(l, x, A[l], [uk])
         for w in B[(i, k)]:
             cw = col(w, uk)
             assert cw in (j, l)
-            p = p2 if cw == j else p3
-            p[1].append(w)
-            p[2].append((w, uk))
+            (p2 if cw == j else p3)[1].append(w)
         return [p1, p2, p3]
 
     # final case: B_ij = B_ik, B_jk+B_jl in B_ji, B_kj+B_kl in B_ki
@@ -448,7 +409,7 @@ def _complete4_endgame(g, col, x, A, B):
     i, j, k, l = chosen
     Bij, Bji, Bki = B[(i, j)], B[(j, i)], B[(k, i)]
     h1 = _tree(l, x, A[l], [v for m, bb in ((i, Bij), (j, Bji), (k, Bki))
-                            for v in A[m] if v not in bb], col)
+                            for v in A[m] if v not in bb])
     return [h1] + _zone_cover(g, mask_of(Bij + Bji + Bki), 2)
 
 
@@ -793,7 +754,7 @@ def _multipartite3(g, parts):
                 oc = [cc for cc in (1, 2, 3) if cc != c]
                 res = _classify2(g, vertices_of(full & ~comp), part, *oc)
                 extra = [(pc, reach(g.adjacency(pc), pvs[0]))
-                         for pc, pvs, *_ in res.tree_pieces]
+                         for pc, pvs in res.tree_pieces]
                 return checked(g, _vertex_pieces([(c, comp)] + extra), 3)
     # general case: the proof guarantees a 3-component cover exists, and
     # tc_exact's certificate is already verified

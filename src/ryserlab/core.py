@@ -17,10 +17,6 @@ class GraphError(ValueError):
     """Malformed graph data or an operation precondition violation."""
 
 
-def _norm_pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 class ColoredMultigraph:
     """Finite vertex set 0..n-1 with edges carrying nonempty color sets from 1..r.
 
@@ -196,9 +192,11 @@ class ComponentSet:
 class CoverCertificate:
     """A claimed cover or partition by monochromatic connected pieces.
 
-    Each piece is (color, vertex tuple) or (color, vertex tuple, edge tuple);
-    an explicit edge set claims a connected spanning subgraph (e.g. a tree)
-    whose own diameter obeys the declared bound.
+    Each piece is (color, sorted vertex tuple) and stands for the subgraph its
+    color induces on those vertices.  A declared max radius R claims, for
+    every piece, a vertex within R of all of it in that subgraph: the BFS
+    tree from such a vertex is a spanning tree of diameter <= 2R, and a tree
+    of diameter <= 2R has such a vertex at its centre.
     """
 
     pieces: tuple
@@ -206,24 +204,24 @@ class CoverCertificate:
     declared_max_size: int | None = None
     declared_max_diam: int | None = None
     allowed_colors: frozenset[int] | None = None
+    declared_max_radius: int | None = None
 
     def __len__(self):
         return len(self.pieces)
 
 
 def make_certificate(pieces, mode="cover", max_size=None, max_diam=None,
-                     allowed_colors=None) -> CoverCertificate:
+                     allowed_colors=None, max_radius=None) -> CoverCertificate:
     norm = []
-    for piece in pieces:
-        if len(piece) == 2:
+    for i, piece in enumerate(pieces):
+        try:
             c, vs = piece
-            norm.append((c, tuple(sorted(set(vs)))))
-        else:
-            c, vs, es = piece
-            norm.append((c, tuple(sorted(set(vs))),
-                         tuple(sorted(_norm_pair(u, v) for u, v in es))))
+        except (TypeError, ValueError):
+            raise GraphError(f"piece {i} is not a (color, vertices) pair") from None
+        norm.append((c, tuple(sorted(set(vs)))))
     return CoverCertificate(tuple(norm), mode, max_size, max_diam,
-                            None if allowed_colors is None else frozenset(allowed_colors))
+                            None if allowed_colors is None else frozenset(allowed_colors),
+                            max_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +344,6 @@ def connected_subsets(adj, v: int, mask: int = -1, lower_twins=None):
 def _connected_diameter(adj, mask: int) -> int:
     """Diameter of the connected subgraph induced on a nonempty mask."""
     return max(len(layers(adj, v, mask)) - 1 for v in vertices_of(mask))
-
-
-def _tree_diameter(adj, v: int) -> int:
-    """Diameter of the tree through v whose edges adj holds: a vertex farthest
-    from any vertex ends a longest path (the double sweep)."""
-    return len(layers(adj, lowest_vertex(layers(adj, v)[-1]))) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +483,20 @@ class VerifyResult:
 def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
     """Check a cover/partition certificate; the first failure is reported.
 
-    Pieces, coverage and disjointness are vertex masks.  A piece is connected
-    when one `reach` from its lowest vertex spans it: in its color class for
-    an induced piece, along its own edges for a piece given with edges.  The
-    diameter is computed only against a declared bound, and for a piece whose
-    edges form a tree it takes two BFS sweeps instead of one per vertex.
+    Pieces, coverage and disjointness are vertex masks, and each piece is the
+    subgraph its color induces on its mask.  One BFS from the piece's lowest
+    vertex tells whether it is connected and gives that vertex's eccentricity
+    e, so the diameter is at most 2e.  A declared radius R < e is settled by
+    looking for a vertex within R of the whole piece, after which e = R.  The
+    exact diameter (BFS from every vertex) is computed only when a declared
+    diameter bound is below 2e.
     """
-    n, bound = g.n, cert.declared_max_diam
+    n, bound, radius = g.n, cert.declared_max_diam, cert.declared_max_radius
     if cert.declared_max_size is not None and len(cert.pieces) > cert.declared_max_size:
         return VerifyResult(False, f"{len(cert.pieces)} pieces exceed declared max "
                                    f"{cert.declared_max_size}")
     covered = seen = 0
-    for i, piece in enumerate(cert.pieces):
-        c, vs = piece[0], piece[1]
-        es = piece[2] if len(piece) > 2 else None
+    for i, (c, vs) in enumerate(cert.pieces):
         if not vs:
             return VerifyResult(False, f"piece {i} is empty")
         if not (1 <= c <= g.r):
@@ -519,38 +511,20 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
             if seen & m:
                 return VerifyResult(False, f"piece {i} overlaps vertex {lowest_vertex(seen & m)}")
             seen |= m
-        low, row, d = lowest_vertex(m), g._adj[c], 0
-        if es is not None:
-            adj = [0] * n
-            for u, v in es:
-                # a negative end lies in no mask but cannot be shifted by
-                if u < 0 or v < 0 or not m >> u & m >> v & 1:
-                    return VerifyResult(False, f"piece {i} edge ({u},{v}) leaves its vertex set")
-                if not row[u] >> v & 1:
-                    return VerifyResult(False, f"piece {i} edge ({u},{v}) is not color {c}")
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            if len(vs) > 1:
-                # the edges stay inside m, so they span it and connect it
-                # exactly when low has an edge and one reach from low covers m
-                if not adj[low] or reach(adj, low) != m:
-                    if mask_of(u for u, nb in enumerate(adj) if nb) != m:
-                        return VerifyResult(False, f"piece {i} edge set does not span "
-                                                   "its vertices")
-                    return VerifyResult(False, f"piece {i} edge set is disconnected")
-                if bound is not None:
-                    # connected with |m| - 1 distinct edges: a tree
-                    if sum(map(int.bit_count, adj)) == 2 * m.bit_count() - 2:
-                        d = _tree_diameter(adj, low)
-                    else:
-                        d = _connected_diameter(adj, m)
-        else:
-            if reach(row, low, m) != m:
-                return VerifyResult(False, f"piece {i} (color {c}) is not connected")
-            if bound is not None:
-                d = _connected_diameter(row, m)
-        if bound is not None and d > bound:
-            return VerifyResult(False, f"piece {i} has diameter {d} > {bound}")
+        row = g._adj[c]
+        dist = layers(row, lowest_vertex(m), m)
+        # the layers are disjoint, so their sum is their union
+        if sum(dist) != m:
+            return VerifyResult(False, f"piece {i} (color {c}) is not connected")
+        e = len(dist) - 1
+        if radius is not None and e > radius:
+            if not any(sum(layers(row, v, m, radius)) == m for v in vertices_of(m)):
+                return VerifyResult(False, f"piece {i} has radius > {radius}")
+            e = radius
+        if bound is not None and bound < 2 * e:
+            d = _connected_diameter(row, m)
+            if d > bound:
+                return VerifyResult(False, f"piece {i} has diameter {d} > {bound}")
         covered |= m
     missing = ~covered & ((1 << n) - 1)
     if missing:
@@ -559,12 +533,12 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
 
 
 def checked(g: ColoredMultigraph, pieces, max_size, max_diam=None, allowed_colors=None,
-            mode="cover") -> CoverCertificate:
+            mode="cover", max_radius=None) -> CoverCertificate:
     """The certificate of pieces, after verify accepts it on g.  A rejection
     is a bug in the code that built the pieces: it raises AssertionError
     naming the graph, not an assert, so the gate holds under python -O."""
-    cert = make_certificate(pieces, mode=mode, max_size=max_size,
-                            max_diam=max_diam, allowed_colors=allowed_colors)
+    cert = make_certificate(pieces, mode=mode, max_size=max_size, max_diam=max_diam,
+                            allowed_colors=allowed_colors, max_radius=max_radius)
     res = verify(g, cert)
     if not res.ok:
         raise AssertionError(f"certificate failed verification: {res.reason}; "

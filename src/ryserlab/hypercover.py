@@ -340,7 +340,8 @@ def hyper_lower_coloring(variant: str, r: int, c: int, ell: int, k: int,
                 if len(es & b) >= c:
                     phi.update(combos[i])
             rest = sorted(set(range(1, r + 1)) - phi)
-            assert rest, "phi can never exhaust all colors"
+            if not rest:
+                raise AssertionError(f"KC coloring: phi exhausts all colors on edge {e}")
             edges.append((rest[0], e))
         return ColoredHypergraph(n, k, r, None, edges)
     if variant == "NC":
@@ -354,7 +355,9 @@ def hyper_lower_coloring(variant: str, r: int, c: int, ell: int, k: int,
             color = None
             for y in itertools.combinations(sorted(es), ell):
                 iy = [i for i in range(t) if len(set(y) | set(xs[i])) <= k]
-                assert len(iy) <= r - 1, "I_y may not exceed r-1"
+                if len(iy) > r - 1:
+                    raise AssertionError(f"NC coloring: I_y has {len(iy)} > r - 1 "
+                                         f"members for y = {y}")
                 for rank, i in enumerate(iy):
                     if set(y) | set(xs[i]) <= es:
                         color = rank + 1

@@ -128,6 +128,8 @@ def test_criterion_4_complete3():
         g = _rand_complete(n, 3, rng)
         cert = cv.cover_complete(g, 3)
         assert len(cert.pieces) <= 2 and cert.declared_max_diam == 4
+        # radius <= 2 about some vertex: a spanning tree of diameter <= 4
+        assert cert.declared_max_radius == 2
     report("criterion 4a PASS: 1000 x 3-colored K_n (n <= 60): <= 2 trees of "
            "diameter <= 4")
 
@@ -156,6 +158,7 @@ def test_criterion_4_bipartite2():
         g, X, Y = _rand_bip(rng.randint(1, 15), rng.randint(1, 15), 2, rng)
         cls, cert = cv.classify_bipartite2(g, X, Y)
         assert len(cert.pieces) <= 2 and cert.declared_max_diam == 4
+        assert cert.declared_max_radius == 2
     report("criterion 4c PASS: 1000 x 2-colored bipartite: <= 2 trees of "
            "diameter <= 4")
 

@@ -334,6 +334,15 @@ def test_zrd_stopped_in_milp_records_the_stop(tmp_path, capsys):
     (["taunu", "--input", "{f}"], "hg 3 2 1\ne 1 0 y\n", "line 2, field 4"),
     (["taunu", "--input", "{f}"], "hg 3 2 1\npart\n", "line 2, field 2"),
     (["taunu", "--input", "{f}"], "hg 3 2 1\ne\n", "line 2, field 2"),
+    (["mc", "--input", "{f}"], "cg 3 1\ne 0 1 1\ne 0 5 1\n", "line 3, field 3"),
+    (["mc", "--input", "{f}"], "cg -1 2\n", "line 1, field 2"),
+    (["mc", "--input", "{f}"], "cg 3 -2\n", "line 1, field 3"),
+    (["mc", "--input", "{f}"], "cg 3 1\ne 3 1 1\n", "line 2, field 2"),
+    (["mc", "--input", "{f}"], "cg 3 1\ne 1 1 1\n", "line 2, field 3"),
+    (["mc", "--input", "{f}"], "cg 3 1\ne 0 1 2\n", "line 2, field 4"),
+    (["taunu", "--input", "{f}"], "hg 3 2 1\ne 1 0 5\n", "line 2, field 4"),
+    (["taunu", "--input", "{f}"], "hg 3 2 1\ne 2 0 1\n", "line 2, field 2"),
+    (["taunu", "--input", "{f}"], "hg 3 0 0\ne 0 1 3\n", "line 2, field 4"),
 ])
 def test_malformed_files_exit_3(tmp_path, capsys, argv, text, where):
     g = tmp_path / "g.cg"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ryserlab import cli
 from ryserlab import constructive as cv
 from ryserlab import exact as ex
 from ryserlab.core import (ColoredMultigraph, GraphError, alpha, closure,
@@ -644,3 +645,33 @@ def test_classify3_random():
     for _ in range(100):
         g = rand_complete(rng.randint(2, 12), 3, rng)
         check_type(g, cv.classify3(g))
+
+
+# ---------------------------------------------------------------- cover format
+
+
+def test_every_constructive_cover_round_trips_through_the_cover_format():
+    """The cover format writes a piece as its color and vertices, so a
+    certificate read back from it is the certificate that verify checked."""
+    rng = random.Random(13)
+    certs = []
+    for _ in range(25):
+        for r in (2, 3, 4):
+            certs.append(cv.cover_complete(rand_complete(rng.randint(1, 20), r, rng), r))
+        g, X, Y = rand_bip(rng.randint(1, 8), rng.randint(1, 8), 2, rng)
+        certs.append(cv.classify_bipartite2(g, X, Y)[1])
+        g, X, Y = rand_bip(rng.randint(1, 8), rng.randint(1, 8), 3, rng)
+        certs.append(cv.cover_bipartite3(g, X, Y))
+        for r, k in ((2, rng.randint(2, 4)), (3, 3)):
+            g, parts = rand_multi([rng.randint(1, 4) for _ in range(k)], r, rng)
+            certs.append(cv.cover_multipartite(g, parts, r))
+        r = rng.randint(3, 5)
+        certs.append(cv.restricted_cover(closure(rand_complete(rng.randint(2, 10), r, rng)),
+                                         r, sorted(rng.sample(range(1, r + 1), 2))))
+        g = None
+        while g is None or alpha(g)[0] != 2:
+            g = rand_alpha2(rng.randint(3, 10), rng)
+        certs.append(cv.cover_alpha2(g))
+    for cert in certs:
+        back = cli.parse_cover(cli.write_cover(cert))
+        assert (back.pieces, back.mode) == (cert.pieces, cert.mode)

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, note, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ryserlab.core import (ColoredMultigraph, CoverCertificate, GraphError,
@@ -190,9 +190,10 @@ def test_verify_partition_mode_and_colors():
     assert not verify(g, restricted).ok
 
 
-def _ref_diameter(vs, nbrs):
-    """All-pairs BFS on neighbor sets: the diameter, math.inf if disconnected."""
-    best = 0
+def _ref_eccentricities(vs, nbrs):
+    """Per vertex of vs, its BFS eccentricity on neighbor sets; None if vs is
+    disconnected."""
+    out = []
     for s in vs:
         dist = {s: 0}
         queue = [s]
@@ -202,17 +203,19 @@ def _ref_diameter(vs, nbrs):
                     dist[w] = dist[u] + 1
                     queue.append(w)
         if len(dist) < len(vs):
-            return math.inf
-        best = max(best, max(dist.values()))
-    return best
+            return None
+        out.append(max(dist.values()))
+    return out
 
 
 def brute_verify(g, cert):
-    """Reference judge on plain sets and g.has_color; shares no code with verify."""
+    """Reference judge on plain sets and g.has_color; shares no code with verify.
+
+    The diameter is the largest eccentricity and the radius the least."""
     covered = set()
     used = set()
-    for piece in cert.pieces:
-        c, vs = piece[0], set(piece[1])
+    for c, vs in cert.pieces:
+        vs = set(vs)
         if not vs or not (1 <= c <= g.r):
             return False
         if any(not 0 <= v < g.n for v in vs):
@@ -222,20 +225,13 @@ def brute_verify(g, cert):
         if cert.mode == "partition" and used & vs:
             return False
         used |= vs
-        if len(piece) > 2:
-            # its own edges, each inside vs and of color c
-            nbrs = {v: set() for v in vs}
-            for u, w in piece[2]:
-                if u not in vs or w not in vs or not g.has_color(u, w, c):
-                    return False
-                nbrs[u].add(w)
-                nbrs[w].add(u)
-        else:
-            nbrs = {u: {w for w in vs if g.has_color(u, w, c)} for u in vs}
-        d = _ref_diameter(vs, nbrs)
-        if d == math.inf:
+        nbrs = {u: {w for w in vs if g.has_color(u, w, c)} for u in vs}
+        ecc = _ref_eccentricities(vs, nbrs)
+        if ecc is None:
             return False
-        if cert.declared_max_diam is not None and d > cert.declared_max_diam:
+        if cert.declared_max_diam is not None and max(ecc) > cert.declared_max_diam:
+            return False
+        if cert.declared_max_radius is not None and min(ecc) > cert.declared_max_radius:
             return False
         covered |= vs
     if cert.declared_max_size is not None and len(cert.pieces) > cert.declared_max_size:
@@ -252,7 +248,8 @@ def _near_valid_mutants(cert, n, r):
         return make_certificate(pieces, mode=cert.mode,
                                 max_size=cert.declared_max_size,
                                 max_diam=cert.declared_max_diam,
-                                allowed_colors=cert.allowed_colors)
+                                allowed_colors=cert.allowed_colors,
+                                max_radius=cert.declared_max_radius)
 
     for i, (c, vs) in enumerate(cert.pieces):
         outside = [v for v in range(n) if v not in vs]
@@ -295,91 +292,27 @@ def test_verify_matches_bruteforce():
             pieces.append((rng.randint(1, 3), rng.sample(range(n), k)))
         cert = make_certificate(
             pieces, mode=rng.choice(["cover", "partition"]),
-            max_diam=rng.choice([None, 2, 4]))
+            max_diam=rng.choice([None, 1, 2, 3, 4]), max_radius=rng.choice([None, 1, 2]))
         assert verify(g, cert).ok == brute_verify(g, cert)
         agree += 1
     assert agree == 300
 
 
-TREE_VARIANTS = ("tree", "chord", "duplicate", "forest", "nonspanning", "wrong color")
+def test_make_certificate_rejects_a_piece_that_is_not_a_pair():
+    with pytest.raises(GraphError, match="piece 1 is not a"):
+        make_certificate([(1, [0, 1]), (1, [2, 3], [(2, 3)])])
+    with pytest.raises(GraphError, match="piece 0 is not a"):
+        make_certificate([1])
 
 
-@st.composite
-def edge_piece_certificates(draw):
-    """A graph and a certificate of pieces given with their own edges.
-
-    Each piece is a random tree on a random vertex set, colored into the
-    graph, then changed as its variant says: a chord added, an edge repeated,
-    an edge dropped (a forest), an untouched vertex added, or one edge's
-    color taken out of the graph.  Random extra edges and singleton pieces
-    for the uncovered vertices make valid certificates common.
-    """
-    n = draw(st.integers(1, 10))
-    r = draw(st.integers(1, 3))
-    colors = {}
-    stripped = []
-    pieces = []
-    for _ in range(draw(st.integers(1, 3))):
-        c = draw(st.integers(1, r))
-        vs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-        es = [(vs[draw(st.integers(0, k - 1))], vs[k]) for k in range(1, len(vs))]
-        variant = draw(st.sampled_from(TREE_VARIANTS))
-        note(f"piece {len(pieces)}: {variant}")
-        chords = [p for p in itertools.combinations(sorted(vs), 2)
-                  if p not in {tuple(sorted(e)) for e in es}]
-        outside = [v for v in range(n) if v not in vs]
-        if variant == "chord" and chords:
-            es.append(draw(st.sampled_from(chords)))
-        elif variant == "duplicate" and es:
-            es.append(draw(st.sampled_from(es))[::-1])
-        elif variant == "forest" and es:
-            es.pop(draw(st.integers(0, len(es) - 1)))
-        elif variant == "nonspanning" and outside:
-            vs.append(draw(st.sampled_from(outside)))
-        for u, v in es:
-            colors.setdefault((min(u, v), max(u, v)), set()).add(c)
-        if variant == "wrong color" and es:
-            u, v = draw(st.sampled_from(es))
-            stripped.append(((min(u, v), max(u, v)), c))
-        pieces.append((c, vs, es))
-    for u, v, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                           st.integers(1, r)), max_size=12)):
-        if u != v:
-            colors.setdefault((min(u, v), max(u, v)), set()).add(c)
-    for pair, c in stripped:
-        colors[pair].discard(c)
-    if draw(st.booleans()):
-        covered = {v for _, vs, _ in pieces for v in vs}
-        pieces += [(1, [v], []) for v in range(n) if v not in covered]
-    g = ColoredMultigraph.from_edges(n, r, [(u, v, cols) for (u, v), cols
-                                            in colors.items() if cols])
-    cert = make_certificate(pieces, mode=draw(st.sampled_from(["cover", "partition"])),
-                            max_diam=draw(st.sampled_from([None, 1, 2, 3, 4])))
-    return g, cert
-
-
-# a 4-cycle 0-1-2-3 with 4 hung on 1: sweeps from 0 and then from 2 both
-# see eccentricity 2, but the distance from 4 to 3 is 3
-CYCLE_WITH_PENDANT = (
-    ColoredMultigraph.from_edges(5, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1),
-                                        (1, 4, 1)]),
-    make_certificate([(1, range(5), [(0, 1), (0, 3), (1, 4), (1, 2), (2, 3)])],
-                     max_diam=2))
-
-
-@settings(max_examples=400, deadline=None)
-@given(edge_piece_certificates())
-@example(CYCLE_WITH_PENDANT)
-def test_verify_judges_edge_pieces_like_bruteforce(case):
-    g, cert = case
-    assert verify(g, cert).ok == brute_verify(g, cert)
+# a 4-cycle 0-1-2-3 with 4 hung on 1: vertex 0 has eccentricity 2, but the
+# distance from 4 to 3 is 3
+CYCLE_WITH_PENDANT = ColoredMultigraph.from_edges(
+    5, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (1, 4, 1)])
 
 
 def _p5():
     return ColoredMultigraph.from_edges(5, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
-
-
-P5_TREE = (1, (0, 1, 2, 3, 4), ((0, 1), (1, 2), (2, 3), (3, 4)))
 
 
 @pytest.mark.parametrize("graph, cert, reason", [
@@ -396,18 +329,24 @@ P5_TREE = (1, (0, 1, 2, 3, 4), ((0, 1), (1, 2), (2, 3), (3, 4)))
      "piece 0 contains vertex 7 out of range"),
     (k4_affine(), CoverCertificate(((1, (0, 1)), (3, (0, 1, 2, 3))), mode="partition"),
      "piece 1 overlaps vertex 0"),
-    (k4_affine(), CoverCertificate(((1, (0, 1), ((0, 1), (0, 2))),)),
-     "piece 0 edge (0,2) leaves its vertex set"),
-    (k4_affine(), CoverCertificate(((1, (0, 1, 2), ((0, 1), (0, 2))),)),
-     "piece 0 edge (0,2) is not color 1"),
-    (k4_affine(), CoverCertificate(((1, (0, 1, 2), ((0, 1),)),)),
-     "piece 0 edge set does not span its vertices"),
-    (k4_affine(), CoverCertificate(((1, (0, 1, 2, 3), ((0, 1), (2, 3))),)),
-     "piece 0 edge set is disconnected"),
+    (_p5(), CoverCertificate(((1, (0, 1, 2, 3, 4)),), declared_max_radius=1),
+     "piece 0 has radius > 1"),
+    # 2e = 4 from vertex 0 does not settle the bound 2: the exact diameter is 3
+    (CYCLE_WITH_PENDANT, CoverCertificate(((1, (0, 1, 2, 3, 4)),), declared_max_diam=2),
+     "piece 0 has diameter 3 > 2"),
+    # the radius is checked before the diameter
+    (_p5(), CoverCertificate(((1, (0, 1, 2, 3, 4)),), declared_max_diam=3,
+                             declared_max_radius=1),
+     "piece 0 has radius > 1"),
+    # radius 2 about vertex 2 holds, and 2R = 4 exceeds the bound 3
+    (_p5(), CoverCertificate(((1, (0, 1, 2, 3, 4)),), declared_max_diam=3,
+                             declared_max_radius=2),
+     "piece 0 has diameter 4 > 3"),
     (k4_affine(), CoverCertificate(((2, (0, 1)),)), "piece 0 (color 2) is not connected"),
     (_p5(), CoverCertificate(((1, (0, 1, 2, 3)),), declared_max_diam=2),
      "piece 0 has diameter 3 > 2"),
-    (_p5(), CoverCertificate((P5_TREE,), declared_max_diam=3), "piece 0 has diameter 4 > 3"),
+    (_p5(), CoverCertificate(((1, (0, 1, 2, 3, 4)),), declared_max_diam=3),
+     "piece 0 has diameter 4 > 3"),
     (k4_affine(), CoverCertificate(((1, (0, 1)),)), "vertex 2 uncovered"),
 ])
 def test_verify_reason_strings(graph, cert, reason):
