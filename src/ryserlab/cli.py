@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .core import ColoredMultigraph, make_certificate, verify
-from .duality import ColoredHypergraph, HypergraphError
+from .duality import ColoredHypergraph
 from .exact import Inconclusive, Infeasible, SolveBudget
 
 
@@ -101,13 +101,22 @@ def parse_hypergraph(text: str) -> ColoredHypergraph:
         raise FormatError(ln, 2, "header needs n, k and r")
     n, k, r = _ints(ln, header[1:], 2)
     part_map = {}
-    edges = []
+    owner = {}  # vertex -> index of its part
+    located = []  # (line, field of the first vertex, color, vertices) per edge
     seen_edges = set()
     for ln, tok in rows[1:]:
         if tok[0] == "part":
             if len(tok) < 2:
                 raise FormatError(ln, 2, "expected 'part <i> <v...>'")
             idx, *vs = _ints(ln, tok[1:], 2)
+            if idx in part_map:
+                raise FormatError(ln, 2, f"part {idx} given twice")
+            for field, v in enumerate(vs, start=3):
+                if not 0 <= v < n:
+                    raise FormatError(ln, field, f"vertex {v} out of range")
+                if v in owner:
+                    raise FormatError(ln, field, f"vertex {v} is in two parts")
+                owner[v] = idx
             part_map[idx] = vs
         elif tok[0] == "e":
             vals = _ints(ln, tok[1:], 2)
@@ -119,23 +128,36 @@ def parse_hypergraph(text: str) -> ColoredHypergraph:
                     raise FormatError(ln, 2, f"edge color {c} out of range")
             else:
                 c, vs = None, tuple(vals)
-            for field, v in enumerate(vs, start=len(tok) - len(vs) + 1):
+            first = len(tok) - len(vs) + 1
+            for field, v in enumerate(vs, start=first):
                 if not 0 <= v < n:
                     raise FormatError(ln, field, f"vertex {v} out of range")
+                if v in vs[:field - first]:
+                    raise FormatError(ln, field, f"edge {vs} repeats a vertex")
+            if not vs:
+                raise FormatError(ln, first, "empty hyperedge")
+            if k and len(vs) != k:
+                # the first vertex past k, or the place of the first one missing
+                raise FormatError(ln, first + min(len(vs), k),
+                                  f"edge {vs} is not {k}-uniform")
             key = (c, tuple(sorted(vs)))
             if key in seen_edges:
                 raise FormatError(ln, 1, f"duplicate hyperedge {vs}")
             seen_edges.add(key)
-            edges.append((c, vs))
+            located.append((ln, first, c, vs))
         else:
             raise FormatError(ln, 1, f"unknown directive {tok[0]!r}")
-    parts = None
-    if part_map:
-        parts = [part_map[i] for i in sorted(part_map)]
-    try:
-        return ColoredHypergraph(n, k, r, parts, edges)
-    except HypergraphError as exc:
-        raise FormatError(rows[0][0], 1, str(exc)) from None
+    edges = [(c, vs) for _, _, c, vs in located]
+    if not part_map:
+        return ColoredHypergraph(n, k, r, None, edges)
+    missing = [v for v in range(n) if v not in owner]
+    if missing:
+        raise FormatError(rows[0][0], 2, f"vertex {missing[0]} is in no part")
+    for ln, first, _, vs in located:
+        for field, v in enumerate(vs, start=first):
+            if owner[v] in {owner[u] for u in vs[:field - first]}:
+                raise FormatError(ln, field, f"edge {vs} meets a class twice")
+    return ColoredHypergraph(n, k, r, [part_map[i] for i in sorted(part_map)], edges)
 
 
 def write_hypergraph(h: ColoredHypergraph) -> str:

@@ -1,9 +1,9 @@
 """Finite-geometry generators and the named extremal colorings.
 
-Projective planes come from the 1- and 2-dimensional subspaces of GF(q)^3;
-prime-power fields are built by polynomial arithmetic modulo the first
-irreducible monic found by trial division.  Each generated design is verified
-against its defining incidence counts before being returned.
+Projective planes come from the 1- and 2-dimensional subspaces of GF(q)^3.
+GF(q) is an add table and a mul table, built once by polynomial arithmetic
+modulo the first irreducible monic found by trial division.  Each generated
+design is verified against its defining incidence counts before being returned.
 """
 
 from __future__ import annotations
@@ -20,111 +20,61 @@ class UnsupportedOrder(ValueError):
 
 
 def _factor_prime_power(q: int):
-    if q < 2:
+    p = next((d for d in range(2, q + 1) if q % d == 0), 0)  # least prime factor
+    e = 1
+    while p and p ** e < q:
+        e += 1
+    if q < 2 or p ** e != q:
         raise UnsupportedOrder(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p:
-            continue
-        e = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m == 1:
-            return p, e
-        raise UnsupportedOrder(f"{q} is not a prime power")
-    raise UnsupportedOrder(f"{q} is not a prime power")
+    return p, e
+
+
+def _polymul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _polymod(a, m, p):
+    """a modulo the monic m over GF(p), as exactly len(m) - 1 coefficients."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) > dm:
+        lead = a.pop()
+        shift = len(a) - dm
+        for i, c in enumerate(m[:-1]):
+            a[shift + i] = (a[shift + i] - lead * c) % p
+    return a + [0] * (dm - len(a))
+
+
+def _monics(p, d):
+    return (list(tail) + [1] for tail in itertools.product(range(p), repeat=d))
 
 
 class GF:
-    """GF(p^e) with elements encoded as integers 0..q-1 (base-p digit vectors)."""
+    """GF(p^e) on 0..q-1: x stands for the polynomial whose coefficients are
+    its base-p digits, lowest first.  add and mul are q x q tables, built once;
+    products are reduced modulo modpoly, the lexicographically first
+    irreducible monic of degree e (x itself, [0, 1], when q is a prime)."""
 
     def __init__(self, q: int):
         self.q = q
-        self.p, self.e = _factor_prime_power(q)
-        if self.e == 1:
-            self.modpoly = None
-        else:
-            self.modpoly = self._find_irreducible()
+        self.p, self.e = p, e = _factor_prime_power(q)
+        self.modpoly = next(m for m in _monics(p, e)
+                            if all(any(_polymod(m, div, p))
+                                   for d in range(1, e // 2 + 1)
+                                   for div in _monics(p, d)))
+        digits = [[x // p ** i % p for i in range(e)] for x in range(q)]
 
-    # polynomials are little-endian digit tuples over GF(p)
+        def value(poly):
+            return sum(c * p ** i for i, c in enumerate(poly))
 
-    def _enc(self, digits) -> int:
-        return sum(d * self.p ** i for i, d in enumerate(digits))
-
-    def _dec(self, x: int):
-        out = []
-        for _ in range(self.e):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def _polymul(self, a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % self.p
-        return out
-
-    def _polymod(self, a, m):
-        a = list(a)
-        dm = len(m) - 1
-        while len(a) > dm:
-            lead = a[-1]
-            if lead:
-                shift = len(a) - 1 - dm
-                for i, c in enumerate(m):
-                    a[shift + i] = (a[shift + i] - lead * c) % self.p
-            a.pop()
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        return a
-
-    def _find_irreducible(self):
-        # lexicographically first irreducible monic of degree e over GF(p)
-        for tail in itertools.product(range(self.p), repeat=self.e):
-            poly = list(tail) + [1]
-            if self._irreducible(poly):
-                return poly
-        raise AssertionError("an irreducible polynomial always exists")
-
-    def _irreducible(self, poly):
-        deg = len(poly) - 1
-        for d in range(1, deg // 2 + 1):
-            for tail in itertools.product(range(self.p), repeat=d):
-                div = list(tail) + [1]
-                # div is monic, so it divides poly when _polymod leaves 0
-                if not any(self._polymod(poly, div)):
-                    return False
-        return True
-
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        da, db = self._dec(a), self._dec(b)
-        return self._enc([(x + y) % self.p for x, y in zip(da, db)])
-
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._enc([(-x) % self.p for x in self._dec(a)])
-
-    def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        prod = self._polymul(self._dec(a), self._dec(b))
-        red = self._polymod(prod, self.modpoly)
-        red += [0] * (self.e - len(red))
-        return self._enc(red)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError
+        self.add = [[value((x + y) % p for x, y in zip(a, b)) for b in digits]
+                    for a in digits]
+        self.mul = [[value(_polymod(_polymul(a, b, p), self.modpoly, p))
+                     for b in digits] for a in digits]
 
 
 @dataclass(frozen=True)
@@ -137,41 +87,32 @@ class IncidenceDesign:
     def parallel_classes(self):
         if self.kind != "affine":
             raise ValueError("parallel classes exist only for affine planes")
-        q = self.order
-        classes = []
-        used = set()
-        for i, l in enumerate(self.lines):
-            if i in used:
-                continue
-            cls = [i]
-            used.add(i)
-            for j in range(i + 1, len(self.lines)):
-                if j in used:
-                    continue
-                if not set(l) & set(self.lines[j]):
-                    cls.append(j)
-                    used.add(j)
-            classes.append(tuple(cls))
+        masks = [mask_of(l) for l in self.lines]
+        classes, used = [], set()
+        for i, m in enumerate(masks):
+            if i not in used:
+                cls = (i,) + tuple(j for j in range(i + 1, len(masks))
+                                   if j not in used and not masks[j] & m)
+                used.update(cls)
+                classes.append(cls)
         return classes
 
 
 def galois_plane(q: int, kind: str = "projective") -> IncidenceDesign:
     """The projective/truncated/affine plane of prime-power order q."""
+    if kind not in ("projective", "truncated", "affine"):
+        raise ValueError(f"unknown kind {kind!r}")
     field = GF(q)
+    add, mul = field.add, field.mul
     # canonical 1-dim subspace representatives of GF(q)^3: first nonzero coord = 1
     pts = [(0, 0, 1)]
     pts += [(0, 1, z) for z in range(q)]
     pts += [(1, y, z) for y in range(q) for z in range(q)]
-    idx = {p: i for i, p in enumerate(pts)}
     lines = []
     for a, b, c in pts:  # lines are dual points
-        line = []
-        for p in pts:
-            s = field.add(field.add(field.mul(a, p[0]), field.mul(b, p[1])),
-                          field.mul(c, p[2]))
-            if s == 0:
-                line.append(idx[p])
-        lines.append(tuple(sorted(line)))
+        ma, mb, mc = mul[a], mul[b], mul[c]
+        lines.append(tuple(i for i, (x, y, z) in enumerate(pts)
+                           if add[add[ma[x]][mb[y]]][mc[z]] == 0))
     lines.sort()
     design = IncidenceDesign(len(pts), tuple(lines), q, "projective")
     _check_projective(design)
@@ -185,23 +126,16 @@ def galois_plane(q: int, kind: str = "projective") -> IncidenceDesign:
         _ensure(out.points == q * q + q and len(out.lines) == q * q,
                 "truncated plane counts")
         return out
-    if kind == "affine":
-        gone_line = design.lines[0]
-        gone = set(gone_line)
-        remap = {}
-        for p in range(design.points):
-            if p not in gone:
-                remap[p] = len(remap)
-        keep = [tuple(sorted(remap[p] for p in l if p not in gone))
-                for l in design.lines[1:]]
-        out = IncidenceDesign(len(remap), tuple(sorted(keep)), q, "affine")
-        _ensure(out.points == q * q and len(out.lines) == q * q + q,
-                "affine plane counts")
-        _ensure(all(len(l) == q for l in out.lines), "affine line of size != q")
-        _ensure(len(out.parallel_classes()) == q + 1,
-                "affine plane parallel classes")
-        return out
-    raise ValueError(f"unknown kind {kind!r}")
+    # affine: the first line goes with its points; the rest are renumbered densely
+    gone = set(design.lines[0])
+    remap = {p: i for i, p in enumerate(sorted(set(range(design.points)) - gone))}
+    keep = sorted(tuple(remap[p] for p in l if p not in gone)
+                  for l in design.lines[1:])
+    out = IncidenceDesign(len(remap), tuple(keep), q, "affine")
+    _ensure(out.points == q * q and len(out.lines) == q * q + q, "affine plane counts")
+    _ensure(all(len(l) == q for l in out.lines), "affine line of size != q")
+    _ensure(len(out.parallel_classes()) == q + 1, "affine plane parallel classes")
+    return out
 
 
 def _ensure(ok: bool, what: str):
@@ -214,12 +148,9 @@ def _check_projective(d: IncidenceDesign):
     q = d.order
     _ensure(d.points == q * q + q + 1 == len(d.lines), "projective plane counts")
     _ensure(all(len(l) == q + 1 for l in d.lines), "projective line of size != q + 1")
-    seen = set()
-    for l in d.lines:
-        for pair in itertools.combinations(l, 2):
-            _ensure(pair not in seen, "pair on two lines")
-            seen.add(pair)
-    _ensure(len(seen) == d.points * (d.points - 1) // 2, "pair off all lines")
+    pairs = [pair for l in d.lines for pair in itertools.combinations(l, 2)]
+    _ensure(len(set(pairs)) == len(pairs), "pair on two lines")
+    _ensure(len(pairs) == d.points * (d.points - 1) // 2, "pair off all lines")
 
 
 def design_to_hypergraph(d: IncidenceDesign) -> ColoredHypergraph:

@@ -343,6 +343,14 @@ def test_zrd_stopped_in_milp_records_the_stop(tmp_path, capsys):
     (["taunu", "--input", "{f}"], "hg 3 2 1\ne 1 0 5\n", "line 2, field 4"),
     (["taunu", "--input", "{f}"], "hg 3 2 1\ne 2 0 1\n", "line 2, field 2"),
     (["taunu", "--input", "{f}"], "hg 3 0 0\ne 0 1 3\n", "line 2, field 4"),
+    (["taunu", "--input", "{f}"], "hg 3 2 1\ne 1 0 1 2\n", "line 2, field 5"),
+    (["taunu", "--input", "{f}"], "hg 3 2 1\ne 1 0\n", "line 2, field 4"),
+    (["taunu", "--input", "{f}"], "hg 3 2 1\ne 1 0 1\ne 1 0 0\n", "line 3, field 4"),
+    (["taunu", "--input", "{f}"],
+     "hg 4 2 0\npart 0 0 1\npart 1 2 3\ne 0 2\ne 0 1\n", "line 5, field 3"),
+    (["taunu", "--input", "{f}"], "hg 3 2 0\npart 0 0 1\npart 1 1 2\n", "line 3, field 3"),
+    (["taunu", "--input", "{f}"], "hg 3 2 0\npart 0 0 1\npart 0 2\n", "line 3, field 2"),
+    (["taunu", "--input", "{f}"], "hg 3 2 0\npart 0 0 1\n", "line 1, field 2"),
 ])
 def test_malformed_files_exit_3(tmp_path, capsys, argv, text, where):
     g = tmp_path / "g.cg"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from ryserlab import constructions as cn
 from ryserlab import exact as ex
 from ryserlab.core import ColoredMultigraph, alpha, components
+from ryserlab.duality import check_duality
 from ryserlab.exact import Infeasible
 
 
@@ -16,7 +18,7 @@ def test_projective_planes():
     fano = cn.galois_plane(2, "projective")
     assert fano.points == 7 and len(fano.lines) == 7
     assert all(len(l) == 3 for l in fano.lines)
-    for q in (3, 4, 5, 7, 8):
+    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16):
         d = cn.galois_plane(q, "projective")
         assert d.points == q * q + q + 1 == len(d.lines)
         # pair coverage and pairwise line meets are asserted inside the builder
@@ -37,9 +39,15 @@ def test_truncated_and_affine():
 
 
 def test_truncated_duality_tau_nu():
+    # Ryser-tight for r = q + 1: (q+1)-partite, intersecting, tau = q = (r - 1) nu
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        h = cn.truncated_plane_hypergraph(q)
+        assert (h.k, len(h.parts)) == (q + 1, q + 1)
+        tau, _, nu, _ = ex.tau_nu(h)
+        assert (nu, tau) == (1, q)
+        assert check_duality(h).ok
     for q in (2, 3):
-        t = cn.galois_plane(q, "truncated")
-        h = cn.design_to_hypergraph(t)
+        h = cn.design_to_hypergraph(cn.galois_plane(q, "truncated"))
         tau, _, nu, _ = ex.tau_nu(h)
         assert (nu, tau) == (1, q)
 
@@ -121,14 +129,17 @@ def test_alpha2_variant():
 
 
 def test_gf_arithmetic():
-    f4 = cn.GF(4)
-    nonzero = [a for a in range(1, 4)]
-    for a in nonzero:
-        assert f4.mul(a, f4.inv(a)) == 1
-    f9 = cn.GF(9)
-    for a in range(1, 9):
-        assert f9.mul(a, f9.inv(a)) == 1
-        assert f9.add(a, f9.neg(a)) == 0
+    for q in (2, 3, 4, 8, 9, 16, 25, 27):
+        f = cn.GF(q)
+        add, mul, els = f.add, f.mul, range(q)
+        for a in els:
+            assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+            assert sorted(add[a]) == list(els)
+            assert a == 0 or sorted(mul[a]) == list(els)
+            assert all(add[a][b] == add[b][a] and mul[a][b] == mul[b][a] for b in els)
+        if q <= 9:
+            assert all(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+                       for a in els for b in els for c in els)
 
 
 def test_gf_modpoly_is_the_first_irreducible_monic():
@@ -136,6 +147,28 @@ def test_gf_modpoly_is_the_first_irreducible_monic():
     want = {4: [1, 1, 1], 8: [1, 0, 1, 1], 9: [1, 0, 1], 16: [1, 0, 0, 1, 1],
             27: [1, 0, 2, 1], 81: [1, 0, 1, 1, 1]}
     assert {q: cn.GF(q).modpoly for q in want} == want
+    # a prime field reduces modulo x, so its tables are arithmetic mod p
+    f7 = cn.GF(7)
+    assert f7.modpoly == [0, 1]
+    assert f7.mul == [[a * b % 7 for b in range(7)] for a in range(7)]
+
+
+def test_plane_digest():
+    # pins the numbering of points and lines, which the incidence checks leave free
+    planes = [(q, kind, d.points, d.lines) for q in (4, 8, 9, 16)
+              for kind in ("projective", "truncated", "affine")
+              for d in [cn.galois_plane(q, kind)]]
+    assert hashlib.sha256(repr(planes).encode()).hexdigest() == (
+        "3446cef6464e3668934757e0d869f8d6fde2e0e0b48f9a66a95947fa57e712a7")
+
+
+def test_unknown_kind_is_refused_before_any_plane_is_built(monkeypatch):
+    def no_field(q):
+        raise AssertionError("a field was built for an unknown kind")
+
+    monkeypatch.setattr(cn, "GF", no_field)
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        cn.galois_plane(4, "bogus")
 
 
 def test_plane_checks_survive_python_O():
