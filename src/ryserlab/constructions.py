@@ -8,7 +8,9 @@ design is verified against its defining incidence counts before being returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .core import ColoredMultigraph, closed_graph, mask_of
@@ -108,11 +110,22 @@ def galois_plane(q: int, kind: str = "projective") -> IncidenceDesign:
     pts = [(0, 0, 1)]
     pts += [(0, 1, z) for z in range(q)]
     pts += [(1, y, z) for y in range(q) for z in range(q)]
+    # line (a, b, c) is the dual point: ax + by + cz = 0, solved for its last
+    # free coordinate; point (0,1,z) is 1 + z and point (1,y,z) is q+1 + yq + z
+    neg = [row.index(0) for row in add]
+    inv = [0] + [mul[x].index(1) for x in range(1, q)]
     lines = []
-    for a, b, c in pts:  # lines are dual points
-        ma, mb, mc = mul[a], mul[b], mul[c]
-        lines.append(tuple(i for i, (x, y, z) in enumerate(pts)
-                           if add[add[ma[x]][mb[y]]][mc[z]] == 0))
+    for a, b, c in pts:
+        if c:  # z = (a x + b y) * (-1/c) on (0,1,z) and on each (1,y,z)
+            m = mul[neg[1]][inv[c]]
+            mb = mul[b]
+            lines.append((1 + mb[m],) + tuple(q + 1 + y * q + mul[add[a][mb[y]]][m]
+                                              for y in range(q)))
+        elif b:  # (0,0,1) and the points (1, -a/b, z)
+            y = mul[a][mul[neg[1]][inv[b]]]
+            lines.append((0,) + tuple(range(q + 1 + y * q, q + 1 + y * q + q)))
+        else:  # x = 0: (0,0,1) and the points (0,1,z)
+            lines.append(tuple(range(q + 1)))
     lines.sort()
     design = IncidenceDesign(len(pts), tuple(lines), q, "projective")
     _check_projective(design)
@@ -148,9 +161,17 @@ def _check_projective(d: IncidenceDesign):
     q = d.order
     _ensure(d.points == q * q + q + 1 == len(d.lines), "projective plane counts")
     _ensure(all(len(l) == q + 1 for l in d.lines), "projective line of size != q + 1")
-    pairs = [pair for l in d.lines for pair in itertools.combinations(l, 2)]
-    _ensure(len(set(pairs)) == len(pairs), "pair on two lines")
-    _ensure(len(pairs) == d.points * (d.points - 1) // 2, "pair off all lines")
+    # every pair lies on one line iff, at each point v, the lines through v
+    # meet only in v and together hold every point
+    through = [[] for _ in range(d.points)]
+    for l in d.lines:
+        m = mask_of(l)
+        for v in l:
+            through[v].append(m)
+    union = [functools.reduce(operator.or_, ms, 0) for ms in through]
+    _ensure(all(sum(m.bit_count() - 1 for m in ms) == (u & ~(1 << v)).bit_count()
+                for v, (ms, u) in enumerate(zip(through, union))), "pair on two lines")
+    _ensure(all(u == (1 << d.points) - 1 for u in union), "pair off all lines")
 
 
 def design_to_hypergraph(d: IncidenceDesign) -> ColoredHypergraph:

@@ -18,7 +18,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from importlib import resources
 
 from .core import ColoredMultigraph, GraphError, closed_graph, component_masks, mask_of
 
@@ -54,6 +53,14 @@ class SignatureSet:
     def of(cls, n: int, parts_list) -> "SignatureSet":
         sigs = tuple(sorted((tuple(p) for p in parts_list), reverse=True))
         return cls(n, len(sigs), sigs)
+
+    @classmethod
+    def _trusted(cls, n: int, sigs) -> "SignatureSet":
+        """A signature built without the checks, for sigs that pass them by
+        construction."""
+        sig = object.__new__(cls)
+        sig.__dict__.update(n=n, p=len(sigs), sigs=sigs)
+        return sig
 
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return self.sigs
@@ -135,7 +142,7 @@ def enumerate_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
     if budget is not None:
         budget.charge("signature enumeration", signature_count(n, p))
     shapes = sorted(int_partitions(n), reverse=True)
-    return [SignatureSet(n, p, combo)
+    return [SignatureSet._trusted(n, combo)
             for combo in itertools.combinations_with_replacement(shapes, p)]
 
 
@@ -150,8 +157,8 @@ def passes_edge_count(sig: SignatureSet) -> bool:
 # realizability search
 
 class _ShapeTables:
-    """Per-(n) cache of set partitions, pair masks, pair holders and
-    W-restriction codes.
+    """Per-(n) cache of set partitions, pair masks, pair holders,
+    W-restriction codes and dead search states.
 
     `ensure(shape)` lists the set partitions of that shape (`parts`), the mask
     of the vertex pairs each one covers (`masks`, bit j for `pairs[j]`), and,
@@ -160,6 +167,14 @@ class _ShapeTables:
     The W tables behind `w_codes` and `qualifying_fourth` give one bit to each
     pair (W, restriction profile) over the subsets W of size 3..5; they are
     built on first use.
+
+    `dead` holds the keys of the search states of `_covering_tuples` whose
+    subtree holds no covering tuple, for every signature of this n.  A key
+    packs the state's remaining shapes (`suffix_id`), its `lo` (the least
+    index its shape may take, nonzero only when that shape repeats the one
+    before it) and `acc`, the mask of the pairs covered so far:
+    `suffix_id << sid_shift | lo << lo_shift | acc`.  A shape has at most n!
+    set partitions, so lo fits in the bits between lo_shift and sid_shift.
     """
 
     def __init__(self, n: int):
@@ -175,6 +190,10 @@ class _ShapeTables:
         self.w_offset: list[int] = []
         self.w_profiles: dict[int, list[tuple[int, int, int]]] = {}
         self._qual: list[tuple[int, list[int]]] = []
+        self.dead: set[int] = set()
+        self.suffix_ids: dict[tuple[tuple[int, ...], ...], int] = {}
+        self.lo_shift = len(self.pairs)
+        self.sid_shift = self.lo_shift + math.factorial(n).bit_length()
 
     def ensure(self, shape: tuple[int, ...]):
         if shape not in self.parts:
@@ -192,13 +211,18 @@ class _ShapeTables:
                 m |= 1 << self.pair_idx[(u, v)]
         return m
 
+    def suffix_id(self, shapes) -> int:
+        """A small int naming this sequence of remaining shapes."""
+        return self.suffix_ids.setdefault(tuple(shapes), len(self.suffix_ids))
+
     def _build_w_tables(self):
         """For each W, the qualifying-fourth-profile bits of every profile triple.
 
         A restriction to W has the profile of an integer partition of |W|, so
         |W| = 3, 4, 5 gives 3, 5, 7 profiles.  Entry (a*k + b)*k + c of W's
         table has the bit of fourth profile d set iff `_w_qualifies` holds for
-        profiles (a, b, c, d).
+        profiles (a, b, c, d).  The lemma does not depend on the order of the
+        four profiles, so it is evaluated once per sorted 4-multiset.
         """
         offset = 0
         for size in range(3, min(self.n, 5) + 1):
@@ -206,8 +230,9 @@ class _ShapeTables:
                      for q in int_partitions(size)]
             self.w_profiles[size] = profs
             k = len(profs)
-            table = [sum(1 << d for d in range(k)
-                         if _w_qualifies(size, (profs[a], profs[b], profs[c], profs[d])))
+            holds = {four: _w_qualifies(size, [profs[x] for x in four])
+                     for four in itertools.combinations_with_replacement(range(k), 4)}
+            table = [sum(1 << d for d in range(k) if holds[tuple(sorted((a, b, c, d)))])
                      for a in range(k) for b in range(k) for c in range(k)]
             for w in itertools.combinations(range(self.n), size):
                 self.w_subsets.append(w)
@@ -217,19 +242,30 @@ class _ShapeTables:
 
     def w_codes(self, shape: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """Per partition of this shape: (the bits of its profile on each W,
-        its profile index on each W)."""
+        its profile index on each W).  A block meets W in the popcount of
+        the AND of their masks."""
         if shape not in self.codes:
             if not self._qual:
                 self._build_w_tables()
             self.ensure(shape)
             index = {size: {q: i for i, q in enumerate(profs)}
                      for size, profs in self.w_profiles.items()}
+            wmasks = [(mask_of(w), index[len(w)]) for w in self.w_subsets]
             out = []
             for blocks in self.parts[shape]:
-                idx = tuple(index[len(w)][_restrict_profile(blocks, w)]
-                            for w in self.w_subsets)
+                bmasks = [mask_of(b) for b in blocks]
+                idx = []
+                for wm, profile_index in wmasks:
+                    t = g2 = g3 = 0
+                    for bm in bmasks:
+                        c = (bm & wm).bit_count()
+                        if c:
+                            t += 1
+                            g2 += c >= 2
+                            g3 += c >= 3
+                    idx.append(profile_index[(t, g2, g3)])
                 bits = sum(1 << (off + i) for off, i in zip(self.w_offset, idx))
-                out.append((bits, idx))
+                out.append((bits, tuple(idx)))
             self.codes[shape] = out
         return self.codes[shape]
 
@@ -240,21 +276,6 @@ class _ShapeTables:
         for (k, q), x, y, z in zip(self._qual, a, b, c):
             m |= q[(x * k + y) * k + z]
         return m
-
-
-def _restrict_profile(blocks, w) -> tuple[int, int, int]:
-    """(#blocks, #blocks of size>=2, #blocks of size>=3) of the restriction to w."""
-    t = g2 = g3 = 0
-    ws = set(w)
-    for b in blocks:
-        c = len(ws.intersection(b))
-        if c:
-            t += 1
-            if c >= 2:
-                g2 += 1
-            if c >= 3:
-                g3 += 1
-    return (t, g2, g3)
 
 
 _TABLES: dict[int, _ShapeTables] = {}
@@ -277,50 +298,79 @@ def _search_order(tab: _ShapeTables, sig: SignatureSet):
 
 
 def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
-    """Index tuples into tab.parts[shape], one index per shape, whose set
-    partitions together cover every vertex pair, in lexicographic order.
+    """The tuples of set partitions, one index into tab.parts[shape] per
+    shape, that together cover every vertex pair, a prefix at a time: yields
+    (prefix, hits) in lexicographic order of prefix, where prefix holds the
+    indices of every shape but the last and hits, never 0, is the mask of the
+    last shape's indices that complete it to a covering tuple.
 
     The first partition is pinned to its canonical representative (vertex
     symmetry), and equal consecutive shapes take nondecreasing indices (color
     symmetry).  Every partition of a shape covers the same number of pairs,
     the sum of q(q-1)/2 over its block sizes q, so a prefix is dropped once it
     misses more pairs than the later shapes cover together.  The last shape
-    is not scanned: its covering indices are the AND of its `holders` over
-    the pairs the prefix misses, walked in ascending order.  When nodes is
-    given, nodes[0] counts the prefixes the search visits.
+    is not scanned: hits is the AND of its `holders` over the pairs the
+    prefix misses.  A state below the root whose subtree is exhausted with
+    nothing yielded goes into `tab.dead` and is skipped from then on, by
+    this and every later search at this n; a state whose walk the consumer
+    abandons records nothing.  When nodes is given, nodes[0] counts the
+    states the search expands and the prefixes whose last shape it decides.
     """
     if nodes is None:
         nodes = [0]
+    last = len(shapes) - 1
     masks = [tab.masks[shapes[0]][:1]] + [tab.masks[s] for s in shapes[1:]]
     holders = tab.holders[shapes[-1]]
-    full, last = tab.full, len(shapes) - 1
+    every_last = (1 << len(masks[last])) - 1
+    full, dead, lo_shift = tab.full, tab.dead, tab.lo_shift
     room = [0] * (len(shapes) + 1)  # room[c]: pairs that shapes c.. cover
     for c in range(last, -1, -1):
         room[c] = room[c + 1] + sum(q * (q - 1) // 2 for q in shapes[c])
+    repeat = [c > 0 and shapes[c] == shapes[c - 1] for c in range(len(shapes))]
+    # base[c]: the key bits of the remaining shapes at level c, from level 1 on
+    base = [c and tab.suffix_id(shapes[c:]) << tab.sid_shift for c in range(last)]
 
     def rec(c, acc, idxs):
+        """Yield below the state (c, acc, idxs); return whether anything was."""
         nodes[0] += 1
-        lo = idxs[-1] if c and shapes[c] == shapes[c - 1] else 0
+        found = False
         ms = masks[c]
-        if c == last:
-            hits = ((1 << len(ms)) - 1) >> lo << lo
-            miss = full ^ acc
-            while miss and hits:
-                j = miss & -miss
-                hits &= holders[j.bit_length() - 1]
-                miss ^= j
-            while hits:
-                i = hits & -hits
-                yield idxs + (i.bit_length() - 1,)
-                hits ^= i
-            return
         room_after = room[c + 1]
+        lo = idxs[-1] if repeat[c] else 0
+        if c + 1 == last:
+            rep = repeat[last]
+            for i in range(lo, len(ms)):
+                miss = full ^ (acc | ms[i])
+                if miss.bit_count() <= room_after:
+                    nodes[0] += 1
+                    hits = every_last >> i << i if rep else every_last
+                    while miss and hits:
+                        j = miss & -miss
+                        hits &= holders[j.bit_length() - 1]
+                        miss ^= j
+                    if hits:
+                        found = True
+                        yield idxs + (i,), hits
+            return found
+        key0, rep = base[c + 1], repeat[c + 1]
         for i in range(lo, len(ms)):
             a = acc | ms[i]
             if (full ^ a).bit_count() <= room_after:
-                yield from rec(c + 1, a, idxs + (i,))
+                key = key0 | (i << lo_shift if rep else 0) | a
+                if key in dead:
+                    continue
+                if (yield from rec(c + 1, a, idxs + (i,))):
+                    found = True
+                else:
+                    dead.add(key)
+        return found
 
-    return rec(0, 0, ())
+    if last:
+        yield from rec(0, 0, ())
+    else:
+        nodes[0] += 1
+        if masks[0][0] == full:
+            yield (), 1
 
 
 def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):
@@ -345,9 +395,10 @@ def is_valid(sig: SignatureSet, budget=None) -> ColoredMultigraph | None:
     """A realization of the signature as a closed multicoloring of K_n, or None.
 
     Applies the edge-counting filter first, then takes the first covering
-    tuple of set partitions with the prescribed shapes (`_covering_tuples`).
-    A given `SolveBudget` is charged once for the signature, with the number
-    of search prefixes visited.
+    tuple of set partitions with the prescribed shapes: the first prefix of
+    `_covering_tuples` and the lowest index of its hits.  A given
+    `SolveBudget` is charged once for the signature, with the number of
+    search nodes visited.
     """
     if not passes_edge_count(sig):
         _charge(budget, 0)
@@ -359,7 +410,8 @@ def is_valid(sig: SignatureSet, budget=None) -> ColoredMultigraph | None:
     _charge(budget, nodes[0])
     if first is None:
         return None
-    return _realization(sig, tab, order, shapes, first)
+    prefix, hits = first
+    return _realization(sig, tab, order, shapes, prefix + ((hits & -hits).bit_length() - 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +498,12 @@ def realization_admits_w(g: ColoredMultigraph) -> bool:
 def _analyze_r6ii(sig: SignatureSet, budget=None) -> tuple[bool, ColoredMultigraph | None]:
     """(valid, free): free is a realization admitting no qualifying W, or None.
 
-    Walks the covering tuples of `_covering_tuples` and stops at the first
-    free one.  A tuple admits a qualifying W iff the bits of its fourth
+    Walks the covering tuples of `_covering_tuples` in order and stops at the
+    first free one.  A tuple admits a qualifying W iff the bits of its fourth
     partition meet `qualifying_fourth` of its first three, which is computed
-    once per prefix.  The free realization is rechecked by the independent
-    `realization_admits_w` before it is returned.  A given budget is charged
-    as in `is_valid`.
+    once per prefix and tested against each index of the prefix's hits.  The
+    free realization is rechecked by the independent `realization_admits_w`
+    before it is returned.  A given budget is charged as in `is_valid`.
     """
     if not passes_edge_count(sig):
         _charge(budget, 0)
@@ -459,19 +511,20 @@ def _analyze_r6ii(sig: SignatureSet, budget=None) -> tuple[bool, ColoredMultigra
     tab = _tables(sig.n)
     order, shapes = _search_order(tab, sig)
     codes = [tab.w_codes(s) for s in shapes]
-    valid, prefix, qualifying, nodes = False, None, 0, [0]
-    for idxs in _covering_tuples(tab, shapes, nodes):
+    fourth = [bits for bits, _ in codes[3]]
+    valid, nodes = False, [0]
+    for prefix, hits in _covering_tuples(tab, shapes, nodes):
         valid = True
-        if idxs[:3] != prefix:
-            prefix = idxs[:3]
-            qualifying = tab.qualifying_fourth(
-                *(codes[c][i][1] for c, i in enumerate(prefix)))
-        if not qualifying & codes[3][idxs[3]][0]:
-            g = _realization(sig, tab, order, shapes, idxs)
-            if realization_admits_w(g):
-                raise AssertionError(f"free realization of {sig} admits a qualifying W")
-            _charge(budget, nodes[0])
-            return True, g
+        qualifying = tab.qualifying_fourth(*(codes[c][i][1] for c, i in enumerate(prefix)))
+        while hits:
+            i = (hits & -hits).bit_length() - 1
+            if not qualifying & fourth[i]:
+                g = _realization(sig, tab, order, shapes, prefix + (i,))
+                if realization_admits_w(g):
+                    raise AssertionError(f"free realization of {sig} admits a qualifying W")
+                _charge(budget, nodes[0])
+                return True, g
+            hits &= hits - 1
     _charge(budget, nodes[0])
     return valid, None
 
@@ -533,6 +586,8 @@ def load_r6_fixture() -> list[SignatureSet]:
 
     One signature per line in the form `(6),(4,2),(4,2),(4,2)`.
     """
+    from importlib import resources
+
     text = resources.files("ryserlab.data").joinpath("r6_residual.txt").read_text()
     out = []
     for line in text.strip().splitlines():

@@ -63,6 +63,10 @@ def test_counts_75():
     assert sum(sg.passes_edge_count(s) for s in sigs) == 9911
 
 
+def test_valid_count_75():
+    assert len(sg.valid_signatures(7, 5)) == 8657
+
+
 def test_enumeration_charges_the_signature_count():
     budget = SolveBudget()
     assert len(sg.enumerate_signatures(6, 4, budget)) == budget.nodes == 1001
@@ -80,34 +84,99 @@ def test_budget_is_charged_per_signature():
     assert exc.value.stats["stage"] == "signature search"
 
 
-def _brute_covering_tuples(tab, shapes):
+def _brute_covers(tab, shapes, first, acc=0):
     """The filter _covering_tuples implements, over the whole product: the
-    first partition pinned, equal consecutive shapes nondecreasing, and the
-    union covering every pair."""
-    masks = [tab.masks[shapes[0]][:1]] + [tab.masks[s] for s in shapes[1:]]
+    first index in `first`, equal consecutive shapes nondecreasing, and the
+    partitions together with acc covering every pair."""
+    ranges = [first] + [range(len(tab.masks[s])) for s in shapes[1:]]
     eq = [c for c in range(1, len(shapes)) if shapes[c] == shapes[c - 1]]
-    out = []
-    for idxs in itertools.product(*(range(len(m)) for m in masks)):
+    for idxs in itertools.product(*ranges):
         if all(idxs[c - 1] <= idxs[c] for c in eq):
-            acc = 0
-            for m, i in zip(masks, idxs):
-                acc |= m[i]
-            if acc == tab.full:
-                out.append(idxs)
+            a = acc
+            for s, i in zip(shapes, idxs):
+                a |= tab.masks[s][i]
+            if a == tab.full:
+                yield idxs
+
+
+def _expanded(prefix_hits):
+    """The covering tuples behind _covering_tuples' (prefix, hits) pairs:
+    the prefix extended by each index set in hits, ascending."""
+    out = []
+    for prefix, hits in prefix_hits:
+        assert hits
+        out += [prefix + (i,) for i in range(hits.bit_length()) if hits >> i & 1]
     return out
 
 
-def test_covering_tuples_equal_brute_force():
+def _assert_sample_equals_brute_force():
     cases = sg.enumerate_signatures(4, 3) + sg.enumerate_signatures(5, 3)
     cases += random.Random(13).sample(sg.enumerate_signatures(6, 4), 200)
     found = 0
     for s in cases:
         tab = sg._tables(s.n)
         _, shapes = sg._search_order(tab, s)
-        want = _brute_covering_tuples(tab, shapes)
-        assert list(sg._covering_tuples(tab, shapes)) == want, s
+        want = list(_brute_covers(tab, shapes, range(1)))  # the first pinned
+        assert _expanded(sg._covering_tuples(tab, shapes)) == want, s
         found += bool(want)
     assert 0 < found < len(cases)
+
+
+def test_covering_tuples_equal_brute_force():
+    sg._TABLES.clear()
+    _assert_sample_equals_brute_force()
+
+
+def test_dead_states_are_shared_across_p():
+    # the dead states that (6,3) and (6,4) record serve every later search
+    sg._TABLES.clear()
+    assert len(sg.valid_signatures(6, 3)) == 89
+    assert len(sg.valid_signatures(6, 4)) == 560
+    dead = len(sg._TABLES[6].dead)
+    assert dead > 0
+    _assert_sample_equals_brute_force()
+    assert len(sg._TABLES[6].dead) >= dead
+
+
+def test_dead_keys_decode_to_dead_states():
+    # each recorded key, unpacked into (remaining shapes, lo, acc), names a
+    # state with no covering completion
+    sg._TABLES.clear()
+    sg.valid_signatures(5, 3)
+    sg.residual_cases(6, 4)
+    for n, sample in ((5, None), (6, 150)):
+        tab = sg._tables(n)
+        suffixes = {i: shapes for shapes, i in tab.suffix_ids.items()}
+        keys = sorted(tab.dead)
+        assert keys
+        if sample:
+            keys = random.Random(n).sample(keys, sample)
+        for key in keys:
+            shapes = suffixes[key >> tab.sid_shift]
+            lo = (key >> tab.lo_shift) & ((1 << (tab.sid_shift - tab.lo_shift)) - 1)
+            first = range(lo, len(tab.masks[shapes[0]]))
+            assert not any(_brute_covers(tab, shapes, first, key & tab.full)), (shapes, lo)
+
+
+def test_cold_search_node_counts():
+    sg._TABLES.clear()
+    budget = SolveBudget()
+    sg.valid_signatures(6, 4, budget)
+    assert budget.nodes == 13653
+    sg._TABLES.clear()
+    budget = SolveBudget()
+    sg.residual_cases(6, 4, budget)
+    assert budget.nodes == 11669
+
+
+def test_enumerated_signatures_pass_the_public_constructor():
+    for n in range(1, 7):
+        for p in range(1, 5):
+            sigs = sg.enumerate_signatures(n, p)
+            assert len(sigs) == sg.signature_count(n, p)
+            for s in sigs:
+                assert sg.SignatureSet(s.n, s.p, s.sigs) == s
+                assert sg.SignatureSet.of(s.n, s.sigs) == s
 
 
 def _check_realization(g, sig):
@@ -240,6 +309,13 @@ def test_unsupported_residual():
         sg.residual_cases(4, 2)
 
 
+def _restrict_profile(blocks, w):
+    """(#blocks, #blocks of size >= 2, #blocks of size >= 3) of the
+    restriction of a set partition to w, from the blocks as vertex sets."""
+    sizes = [len(set(w).intersection(b)) for b in blocks]
+    return tuple(sum(1 for c in sizes if c >= k) for k in (1, 2, 3))
+
+
 def test_w_tables_agree_with_w_qualifies():
     tab = sg._tables(6)
     tab.w_codes((6,))
@@ -248,7 +324,7 @@ def test_w_tables_agree_with_w_qualifies():
     # the profiles listed for |W| are exactly those that restrictions produce
     for size, profs in tab.w_profiles.items():
         w = tuple(range(size))
-        seen = {sg._restrict_profile(blocks, w)
+        seen = {_restrict_profile(blocks, w)
                 for shape in sg.int_partitions(6)
                 for blocks in sg.set_partitions_with_shape(6, shape)}
         assert seen == set(profs) and len(profs) == {3: 3, 4: 5, 5: 7}[size]
@@ -277,7 +353,7 @@ def test_w_tables_agree_with_w_qualifies():
             i = rng.randrange(len(codes))
             picks.append((tab.parts[shape][i], codes[i]))
         got = bool(tab.qualifying_fourth(*(c[1] for _, c in picks[:3])) & picks[3][1][0])
-        want = any(sg._w_qualifies(len(w), [sg._restrict_profile(p, w) for p, _ in picks])
+        want = any(sg._w_qualifies(len(w), [_restrict_profile(p, w) for p, _ in picks])
                    for w in tab.w_subsets)
         assert got == want
         outcomes.add(got)
@@ -295,7 +371,7 @@ def test_r6ii_eliminations_hold_on_every_realization():
     for s in elim:
         assert sg.is_valid(s) is not None
         order, shapes = sg._search_order(tab, s)
-        for idxs in sg._covering_tuples(tab, shapes):
+        for idxs in _expanded(sg._covering_tuples(tab, shapes)):
             assert sg.realization_admits_w(sg._realization(s, tab, order, shapes, idxs))
             count += 1
     assert count == 20560
