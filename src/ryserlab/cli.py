@@ -100,6 +100,10 @@ def parse_hypergraph(text: str) -> ColoredHypergraph:
     if len(header) != 4:
         raise FormatError(ln, 2, "header needs n, k and r")
     n, k, r = _ints(ln, header[1:], 2)
+    for field, (name, val) in enumerate((("vertex count n", n), ("uniformity k", k),
+                                         ("color count r", r)), start=2):
+        if val < 0:
+            raise FormatError(ln, field, f"{name} must be nonnegative, got {val}")
     part_map = {}
     owner = {}  # vertex -> index of its part
     located = []  # (line, field of the first vertex, color, vertices) per edge
@@ -161,13 +165,16 @@ def parse_hypergraph(text: str) -> ColoredHypergraph:
 
 
 def write_hypergraph(h: ColoredHypergraph) -> str:
-    out = [f"hg {h.n} {h.k} {h.r}"]
+    """The hg text of h.  The parser reads a color on every e line exactly
+    when r > 0, so colors are written only when r > 0 and every edge has
+    one; otherwise r is written as 0 and the edges bare."""
+    colored = h.r > 0 and all(c is not None for c, _ in h.edges())
+    out = [f"hg {h.n} {h.k} {h.r if colored else 0}"]
     if h.parts is not None:
         for i, p in enumerate(h.parts):
             out.append("part " + " ".join(str(v) for v in (i,) + tuple(p)))
     for c, vs in h.edges():
-        body = " ".join(str(v) for v in vs)
-        out.append(f"e {c} {body}" if c is not None else f"e {body}")
+        out.append(" ".join(map(str, ("e", c, *vs) if colored else ("e", *vs))))
     return "\n".join(out) + "\n"
 
 

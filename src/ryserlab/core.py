@@ -402,73 +402,64 @@ def diameter(g: ColoredMultigraph, vertices, c: int) -> float:
     return _connected_diameter(adj, mask)
 
 
-def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent set of the underlying simple graph.
+def max_independent(adj, charge=None) -> int:
+    """A maximum independent set of the mask adjacency adj, as a mask.
 
-    Branch and bound on the maximum-degree vertex (ties to the lowest index)
-    with a greedy initial bound.  Any color counts as adjacency.
+    A greedy start takes the minimum-degree vertex left until none is left.
+    A branch and bound then takes, and after that drops, the maximum-degree
+    vertex left (ties to the lowest index), and takes all that is left once
+    none of it is adjacent; a branch is pruned when it cannot beat the best
+    set so far.  charge, when given, is called once for the greedy set and
+    once per branch.
     """
-    n = g.n
-    adjmask = g._neighbors()
-
-    # greedy lower bound: repeatedly take the minimum-degree available vertex
-    avail = (1 << n) - 1
-    greedy = []
+    avail = full = (1 << len(adj)) - 1
+    best = 0
     while avail:
-        best_v, best_d = -1, n + 1
+        v, d = -1, len(adj)
         m = avail
         while m:
             b = m & -m
-            v = b.bit_length() - 1
+            u = b.bit_length() - 1
             m ^= b
-            d = (adjmask[v] & avail).bit_count()
-            if d < best_d:
-                best_d, best_v = d, v
-        greedy.append(best_v)
-        avail &= ~((1 << best_v) | adjmask[best_v])
-    best_size = len(greedy)
-    best_set = sorted(greedy)
-
-    def bb(avail: int, chosen: list[int]):
-        nonlocal best_size, best_set
-        cnt = avail.bit_count()
-        if len(chosen) + cnt <= best_size:
-            return
-        if avail == 0:
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best_set = sorted(chosen)
-            return
-        # branch on the max-degree available vertex, lowest index on ties
-        best_v, best_d = -1, -1
+            du = (adj[u] & avail).bit_count()
+            if du < d:
+                v, d = u, du
+        best |= 1 << v
+        avail &= ~(1 << v | adj[v])
+    if charge is not None:
+        charge()
+    size = best.bit_count()
+    stack = [(full, 0)]
+    while stack:
+        avail, chosen = stack.pop()
+        if charge is not None:
+            charge()
+        if chosen.bit_count() + avail.bit_count() <= size:
+            continue
+        v, d = -1, 0
         m = avail
         while m:
             b = m & -m
-            v = b.bit_length() - 1
+            u = b.bit_length() - 1
             m ^= b
-            d = (adjmask[v] & avail).bit_count()
-            if d > best_d:
-                best_d, best_v = d, v
-        if best_d == 0:
-            # all remaining are independent
-            extra = []
-            m = avail
-            while m:
-                b = m & -m
-                extra.append(b.bit_length() - 1)
-                m ^= b
-            if len(chosen) + len(extra) > best_size:
-                best_size = len(chosen) + len(extra)
-                best_set = sorted(chosen + extra)
-            return
-        v = best_v
-        chosen.append(v)
-        bb(avail & ~((1 << v) | adjmask[v]), chosen)
-        chosen.pop()
-        bb(avail & ~(1 << v), chosen)
+            du = (adj[u] & avail).bit_count()
+            if du > d:
+                v, d = u, du
+        if d == 0:
+            best = chosen | avail
+            size = best.bit_count()
+            continue
+        b = 1 << v
+        stack.append((avail & ~b, chosen))
+        stack.append((avail & ~(b | adj[v]), chosen | b))
+    return best
 
-    bb((1 << n) - 1, [])
-    return best_size, tuple(best_set)
+
+def alpha(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum independent set of the underlying simple graph, by
+    max_independent: (size, vertices).  Any color counts as adjacency."""
+    best = max_independent(g._neighbors())
+    return best.bit_count(), tuple(vertices_of(best))
 
 
 @dataclass(frozen=True)

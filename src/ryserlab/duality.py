@@ -27,6 +27,9 @@ class ColoredHypergraph:
     __slots__ = ("n", "k", "r", "parts", "_hyperedges")
 
     def __init__(self, n: int, k: int = 0, r: int = 0, parts=None, edges=()):
+        for name, val in (("vertex count n", n), ("uniformity k", k), ("color count r", r)):
+            if val < 0:
+                raise HypergraphError(f"{name} must be nonnegative, got {val}")
         self.n = n
         self.k = k
         self.r = r
@@ -73,6 +76,14 @@ class ColoredHypergraph:
 
     def edge_vertex_sets(self):
         return [vs for _, vs in self._hyperedges]
+
+    def edges_through(self) -> list[int]:
+        """Per vertex v, the mask of the edges that hold v (bit j for edge j)."""
+        out = [0] * self.n
+        for j, (_, vs) in enumerate(self._hyperedges):
+            for v in vs:
+                out[v] |= 1 << j
+        return out
 
     def __repr__(self):
         return (f"ColoredHypergraph(n={self.n}, k={self.k}, r={self.r}, "
@@ -132,12 +143,8 @@ def hypergraph_to_graph(h: ColoredHypergraph) -> ColoredMultigraph:
     """
     if h.parts is None:
         raise HypergraphError("hypergraph_to_graph needs a declared partition")
-    sets = h.edge_vertex_sets()
-    through = [0] * h.n
-    for j, vs in enumerate(sets):
-        for v in vs:
-            through[v] |= 1 << j
-    return closed_graph(len(sets), [[through[v] for v in p] for p in h.parts])
+    through = h.edges_through()
+    return closed_graph(len(h.edges()), [[through[v] for v in p] for p in h.parts])
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ import operator
 import time
 
 from .core import (ColoredMultigraph, GraphError, checked, closed_graph,
-                   component_masks, components, connected_subsets, diameter,
-                   lowest_vertex, make_certificate, mask_of, reach, vertices_of)
+                   _connected_diameter, component_masks, components,
+                   connected_subsets, lowest_vertex, make_certificate, mask_of,
+                   max_independent, reach, vertices_of)
 
 # the search a stage belongs to, as an exhausted budget's message names it
 _SEARCH = {"matching": "matching search",
@@ -235,9 +236,8 @@ def _connected_subsets_with_diam(g, c, max_diam, budget):
         # every subset once, grown from its lowest vertex
         for mask in connected_subsets(adj, v, full & ~((1 << v) - 1)):
             budget.charge("diameter pieces")
-            vs = vertices_of(mask)
-            if len(vs) == 1 or diameter(g, vs, c) <= max_diam:
-                out.append((mask, vs))
+            if _connected_diameter(adj, mask) <= max_diam:
+                out.append((mask, vertices_of(mask)))
     out.sort()
     return out
 
@@ -369,42 +369,32 @@ def mc_graph(g: ColoredMultigraph):
 
 
 def tau_nu(h, budget: SolveBudget | None = None):
-    """Exact matching and vertex cover numbers with witnesses: (tau, cover, nu, matching)."""
+    """Exact matching and vertex cover numbers with witnesses: (tau, cover, nu, matching).
+
+    The matching is a maximum independent set of the edge-intersection graph,
+    by max_independent; the cover is a minimum set cover of the edges by the
+    vertices.  Both witnesses are checked, by raise so that python -O keeps it.
+    """
     budget = budget or SolveBudget()
-    edges = [frozenset(e) for e in h.edge_vertex_sets()]
-    n = h.n
-
-    # nu: maximum set of pairwise disjoint edges, branch and bound
-    best_matching = []
-
-    def bb_nu(idx, used, cur):
-        nonlocal best_matching
-        budget.charge("matching")
-        if len(cur) > len(best_matching):
-            best_matching = list(cur)
-        if idx == len(edges):
-            return
-        if len(cur) + (len(edges) - idx) <= len(best_matching):
-            return
-        for i in range(idx, len(edges)):
-            e = edges[i]
-            if not (used & e):
-                cur.append(i)
-                bb_nu(i + 1, used | e, cur)
-                cur.pop()
-
-    bb_nu(0, frozenset(), [])
-    nu = len(best_matching)
-
-    # tau: minimum hitting set via set cover on the edge universe
-    if not edges:
+    sets, through = h.edge_vertex_sets(), h.edges_through()
+    meets = [functools.reduce(operator.or_, (through[v] for v in vs)) & ~(1 << j)
+             for j, vs in enumerate(sets)]
+    matching = tuple(vertices_of(max_independent(
+        meets, functools.partial(budget.charge, "matching"))))
+    nu = len(matching)
+    if not sets:
         return 0, (), 0, ()
-    covers_by_vertex = [(m, v) for v in range(n)
-                        if (m := mask_of(i for i, e in enumerate(edges) if v in e))]
-    tau, chosen = min_cover((1 << len(edges)) - 1, covers_by_vertex, budget)
+    tau, chosen = min_cover((1 << len(sets)) - 1,
+                            [(m, v) for v, m in enumerate(through) if m], budget)
+    cover = tuple(sorted(chosen))
+    if len(set().union(*(sets[j] for j in matching))) != sum(len(sets[j]) for j in matching):
+        raise AssertionError(f"matching {matching} holds two edges that meet")
+    hit = functools.reduce(operator.or_, (through[v] for v in cover), 0)
+    if hit != (1 << len(sets)) - 1 or len(set(cover)) != tau:
+        raise AssertionError(f"cover {cover} is not {tau} vertices meeting every edge")
     if tau < nu:
         raise AssertionError(f"tau = {tau} < nu = {nu}: a solver is wrong")
-    return tau, tuple(sorted(chosen)), nu, tuple(best_matching)
+    return tau, cover, nu, matching
 
 
 def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):

@@ -298,7 +298,25 @@ def test_dualize_command(tmp_path, capsys):
     p = tmp_path / "g.cg"
     p.write_text("cg 3 3\ne 0 1 1\ne 0 2 2\ne 1 2 3\n")
     code, out = run_cli(["dualize", "--input", str(p)], capsys)
-    assert code == 0 and out.startswith("hg 3")
+    assert code == 0 and out.startswith("hg 3 0 0\n")
+
+
+@pytest.mark.parametrize("argv, text, want", [
+    # the dual of the rainbow triangle: three pairwise meeting 2-edges
+    (["dualize", "--input", "{f}"], "cg 3 3\ne 0 1 1\ne 0 2 2\ne 1 2 3\n",
+     "tau = 2 cover = 0 1\nnu = 1 matching-edges = 0\n"),
+    (["construct", "plane", "--q", "3", "--plane-kind", "truncated"], None,
+     "tau = 3 cover = 0 10 11\nnu = 1 matching-edges = 0\n"),
+], ids=["dualize", "truncated-plane"])
+def test_written_hypergraphs_feed_taunu(tmp_path, capsys, argv, text, want):
+    f = tmp_path / "input.txt"
+    if text is not None:
+        f.write_text(text)
+    code, out = run_cli([a.format(f=f) for a in argv], capsys)
+    assert code == 0
+    h = tmp_path / "h.hg"
+    h.write_text(out)
+    assert run_cli(["taunu", "--input", str(h)], capsys) == (0, want)
 
 
 def test_inconclusive_exits_2_with_stats(tmp_path, capsys):
@@ -351,6 +369,9 @@ def test_zrd_stopped_in_milp_records_the_stop(tmp_path, capsys):
     (["taunu", "--input", "{f}"], "hg 3 2 0\npart 0 0 1\npart 1 1 2\n", "line 3, field 3"),
     (["taunu", "--input", "{f}"], "hg 3 2 0\npart 0 0 1\npart 0 2\n", "line 3, field 2"),
     (["taunu", "--input", "{f}"], "hg 3 2 0\npart 0 0 1\n", "line 1, field 2"),
+    (["taunu", "--input", "{f}"], "hg -1 2 0\n", "line 1, field 2"),
+    (["taunu", "--input", "{f}"], "hg 3 -2 0\ne 0 1\n", "line 1, field 3"),
+    (["taunu", "--input", "{f}"], "hg 3 2 -1\n", "line 1, field 4"),
 ])
 def test_malformed_files_exit_3(tmp_path, capsys, argv, text, where):
     g = tmp_path / "g.cg"

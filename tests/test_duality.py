@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ryserlab import cli
 from ryserlab import duality as du
 from ryserlab import exact as ex
 from ryserlab.core import (ColoredMultigraph, alpha, closure, components,
@@ -146,6 +147,28 @@ def test_graph_to_hypergraph_matches_the_closure_reference(g):
     (h, comps), (wh, wcomps) = du.graph_to_hypergraph(g), want
     assert comps == wcomps
     assert (h.n, h.k, h.r, h.parts, h.edges()) == (wh.n, wh.k, wh.r, wh.parts, wh.edges())
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_graphs())
+def test_written_duals_parse_back(g):
+    # the dual's edges are uncolored while its r is g's, so the writer says
+    # r = 0; the parser then reads every e line as vertices only
+    try:
+        h, _ = du.graph_to_hypergraph(g)
+    except du.HypergraphError:
+        return
+    back = cli.parse_hypergraph(cli.write_hypergraph(h))
+    assert (back.n, back.k, back.r, back.parts, back.edges()) == (h.n, h.k, 0, h.parts,
+                                                                    h.edges())
+
+
+@pytest.mark.parametrize("n, k, r, what", [(-1, 2, 0, "vertex count n"),
+                                           (3, -2, 0, "uniformity k"),
+                                           (3, 2, -1, "color count r")])
+def test_negative_header_values_rejected(n, k, r, what):
+    with pytest.raises(du.HypergraphError, match=f"^{what} must be nonnegative"):
+        du.ColoredHypergraph(n, k, r)
 
 
 def ref_hypergraph_to_graph(h):

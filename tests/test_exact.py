@@ -130,6 +130,73 @@ def test_tau_nu_ryser_r3():
         assert nu <= tau <= 2 * nu
 
 
+def random_small_hypergraph(rng):
+    """At most 8 vertices and 9 edges: 2- or 3-uniform or not uniform, with or
+    without parts; edges may repeat."""
+    n = rng.randint(1, 8)
+    parts = None
+    if rng.random() < 0.5:
+        label = [rng.randrange(4) for _ in range(n)]
+        parts = [p for p in ([v for v in range(n) if label[v] == i] for i in range(4)) if p]
+    # an edge takes one vertex from each class it meets; without parts every
+    # vertex is a class of its own
+    classes = parts or [[v] for v in range(n)]
+    k = rng.choice((0, 2, 3))
+    if k > len(classes):
+        k = 0
+    edges = [tuple(rng.choice(p) for p in rng.sample(classes, k or rng.randint(1, len(classes))))
+             for _ in range(rng.randint(0, 9))]
+    return ColoredHypergraph(n, k, 0, parts, [(None, e) for e in edges])
+
+
+def brute_tau_nu(h):
+    sets = [set(e) for e in h.edge_vertex_sets()]
+    nu = max(k for k in range(len(sets) + 1) for es in itertools.combinations(sets, k)
+             if sum(map(len, es)) == len(set().union(*es)))
+    tau = min(k for k in range(h.n + 1) for vs in itertools.combinations(range(h.n), k)
+              if all(e & set(vs) for e in sets))
+    return tau, nu
+
+
+def test_tau_nu_matches_brute_force():
+    rng = random.Random(26)
+    # a graph whose perfect matching needs the branch that drops a vertex
+    six = ColoredHypergraph(6, 2, 0, None, [(None, e) for e in
+                                            ((1, 5), (0, 3), (1, 3), (0, 4), (0, 2), (2, 5))])
+    for h in [six] + [random_small_hypergraph(rng) for _ in range(300)]:
+        sets = h.edge_vertex_sets()
+        tau, cover, nu, matching = ex.tau_nu(h)
+        assert (tau, nu) == brute_tau_nu(h), h.edges()
+        assert len(set(cover)) == tau and all(set(e) & set(cover) for e in sets)
+        assert len(set(matching)) == nu
+        assert all(not set(sets[i]) & set(sets[j])
+                   for i, j in itertools.combinations(matching, 2))
+
+
+def test_tau_nu_checks_its_matching_under_python_O():
+    # under -O an assert would vanish; a kernel that returns two meeting
+    # edges must still make tau_nu raise
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = textwrap.dedent("""
+        import ryserlab.exact as ex
+        from ryserlab.duality import ColoredHypergraph
+        ex.max_independent = lambda adj, charge=None: 0b11
+        h = ColoredHypergraph(3, 2, 0, None, [(None, (0, 1)), (None, (1, 2))])
+        try:
+            ex.tau_nu(h)
+        except AssertionError as exc:
+            print(exc)
+        else:
+            raise SystemExit("tau_nu returned two meeting edges as a matching")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "matching (0, 1) holds two edges that meet\n"
+
+
 def test_matching_search_checks_budget():
     h = ColoredHypergraph(4, 2, 0, None, [(None, (0, 1)), (None, (2, 3))])
     with pytest.raises(ex.Inconclusive) as exc:
