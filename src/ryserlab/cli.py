@@ -445,8 +445,12 @@ def cmd_construct(args):
 
     kind = args.kind
     if kind == "plane":
-        d = cn.galois_plane(args.q, args.plane_kind)
-        _emit(args, write_hypergraph(cn.design_to_hypergraph(d)))
+        if args.plane_kind == "truncated":
+            # its (q+1)-partite classes go into the file as part lines
+            h = cn.truncated_plane_hypergraph(args.q)
+        else:
+            h = cn.design_to_hypergraph(cn.galois_plane(args.q, args.plane_kind))
+        _emit(args, write_hypergraph(h))
     elif kind == "affine-coloring":
         g = cn.affine_tc_coloring(args.r, args.alpha)
         _emit(args, write_graph(g))

@@ -308,7 +308,7 @@ def component_masks(adj, mask: int) -> list[int]:
     return out
 
 
-def connected_subsets(adj, v: int, mask: int = -1, lower_twins=None):
+def connected_subsets(adj, v: int, mask: int = -1, lower_twins=None, prune=None):
     """Yield every connected vertex set inside mask that contains v, once each.
 
     Each set is grown by one boundary vertex at a time.  A boundary vertex
@@ -320,11 +320,17 @@ def connected_subsets(adj, v: int, mask: int = -1, lower_twins=None):
     each twin class's vertices in mask are yielded: a boundary vertex is not
     branched on while a lower twin in mask is outside the set, but stays on
     the boundary until it is.
+
+    prune, when given, is called as prune(s, excluded) before s is yielded,
+    where excluded is the mask of the vertices that no set grown from s will
+    hold; a true result drops s and every set grown from it.
     """
     start = 1 << v
     stack = [(start, adj[v] & mask & ~start, 0)]
     while stack:
         s, boundary, excluded = stack.pop()
+        if prune is not None and prune(s, excluded):
+            continue
         yield s
         children = []
         rest = boundary

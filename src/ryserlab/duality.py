@@ -51,8 +51,7 @@ class ColoredHypergraph:
                     raise HypergraphError(f"vertex {v} out of range")
             if k and len(vs) != k:
                 raise HypergraphError(f"edge {vs} is not {k}-uniform")
-            if color is not None and not (isinstance(color, int)
-                                          and 1 <= color <= max(r, 1)):
+            if color is not None and not (isinstance(color, int) and 1 <= color <= r):
                 raise HypergraphError(f"edge color {color} out of range")
             norm.append((color, vs))
         self._hyperedges = tuple(norm)

@@ -274,8 +274,12 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     t = 2 on, an iterative-deepening search grows each part from the lowest
     uncovered vertex.  Twins (vertices u, v with c(u, w) = c(v, w) for every
     color c and every other vertex w) are interchangeable, so a part takes only
-    a prefix, in index order, of each twin class's uncovered vertices.  An
-    exhausted budget's Inconclusive carries "lower": every smaller t was refuted.
+    a prefix, in index order, of each twin class's uncovered vertices.  When
+    two parts are left, the first is grown by one pruned connected_subsets
+    walk per color, and the second is read off each growth state's complement
+    (two_parts).  Every dfs call and every growth state checked is one budget
+    node.  An exhausted budget's Inconclusive carries "lower": every smaller t
+    was refuted.
     """
     budget = budget or SolveBudget()
     n = g.n
@@ -286,22 +290,14 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     full = (1 << n) - 1
     adjs = [(c, g.adjacency(c)) for c in range(1, g.r + 1)]
 
-    def color_connecting(mask):
-        """The lowest color whose class connects mask, or None."""
-        src = (mask & -mask).bit_length() - 1
-        for c, adj in adjs:
-            if reach(adj, src, mask) == mask:
-                return c
-        return None
-
     def certified(pieces):
         """(t, verified certificate) for a list of (color, mask) parts."""
         return len(pieces), checked(g, [(c, vertices_of(m)) for c, m in pieces],
                                     len(pieces), mode="partition")
 
-    c = color_connecting(full)
-    if c is not None:
-        return certified([(c, full)])
+    for c, adj in adjs:
+        if reach(adj, 0, full) == full:
+            return certified([(c, full)])
 
     # lower_twins[u]: the twins of u of lower index
     lower_twins = [0] * n
@@ -324,17 +320,54 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
                 if mask != single or c == 1:
                     yield c, mask
 
+    def two_parts(avail):
+        """At most two (color, mask) parts partitioning avail, or None.
+
+        The first part A, connected in color a, is grown from avail's lowest
+        vertex v as pieces_from grows it.  The vertices of avail that A can
+        no longer reach from v in color a, avoiding those passed over (which
+        it cannot reach either), are forced into the second part B.  B lies
+        in rest = avail & ~A and is connected in some color b, so it lies in
+        the b-component of rest through a forced vertex.  A growth state is
+        accepted when, for some b, that component (through rest's lowest
+        vertex if none is forced) is all of rest, and dropped with its
+        branch when, for every b, it misses a forced vertex.
+        """
+        v = lowest_vertex(avail)
+        found = None
+
+        def check(s, excluded):
+            nonlocal found
+            charge("partition search")
+            rest = avail & ~s
+            if not rest:
+                found = []
+                return False
+            forced = avail & ~reach(adj_a, v, avail & ~excluded)
+            src = lowest_vertex(forced or rest)
+            hopeless = True
+            for b, adj_b in adjs:
+                comp = reach(adj_b, src, rest)
+                if comp == rest:
+                    found = [(b, rest)]
+                    return False
+                if not forced & ~comp:
+                    hopeless = False
+            return hopeless
+
+        for a, adj_a in adjs:
+            for s in connected_subsets(adj_a, v, avail, lower_twins, check):
+                if found is not None:
+                    return [(a, s)] + found
+        return None
+
     def dfs(avail, t_left, acc):
         charge("partition search")
         if avail == 0:
             return list(acc)
-        if t_left == 0:
-            return None
-        if t_left == 1:
-            c = color_connecting(avail)
-            if c is not None:
-                return acc + [(c, avail)]
-            return None
+        if t_left == 2:
+            got = two_parts(avail)
+            return None if got is None else acc + got
         v = (avail & -avail).bit_length() - 1
         for c, mask in pieces_from(v, avail):
             acc.append((c, mask))

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 from ryserlab import cli
+from ryserlab import constructions as cn
 from ryserlab import exact as ex
 from ryserlab.core import ColoredMultigraph, make_certificate
-from ryserlab.duality import ColoredHypergraph
+from ryserlab.duality import ColoredHypergraph, check_duality
 
 K4_AFFINE = """\
 cg 4 3
@@ -317,6 +318,17 @@ def test_written_hypergraphs_feed_taunu(tmp_path, capsys, argv, text, want):
     h = tmp_path / "h.hg"
     h.write_text(out)
     assert run_cli(["taunu", "--input", str(h)], capsys) == (0, want)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_truncated_plane_file_keeps_its_parts(capsys, q):
+    code, out = run_cli(["construct", "plane", "--q", str(q), "--plane-kind", "truncated"],
+                        capsys)
+    assert code == 0
+    h = cli.parse_hypergraph(out)
+    assert (h.n, h.k, len(h.parts)) == (q * q + q, q + 1, q + 1)
+    assert sorted(vs for _, vs in h.edges()) == sorted(cn.galois_plane(q, "truncated").lines)
+    assert check_duality(h).ok
 
 
 def test_inconclusive_exits_2_with_stats(tmp_path, capsys):

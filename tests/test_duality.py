@@ -65,6 +65,15 @@ def test_hyperedge_must_be_a_color_vertices_pair(edge):
         du.ColoredHypergraph(3, 0, 1, None, [(None, (0, 1)), edge])
 
 
+def test_edge_colors_lie_in_1_to_r():
+    # r = 0 means uncolored edges, so no color is in range there
+    for r, color in ((0, 1), (0, 0), (0, 2), (2, 3), (2, 0)):
+        with pytest.raises(du.HypergraphError, match=f"^edge color {color} out of range"):
+            du.ColoredHypergraph(3, 2, r, None, [(color, (0, 1))])
+    assert du.ColoredHypergraph(3, 2, 0, None, [(None, (0, 1))]).edges() == ((None, (0, 1)),)
+    assert du.ColoredHypergraph(3, 2, 2, None, [(2, (0, 1))]).edges() == ((2, (0, 1)),)
+
+
 def random_rpartite(rng):
     r = rng.randint(2, 4)
     sizes = [rng.randint(1, 3) for _ in range(r)]

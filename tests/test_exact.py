@@ -696,13 +696,16 @@ def test_partition_search_checks_budget():
 
 
 def test_exhausted_partition_search_reports_its_lower_bound():
-    # tp(badmulti(2,2)) = 4: the search refutes t = 2 in a few hundred nodes
-    # and is stopped while refuting t = 3, so tp >= 3 is proved
+    # tp(badmulti(2,2)) = 4: the whole search takes 617 nodes, and t = 2 and
+    # t = 3 are refuted within the first 404, so a budget stopped inside
+    # t = 3 proves tp >= 3 and one stopped inside t = 4 proves tp >= 4
     from ryserlab.goodpart import badmulti_graph
 
-    with pytest.raises(ex.Inconclusive) as exc:
-        ex.tp_exact(badmulti_graph(2, 2), budget=ex.SolveBudget(max_nodes=500))
-    assert exc.value.stats["lower"] == 3
+    for max_nodes, lower in ((300, 3), (500, 4)):
+        with pytest.raises(ex.Inconclusive) as exc:
+            ex.tp_exact(badmulti_graph(2, 2), budget=ex.SolveBudget(max_nodes=max_nodes))
+        assert exc.value.stats["lower"] == lower
+    assert ex.tp_exact(badmulti_graph(2, 2), budget=ex.SolveBudget(max_nodes=617))[0] == 4
 
 
 def pair_colors(n, edges):
@@ -733,21 +736,25 @@ def typed_graphs(draw):
     return n, r, colors
 
 
+def connected_in_one_color(r, colors, block):
+    """Whether the nonempty vertex tuple block is connected in some color."""
+    for c in range(1, r + 1):
+        seen, stack = {block[0]}, [block[0]]
+        while stack:
+            x = stack.pop()
+            for y in block:
+                if y not in seen and c in colors[min(x, y), max(x, y)]:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) == len(block):
+            return True
+    return False
+
+
 def brute_tp(n, r, colors):
     """Fewest blocks in a set partition of range(n) whose every block is
     connected in one color, by enumerating the set partitions."""
-    def connected(block):
-        for c in range(1, r + 1):
-            seen, stack = {block[0]}, [block[0]]
-            while stack:
-                x = stack.pop()
-                for y in block:
-                    if y not in seen and c in colors[min(x, y), max(x, y)]:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) == len(block):
-                return True
-        return False
+    connected = functools.partial(connected_in_one_color, r, colors)
 
     def partitions(items):
         if not items:
@@ -778,6 +785,37 @@ def test_tp_exact_matches_brute_force_on_planted_twins(gv):
         n, r, [(u, v, sorted(cs)) for (u, v), cs in colors.items() if cs])
     tp, cert = ex.tp_exact(g)
     assert tp == brute_tp(n, r, colors)
+    assert verify(g, cert).ok
+
+
+@st.composite
+def sparse_graphs(draw):
+    """(n, r, pair colors) on n <= 9 vertices: each pair carries up to two of
+    the r <= 3 colors, and often none."""
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(1, 3))
+    colors = {pair: draw(st.frozensets(st.integers(1, r), max_size=2))
+              for pair in itertools.combinations(range(n), 2)}
+    return n, r, colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs())
+# two disjoint edges: growing {0} forces {2, 3}, which the second part must
+# hold, though the component of rest's lowest vertex 1 is {1}
+@example((4, 1, pair_colors(4, [(0, 1, 1), (2, 3, 1)])))
+def test_two_part_decision_matches_brute_force(gv):
+    # tp <= 2 exactly when some set A through vertex 0 is connected in one
+    # color and its complement is empty or connected in one color
+    n, r, colors = gv
+    g = ColoredMultigraph.from_edges(
+        n, r, [(u, v, sorted(cs)) for (u, v), cs in colors.items() if cs])
+    connected = functools.partial(connected_in_one_color, r, colors)
+    want = any(connected((0, *a)) and (len(a) == n - 1 or connected(
+                   tuple(sorted(set(range(1, n)) - set(a)))))
+               for k in range(n) for a in itertools.combinations(range(1, n), k))
+    tp, cert = ex.tp_exact(g)
+    assert (tp <= 2) == want
     assert verify(g, cert).ok
 
 

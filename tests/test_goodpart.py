@@ -207,7 +207,7 @@ def test_badmulti_small():
     # bound they imply
     assert gp.badmulti_graph(2, 1).n == 10
     for (k, t), want, lower in (((2, 1), 3, 2), ((2, 2), 4, 3), ((2, 3), 5, 4),
-                                ((3, 1), 3, 2)):
+                                ((3, 1), 3, 2), ((3, 2), 4, 3), ((4, 1), 3, 2)):
         g = gp.badmulti_graph(k, t)
         tp, cert = ex.tp_exact(g)
         assert cert.mode == "partition" and verify(g, cert).ok

@@ -170,6 +170,32 @@ def test_connected_subsets_match_brute_force(gv, data):
         assert set(got) == want
 
 
+@SETTINGS
+@given(graph_and_subset(), st.data())
+def test_connected_subsets_prune_hook(gv, data):
+    g, vs = gv
+    v, w = data.draw(st.sampled_from(vs)), data.draw(st.sampled_from(vs))
+    for c in range(1, g.r + 1):
+        adj = g.adjacency(c)
+        every = [mask_of(s) for s in ref_connected_sets(ref_neighbors(g, c), v, set(vs))]
+        calls = []
+        got = list(connected_subsets(adj, v, mask_of(vs),
+                                     prune=lambda s, excluded: calls.append((s, excluded))))
+        assert [s for s, _ in calls] == got and set(got) == set(every)
+        # the sets grown from s come right after it, as the supersets of s
+        # that follow; they are exactly the connected sets holding s and
+        # avoiding excluded
+        for i, (s, excluded) in enumerate(calls):
+            j = i + 1
+            while j < len(got) and got[j] & s == s:
+                j += 1
+            assert set(got[i:j]) == {t for t in every if t & s == s and not t & excluded}
+        # a true result drops the set and every set grown from it
+        bit = 1 << w
+        got = list(connected_subsets(adj, v, mask_of(vs), prune=lambda s, excluded: s & bit))
+        assert set(got) == {t for t in every if not t & bit}
+
+
 @st.composite
 def hypergraphs(draw):
     n = draw(st.integers(4, 7))
