@@ -6,6 +6,8 @@ Text formats (whitespace separated, '#' starts a comment):
                                    and         e <c> <v...>    (r > 0)
                                    or          e <v...>        (r = 0)
   covers       cover <mode> <count> then lines piece <color> <v...>
+The graph and hypergraph parsers check only tokens and line shapes; every
+rule on the values is the type's, and its error is reported at its line and field.
 
 Exit codes: 0 success, 1 violation or counterexample found, 2 inconclusive,
 3 usage error.
@@ -20,8 +22,8 @@ import shlex
 import sys
 
 from . import __version__
-from .core import ColoredMultigraph, make_certificate, verify
-from .duality import ColoredHypergraph
+from .core import ColoredMultigraph, GraphError, make_certificate, verify
+from .duality import ColoredHypergraph, HypergraphError
 from .exact import Inconclusive, Infeasible, SolveBudget
 
 
@@ -62,26 +64,17 @@ def parse_graph(text: str) -> ColoredMultigraph:
     if len(header) != 3:
         raise FormatError(ln, 2, "header needs exactly n and r")
     n, r = _ints(ln, header[1:], 2)
-    if n < 0:
-        raise FormatError(ln, 2, "vertex count must be nonnegative")
-    if r < 0:
-        raise FormatError(ln, 3, "color count must be nonnegative")
     edges = []
     for ln, tok in rows[1:]:
         if tok[0] != "e" or len(tok) != 4:
             raise FormatError(ln, 1, "expected 'e <u> <v> <c>'")
-        u, v, c = _ints(ln, tok[1:], 2)
-        pair = f"({min(u, v)},{max(u, v)})"
-        if not 0 <= u < n:
-            raise FormatError(ln, 2, f"edge {pair} out of range for n={n}")
-        if u == v:
-            raise FormatError(ln, 3, f"loop at vertex {u}")
-        if not 0 <= v < n:
-            raise FormatError(ln, 3, f"edge {pair} out of range for n={n}")
-        if not 1 <= c <= r:
-            raise FormatError(ln, 4, f"color {c} on edge {pair} out of range for r={r}")
-        edges.append((u, v, c))
-    return ColoredMultigraph.from_edges(n, r, edges)
+        edges.append(tuple(_ints(ln, tok[1:], 2)))
+    try:
+        return ColoredMultigraph(n, r, edges)
+    except GraphError as exc:
+        # the type names the faulty edge (None: the header) and its field
+        ln = rows[0 if exc.item is None else 1 + edges.index(exc.item)][0]
+        raise FormatError(ln, 2 + exc.field, str(exc)) from None
 
 
 def write_graph(g: ColoredMultigraph) -> str:
@@ -100,80 +93,47 @@ def parse_hypergraph(text: str) -> ColoredHypergraph:
     if len(header) != 4:
         raise FormatError(ln, 2, "header needs n, k and r")
     n, k, r = _ints(ln, header[1:], 2)
-    for field, (name, val) in enumerate((("vertex count n", n), ("uniformity k", k),
-                                         ("color count r", r)), start=2):
-        if val < 0:
-            raise FormatError(ln, field, f"{name} must be nonnegative, got {val}")
-    part_map = {}
-    owner = {}  # vertex -> index of its part
-    located = []  # (line, field of the first vertex, color, vertices) per edge
-    seen_edges = set()
+    part_at = {}  # part index -> (line, vertices)
+    edges, edge_lines = [], []
     for ln, tok in rows[1:]:
         if tok[0] == "part":
             if len(tok) < 2:
                 raise FormatError(ln, 2, "expected 'part <i> <v...>'")
             idx, *vs = _ints(ln, tok[1:], 2)
-            if idx in part_map:
+            if idx in part_at:
                 raise FormatError(ln, 2, f"part {idx} given twice")
-            for field, v in enumerate(vs, start=3):
-                if not 0 <= v < n:
-                    raise FormatError(ln, field, f"vertex {v} out of range")
-                if v in owner:
-                    raise FormatError(ln, field, f"vertex {v} is in two parts")
-                owner[v] = idx
-            part_map[idx] = vs
+            part_at[idx] = (ln, vs)
         elif tok[0] == "e":
             vals = _ints(ln, tok[1:], 2)
-            if r > 0:
-                if len(vals) < 2:
-                    raise FormatError(ln, 2, "expected 'e <c> <v...>'")
-                c, vs = vals[0], tuple(vals[1:])
-                if not 1 <= c <= r:
-                    raise FormatError(ln, 2, f"edge color {c} out of range")
-            else:
-                c, vs = None, tuple(vals)
-            first = len(tok) - len(vs) + 1
-            for field, v in enumerate(vs, start=first):
-                if not 0 <= v < n:
-                    raise FormatError(ln, field, f"vertex {v} out of range")
-                if v in vs[:field - first]:
-                    raise FormatError(ln, field, f"edge {vs} repeats a vertex")
-            if not vs:
-                raise FormatError(ln, first, "empty hyperedge")
-            if k and len(vs) != k:
-                # the first vertex past k, or the place of the first one missing
-                raise FormatError(ln, first + min(len(vs), k),
-                                  f"edge {vs} is not {k}-uniform")
-            key = (c, tuple(sorted(vs)))
-            if key in seen_edges:
-                raise FormatError(ln, 1, f"duplicate hyperedge {vs}")
-            seen_edges.add(key)
-            located.append((ln, first, c, vs))
+            if r > 0 and len(vals) < 2:
+                raise FormatError(ln, 2, "expected 'e <c> <v...>'")
+            edges.append((vals[0], vals[1:]) if r > 0 else (None, vals))
+            edge_lines.append(ln)
         else:
             raise FormatError(ln, 1, f"unknown directive {tok[0]!r}")
-    edges = [(c, vs) for _, _, c, vs in located]
-    if not part_map:
-        return ColoredHypergraph(n, k, r, None, edges)
-    missing = [v for v in range(n) if v not in owner]
-    if missing:
-        raise FormatError(rows[0][0], 2, f"vertex {missing[0]} is in no part")
-    for ln, first, _, vs in located:
-        for field, v in enumerate(vs, start=first):
-            if owner[v] in {owner[u] for u in vs[:field - first]}:
-                raise FormatError(ln, field, f"edge {vs} meets a class twice")
-    return ColoredHypergraph(n, k, r, [part_map[i] for i in sorted(part_map)], edges)
+    parts = [part_at[i] for i in sorted(part_at)]
+    try:
+        return ColoredHypergraph(n, k, r, [vs for _, vs in parts] if parts else None, edges)
+    except HypergraphError as exc:
+        # the type names the faulty entry; map it to its line and field
+        kind, i, j = exc.where
+        lines = {"sizes": [rows[0][0]], "part": [ln for ln, _ in parts], "edge": edge_lines}
+        first = {"sizes": 2, "part": 3, "edge": 2 if r > 0 else 1}
+        raise FormatError(lines[kind][i], first[kind] + j, str(exc)) from None
 
 
 def write_hypergraph(h: ColoredHypergraph) -> str:
     """The hg text of h.  The parser reads a color on every e line exactly
-    when r > 0, so colors are written only when r > 0 and every edge has
-    one; otherwise r is written as 0 and the edges bare."""
-    colored = h.r > 0 and all(c is not None for c, _ in h.edges())
+    when r > 0, and the edges are colored all or none, so colors are written
+    when r > 0 and the first edge has one; otherwise r is written as 0 and
+    the edges bare."""
+    edges = h.edges()
+    colored = h.r > 0 and (not edges or edges[0][0] is not None)
     out = [f"hg {h.n} {h.k} {h.r if colored else 0}"]
     if h.parts is not None:
         for i, p in enumerate(h.parts):
             out.append("part " + " ".join(str(v) for v in (i,) + tuple(p)))
-    for c, vs in h.edges():
+    for c, vs in edges:
         out.append(" ".join(map(str, ("e", c, *vs) if colored else ("e", *vs))))
     return "\n".join(out) + "\n"
 
@@ -497,7 +457,6 @@ def cmd_verify(args):
 def main(argv=None):
     ap = _Parser(prog="ryserlab", description="monochromatic cover workbench")
     ap.add_argument("--budget-seconds", type=float, default=600.0)
-    ap.add_argument("--format", choices=("csv", "plain"), default="plain")
     ap.add_argument("--manifest", default=None)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -546,6 +505,7 @@ def main(argv=None):
     p = add("zrd", cmd_zrd)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
+    p.add_argument("--format", choices=("csv", "plain"), default="plain")
 
     p = add("goodpart", cmd_goodpart)
     p.add_argument("--input", required=True)

@@ -14,7 +14,17 @@ from itertools import combinations
 
 
 class GraphError(ValueError):
-    """Malformed graph data or an operation precondition violation."""
+    """Malformed graph data or an operation precondition violation.
+
+    When ColoredMultigraph's arguments are at fault, item is the offending
+    edge as (u, v, colors), or None for (n, r) themselves, and field is the
+    index of the offending entry in it.
+    """
+
+    def __init__(self, message, item=None, field=None):
+        super().__init__(message)
+        self.item = item
+        self.field = field
 
 
 class ColoredMultigraph:
@@ -27,46 +37,28 @@ class ColoredMultigraph:
 
     __slots__ = ("n", "r", "_adj", "_hash")
 
-    def __init__(self, n: int, r: int, edges: dict[tuple[int, int], frozenset[int]]):
-        self._fill(n, r, [(u, v, cols) for (u, v), cols in edges.items()], False)
+    def __init__(self, n: int, r: int, edges):
+        """Validate edges, an iterable of (u, v, color) or (u, v, iterable of
+        colors), and OR each one into its color rows, in one pass.
 
-    @classmethod
-    def from_edges(cls, n: int, r: int, edges) -> "ColoredMultigraph":
-        """Build from an iterable of (u, v, color) or (u, v, iterable-of-colors)."""
-        g = cls.__new__(cls)
-        g._fill(n, r, edges, True)
-        return g
-
-    @classmethod
-    def _of_rows(cls, n: int, r: int, adj: tuple) -> "ColoredMultigraph":
-        """The graph whose color-c adjacency is adj[c]; the masks are trusted."""
-        g = cls.__new__(cls)
-        g.n, g.r, g._adj, g._hash = n, r, adj, None
-        return g
-
-    def _fill(self, n: int, r: int, edges, listed: bool):
-        """Validate the edges and OR each one into its color rows, in one pass.
-
-        listed: the edges are a list whose pairs may repeat and name either
-        end first, so an error names a pair lower end first and a pair is
-        empty only if its colors add up to nothing; otherwise they are the
-        items of a dict, and each must carry a color.
+        A pair may repeat and name either end first; it is empty only if its
+        colors add up to nothing.  An error names a pair lower end first, and
+        its item and field are worked out only once it is raised, so the
+        loop pays nothing for them.
         """
         if n < 0:
-            raise GraphError("vertex count must be nonnegative")
+            raise GraphError("vertex count must be nonnegative", None, 0)
         if r < 0:
-            raise GraphError("color count must be nonnegative")
+            raise GraphError("color count must be nonnegative", None, 1)
         adj = [[0] * n for _ in range(r + 1)]
         uncolored = []
         for u, v, cols in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
-                if u == v:
-                    raise GraphError(f"loop at vertex {u}")
-                raise GraphError(f"edge {_named(u, v, listed)} out of range for n={n}")
+                raise _pair_error(n, u, v, cols)
             if isinstance(cols, int):
                 # the common case, a bare color, builds no tuple and no flag
                 if not 1 <= cols <= r:
-                    raise _color_error(cols, u, v, r, listed)
+                    raise _color_error(r, u, v, cols, cols)
                 row = adj[cols]
                 row[u] |= 1 << v
                 row[v] |= 1 << u
@@ -74,22 +66,32 @@ class ColoredMultigraph:
             colored = False
             for c in cols:
                 if not 1 <= c <= r:
-                    raise _color_error(c, u, v, r, listed)
+                    raise _color_error(r, u, v, cols, c)
                 row = adj[c]
                 row[u] |= 1 << v
                 row[v] |= 1 << u
                 colored = True
             if not colored:
-                if not listed:
-                    raise GraphError(f"edge ({u},{v}) has an empty color set")
-                uncolored.append((u, v))
-        for u, v in uncolored:
+                uncolored.append((u, v, cols))
+        for u, v, cols in uncolored:
             if not any(row[u] >> v & 1 for row in adj):
-                raise GraphError(f"edge {_named(u, v, listed)} has an empty color set")
+                raise GraphError(f"edge {_named(u, v)} has an empty color set", (u, v, cols), 2)
         self.n = n
         self.r = r
         self._adj = tuple(map(tuple, adj))
         self._hash = None
+
+    @classmethod
+    def from_edges(cls, n: int, r: int, edges) -> "ColoredMultigraph":
+        """ColoredMultigraph(n, r, edges), under the name callers trace."""
+        return cls(n, r, edges)
+
+    @classmethod
+    def _of_rows(cls, n: int, r: int, adj: tuple) -> "ColoredMultigraph":
+        """The graph whose color-c adjacency is adj[c]; the masks are trusted."""
+        g = cls.__new__(cls)
+        g.n, g.r, g._adj, g._hash = n, r, adj, None
+        return g
 
     def _neighbors(self) -> list[int]:
         """Per vertex, the mask of the vertices joined to it in any color."""
@@ -141,22 +143,6 @@ class ColoredMultigraph:
             self.n, self.r,
             tuple(row if c in colors else empty for c, row in enumerate(self._adj)))
 
-    def relabel_colors(self, mapping: dict[int, int], new_r: int) -> "ColoredMultigraph":
-        if new_r < 0:
-            raise GraphError("color count must be nonnegative")
-        adj = [(0,) * self.n for _ in range(new_r + 1)]
-        for c in range(1, self.r + 1):
-            row = self._adj[c]
-            if c not in mapping or not any(row):
-                continue
-            d = mapping[c]
-            if not 1 <= d <= new_r:
-                u = next(u for u, m in enumerate(row) if m)
-                v = (row[u] & -row[u]).bit_length() - 1
-                raise GraphError(f"color {d} on edge ({u},{v}) out of range for r={new_r}")
-            adj[d] = tuple(a | b for a, b in zip(adj[d], row))
-        return ColoredMultigraph._of_rows(self.n, new_r, tuple(adj))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredMultigraph) and self.n == other.n
                 and self.r == other.r and self._adj == other._adj)
@@ -171,13 +157,23 @@ class ColoredMultigraph:
         return f"ColoredMultigraph(n={self.n}, r={self.r}, m={m})"
 
 
-def _named(u: int, v: int, lower_first: bool) -> str:
-    """A pair as an error message names it."""
-    return f"({min(u, v)},{max(u, v)})" if lower_first else f"({u},{v})"
+def _named(u: int, v: int) -> str:
+    """A pair as an error message names it, lower end first."""
+    return f"({min(u, v)},{max(u, v)})"
 
 
-def _color_error(c: int, u: int, v: int, r: int, lower_first: bool) -> GraphError:
-    return GraphError(f"color {c} on edge {_named(u, v, lower_first)} out of range for r={r}")
+def _pair_error(n: int, u: int, v: int, cols) -> GraphError:
+    """The first of u out of range, a loop, v out of range, in that order."""
+    if not 0 <= u < n:
+        return GraphError(f"edge {_named(u, v)} out of range for n={n}", (u, v, cols), 0)
+    if u == v:
+        return GraphError(f"loop at vertex {u}", (u, v, cols), 1)
+    return GraphError(f"edge {_named(u, v)} out of range for n={n}", (u, v, cols), 1)
+
+
+def _color_error(r: int, u: int, v: int, cols, c: int) -> GraphError:
+    return GraphError(f"color {c} on edge {_named(u, v)} out of range for r={r}",
+                      (u, v, cols), 2)
 
 
 @dataclass(frozen=True)

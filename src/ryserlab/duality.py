@@ -18,57 +18,86 @@ from .core import ColoredMultigraph, alpha, closed_graph, component_masks, verti
 
 
 class HypergraphError(ValueError):
-    pass
+    """Malformed hypergraph data or an operation precondition violation.
+
+    When ColoredHypergraph's arguments are at fault, where locates the
+    offending entry: ("sizes", 0, j) for entry j of (n, k, r), ("part", i, j)
+    for vertex j of part i, ("edge", i, 0) for the color of edge i and
+    ("edge", i, j) for its vertex j - 1, each as given.
+    """
+
+    def __init__(self, message, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 class ColoredHypergraph:
-    """k-uniform (k=0: non-uniform) hypergraph, optionally r-partite / edge-colored."""
+    """k-uniform (k=0: non-uniform) hypergraph, optionally r-partite / edge-colored.
+
+    Edges are (color, vertices) pairs and may repeat.  Their colors lie in
+    1..r, and either every edge has one or none does.  The parts, when
+    given, partition 0..n-1, and no edge meets a part twice.
+    """
 
     __slots__ = ("n", "k", "r", "parts", "_hyperedges")
 
     def __init__(self, n: int, k: int = 0, r: int = 0, parts=None, edges=()):
-        for name, val in (("vertex count n", n), ("uniformity k", k), ("color count r", r)):
+        for j, (name, val) in enumerate((("vertex count n", n), ("uniformity k", k),
+                                         ("color count r", r))):
             if val < 0:
-                raise HypergraphError(f"{name} must be nonnegative, got {val}")
+                raise HypergraphError(f"{name} must be nonnegative, got {val}", ("sizes", 0, j))
         self.n = n
         self.k = k
         self.r = r
+        owner = None  # vertex -> index of its part
+        if parts is not None:
+            parts = [tuple(p) for p in parts]
+            owner = {}
+            for i, p in enumerate(parts):
+                for j, v in enumerate(p):
+                    if not 0 <= v < n:
+                        raise HypergraphError(f"vertex {v} out of range", ("part", i, j))
+                    if v in owner:
+                        raise HypergraphError(f"vertex {v} is in two parts", ("part", i, j))
+                    owner[v] = i
+            if len(owner) < n:
+                missing = next(v for v in range(n) if v not in owner)
+                raise HypergraphError(f"vertex {missing} is in no part", ("sizes", 0, 0))
+            parts = tuple(tuple(sorted(p)) for p in parts)
+        self.parts = parts
         norm = []
-        for e in edges:
+        for i, e in enumerate(edges):
             try:
                 color, vs = e
                 raw = tuple(vs)
             except (TypeError, ValueError):
                 raise HypergraphError(f"edge {e!r} is not a (color, vertices) "
-                                      "pair") from None
-            vs = tuple(sorted(set(raw)))
-            if len(vs) != len(raw):
-                raise HypergraphError(f"edge {raw} repeats a vertex")
-            if not vs:
-                raise HypergraphError("empty hyperedge")
-            for v in vs:
-                if not (0 <= v < n):
-                    raise HypergraphError(f"vertex {v} out of range")
-            if k and len(vs) != k:
-                raise HypergraphError(f"edge {vs} is not {k}-uniform")
+                                      "pair", ("edge", i, 0)) from None
             if color is not None and not (isinstance(color, int) and 1 <= color <= r):
-                raise HypergraphError(f"edge color {color} out of range")
+                raise HypergraphError(f"edge color {color} out of range", ("edge", i, 0))
+            if norm and (color is None) != (norm[0][0] is None):
+                raise HypergraphError(f"edge {raw} has color {color} but edge {norm[0][1]} "
+                                      f"has color {norm[0][0]}: color every edge or none",
+                                      ("edge", i, 0))
+            vs = tuple(sorted(set(raw)))
+            if len(vs) != len(raw) or vs and not (0 <= vs[0] and vs[-1] < n):
+                for j, v in enumerate(raw):
+                    if not 0 <= v < n:
+                        raise HypergraphError(f"vertex {v} out of range", ("edge", i, j + 1))
+                    if v in raw[:j]:
+                        raise HypergraphError(f"edge {raw} repeats a vertex", ("edge", i, j + 1))
+            if not vs:
+                raise HypergraphError("empty hyperedge", ("edge", i, 1))
+            if k and len(vs) != k:
+                # the first vertex past k, or the place of the first one missing
+                raise HypergraphError(f"edge {raw} is not {k}-uniform",
+                                      ("edge", i, 1 + min(len(vs), k)))
+            if owner is not None and len({owner[v] for v in vs}) != len(vs):
+                j = next(j for j, v in enumerate(raw)
+                         if owner[v] in {owner[u] for u in raw[:j]})
+                raise HypergraphError(f"edge {raw} meets a class twice", ("edge", i, j + 1))
             norm.append((color, vs))
         self._hyperedges = tuple(norm)
-        if parts is not None:
-            parts = tuple(tuple(sorted(p)) for p in parts)
-            flat = [v for p in parts for v in p]
-            if sorted(flat) != list(range(n)):
-                raise HypergraphError("parts must partition the vertex set")
-            cls = {}
-            for i, p in enumerate(parts):
-                for v in p:
-                    cls[v] = i
-            for _, vs in norm:
-                hit = [cls[v] for v in vs]
-                if len(hit) != len(set(hit)):
-                    raise HypergraphError(f"edge {vs} meets a class twice")
-        self.parts = parts
 
     def edges(self):
         return self._hyperedges

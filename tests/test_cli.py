@@ -5,12 +5,14 @@ import shlex
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ryserlab import cli
 from ryserlab import constructions as cn
 from ryserlab import exact as ex
-from ryserlab.core import ColoredMultigraph, make_certificate
-from ryserlab.duality import ColoredHypergraph, check_duality
+from ryserlab.core import ColoredMultigraph, GraphError, make_certificate
+from ryserlab.duality import ColoredHypergraph, HypergraphError, check_duality
 
 K4_AFFINE = """\
 cg 4 3
@@ -57,8 +59,57 @@ def test_hypergraph_roundtrip():
     h = cli.parse_hypergraph(text)
     assert h.n == 6 and h.k == 3 and h.r == 2
     assert cli.write_hypergraph(h) .strip() == text.strip()
-    with pytest.raises(cli.FormatError):
-        cli.parse_hypergraph("hg 3 2 0\ne 0 1\ne 0 1\n")
+    # a repeated hyperedge is legal in the type, so in files too
+    twice = cli.parse_hypergraph("hg 3 2 0\ne 0 1\ne 0 1\n")
+    assert twice.edges() == ((None, (0, 1)), (None, (0, 1)))
+    assert cli.parse_hypergraph(cli.write_hypergraph(twice)).edges() == twice.edges()
+
+
+@st.composite
+def graphs(draw):
+    """n <= 8, r <= 4, n = 0 and r = 0 included; a pair carries any subset of the colors."""
+    n, r = draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        cols = draw(st.frozensets(st.integers(1, r), max_size=r)) if r else ()
+        if cols:
+            edges.append((u, v, cols))
+    return ColoredMultigraph(n, r, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_written_graphs_parse_back(g):
+    assert cli.parse_graph(cli.write_graph(g)) == g
+
+
+@st.composite
+def hypergraphs(draw):
+    """n <= 6, r <= 3, with or without parts and colors; edges may repeat."""
+    n, k, r = draw(st.integers(0, 6)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    parts = None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        label = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        parts = [[v for v in range(n) if label[v] == i] for i in range(m)]
+    cls = list(range(n)) if parts is None else [label[v] for v in range(n)]
+    shapes = [e for size in range(1, n + 1) for e in itertools.combinations(range(n), size)
+              if k in (0, size) and len({cls[v] for v in e}) == size]
+    chosen = draw(st.lists(st.sampled_from(shapes), max_size=6)) if shapes else []
+    colored = r > 0 and draw(st.booleans())
+    edges = [(draw(st.integers(1, r)) if colored else None, draw(st.permutations(e)))
+             for e in chosen]
+    return ColoredHypergraph(n, k, r, parts, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs())
+def test_written_hypergraphs_parse_back(h):
+    back = cli.parse_hypergraph(cli.write_hypergraph(h))
+    assert (back.n, back.k, back.parts, back.edges()) == (h.n, h.k, h.parts, h.edges())
+    # r survives unless the edges are uncolored, which the file says with r = 0
+    uncolored = h.edges() and h.edges()[0][0] is None
+    assert back.r == (0 if uncolored else h.r)
 
 
 def test_cover_roundtrip():
@@ -92,7 +143,7 @@ def test_verify_command(tmp_path, capsys):
 def test_zrd_command(capsys):
     code, out = run_cli(["zrd", "--r", "3", "--d", "3"], capsys)
     assert code == 0 and out.startswith("Z(3,3) = 5")
-    code, out = run_cli(["--format", "csv", "zrd", "--r", "5", "--d", "2"], capsys)
+    code, out = run_cli(["zrd", "--r", "5", "--d", "2", "--format", "csv"], capsys)
     assert code == 0 and out.splitlines()[0] == "r,d,lower,upper,exact,witness"
 
 
@@ -355,7 +406,7 @@ def test_zrd_stopped_in_milp_records_the_stop(tmp_path, capsys):
     assert "nodes" in stats
 
 
-@pytest.mark.parametrize("argv, text, where", [
+MALFORMED = [
     (["verify", "--input", "{g}", "--cover", "{f}"], "cover\n", "line 1, field 2"),
     (["verify", "--input", "{g}", "--cover", "{f}"],
      "cover cover 1\npiece 1 0 x\n", "line 2, field 4"),
@@ -384,7 +435,10 @@ def test_zrd_stopped_in_milp_records_the_stop(tmp_path, capsys):
     (["taunu", "--input", "{f}"], "hg -1 2 0\n", "line 1, field 2"),
     (["taunu", "--input", "{f}"], "hg 3 -2 0\ne 0 1\n", "line 1, field 3"),
     (["taunu", "--input", "{f}"], "hg 3 2 -1\n", "line 1, field 4"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, text, where", MALFORMED)
 def test_malformed_files_exit_3(tmp_path, capsys, argv, text, where):
     g = tmp_path / "g.cg"
     g.write_text(K4_AFFINE)
@@ -394,6 +448,62 @@ def test_malformed_files_exit_3(tmp_path, capsys, argv, text, where):
     err = capsys.readouterr().err
     assert code == 3
     assert where in err and "Traceback" not in err
+
+
+G, H = ColoredMultigraph, ColoredHypergraph
+# Per cg/hg file of MALFORMED: its message, and the same data built directly
+# when the rule is the type's (None: a token, arity or directive rule, which
+# is the parser's own).
+MESSAGES = {
+    "hg x 3 1\n": ("expected an integer, got 'x'", None),
+    "hg 3 2 1\ne 1 0 y\n": ("expected an integer, got 'y'", None),
+    "hg 3 2 1\npart\n": ("expected 'part <i> <v...>'", None),
+    "hg 3 2 1\ne\n": ("expected 'e <c> <v...>'", None),
+    "cg 3 1\ne 0 1 1\ne 0 5 1\n": ("edge (0,5) out of range for n=3",
+                                  lambda: G(3, 1, [(0, 1, 1), (0, 5, 1)])),
+    "cg -1 2\n": ("vertex count must be nonnegative", lambda: G(-1, 2, [])),
+    "cg 3 -2\n": ("color count must be nonnegative", lambda: G(3, -2, [])),
+    "cg 3 1\ne 3 1 1\n": ("edge (1,3) out of range for n=3", lambda: G(3, 1, [(3, 1, 1)])),
+    "cg 3 1\ne 1 1 1\n": ("loop at vertex 1", lambda: G(3, 1, [(1, 1, 1)])),
+    "cg 3 1\ne 0 1 2\n": ("color 2 on edge (0,1) out of range for r=1",
+                          lambda: G(3, 1, [(0, 1, 2)])),
+    "hg 3 2 1\ne 1 0 5\n": ("vertex 5 out of range", lambda: H(3, 2, 1, None, [(1, (0, 5))])),
+    "hg 3 2 1\ne 2 0 1\n": ("edge color 2 out of range",
+                            lambda: H(3, 2, 1, None, [(2, (0, 1))])),
+    "hg 3 0 0\ne 0 1 3\n": ("vertex 3 out of range",
+                            lambda: H(3, 0, 0, None, [(None, (0, 1, 3))])),
+    "hg 3 2 1\ne 1 0 1 2\n": ("edge (0, 1, 2) is not 2-uniform",
+                              lambda: H(3, 2, 1, None, [(1, (0, 1, 2))])),
+    "hg 3 2 1\ne 1 0\n": ("edge (0,) is not 2-uniform", lambda: H(3, 2, 1, None, [(1, (0,))])),
+    "hg 3 2 1\ne 1 0 1\ne 1 0 0\n": ("edge (0, 0) repeats a vertex",
+                                    lambda: H(3, 2, 1, None, [(1, (0, 1)), (1, (0, 0))])),
+    "hg 4 2 0\npart 0 0 1\npart 1 2 3\ne 0 2\ne 0 1\n": (
+        "edge (0, 1) meets a class twice",
+        lambda: H(4, 2, 0, [(0, 1), (2, 3)], [(None, (0, 2)), (None, (0, 1))])),
+    "hg 3 2 0\npart 0 0 1\npart 1 1 2\n": ("vertex 1 is in two parts",
+                                          lambda: H(3, 2, 0, [(0, 1), (1, 2)])),
+    "hg 3 2 0\npart 0 0 1\npart 0 2\n": ("part 0 given twice", None),
+    "hg 3 2 0\npart 0 0 1\n": ("vertex 2 is in no part", lambda: H(3, 2, 0, [(0, 1)])),
+    "hg -1 2 0\n": ("vertex count n must be nonnegative, got -1", lambda: H(-1, 2, 0)),
+    "hg 3 -2 0\ne 0 1\n": ("uniformity k must be nonnegative, got -2",
+                           lambda: H(3, -2, 0, None, [(None, (0, 1))])),
+    "hg 3 2 -1\n": ("color count r must be nonnegative, got -1", lambda: H(3, 2, -1)),
+}
+
+
+@pytest.mark.parametrize("text, where", [(text, where) for _, text, where in MALFORMED
+                                         if text.startswith(("cg", "hg"))])
+def test_file_errors_are_the_types_errors(text, where):
+    # each rule is checked once: a file reports the type's own error at its line
+    message, build = MESSAGES[text]
+    parse = cli.parse_graph if text.startswith("cg") else cli.parse_hypergraph
+    with pytest.raises(cli.FormatError) as got:
+        parse(text)
+    assert str(got.value) == f"{where}: {message}"
+    if build is not None:
+        with pytest.raises((GraphError, HypergraphError)) as direct:
+            build()
+        assert str(direct.value) == message
 
 
 def test_manifest_records_what_ran(tmp_path, capsys):
@@ -411,6 +521,9 @@ def test_manifest_records_what_ran(tmp_path, capsys):
     ["--format", "md", "mc", "--input", "g.cg"],
     ["tc", "--input", "g.cg", "--exact"],
     ["--threads", "4", "mc", "--input", "g.cg"],
+    # --format is an option of zrd, not of the program
+    ["--format", "csv", "zrd", "--r", "5", "--d", "2"],
+    ["--format", "csv", "tc", "--input", "g.cg"],
 ])
 def test_removed_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -364,10 +364,10 @@ def test_cover_multipartite_3():
 
 def test_covers_of_the_empty_graph():
     for r, parts in ((2, []), (3, [[], [], []])):
-        g = ColoredMultigraph(0, r, {})
+        g = ColoredMultigraph(0, r, [])
         cert = cv.cover_multipartite(g, parts, r)
         assert cert.pieces == () and verify(g, cert).ok
-    cert = cv.restricted_cover(ColoredMultigraph(0, 3, {}), 3, [1, 2])
+    cert = cv.restricted_cover(ColoredMultigraph(0, 3, []), 3, [1, 2])
     assert cert.pieces == () and cert.allowed_colors == frozenset({1, 2})
 
 

@@ -35,7 +35,7 @@ def test_invariants_enforced():
     with pytest.raises(GraphError):
         ColoredMultigraph.from_edges(2, 1, [(0, 1, 2)])
     with pytest.raises(GraphError):
-        ColoredMultigraph(2, 1, {(0, 1): frozenset()})
+        ColoredMultigraph(2, 1, [(0, 1, frozenset())])
 
 
 def test_components_examples():
@@ -126,7 +126,7 @@ def test_closed_graph_rejects_bad_blocks(n, blocks, message):
 def test_diameter_examples():
     p4 = ColoredMultigraph.from_edges(4, 1, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     assert diameter(p4, range(4), 1) == 3
-    iso = ColoredMultigraph(2, 1, {})
+    iso = ColoredMultigraph(2, 1, [])
     assert diameter(iso, [0, 1], 1) == math.inf
     c5 = ColoredMultigraph.from_edges(5, 1, [(i, (i + 1) % 5, 1) for i in range(5)])
     assert diameter(c5, range(5), 1) == 2
@@ -147,7 +147,7 @@ def test_diameter_rejects_a_color_out_of_range():
 
 def test_alpha_examples_and_bruteforce():
     assert alpha(monochromatic_complete(6))[0] == 1
-    assert alpha(ColoredMultigraph(4, 1, {}))[0] == 4
+    assert alpha(ColoredMultigraph(4, 1, []))[0] == 4
     c5 = ColoredMultigraph.from_edges(5, 1, [(i, (i + 1) % 5, 1) for i in range(5)])
     assert alpha(c5)[0] == 2
     rng = random.Random(3)

@@ -74,6 +74,16 @@ def test_edge_colors_lie_in_1_to_r():
     assert du.ColoredHypergraph(3, 2, 2, None, [(2, (0, 1))]).edges() == ((2, (0, 1)),)
 
 
+def test_edges_are_colored_all_or_none():
+    # a partly colored edge list was once accepted and written as r = 0
+    for edges in ([(1, (0, 1)), (None, (1, 2))], [(None, (0, 1)), (None, (1, 2)), (2, (0, 2))]):
+        with pytest.raises(du.HypergraphError, match="color every edge or none$") as exc:
+            du.ColoredHypergraph(3, 2, 2, None, edges)
+        assert exc.value.where == ("edge", len(edges) - 1, 0)
+    uncolored = du.ColoredHypergraph(3, 2, 2, None, [(None, (0, 1)), (None, (1, 2))])
+    assert cli.write_hypergraph(uncolored) == "hg 3 2 0\ne 0 1\ne 1 2\n"
+
+
 def random_rpartite(rng):
     r = rng.randint(2, 4)
     sizes = [rng.randint(1, 3) for _ in range(r)]
@@ -137,11 +147,11 @@ def colored_graphs(draw):
     """n <= 9, r <= 4; a pair carries any subset of the colors."""
     n = draw(st.integers(1, 9))
     r = draw(st.integers(1, 4))
-    edges = {}
-    for pair in itertools.combinations(range(n), 2):
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
         cols = draw(st.frozensets(st.integers(1, r), max_size=r))
         if cols:
-            edges[pair] = cols
+            edges.append((u, v, cols))
     return ColoredMultigraph(n, r, edges)
 
 

@@ -24,11 +24,11 @@ def multigraphs(draw):
     """n <= 10, r <= 4; a pair carries any subset of the colors, so edges may be multi-colored."""
     n = draw(st.integers(1, 10))
     r = draw(st.integers(1, 4))
-    edges = {}
-    for pair in itertools.combinations(range(n), 2):
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
         cols = draw(st.frozensets(st.integers(1, r), max_size=r))
         if cols:
-            edges[pair] = cols
+            edges.append((u, v, cols))
     return ColoredMultigraph(n, r, edges)
 
 

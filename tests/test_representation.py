@@ -99,14 +99,15 @@ def test_views_match_the_reference(nre):
 @SETTINGS
 @given(edge_lists())
 def test_both_constructors_agree(nre):
+    # ColoredMultigraph(...) and from_edges are one constructor under two names
     n, r, entries = nre
     ref = ref_of(entries)
     g = ColoredMultigraph.from_edges(n, r, entries)
-    h = ColoredMultigraph(n, r, ref)
+    h = ColoredMultigraph(n, r, [(u, v, cs) for (u, v), cs in ref.items()])
     assert h == g and hash(h) == hash(g)
     assert h.edges() == g.edges()
-    # a dict may name a pair either end first
-    flipped = ColoredMultigraph(n, r, {(v, u): cs for (u, v), cs in ref.items()})
+    # a pair may be named either end first
+    flipped = ColoredMultigraph(n, r, [(v, u, cs) for (u, v), cs in ref.items()])
     assert flipped == g and hash(flipped) == hash(g)
 
 
@@ -134,93 +135,80 @@ def test_color_operations_match_the_reference(data):
     want = {p: cs & keep for p, cs in ref.items() if cs & keep}
     assert g.subgraph_colors(keep) == graph_of(n, r, want)
 
-    new_r = data.draw(st.integers(1, 5))
-    # target 0 leaves a color out; several colors may share a target
-    targets = data.draw(st.lists(st.integers(0, new_r), min_size=r, max_size=r))
-    mapping = {c: t for c, t in enumerate(targets, 1) if t}
-    want = {}
-    for p, cs in ref.items():
-        mapped = frozenset(mapping[c] for c in cs if c in mapping)
-        if mapped:
-            want[p] = mapped
-    got = g.relabel_colors(mapping, new_r)
-    assert got == graph_of(n, new_r, want) and got.r == new_r
-
     assert closure(g) == graph_of(n, r, ref_closure(n, r, ref))
     assert closure(g).edges() == sorted((u, v, cs) for (u, v), cs
                                         in ref_closure(n, r, ref).items())
 
 
-def test_relabel_out_of_range_raises_only_on_a_used_color():
-    g = ColoredMultigraph.from_edges(3, 2, [(1, 2, 2)])
-    with pytest.raises(GraphError, match=r"color 5 on edge \(1,2\) out of range for r=3"):
-        g.relabel_colors({2: 5}, 3)
-    assert g.relabel_colors({1: 5, 2: 1}, 3).edges() == [(1, 2, frozenset({1}))]
-    two = ColoredMultigraph.from_edges(3, 2, [(0, 1, 1), (1, 2, 2)])
-    assert two.relabel_colors({1: 1, 2: 1}, 1).edges() == [
-        (0, 1, frozenset({1})), (1, 2, frozenset({1}))]
-    with pytest.raises(GraphError, match="color count must be nonnegative"):
-        g.relabel_colors({}, -1)
-
-
 @st.composite
 def faulty_edge_lists(draw):
-    """(n, r, entries, message): a valid edge list with one fault inserted."""
+    """(n, r, entries, message, edge, field): a valid edge list with one
+    fault inserted, its message, and the edge at fault and its field."""
     n, r, entries = draw(edge_lists())
     u = draw(st.integers(0, n - 1))
     kind = draw(st.sampled_from(("loop", "vertex", "color", "empty")))
     if kind == "loop":
-        bad, msg = (u, u, 1), f"loop at vertex {u}"
+        bad, msg, field = (u, u, 1), f"loop at vertex {u}", 1
     elif kind == "vertex":
         w = draw(st.sampled_from((-1, n, n + 3)))
         bad = draw(st.sampled_from(((u, w, 1), (w, u, 1))))
         msg = f"edge ({min(u, w)},{max(u, w)}) out of range for n={n}"
+        field = bad.index(w)
     elif kind == "color":
         c = draw(st.sampled_from((0, -1, r + 1)))
         n = max(n, 2)
         u, v = draw(st.sampled_from(list(itertools.permutations(range(n), 2))))
         bad = (u, v, draw(st.sampled_from((c, [c], [1, c]))))
         msg = f"color {c} on edge ({min(u, v)},{max(u, v)}) out of range for r={r}"
+        field = 2
     else:
         # a pair that no other entry colors
         free = [p for p in itertools.combinations(range(n), 2)
                 if p not in ref_of(entries)]
         assume(free)
         a, b = draw(st.sampled_from(free))
-        bad, msg = (b, a, []), f"edge ({a},{b}) has an empty color set"
+        bad, msg, field = (b, a, []), f"edge ({a},{b}) has an empty color set", 2
     at = draw(st.integers(0, len(entries)))
-    return n, r, entries[:at] + [bad] + entries[at:], msg
+    return n, r, entries[:at] + [bad] + entries[at:], msg, bad, field
 
 
 @SETTINGS
 @given(faulty_edge_lists())
 def test_each_fault_raises_its_message(nrem):
-    n, r, entries, msg = nrem
+    n, r, entries, msg, bad, field = nrem
     with pytest.raises(GraphError) as exc:
         ColoredMultigraph.from_edges(n, r, entries)
     assert str(exc.value) == msg
+    # the error carries the edge at fault and its field, for a parser to locate
+    assert (exc.value.item, exc.value.field) == (bad, field)
 
 
 def test_error_cases_of_both_constructors():
+    # (build, message, item, field); item None locates the fault in (n, r)
     cases = [
-        (lambda: ColoredMultigraph.from_edges(-1, 1, []), "vertex count must be nonnegative"),
-        (lambda: ColoredMultigraph.from_edges(2, -1, []), "color count must be nonnegative"),
-        (lambda: ColoredMultigraph(-1, 1, {}), "vertex count must be nonnegative"),
-        (lambda: ColoredMultigraph(2, -1, {}), "color count must be nonnegative"),
-        (lambda: ColoredMultigraph(3, 1, {(1, 1): {1}}), "loop at vertex 1"),
-        # the dict constructor names a pair as it was given
-        (lambda: ColoredMultigraph(3, 1, {(5, 0): {1}}), "edge (5,0) out of range for n=3"),
-        (lambda: ColoredMultigraph(3, 1, {(2, 0): {2}}),
-         "color 2 on edge (2,0) out of range for r=1"),
-        (lambda: ColoredMultigraph(3, 1, {(2, 0): frozenset()}),
-         "edge (2,0) has an empty color set"),
+        (lambda: ColoredMultigraph.from_edges(-1, 1, []), "vertex count must be nonnegative",
+         None, 0),
+        (lambda: ColoredMultigraph.from_edges(2, -1, []), "color count must be nonnegative",
+         None, 1),
+        (lambda: ColoredMultigraph(-1, 1, []), "vertex count must be nonnegative", None, 0),
+        (lambda: ColoredMultigraph(2, -1, []), "color count must be nonnegative", None, 1),
+        (lambda: ColoredMultigraph(3, 1, [(1, 1, {1})]), "loop at vertex 1", (1, 1, {1}), 1),
+        # a pair is named lower end first, and u is checked before the loop and v
+        (lambda: ColoredMultigraph(3, 1, [(5, 0, {1})]), "edge (0,5) out of range for n=3",
+         (5, 0, {1}), 0),
+        (lambda: ColoredMultigraph(3, 1, [(5, 5, 1)]), "edge (5,5) out of range for n=3",
+         (5, 5, 1), 0),
+        (lambda: ColoredMultigraph(3, 1, [(2, 0, {2})]),
+         "color 2 on edge (0,2) out of range for r=1", (2, 0, {2}), 2),
+        (lambda: ColoredMultigraph(3, 1, [(2, 0, frozenset())]),
+         "edge (0,2) has an empty color set", (2, 0, frozenset()), 2),
         (lambda: ColoredMultigraph.from_edges(3, 1, [(0, 1, 1), (2, 0, []), (0, 2, ())]),
-         "edge (0,2) has an empty color set"),
+         "edge (0,2) has an empty color set", (2, 0, []), 2),
     ]
-    for build, msg in cases:
+    for build, msg, item, field in cases:
         with pytest.raises(GraphError) as exc:
             build()
-        assert str(exc.value) == msg
+        assert (str(exc.value), exc.value.item, exc.value.field) == (msg, item, field)
 
 
 def test_empty_entry_beside_a_colored_one_is_accepted():

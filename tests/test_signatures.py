@@ -39,7 +39,7 @@ def test_signature_of_examples():
               [(i, (i + 2) % 5, 2) for i in range(5)])
     sig = sg.signature_of(cyc, range(5), [1, 2])
     assert sig.shapes() == ((5,), (5,))
-    empty = ColoredMultigraph(4, 2, {})
+    empty = ColoredMultigraph(4, 2, [])
     sig = sg.signature_of(empty, range(4), [1, 2])
     assert sig.shapes() == ((1, 1, 1, 1), (1, 1, 1, 1))
     with pytest.raises(Exception):
