@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (ColoredMultigraph, CoverCertificate, GraphError, alpha, checked,
-                   component_masks, diameter, layers, lowest_vertex,
-                   make_certificate, mask_of, reach, verify, vertices_of)
+from .core import (ColoredMultigraph, CoverCertificate, GraphError,
+                   _connected_diameter, alpha, checked, component_masks, diameter,
+                   layers, lowest_vertex, make_certificate, mask_of, reach, verify,
+                   vertices_of)
 from .exact import SolveBudget, min_cover, tc_exact
 
 
@@ -107,7 +108,7 @@ def _zone_cover(g, zone: int, max_pieces):
     for c in range(1, g.r + 1):
         adj = g.adjacency(c)
         for m in component_masks(adj, (1 << g.n) - 1):
-            if m & (m - 1) and m & zone and diameter(g, vertices_of(m), c) <= 6:
+            if m & (m - 1) and m & zone and _connected_diameter(adj, m, 6) <= 6:
                 add(c, m)
         for v in vertices_of(zone):
             # the layers are disjoint, so their sum is their union
@@ -621,7 +622,8 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
                   if comp & xm == xm or comp & ym == ym]
     assert side_comps, "a component of any edge contains a side here"
     for c, comp in side_comps:
-        if diameter(g, vertices_of(comp), c) <= 5:
+        # comp is connected in g's color c, as it is in adj[c]
+        if _connected_diameter(g.adjacency(c), comp, 5) <= 5:
             pieces = [(c, vertices_of(comp))]
             if xm & ~comp:
                 pieces += sub_bip_cover(xm & ~comp, ym & comp, other[c])

@@ -9,6 +9,7 @@ every operation here is a pure function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -38,41 +39,55 @@ class ColoredMultigraph:
     __slots__ = ("n", "r", "_adj", "_hash")
 
     def __init__(self, n: int, r: int, edges):
-        """Validate edges, an iterable of (u, v, color) or (u, v, iterable of
-        colors), and OR each one into its color rows, in one pass.
+        """OR each entry of edges, an iterable of (u, v, color) or (u, v,
+        iterable of colors), into its color rows.
 
         A pair may repeat and name either end first; it is empty only if its
-        colors add up to nothing.  An error names a pair lower end first, and
-        its item and field are worked out only once it is raised, so the
-        loop pays nothing for them.
+        colors add up to nothing.  An entry with a bare int color is checked
+        only for u == v: an end or color out of range fails the lookup of its
+        bit or row, and then _first_fault walks the entries again (an
+        iterator is materialised once for this) to raise the first fault in
+        list order.  Any other entry takes every check in the loop.  An error
+        names a pair lower end first, and carries the entry at fault as its
+        item and the index of the offending value in that entry as its field.
         """
         if n < 0:
             raise GraphError("vertex count must be nonnegative", None, 0)
         if r < 0:
             raise GraphError("color count must be nonnegative", None, 1)
+        if not isinstance(edges, list):
+            edges = list(edges)
         adj = [[0] * n for _ in range(r + 1)]
+        rows = dict(zip(range(1, r + 1), adj[1:]))
+        # 1 << v for a vertex v; None at n..2n-1, and so also at -n..-1
+        bit = [1 << v for v in range(n)] + [None] * n
         uncolored = []
-        for u, v, cols in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise _pair_error(n, u, v, cols)
-            if isinstance(cols, int):
-                # the common case, a bare color, builds no tuple and no flag
-                if not 1 <= cols <= r:
-                    raise _color_error(r, u, v, cols, cols)
-                row = adj[cols]
-                row[u] |= 1 << v
-                row[v] |= 1 << u
-                continue
-            colored = False
-            for c in cols:
-                if not 1 <= c <= r:
-                    raise _color_error(r, u, v, cols, c)
-                row = adj[c]
-                row[u] |= 1 << v
-                row[v] |= 1 << u
-                colored = True
-            if not colored:
-                uncolored.append((u, v, cols))
+        try:
+            for u, v, cols in edges:
+                if u == v:
+                    raise _pair_error(n, u, v, cols)
+                if type(cols) is int:
+                    row = rows[cols]
+                    row[u] |= bit[v]
+                    row[v] |= bit[u]
+                    continue
+                if not (0 <= u < n and 0 <= v < n):
+                    raise _pair_error(n, u, v, cols)
+                colored = False
+                for c in (cols,) if isinstance(cols, int) else cols:
+                    if not 1 <= c <= r:
+                        raise _color_error(r, u, v, cols, c)
+                    row = adj[c]
+                    row[u] |= bit[v]
+                    row[v] |= bit[u]
+                    colored = True
+                if not colored:
+                    uncolored.append((u, v, cols))
+        except (LookupError, TypeError):
+            fault = _first_fault(n, r, edges)
+            if fault is None:
+                raise
+            raise fault from None
         for u, v, cols in uncolored:
             if not any(row[u] >> v & 1 for row in adj):
                 raise GraphError(f"edge {_named(u, v)} has an empty color set", (u, v, cols), 2)
@@ -174,6 +189,28 @@ def _pair_error(n: int, u: int, v: int, cols) -> GraphError:
 def _color_error(r: int, u: int, v: int, cols, c: int) -> GraphError:
     return GraphError(f"color {c} on edge {_named(u, v)} out of range for r={r}",
                       (u, v, cols), 2)
+
+
+def _first_fault(n: int, r: int, edges) -> GraphError | None:
+    """The error of the first entry of edges, in list order, that is a loop
+    or has an end or a color out of range; None if there is none.
+
+    ColoredMultigraph calls this when a bit or row lookup failed.  A lookup
+    also fails on an end or color in range that is not an integer (1.5, say),
+    so such a value raises TypeError here, at the entry where the loop
+    stopped, and no later fault is reported in its place.  An empty color set
+    is not looked for: the constructor checks it after every entry, so any
+    fault found here comes first.
+    """
+    for u, v, cols in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return _pair_error(n, u, v, cols)
+        for c in (cols,) if isinstance(cols, int) else cols:
+            if not 1 <= c <= r:
+                return _color_error(r, u, v, cols, c)
+            for x in (c, u, v):
+                operator.index(x)
+    return None
 
 
 @dataclass(frozen=True)
@@ -343,9 +380,36 @@ def connected_subsets(adj, v: int, mask: int = -1, lower_twins=None, prune=None)
         stack.extend(reversed(children))
 
 
-def _connected_diameter(adj, mask: int) -> int:
-    """Diameter of the connected subgraph induced on a nonempty mask."""
-    return max(len(layers(adj, v, mask)) - 1 for v in vertices_of(mask))
+def _connected_diameter(adj, mask: int, at_most: int | None = None) -> int:
+    """Diameter of the connected subgraph induced on a nonempty mask, by
+    eccentricity bounds (Takes and Kosters, "Determining the diameter of
+    small world networks", CIKM 2011).
+
+    The diameter is the largest eccentricity.  One BFS from w gives ecc(w),
+    and every v at distance d from w has ecc(v) <= ecc(w) + d, so v needs no
+    BFS of its own once that bound is at most the cap: the largest
+    eccentricity found so far, or at_most=k when given.  BFS runs from the
+    lowest vertex not yet bounded until none is left.
+
+    With at_most=k the search stops as soon as diameter <= k is settled, and
+    the result is at most k exactly when the diameter is: an eccentricity
+    above k, or the largest one found, not always the diameter.
+    """
+    best = 0
+    todo = mask  # the vertices whose eccentricity may still exceed the cap
+    searched = []  # (ecc(w), the BFS layers from w) per vertex w searched
+    while todo:
+        dist = layers(adj, lowest_vertex(todo), mask)
+        e = len(dist) - 1
+        if at_most is not None and e > at_most:
+            return e
+        searched.append((e, dist))
+        best = max(best, e)
+        cap = best if at_most is None else at_most
+        for ew, dw in searched:
+            # the layers are disjoint, so this sum is the ball of radius cap - ew
+            todo &= ~sum(dw[:cap - ew + 1])
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +457,8 @@ def diameter(g: ColoredMultigraph, vertices, c: int) -> float:
     """Diameter of the color-c subgraph induced on the given vertex set.
 
     Only edges with both endpoints inside the set count.  Returns math.inf when
-    the induced subgraph is disconnected, 0 for a single vertex.
+    the induced subgraph is disconnected, 0 for a single vertex; otherwise
+    the exact value from the eccentricity-bound kernel _connected_diameter.
     """
     adj = g.adjacency(c)
     mask = mask_of(vertices)
@@ -480,9 +545,10 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
     subgraph its color induces on its mask.  One BFS from the piece's lowest
     vertex tells whether it is connected and gives that vertex's eccentricity
     e, so the diameter is at most 2e.  A declared radius R < e is settled by
-    looking for a vertex within R of the whole piece, after which e = R.  The
-    exact diameter (BFS from every vertex) is computed only when a declared
-    diameter bound is below 2e.
+    looking for a vertex within R of the whole piece, after which e = R.  A
+    declared diameter bound below 2e is tested by _connected_diameter with
+    at_most=bound; the exact diameter is computed only to name it in a
+    rejection.
     """
     n, bound, radius = g.n, cert.declared_max_diam, cert.declared_max_radius
     if cert.declared_max_size is not None and len(cert.pieces) > cert.declared_max_size:
@@ -515,9 +581,9 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
                 return VerifyResult(False, f"piece {i} has radius > {radius}")
             e = radius
         if bound is not None and bound < 2 * e:
-            d = _connected_diameter(row, m)
-            if d > bound:
-                return VerifyResult(False, f"piece {i} has diameter {d} > {bound}")
+            if _connected_diameter(row, m, bound) > bound:
+                return VerifyResult(False, f"piece {i} has diameter "
+                                           f"{_connected_diameter(row, m)} > {bound}")
         covered |= m
     missing = ~covered & ((1 << n) - 1)
     if missing:

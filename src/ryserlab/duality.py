@@ -36,7 +36,9 @@ class ColoredHypergraph:
 
     Edges are (color, vertices) pairs and may repeat.  Their colors lie in
     1..r, and either every edge has one or none does.  The parts, when
-    given, partition 0..n-1, and no edge meets a part twice.
+    given, partition 0..n-1, and no edge meets a part twice.  With n = 0
+    they are () even when not given: that is the one partition of no
+    vertices.
     """
 
     __slots__ = ("n", "k", "r", "parts", "_hyperedges")
@@ -50,6 +52,8 @@ class ColoredHypergraph:
         self.k = k
         self.r = r
         owner = None  # vertex -> index of its part
+        if parts is None and n == 0:
+            parts = ()
         if parts is not None:
             parts = [tuple(p) for p in parts]
             owner = {}

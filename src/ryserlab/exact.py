@@ -126,8 +126,16 @@ def min_cover(universe: int, candidates, budget: SolveBudget, at_most=None):
         acc |= best[0]
     best_size = len(greedy)
     best_sol = [p for _, p in greedy]
+    charge = budget.charge
     stop = -1 if at_most is None else at_most  # a cover this small ends the search
-    if best_size > stop and at_most is not None:
+    if best_size <= stop:
+        try:
+            charge("set cover")
+        except Inconclusive as exc:
+            exc.best = (best_size, best_sol)
+            raise
+        return best_size, best_sol
+    if at_most is not None:
         best_size, best_sol = at_most + 1, None
 
     by_elem = [[] for _ in range(universe.bit_length())]
@@ -138,7 +146,6 @@ def min_cover(universe: int, candidates, budget: SolveBudget, at_most=None):
             by_elem[b.bit_length() - 1].append((m, p))
             mm ^= b
     maxsize = cands[0][0].bit_count()
-    charge = budget.charge
 
     def rec(acc, chosen):
         nonlocal best_size, best_sol
@@ -171,10 +178,7 @@ def min_cover(universe: int, candidates, budget: SolveBudget, at_most=None):
             chosen.pop()
 
     try:
-        if best_size <= stop:
-            charge("set cover")
-        else:
-            rec(0, [])
+        rec(0, [])
     except _Covered:
         pass
     except Inconclusive as exc:
@@ -236,7 +240,7 @@ def _connected_subsets_with_diam(g, c, max_diam, budget):
         # every subset once, grown from its lowest vertex
         for mask in connected_subsets(adj, v, full & ~((1 << v) - 1)):
             budget.charge("diameter pieces")
-            if _connected_diameter(adj, mask) <= max_diam:
+            if _connected_diameter(adj, mask, max_diam) <= max_diam:
                 out.append((mask, vertices_of(mask)))
     out.sort()
     return out

@@ -182,6 +182,19 @@ def test_written_duals_parse_back(g):
                                                                     h.edges())
 
 
+def test_dual_of_the_empty_graph_round_trips():
+    # its dual has no vertices and no parts, so the file has no part line;
+    # read back, the hypergraph still has the one partition of no vertices
+    h, _ = du.graph_to_hypergraph(cli.parse_graph("cg 0 0\n"))
+    text = cli.write_hypergraph(h)
+    assert text == "hg 0 0 0\n"
+    back = cli.parse_hypergraph(text)
+    assert back.parts == h.parts == ()
+    assert du.hypergraph_to_graph(back) == ColoredMultigraph(0, 0, [])
+    assert du.check_duality(back).ok
+    assert du.ColoredHypergraph(0).parts == ()
+
+
 @pytest.mark.parametrize("n, k, r, what", [(-1, 2, 0, "vertex count n"),
                                            (3, -2, 0, "uniformity k"),
                                            (3, 2, -1, "color count r")])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ryserlab import hypercover as hc
-from ryserlab.core import (ColoredMultigraph, closure, components,
+from ryserlab.core import (ColoredMultigraph, _connected_diameter, closure, components,
                            connected_subsets, diameter, layers, mask_of)
 from ryserlab.duality import ColoredHypergraph
 from ryserlab.signatures import SignatureSet, signature_of
@@ -108,6 +108,50 @@ def test_induced_diameter_matches_bfs(gv):
     g, vs = gv
     for c in range(1, g.r + 1):
         assert diameter(g, vs, c) == ref_diameter(ref_neighbors(g, c), vs)
+
+
+@st.composite
+def connected_pieces(draw):
+    """(g, c, vertex list) with the list connected in color c: n <= 12,
+    r <= 3, a drawn edge density so that paths and long diameters come up,
+    and the color-c component of a drawn vertex inside a drawn vertex set."""
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, 3))
+    density = draw(st.integers(1, 8))
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.integers(0, 9)) < density:
+            edges.append((u, v, draw(st.frozensets(st.integers(1, r), min_size=1))))
+    g = ColoredMultigraph(n, r, edges)
+    c = draw(st.integers(1, r))
+    inside = draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+    start = draw(st.sampled_from(sorted(inside)))
+    return g, c, sorted(ref_dist(ref_neighbors(g, c), start, inside))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_pieces())
+def test_eccentricity_bounds_match_all_pairs_bfs(gcv):
+    g, c, vs = gcv
+    want = ref_diameter(ref_neighbors(g, c), vs)
+    adj, mask = g.adjacency(c), mask_of(vs)
+    assert diameter(g, vs, c) == want
+    assert _connected_diameter(adj, mask) == want
+    # the bounded test settles "diameter <= k" for every k, by a value on the
+    # same side of k as the diameter
+    for k in range(g.n + 1):
+        assert (_connected_diameter(adj, mask, at_most=k) <= k) == (want <= k)
+
+
+def test_eccentricity_bounds_on_a_path():
+    # one BFS from the end 0 gives 5; the bounded test stops there below 5
+    p6 = ColoredMultigraph(6, 1, [(i, i + 1, 1) for i in range(5)])
+    adj = p6.adjacency(1)
+    assert _connected_diameter(adj, 0b111111) == 5
+    assert _connected_diameter(adj, 0b111111, at_most=4) == 5
+    assert _connected_diameter(adj, 0b111111, at_most=5) <= 5
+    assert _connected_diameter(adj, 0b011110) == 3
+    assert _connected_diameter(adj, 0b1) == 0
 
 
 @SETTINGS

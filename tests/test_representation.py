@@ -216,3 +216,115 @@ def test_empty_entry_beside_a_colored_one_is_accepted():
                                             (2, 1, [1, 2])])
     assert g.edges() == [(0, 1, frozenset({2})), (1, 2, frozenset({1, 2}))]
     assert ColoredMultigraph.from_edges(0, 0, []).edges() == []
+
+
+def ref_rows(n, r, edges):
+    """The color rows of ColoredMultigraph(n, r, edges), by a loop that checks
+    each entry in full before it ORs it in; raises as the constructor must."""
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative", None, 0)
+    if r < 0:
+        raise GraphError("color count must be nonnegative", None, 1)
+    adj = [[0] * n for _ in range(r + 1)]
+    uncolored = []
+    for u, v, cols in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            lo, hi = min(u, v), max(u, v)
+            if not 0 <= u < n:
+                raise GraphError(f"edge ({lo},{hi}) out of range for n={n}", (u, v, cols), 0)
+            if u == v:
+                raise GraphError(f"loop at vertex {u}", (u, v, cols), 1)
+            raise GraphError(f"edge ({lo},{hi}) out of range for n={n}", (u, v, cols), 1)
+        colored = False
+        for c in (cols,) if isinstance(cols, int) else cols:
+            if not 1 <= c <= r:
+                raise GraphError(f"color {c} on edge ({min(u, v)},{max(u, v)}) out of "
+                                 f"range for r={r}", (u, v, cols), 2)
+            row = adj[c]
+            row[u] |= 1 << v
+            row[v] |= 1 << u
+            colored = True
+        if not colored:
+            uncolored.append((u, v, cols))
+    for u, v, cols in uncolored:
+        if not any(row[u] >> v & 1 for row in adj):
+            raise GraphError(f"edge ({min(u, v)},{max(u, v)}) has an empty color set",
+                             (u, v, cols), 2)
+    return tuple(map(tuple, adj))
+
+
+@st.composite
+def entry_lists(draw):
+    """(n, r, entries, as_iterator): valid entries (int colors, bool colors,
+    lists, tuples and sets of colors, [] beside a colored entry of the pair),
+    with 0-3 faults inserted at drawn positions.  A fault is a loop, an end
+    or color out of range (either sign, near or far), an empty color set,
+    or a color or end that is not an integer."""
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(0, 4))
+    entries = []
+    if n >= 2 and r >= 1:
+        for _ in range(draw(st.integers(0, 12))):
+            u, v = draw(st.permutations(range(n)))[:2]
+            kind = draw(st.sampled_from(("int", "bool", "list", "tuple", "set")))
+            if kind == "int":
+                cols = draw(st.integers(1, r))
+            elif kind == "bool":
+                cols = True
+            else:
+                cols = {"list": list, "tuple": tuple, "set": set}[kind](
+                    draw(st.lists(st.integers(1, r), min_size=1, max_size=3)))
+            entries.append((u, v, cols))
+            if draw(st.integers(0, 4)) == 0:
+                entries.append((v, u, []))
+    far = (-1, -n, -n - 1, -2 * n - 3, n, n + 1, 2 * n, 2 * n + 5, 10 ** 12)
+    bad_colors = (0, -1, r + 1, -r - 1, -2 * r - 3, 2 * r + 2, 10 ** 12)
+    ok_vertex = st.integers(0, max(n - 1, 0))
+    ok_color = st.integers(1, max(r, 1))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("loop", "vertex", "color", "color in list", "empty",
+                                     "false", "odd color", "odd vertex")))
+        u, v = draw(ok_vertex), draw(ok_vertex)
+        if kind == "loop":
+            bad = (u, u, draw(ok_color))
+        elif kind == "vertex":
+            w = draw(st.sampled_from(far))
+            bad = draw(st.sampled_from(((u, w, draw(ok_color)), (w, u, draw(ok_color)))))
+        elif kind == "color":
+            bad = (u, v, draw(st.sampled_from(bad_colors)))
+        elif kind == "color in list":
+            bad = (u, v, [draw(ok_color), draw(st.sampled_from(bad_colors))])
+        elif kind == "empty":
+            bad = (u, v, draw(st.sampled_from(([], (), set()))))
+        elif kind == "false":
+            bad = (u, v, False)
+        elif kind == "odd color":
+            bad = (u, v, draw(st.sampled_from((1.0, None, "1", [1.0], [2.5], [None]))))
+        else:
+            w = draw(st.sampled_from((0.5, 1.0, "a", None)))
+            bad = draw(st.sampled_from(((u, w, draw(ok_color)), (w, u, draw(ok_color)),
+                                        (w, u, [draw(ok_color)]))))
+        entries.insert(draw(st.integers(0, len(entries))), bad)
+    return n, r, entries, draw(st.booleans())
+
+
+def outcome(build):
+    """("rows", rows) or ("raises", type, message, item, field) of build()."""
+    try:
+        return ("rows", build())
+    except Exception as exc:  # noqa: BLE001 - every exception is compared
+        if isinstance(exc, GraphError):
+            return ("raises", GraphError, str(exc), exc.item, exc.field)
+        # an error of Python itself (a value that is not an int) need only
+        # be of the same type
+        return ("raises", type(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_lists())
+def test_constructor_matches_the_checked_loop(nrei):
+    n, r, entries, as_iterator = nrei
+    want = outcome(lambda: ref_rows(n, r, entries))
+    given_entries = (e for e in entries) if as_iterator else entries
+    got = outcome(lambda: ColoredMultigraph(n, r, given_entries)._adj)
+    assert got == want
