@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -675,3 +676,122 @@ def test_every_constructive_cover_round_trips_through_the_cover_format():
     for cert in certs:
         back = cli.parse_cover(cli.write_cover(cert))
         assert (back.pieces, back.mode) == (cert.pieces, cert.mode)
+
+
+# ---------------------------------------------------------------- pinned answers
+
+
+def rand_blowup(r, rng):
+    """K_n whose vertices fall into types, vertex 0 a type of its own; a pair
+    across two types mostly takes that type pair's color."""
+    sizes = [1] + [rng.randint(1, 3) for _ in range(rng.randint(r - 1, r + 1))]
+    types = [t for t, s in enumerate(sizes) for _ in range(s)]
+    tcol = {}
+
+    def col(u, v):
+        a, b = sorted((types[u], types[v]))
+        if a == b or rng.random() < 0.15:
+            return rng.randint(1, r)
+        return tcol.setdefault((a, b), rng.randint(1, r))
+    return complete_graph(len(types), col, r)
+
+
+def rand_rooted(r, rng):
+    """Vertex 0 joins part i in color i; a pair across parts i and j mostly
+    avoids both colors, so cover_complete's sets B_ij are rarely empty and
+    its endgames run."""
+    part = [0] + [i for i in range(1, r + 1) for _ in range(rng.randint(1, 3))]
+
+    def col(u, v):
+        if u == 0:
+            return part[v]
+        others = [c for c in range(1, r + 1) if c not in (part[u], part[v])]
+        if part[u] == part[v] or not others or rng.random() < 0.25:
+            return rng.randint(1, r)
+        return rng.choice(others)
+    return complete_graph(len(part), col, r)
+
+
+def rand_layered(n, rng):
+    """K_{n,n} with a color-3 path through all of it and colors 1, 2 elsewhere,
+    so cover_bipartite3 reaches its layered decomposition."""
+    X, Y = list(range(n)), list(range(n, 2 * n))
+    path = {(X[i], Y[i]) for i in range(n)} | {(X[i + 1], Y[i]) for i in range(n - 1)}
+    edges = [(x, y, 3 if (x, y) in path else rng.randint(1, 2)) for x in X for y in Y]
+    return ColoredMultigraph(2 * n, 3, edges), X, Y
+
+
+def constructive_stream():
+    """The cover text and declared bounds of every constructive cover, and
+    the tag and data of every classification, on a seeded stream."""
+    rng = random.Random(30)
+    out = []
+
+    def cover(cert):
+        out.append(cli.write_cover(cert))
+        out.append(f"{cert.declared_max_size} {cert.declared_max_diam} "
+                   f"{cert.declared_max_radius} {sorted(cert.allowed_colors or ())}\n")
+
+    def tag(cls):
+        out.append(f"{cls.tag} {cls.data!r}\n")
+
+    for _ in range(150):
+        for r in (2, 3, 4):
+            cover(cv.cover_complete(rand_complete(rng.randint(1, 12), r, rng), r))
+            cover(cv.cover_complete(rand_blowup(r, rng), r))
+            cover(cv.cover_complete(rand_rooted(r, rng), r))
+        g, X, Y = rand_bip(rng.randint(1, 7), rng.randint(1, 7), 2, rng)
+        cls, cert = cv.classify_bipartite2(g, X, Y)
+        tag(cls)
+        cover(cert)
+        g, X, Y = rand_bip(rng.randint(2, 9), rng.randint(2, 9), 3, rng)
+        cover(cv.cover_bipartite3(g, X, Y))
+        cover(cv.cover_bipartite3(*rand_layered(rng.randint(4, 8), rng)))
+        g = None
+        while g is None or alpha(g)[0] != 2:
+            g = rand_alpha2(rng.randint(3, 14), rng)
+        cover(cv.cover_alpha2(g))
+        # two blobs, each mostly in its own color
+        g = None
+        while g is None or alpha(g)[0] != 2:
+            n = rng.randint(4, 12)
+            side = [rng.randint(0, 1) for _ in range(n)]
+            g = ColoredMultigraph(n, 2, [
+                (u, v, side[u] + 1 if side[u] == side[v] and rng.random() < 0.8
+                 else rng.randint(1, 2)) for u, v in itertools.combinations(range(n), 2)
+                if side[u] == side[v] or rng.random() < 0.4])
+        cover(cv.cover_alpha2(g))
+        for r, k in ((2, rng.randint(2, 4)), (3, 3)):
+            g, parts = rand_multi([rng.randint(1, 5) for _ in range(k)], r, rng)
+            cover(cv.cover_multipartite(g, parts, r))
+        # two parts whose colors both split by a vertex label
+        nx, ny = rng.randint(1, 5), rng.randint(1, 5)
+        lab = [rng.randint(0, 1) for _ in range(nx + ny)]
+        g = ColoredMultigraph(nx + ny, 2, [(x, y, 1 if lab[x] == lab[y] else 2)
+                                           for x in range(nx) for y in range(nx, nx + ny)])
+        cover(cv.cover_multipartite(g, [range(nx), range(nx, nx + ny)], 2))
+        for r in (3, 4, 5):
+            S = sorted(rng.sample(range(1, r + 1), 2))
+            P = [c for c in range(1, r + 1) if c not in S]
+            g = closure(rand_complete(rng.randint(2, 16), r, rng))
+            cover(cv.restricted_cover(g, r, S))
+            # S rare, so alpha of its colors is large
+            g = closure(complete_graph(rng.randint(r, 16), lambda u, v: rng.choice(
+                S if rng.random() < 0.15 else P), r))
+            cover(cv.restricted_cover(g, r, S))
+        tag(cv.classify3(rand_complete(rng.randint(1, 10), 3, rng)))
+        tag(cv.classify3(rand_blowup(3, rng)))
+    for case in (1, 2):
+        cover(cv.restricted_cover(engineer_residual(case), 5, [4, 5]))
+    for _, rows in LAYERED_DE:
+        nx, ny = len(rows), len(rows[0])
+        g = ColoredMultigraph(nx + ny, 3, [(x, nx + y, int(c)) for x, row in enumerate(rows)
+                                           for y, c in enumerate(row)])
+        cover(cv.cover_bipartite3(g, range(nx), range(nx, nx + ny)))
+    return "".join(out)
+
+
+def test_constructive_answers_are_pinned():
+    # a refactor of the proofs must not change any cover or classification
+    digest = hashlib.sha256(constructive_stream().encode()).hexdigest()
+    assert digest == "9711c590d792d741c78ef9f560d23430866be5d0cff9a1c6ef9b8c4dffeac471"
