@@ -15,20 +15,24 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (ColoredMultigraph, CoverCertificate, GraphError,
-                   _connected_diameter, alpha, checked, component_masks, diameter,
-                   layers, lowest_vertex, make_certificate, mask_of, reach, verify,
-                   vertices_of)
+                   _connected_diameter, _induced_diameter, alpha, checked, closure,
+                   component_masks, layers, lowest_vertex, mask_of, reach, vertices_of)
 from .exact import SolveBudget, min_cover, tc_exact
 
 
 # ---------------------------------------------------------------------------
 # small helpers
+#
+# A proof holds every vertex set as a mask, and its pieces as (color, mask)
+# pairs, which core.checked turns into the certificate.
 
 
 def _least_colors(g: ColoredMultigraph, colors) -> dict:
     """The reduced coloring, in which each pair keeps its first color in the
     given order: per color, the mask adjacency of the pairs it keeps (a color
-    above g.r has empty rows)."""
+    above g.r has empty rows).  A pair keeps one color, so the rows of two
+    colors are disjoint, and pair uv keeps c exactly when bit v of row u of c
+    is set."""
     out, lower = {}, [0] * g.n
     for c in colors:
         row = g.adjacency(c) if c <= g.r else [0] * g.n
@@ -37,33 +41,37 @@ def _least_colors(g: ColoredMultigraph, colors) -> dict:
     return out
 
 
-def _color_reader(least: dict):
-    """col(u, v): the color that the table least keeps on the pair uv, or None."""
-    rows = tuple(least.items())
-
-    def col(u, v):
-        for c, adj in rows:
-            if adj[u] >> v & 1:
-                return c
-        return None
-    return col
+def _around(adj, mask: int) -> int:
+    """The vertices joined in the mask adjacency adj to some vertex of mask."""
+    out = 0
+    for v in vertices_of(mask):
+        out |= adj[v]
+    return out
 
 
-def _bipartite_colors(g: ColoredMultigraph, X, Y, colors) -> dict:
-    """The least-color table of the X-Y pairs alone; every such pair must
-    carry one of the colors.  The sides must be disjoint sets of vertices
-    of g."""
+def _side_masks(g: ColoredMultigraph, X, Y, who: str):
+    """The masks of the sides X and Y that a caller gives a bipartite proof:
+    nonempty, disjoint sets of vertices of g."""
+    X, Y = sorted(X), sorted(Y)
+    if not X or not Y:
+        raise GraphError(f"{who} needs two nonempty sides")
     for v in (*X, *Y):
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} is outside 0..{g.n - 1}")
     xm, ym = mask_of(X), mask_of(Y)
     if xm & ym:
         raise GraphError(f"vertex {lowest_vertex(xm & ym)} is on both sides")
+    return xm, ym
+
+
+def _bipartite_colors(g: ColoredMultigraph, xm: int, ym: int, colors) -> dict:
+    """The least-color table of the pairs between the disjoint vertex masks
+    xm and ym alone; every such pair must carry one of the colors."""
     # per vertex, the other side
     side = [xm if ym >> v & 1 else ym if xm >> v & 1 else 0 for v in range(g.n)]
     least = {c: [m & s for m, s in zip(rows, side)]
              for c, rows in _least_colors(g, colors).items()}
-    for x in X:
+    for x in vertices_of(xm):
         # the rows are disjoint, so their sum is their union
         missing = ym & ~sum(rows[x] for rows in least.values())
         if missing:
@@ -71,18 +79,6 @@ def _bipartite_colors(g: ColoredMultigraph, X, Y, colors) -> dict:
             raise GraphError(f"pair ({x},{lowest_vertex(missing)}) carries none "
                              f"of the colors {names}")
     return least
-
-
-def _vertex_pieces(pairs):
-    """The (color, vertex list) pieces of (color, mask) pairs, each pair once,
-    in first-seen order."""
-    return [(c, vertices_of(m)) for c, m in dict.fromkeys(pairs)]
-
-
-def _tree(c, x, leaves, attach=()):
-    """The color-c piece on x, its color-c neighbors leaves and the vertices
-    attach that the proof hangs on them."""
-    return (c, [x] + list(leaves) + list(attach))
 
 
 def _zone_cover(g, zone: int, max_pieces):
@@ -103,7 +99,7 @@ def _zone_cover(g, zone: int, max_pieces):
 
     def add(c, m):
         if m & zone:
-            cands.setdefault((c, m & zone), (m, (c, vertices_of(m))))
+            cands.setdefault((c, m & zone), (m, (c, m)))
 
     for c in range(1, g.r + 1):
         adj = g.adjacency(c)
@@ -141,112 +137,90 @@ class BipartiteClass:
 @dataclass
 class _Bip2:
     cls: BipartiteClass
-    tree_pieces: list      # <= 2 (color, verts), each of radius <= 2 in its color
-    single_piece: tuple | None  # one spanning (color, verts) of diameter <= 6, P3 only
+    tree_pieces: list      # <= 2 (color, mask), each of radius <= 2 in its color
+    single_piece: tuple | None  # one spanning (color, mask) of diameter <= 6, P3 only
 
 
-def _classify2(g: ColoredMultigraph, X, Y, ca: int, cb: int) -> _Bip2:
-    """Classify the (ca,cb)-coloring of the complete bipartite graph [X, Y].
+def _classify2(g: ColoredMultigraph, xm: int, ym: int, ca: int, cb: int) -> _Bip2:
+    """Classify the (ca,cb)-coloring of the complete bipartite graph between
+    the disjoint vertex masks xm and ym.
 
     Every X-Y pair must carry ca or cb; a pair that carries both counts as
     ca.  Precedence P1 > P2 > P3.
     """
-    X = sorted(X)
-    Y = sorted(Y)
-    if not X or not Y:
+    if not xm or not ym:
         raise GraphError("classify2 needs two nonempty sides")
-    adj = _bipartite_colors(g, X, Y, (ca, cb))
-    both = X + Y
-    xm, ym = mask_of(X), mask_of(Y)
+    adj = _bipartite_colors(g, xm, ym, (ca, cb))
     full = xm | ym
     # every X-Y pair keeps one color, so a vertex is one-colored in c exactly
     # when it keeps no pair in the other color
-    other_color = {ca: cb, cb: ca}
+    only = {c: mask_of(v for v in vertices_of(full) if not adj[oc][v])
+            for c, oc in ((ca, cb), (cb, ca))}
 
     # P1: two one-colored vertices on a common side
-    for side, other, dc_side in ((X, Y, "Y"), (Y, X, "X")):
-        pa = [v for v in side if not adj[cb][v]]
-        pb = [v for v in side if not adj[ca][v]]
-        if pa and pb:
-            va, vb = pa[0], pb[0]
+    for side, other, dc_side in ((xm, ym, "Y"), (ym, xm, "X")):
+        if side & only[ca] and side & only[cb]:
+            va, vb = lowest_vertex(side & only[ca]), lowest_vertex(side & only[cb])
             # cover: the color-ca star from va with the ca-neighbors of the
             # lowest vertex of the covered side hung on it, and that vertex's
             # cb star
-            anchor = other[0]
-            t1 = (ca, [va] + other + vertices_of(adj[ca][anchor] & ~(1 << va)))
-            t2 = _tree(cb, anchor, vertices_of(adj[cb][anchor]))
+            anchor = lowest_vertex(other)
+            t1 = (ca, 1 << va | other | adj[ca][anchor])
+            t2 = (cb, 1 << anchor | adj[cb][anchor])
             return _Bip2(BipartiteClass("P1", (dc_side, va, vb)), [t1, t2], None)
 
     # a single one-colored vertex forces its color to span (P3)
     for c in (ca, cb):
-        v = next((v for v in both if not adj[other_color[c]][v]), None)
-        if v is not None:
-            # v joins its whole other side in c: radius <= 2 about v
-            return _Bip2(BipartiteClass("P3", (c,)), [(c, both)], (c, sorted(both)))
+        if only[c]:
+            # it joins its whole other side in c: radius <= 2 about it
+            return _Bip2(BipartiteClass("P3", (c,)), [(c, full)], (c, full))
 
-    conn = {c: reach(adj[c], both[0]) == full for c in (ca, cb)}
+    x0 = lowest_vertex(xm)
+    conn = {c: reach(adj[c], x0) == full for c in (ca, cb)}
 
     if not conn[ca] and not conn[cb]:
-        # P2: both classes disconnected; the cb-component of X[0] holds
-        # X1 and Y2, and [X1,Y1], [X2,Y2] are the color-ca blocks
-        C = reach(adj[cb], both[0])
-        X1, X2, Y1, Y2 = (tuple(vertices_of(m))
-                          for m in (xm & C, xm & ~C, ym & ~C, ym & C))
-        assert all(adj[ca][x] & ym & ~C == ym & ~C for x in X1)
-        cls = BipartiteClass("P2", (X1, X2, Y1, Y2))
-        return _Bip2(cls, [(ca, X1 + Y1), (ca, X2 + Y2)], None)
+        # P2: both classes disconnected; the cb-component of X's lowest vertex
+        # holds X1 and Y2, and [X1,Y1], [X2,Y2] are the color-ca blocks
+        C = reach(adj[cb], x0)
+        X1, X2, Y1, Y2 = xm & C, xm & ~C, ym & ~C, ym & C
+        assert all(adj[ca][x] & Y1 == Y1 for x in vertices_of(X1))
+        cls = BipartiteClass("P2", tuple(tuple(vertices_of(m)) for m in (X1, X2, Y1, Y2)))
+        return _Bip2(cls, [(ca, X1 | Y1), (ca, X2 | Y2)], None)
 
     c = ca if conn[ca] else cb
-    oc = other_color[c]
+    oc = cb if c == ca else ca
     # eccentricities in the connected class
-    eccs = {v: len(layers(adj[c], v)) - 1 for v in both}
+    eccs = {v: len(layers(adj[c], v)) - 1 for v in vertices_of(full)}
     d = max(eccs.values())
-    v0 = min(v for v in both if eccs[v] == d)
+    v0 = min(v for v in eccs if eccs[v] == d)
     dist = layers(adj[c], v0)
-    by_dist = [vertices_of(m) for m in dist]
 
     # the color-c ball of radius 2 about v0
-    t1 = (c, [v for vs in by_dist[:3] for v in vs])
+    t1 = (c, dist[0] | dist[1] | dist[2])
     if d <= 2:
-        return _Bip2(BipartiteClass("P3", (c,)), [t1], (c, sorted(both)))
+        return _Bip2(BipartiteClass("P3", (c,)), [t1], (c, full))
 
     if d == 3:
-        trees = [t1, (oc, [v0] + by_dist[3])]
+        trees = [t1, (oc, dist[0] | dist[3])]
     elif d == 4:
-        # two radius-2 pieces in the other color, about v0 and w0: a middle
-        # vertex hangs on layer 3 if it sees it in the other color, else on
-        # layer 1
-        t1_verts = [v0] + by_dist[3]
-        w0 = by_dist[4][0]
-        t2_verts = [w0] + by_dist[1] + by_dist[4][1:]
-        for u in by_dist[2]:
-            if adj[oc][u] & dist[3]:
-                t1_verts.append(u)
-            else:
-                assert adj[oc][u] & dist[1], "every middle vertex sees the other color"
-                t2_verts.append(u)
-        trees = [(oc, t1_verts), (oc, t2_verts)]
+        # two radius-2 pieces in the other color, about v0 and the lowest
+        # vertex of layer 4: a middle vertex hangs on layer 3 if it sees it in
+        # the other color, else on layer 1
+        near3 = dist[2] & _around(adj[oc], dist[3])
+        assert not dist[2] & ~near3 & ~_around(adj[oc], dist[1]), \
+            "every middle vertex sees the other color"
+        trees = [(oc, dist[0] | dist[3] | near3),
+                 (oc, dist[1] | dist[4] | dist[2] & ~near3)]
     else:
-        # d >= 5: two double stars in the other color, on the pairs v0 z and
-        # w4 y1: v0 joins the odd layers from 3 and z layer 2 and the even
-        # layers from 8; w4 joins layer 1 and y1 layers 4 and 6
-        z = by_dist[5][0]
-        y1 = by_dist[1][0]
-        w4 = by_dist[4][0]
-        t1_verts = [v0, z]
-        t2_verts = [y1, w4]
-        for i, vs in enumerate(by_dist[1:], start=1):
-            for u in vs:
-                if u not in (z, y1, w4):
-                    (t2_verts if i in (1, 4, 6) else t1_verts).append(u)
-        trees = [(oc, t1_verts), (oc, t2_verts)]
+        # d >= 5: two double stars in the other color, one on v0 and the
+        # lowest vertex of layer 5, joining the layers other than 1, 4 and 6,
+        # and one on the lowest vertices of layers 1 and 4, joining those
+        t2 = dist[1] | dist[4] | (dist[6] if d >= 6 else 0)
+        trees = [(oc, full & ~t2), (oc, t2)]
 
-    if d <= 6:
-        single = (c, sorted(both))
-    else:
-        # the other class spans with radius <= 3 (anchored in layer 3)
-        single = (oc, sorted(both))
-    return _Bip2(BipartiteClass("P3", (c if d <= 6 else oc,)), trees, single)
+    # past 6 the other class spans with radius <= 3 (anchored in layer 3)
+    span = c if d <= 6 else oc
+    return _Bip2(BipartiteClass("P3", (span,)), trees, (span, full))
 
 
 def classify_bipartite2(g: ColoredMultigraph, X, Y):
@@ -255,7 +229,7 @@ def classify_bipartite2(g: ColoredMultigraph, X, Y):
     Returns (BipartiteClass, CoverCertificate of <= 2 pieces of radius <= 2,
     so each holds a spanning tree of diameter <= 4).
     """
-    res = _classify2(g, X, Y, 1, 2)
+    res = _classify2(g, *_side_masks(g, X, Y, "classify2"), 1, 2)
     cert = checked(g, res.tree_pieces, 2, 4, max_radius=2)
     return res.cls, cert
 
@@ -288,130 +262,105 @@ def cover_complete(g: ColoredMultigraph, r: int) -> CoverCertificate:
 def _complete_pieces(g, r):
     n = g.n
     if n <= 1:
-        return [(1, list(range(n)))] if n else []
-    x = 0
+        return [(1, 1)] if n else []
+    x = 1  # the mask of the vertex x = 0
     colors = range(1, r + 1)
-    # col(u, v) == i exactly when bit v of least[i][u] is set
     least = _least_colors(g, colors)
-    col = _color_reader(least)
-    amask = {i: least[i][x] for i in colors}
-    A = {i: vertices_of(amask[i]) for i in colors}
+    A = {i: least[i][0] for i in colors}
     if not all(A.values()):
-        return [_tree(i, x, A[i]) for i in colors if A[i]]
-    B = {(i, j): [v for v in A[i] if not least[j][v] & amask[j]]
-         for i, j in itertools.permutations(colors, 2)}
+        return [(i, x | A[i]) for i in colors if A[i]]
+    # the vertices that send color j to A_j
+    N = {j: _around(least[j], A[j]) for j in colors}
+    B = {(i, j): A[i] & ~N[j] for i, j in itertools.permutations(colors, 2)}
     for (i, j), Bij in B.items():
         if not Bij:
-            return [_tree(j, x, A[j], A[i])] + \
-                   [_tree(m, x, A[m]) for m in colors if m not in (i, j)]
+            return [(j, x | A[j] | A[i])] + \
+                   [(m, x | A[m]) for m in colors if m not in (i, j)]
     endgame = _complete3_endgame if r == 3 else _complete4_endgame
-    return endgame(g, col, x, A, B)
+    return endgame(g, least, A, B)
 
 
-def _complete3_endgame(g, col, x, A, B):
+def _complete3_endgame(g, least, A, B):
     """Two trees of diameter <= 4 once every B_ij is nonempty."""
+    x = 1
     for i, j, k in itertools.permutations((1, 2, 3)):
-        extra = [z for z in B[(i, j)] if z not in B[(i, k)]]
+        extra = B[(i, j)] & ~B[(i, k)]
         if not extra:
             continue
-        z = extra[0]
-        t1 = _tree(k, x, A[k], [z])
-        for w in B[(j, i)]:
-            assert col(w, z) == k, "B_ij x B_ji edges carry the third color"
-            t1[1].append(w)
-        t2 = _tree(i, x, A[i], [v for v in A[j] if v not in B[(j, i)]])
-        return [t1, t2]
+        z = lowest_vertex(extra)
+        Bji = B[(j, i)]
+        assert not Bji & ~least[k][z], "B_ij x B_ji edges carry the third color"
+        return [(k, x | A[k] | 1 << z | Bji), (i, x | A[i] | A[j] & ~Bji)]
 
     # B_ij = B_ik =: B_i for all i
+    assert B[(1, 2)] == B[(1, 3)] and B[(2, 1)] == B[(2, 3)] and B[(3, 1)] == B[(3, 2)]
     Bi = {1: B[(1, 2)], 2: B[(2, 1)], 3: B[(3, 1)]}
-    for i in (1, 2, 3):
-        j, k = [m for m in (1, 2, 3) if m != i]
-        assert set(B[(i, j)]) == set(B[(i, k)])
-
-    unequal = [i for i in (1, 2, 3) if set(A[i]) != set(Bi[i])]
+    unequal = [i for i in (1, 2, 3) if A[i] != Bi[i]]
     if unequal:
         i = unequal[0]
         j, k = [m for m in (1, 2, 3) if m != i]
         bj, bk = Bi[j], Bi[k]
-        hang = [v for v in A[j] + A[k] if v not in bj and v not in bk]
-        t1 = _tree(i, x, A[i], hang)
         assert bj and bk
-        for b in bj:
-            for w in bk:
-                assert col(b, w) == i
-        return [t1, (i, bj + bk)]
+        assert all(least[i][b] & bk == bk for b in vertices_of(bj))
+        return [(i, x | A[i] | (A[j] | A[k]) & ~(bj | bk)), (i, bj | bk)]
 
     # A_i = B_i for all i: [A_2, A_3] is complete in color 1
-    return [_tree(1, x, A[1]), (1, A[2] + A[3])]
+    return [(1, x | A[1]), (1, A[2] | A[3])]
 
 
-def _complete4_endgame(g, col, x, A, B):
+def _complete4_endgame(g, least, A, B):
     """Three pieces of diameter <= 6 once every B_ij is nonempty."""
+    x = 1
     # (C1): some triple intersection empty
     for i in (1, 2, 3, 4):
         others = [m for m in (1, 2, 3, 4) if m != i]
-        triple = set(B[(i, others[0])]) & set(B[(i, others[1])]) & set(B[(i, others[2])])
-        if not triple:
-            return [_tree(m, x, A[m], [v for v in A[i] if v not in B[(i, m)]])
-                    for m in others]
+        if not B[(i, others[0])] & B[(i, others[1])] & B[(i, others[2])]:
+            return [(m, x | A[m] | A[i] & ~B[(i, m)]) for m in others]
 
     # (C2): B_ij minus (B_ik + B_il) nonempty
     for i, j, k, l in itertools.permutations((1, 2, 3, 4)):
-        pool = [u for u in B[(i, j)] if u not in B[(i, k)] and u not in B[(i, l)]]
+        pool = B[(i, j)] & ~B[(i, k)] & ~B[(i, l)]
         if not pool:
             continue
-        u = pool[0]
-        p1 = _tree(i, x, A[i], [v for v in A[j] if v not in B[(j, i)]])
-        p2 = _tree(k, x, A[k], [u])
-        p3 = _tree(l, x, A[l], [u])
-        for w in B[(j, i)]:
-            cw = col(w, u)
-            assert cw in (k, l), "B_ij x B_ji edges avoid colors i and j"
-            (p2 if cw == k else p3)[1].append(w)
-        return [p1, p2, p3]
+        u = lowest_vertex(pool)
+        Bji = B[(j, i)]
+        assert not Bji & ~(least[k][u] | least[l][u]), \
+            "B_ij x B_ji edges avoid colors i and j"
+        # B_ji hangs on u in the color of its edge to u
+        return [(i, x | A[i] | A[j] & ~Bji),
+                (k, x | A[k] | 1 << u | Bji & least[k][u]),
+                (l, x | A[l] | 1 << u | Bji & ~least[k][u])]
 
     # (C3): B_ik minus B_ij and B_ki minus B_kl both nonempty
     for i, j, k, l in itertools.permutations((1, 2, 3, 4)):
-        pi = [u for u in B[(i, k)] if u not in B[(i, j)]]
-        pk = [u for u in B[(k, i)] if u not in B[(k, l)]]
+        pi = B[(i, k)] & ~B[(i, j)]
+        pk = B[(k, i)] & ~B[(k, l)]
         if not pi or not pk:
             continue
-        ui, uk = pi[0], pk[0]
-        cuv = col(ui, uk)
-        assert cuv in (j, l)
-        if cuv == l:
+        ui, uk = lowest_vertex(pi), lowest_vertex(pk)
+        assert (least[j][ui] | least[l][ui]) >> uk & 1
+        if least[l][ui] >> uk & 1:
             i, j, k, l = k, l, i, j
             ui, uk = uk, ui
-        # now the ui-uk edge has color j
-        p1 = _tree(k, x, A[k], [v for v in A[i] if v not in B[(i, k)]])
-        # ui hangs on A_j and uk on ui
-        p2 = _tree(j, x, A[j], [ui, uk])
-        p3 = _tree(l, x, A[l], [uk])
-        for w in B[(i, k)]:
-            cw = col(w, uk)
-            assert cw in (j, l)
-            (p2 if cw == j else p3)[1].append(w)
-        return [p1, p2, p3]
+        # now the ui-uk edge has color j: ui hangs on A_j and uk on ui, and
+        # B_ik hangs on uk in the color of its edge to uk
+        Bik = B[(i, k)]
+        assert not Bik & ~(least[j][uk] | least[l][uk])
+        return [(k, x | A[k] | A[i] & ~Bik),
+                (j, x | A[j] | 1 << ui | 1 << uk | Bik & least[j][uk]),
+                (l, x | A[l] | 1 << uk | Bik & ~least[j][uk])]
 
     # final case: B_ij = B_ik, B_jk+B_jl in B_ji, B_kj+B_kl in B_ki
-    chosen = None
     for i, j, k, l in itertools.permutations((1, 2, 3, 4)):
-        if set(B[(i, j)]) != set(B[(i, k)]):
-            continue
-        if not set(B[(j, k)]) | set(B[(j, l)]) <= set(B[(j, i)]):
-            continue
-        if not set(B[(k, j)]) | set(B[(k, l)]) <= set(B[(k, i)]):
-            continue
-        if not set(B[(i, l)]) <= set(B[(i, j)]):
-            continue
-        chosen = (i, j, k, l)
-        break
-    assert chosen is not None, f"claim structure missing: {g.edges()}"
-    i, j, k, l = chosen
+        if (B[(i, j)] == B[(i, k)] and not (B[(j, k)] | B[(j, l)]) & ~B[(j, i)]
+                and not (B[(k, j)] | B[(k, l)]) & ~B[(k, i)]
+                and not B[(i, l)] & ~B[(i, j)]):
+            break
+    else:
+        raise AssertionError(f"claim structure missing: {g.edges()}")
     Bij, Bji, Bki = B[(i, j)], B[(j, i)], B[(k, i)]
-    h1 = _tree(l, x, A[l], [v for m, bb in ((i, Bij), (j, Bji), (k, Bki))
-                            for v in A[m] if v not in bb])
-    return [h1] + _zone_cover(g, mask_of(Bij + Bji + Bki), 2)
+    h1 = (l, x | A[l] | A[i] & ~Bij | A[j] & ~Bji | A[k] & ~Bki)
+    return [h1] + _zone_cover(g, Bij | Bji | Bki, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -438,29 +387,24 @@ def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
     if a != 2:
         raise GraphError(f"cover_alpha2 needs alpha = 2, got {a}")
     least = _least_colors(g, (1, 2))
-    col = _color_reader(least)
     n = g.n
     nb = [m1 | m2 for m1, m2 in zip(least[1], least[2])]
     # lexicographically first independent pair
     x, y = next((u, v) for u in range(n) for v in range(u + 1, n)
                 if not nb[u] >> v & 1)
-    Ax = vertices_of(nb[x] & ~nb[y])
-    Ay = vertices_of(nb[y] & ~nb[x])
-    Aij = {(i, j): vertices_of(least[i][x] & least[j][y])
-           for i in (1, 2) for j in (1, 2)}
-
-    def blob_diams(side, anchor):
-        vs = side + [anchor]
-        return {c: diameter(g, vs, c) if len(vs) > 1 else 0 for c in (1, 2)}
-
-    dx = blob_diams(Ax, x)
-    dy = blob_diams(Ay, y)
+    Ax = nb[x] & ~nb[y]
+    Ay = nb[y] & ~nb[x]
+    Aij = {(i, j): least[i][x] & least[j][y] for i in (1, 2) for j in (1, 2)}
+    dx = {c: _induced_diameter(g.adjacency(c), Ax | 1 << x) for c in (1, 2)}
+    dy = {c: _induced_diameter(g.adjacency(c), Ay | 1 << y) for c in (1, 2)}
     assert min(dx.values()) <= 3 and min(dy.values()) <= 3, "folklore bound"
 
-    return checked(g, _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy), 2, 6)
+    return checked(g, _alpha2_cases(g, least, 1 << x, 1 << y, Ax, Ay, Aij, dx, dy), 2, 6)
 
 
-def _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy):
+def _alpha2_cases(g, least, x, y, Ax, Ay, Aij, dx, dy):
+    """The two pieces; here and below x and y are the masks of the vertices
+    x and y."""
     # Case 1: some side has diameter exactly 3 in both colors
     for (sx, sy, ax, ay, aij, ddx, ddy) in (
             (x, y, Ax, Ay, Aij, dx, dy),
@@ -475,78 +419,55 @@ def _alpha2_cases(g, col, x, y, Ax, Ay, Aij, dx, dy):
             a12 = aij[(c1, c2)]
             a21 = aij[(c2, c1)]
             if a11:
-                h1 = (c1, [sx] + a11 + a12 + a21 + [sy] + ay)
-                h2 = (c2, ax + [sx] + a22)
-                return [h1, h2]
+                return [(c1, sx | a11 | a12 | a21 | sy | ay), (c2, ax | sx | a22)]
             if a22:
-                h1 = (c2, ax + [sx] + a11 + a12 + a21 + a22 + [sy])
-                h2 = (c1, ay + [sy])
-                return [h1, h2]
-            h1 = (c1, ax + [sx] + a12)
-            h2 = (c1, ay + [sy] + a21)
-            return [h1, h2]
+                return [(c2, ax | sx | a11 | a12 | a21 | a22 | sy), (c1, ay | sy)]
+            return [(c1, ax | sx | a12), (c1, ay | sy | a21)]
 
     # Case 2: both blobs have a color of diameter <= 2
     cx = 1 if dx[1] <= 2 else 2
     cy = 1 if dy[1] <= 2 else 2
     if cx == cy:
-        return _alpha2_case22(g, col, x, y, Ax, Ay, Aij, cx)
-    return _alpha2_case21(g, col, x, y, Ax, Ay, Aij, cx, cy)
+        return _alpha2_case22(g, least, x, y, Ax, Ay, Aij, cx)
+    return _alpha2_case21(g, least, x, y, Ax, Ay, Aij, cx, cy)
 
 
-def _alpha2_case21(g, col, x, y, Ax, Ay, Aij, c1, c2):
+def _alpha2_case21(g, least, x, y, Ax, Ay, Aij, c1, c2):
     """diam(G_c1 on Ax+x) <= 2 and diam(G_c2 on Ay+y) <= 2, c1 != c2."""
     a11 = Aij[(c1, c1)]
     a22 = Aij[(c2, c2)]
     a12 = Aij[(c1, c2)]
     a21 = Aij[(c2, c1)]
     if a11:
-        h1 = (c1, Ax + [x, y] + a11 + a12 + a21)
-        h2 = (c2, Ay + [y] + a22)
-        return [h1, h2]
+        return [(c1, Ax | x | y | a11 | a12 | a21), (c2, Ay | y | a22)]
     if a22:
         # mirror of the a11 branch under (x<->y, c1<->c2)
-        h1 = (c2, Ay + [y, x] + a22 + a21 + a12)
-        h2 = (c1, Ax + [x] + a11)
-        return [h1, h2]
+        return [(c2, Ay | y | x | a22 | a21 | a12), (c1, Ax | x | a11)]
     # a11 = a22 = empty
     if not a21:
-        h1 = (c1, Ax + [x] + a12)
-        h2 = (c2, Ay + [y])
-        return [h1, h2]
-    edge1 = next(((a, b) for a in Ax for b in a21 if col(a, b) == c1), None)
-    if edge1 is not None:
-        h1 = (c1, [x, y] + Ax + a21)
-        h2 = (c2, [y] + a12 + Ay)
-        return [h1, h2]
-    edge2 = next(((a, b) for a in Ay for b in a21 if col(a, b) == c2), None)
-    if edge2 is not None:
-        h1 = (c2, [y, x] + Ay + a21)
-        h2 = (c1, [x] + a12 + Ax)
-        return [h1, h2]
+        return [(c1, Ax | x | a12), (c2, Ay | y)]
+    # the vertices with an edge of color c1, and of color c2, into a21
+    n1 = _around(least[c1], a21)
+    n2 = _around(least[c2], a21)
+    if Ax & n1:
+        return [(c1, x | y | Ax | a21), (c2, y | a12 | Ay)]
+    if Ay & n2:
+        return [(c2, y | x | Ay | a21), (c1, x | a12 | Ax)]
     # every Ax,a21-edge is c2; every Ay,a21-edge is c1 (missing pairs allowed)
-    z1 = [v for v in Ax if not any(g.colors_of(v, b) for b in a21)]
-    z2 = [v for v in Ay if not any(g.colors_of(v, b) for b in a21)]
+    z1 = Ax & ~n2
+    z2 = Ay & ~n1
     if not z1:
-        h1 = (c2, [x] + Ax + a21)
-        h2 = (c2, [y] + Ay + a12)
-        return [h1, h2]
+        return [(c2, x | Ax | a21), (c2, y | Ay | a12)]
     if not z2:
-        h1 = (c1, [y] + Ay + a21)
-        h2 = (c1, [x] + Ax + a12)
-        return [h1, h2]
-    dz = {c: diameter(g, z1 + z2, c) if len(z1 + z2) > 1 else 0 for c in (1, 2)}
+        return [(c1, y | Ay | a21), (c1, x | Ax | a12)]
+    dz = {c: _induced_diameter(g.adjacency(c), z1 | z2) for c in (1, 2)}
     assert min(dz.values()) <= 3, "Z1 x Z2 is complete so folklore applies"
     if dz[c1] <= 3:
-        h1 = (c1, [x] + Ax + a12 + z2)
-        h2 = (c1, [y] + a21 + [v for v in Ay if v not in z2])
-        return [h1, h2]
-    h1 = (c2, [y] + Ay + a12 + z1)
-    h2 = (c2, [x] + a21 + [v for v in Ax if v not in z1])
-    return [h1, h2]
+        return [(c1, x | Ax | a12 | z2), (c1, y | a21 | Ay & ~z2)]
+    return [(c2, y | Ay | a12 | z1), (c2, x | a21 | Ax & ~z1)]
 
 
-def _alpha2_case22(g, col, x, y, Ax, Ay, Aij, c1):
+def _alpha2_case22(g, least, x, y, Ax, Ay, Aij, c1):
     """Both blobs have diameter <= 2 in the same color c1."""
     c2 = 3 - c1
     a11 = Aij[(c1, c1)]
@@ -554,32 +475,23 @@ def _alpha2_case22(g, col, x, y, Ax, Ay, Aij, c1):
     a12 = Aij[(c1, c2)]
     a21 = Aij[(c2, c1)]
     if a11:
-        h1 = (c1, [x, y] + Ax + Ay + a11 + a12 + a21)
-        h2 = (c2, [x] + a22)
-        return [h1, h2]
+        return [(c1, x | y | Ax | Ay | a11 | a12 | a21), (c2, x | a22)]
     if not a22:
-        h1 = (c1, [x] + Ax + a12)
-        h2 = (c1, [y] + Ay + a21)
-        return [h1, h2]
+        return [(c1, x | Ax | a12), (c1, y | Ay | a21)]
     # a11 empty, a22 nonempty
-    bad = [w for w in a22
-           if not any(col(w, u) == c1 for u in Ax + Ay if g.colors_of(w, u))]
+    bad = a22 & ~_around(least[c1], Ax | Ay)
     if not bad:
-        u1 = [w for w in a22 if any(col(w, u) == c1 for u in Ax if g.colors_of(w, u))]
-        u2 = [w for w in a22 if w not in u1]
-        h1 = (c1, [x] + Ax + a12 + u1)
-        h2 = (c1, [y] + Ay + a21 + u2)
-        return [h1, h2]
-    w = bad[0]
-    Z = [v for v in Ax + Ay if not g.colors_of(w, v)]
+        u1 = a22 & _around(least[c1], Ax)
+        return [(c1, x | Ax | a12 | u1), (c1, y | Ay | a21 | a22 & ~u1)]
+    w = lowest_vertex(bad)
+    # w has no color-c1 edge into Ax + Ay: there Z is its non-neighbors
+    Z = (Ax | Ay) & ~(least[1][w] | least[2][w])
     pieces = []
     if Z:
-        dz = {c: diameter(g, Z, c) if len(Z) > 1 else 0 for c in (1, 2)}
+        dz = {c: _induced_diameter(g.adjacency(c), Z) for c in (1, 2)}
         assert min(dz.values()) <= 3, "G[Z] is complete"
-        cz = c1 if dz[c1] <= 3 else c2
-        pieces.append((cz, Z))
-    n2w = [v for v in Ax + Ay if g.colors_of(w, v) and col(w, v) == c2]
-    pieces.append((c2, [x, y] + a12 + a21 + a22 + n2w))
+        pieces.append((c1 if dz[c1] <= 3 else c2, Z))
+    pieces.append((c2, x | y | a12 | a21 | a22 | (Ax | Ay) & least[c2][w]))
     return pieces
 
 
@@ -591,12 +503,8 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
     """At most four monochromatic subgraphs of diameter <= 6 covering a
     complete bipartite graph with sides X and Y whose pairs each carry a
     color in 1..3."""
-    X = sorted(X)
-    Y = sorted(Y)
-    if not X or not Y:
-        raise GraphError("cover_bipartite3 needs two nonempty sides")
-    adj = _bipartite_colors(g, X, Y, (1, 2, 3))
-    xm, ym = mask_of(X), mask_of(Y)
+    xm, ym = _side_masks(g, X, Y, "cover_bipartite3")
+    adj = _bipartite_colors(g, xm, ym, (1, 2, 3))
 
     # all two-sided components as (color, mask): per color, by lowest X vertex
     comps = []
@@ -608,7 +516,7 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
 
     def sub_bip_cover(a, b, colors):
         """<= 2 tree pieces of diameter <= 4 covering the 2-colored [a, b]."""
-        return _classify2(g, vertices_of(a), vertices_of(b), *colors).tree_pieces
+        return _classify2(g, a, b, *colors).tree_pieces
 
     # Step 1: a component missing part of both sides (it meets both)
     for c, comp in comps:
@@ -624,7 +532,7 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
     for c, comp in side_comps:
         # comp is connected in g's color c, as it is in adj[c]
         if _connected_diameter(g.adjacency(c), comp, 5) <= 5:
-            pieces = [(c, vertices_of(comp))]
+            pieces = [(c, comp)]
             if xm & ~comp:
                 pieces += sub_bip_cover(xm & ~comp, ym & comp, other[c])
             if ym & ~comp:
@@ -653,20 +561,22 @@ def _bip3_layered(g, xm, ym, side_comp, other, adj):
     d = len(dist) - 1
     if d < 5:
         return None
-    by_dist = [vertices_of(m) for m in dist]
-    X1 = by_dist[0] + by_dist[2]
-    X2 = vertices_of(xm & ~comp) + \
-        [u for i in range(4, d + 1, 2) for u in by_dist[i]]
-    Y2 = by_dist[1]
-    Y0 = by_dist[3]
-    Y1 = [u for i in range(5, d + 1, 2) for u in by_dist[i]]
+    X1 = dist[0] | dist[2]
+    X2 = xm & ~comp | sum(dist[4::2])
+    Y2 = dist[1]
+    Y0 = dist[3]
+    Y1 = sum(dist[5::2])
     if not Y1 or not X2:
         return None
-    far_x2 = [v for v in X2 if not dist[4] >> v & 1]
+    # the first vertices of X1 and X2, and of X2 off layer 4, in the order
+    # that lists X1 by layer and X2 as the X side outside comp, then by layer
+    x1_first = lowest_vertex(dist[0])
+    x2_first = lowest_vertex(xm & ~comp or dist[4])
+    far_x2 = next((m for m in (xm & ~comp, *dist[6::2]) if m), 0)
 
     r1 = _classify2(g, X1, Y1, ca, cb)
     r2 = _classify2(g, X2, Y2, ca, cb)
-    cstar = (c3, vertices_of(dist[0] | dist[1] | dist[2] | dist[3]))
+    cstar = (c3, dist[0] | dist[1] | dist[2] | dist[3])
 
     # (a) one of the sub-bipartite graphs has a spanning piece of diameter <= 6
     for rr, oo in ((r1, r2), (r2, r1)):
@@ -674,29 +584,25 @@ def _bip3_layered(g, xm, ym, side_comp, other, adj):
             return [rr.single_piece] + oo.tree_pieces + [cstar]
 
     # (b) P1 with the X side double covered: specials live in Y_i
-    for rr, Ai, Bi, oo in ((r1, X1, Y1, r2), (r2, X2, Y2, r1)):
+    for rr, Ai, a0, Bi, xf, oo in ((r1, X1, x1_first, Y1, dist[0], r2),
+                                   (r2, X2, x2_first, Y2, far_x2, r1)):
         if rr.cls.tag != "P1":
             continue
         dc, va, vb = rr.cls.data
-        if va in set(Bi):  # specials on the Y side cover X_i
-            xf = by_dist[0] if Ai is X1 else far_x2
+        if Bi >> va & 1:  # specials on the Y side cover X_i
             if not xf:
                 continue
-            # vertices reached in each color through va/vb/xf[0]
-            ha_verts = [va] + list(Ai)
-            hb_verts = [vb] + list(Ai)
-            for y in Bi:
-                if y not in (va, vb):
-                    (ha_verts if adj[ca][y] >> Ai[0] & 1 else hb_verts).append(y)
-            for w in Y0:
-                (ha_verts if adj[ca][w] >> xf[0] & 1 else hb_verts).append(w)
-            return [(ca, ha_verts), (cb, hb_verts)] + oo.tree_pieces
+            # Bi, but va and vb, hangs on the first vertex of Ai and Y0 on
+            # that of xf, each in the color of its edge there
+            rest = Bi & ~(1 << va | 1 << vb)
+            to_a = rest & adj[ca][a0] | Y0 & adj[ca][lowest_vertex(xf)]
+            to_b = (rest | Y0) & ~to_a
+            return [(ca, 1 << va | Ai | to_a), (cb, 1 << vb | Ai | to_b)] + oo.tree_pieces
     # (c) [X1, Y1] is P1 with Y1 double covered: specials in X1
     if r1.cls.tag == "P1":
         dc, va, vb = r1.cls.data
-        if va in set(X1):
-            h1 = (ca, [va] + list(Y1))
-            return [h1, cstar] + r2.tree_pieces
+        if X1 >> va & 1:
+            return [(ca, 1 << va | Y1), cstar] + r2.tree_pieces
 
     # (d)/(e): [X1, Y1] is P2 or another P1 orientation
     return None
@@ -723,14 +629,16 @@ def cover_multipartite(g: ColoredMultigraph, parts, r: int) -> CoverCertificate:
     full = (1 << g.n) - 1
     for c in range(1, g.r + 1):
         if reach(g.adjacency(c), 0) == full:
-            return checked(g, [(c, vertices_of(full))], r)
-    return _multipartite2(g, parts) if r == 2 else _multipartite3(g, parts)
+            return checked(g, [(c, full)], r)
+    part_masks = [mask_of(p) for p in parts]
+    if r == 2:
+        return _multipartite2(g, part_masks)
+    return _multipartite3(g, part_masks)
 
 
 def _multipartite2(g, parts):
     V1 = parts[0]
-    R = sorted(v for p in parts[1:] for v in p)
-    res = _classify2(g, V1, R, 1, 2)
+    res = _classify2(g, V1, (1 << g.n) - 1 & ~V1, 1, 2)
     if res.cls.tag == "P1":
         _, va, vb = res.cls.data
         roots = [(1, va), (2, vb)]
@@ -738,26 +646,28 @@ def _multipartite2(g, parts):
         X1, X2, Y1, Y2 = res.cls.data
         roots = [(1, X1[0]), (1, X2[0])]
     else:
-        roots = [(res.cls.data[0], V1[0])]
-    # the global components through the roots
-    return checked(g, _vertex_pieces((c, reach(g.adjacency(c), v)) for c, v in roots), 2)
+        roots = [(res.cls.data[0], lowest_vertex(V1))]
+    # the global components through the roots, each once
+    pieces = dict.fromkeys((c, reach(g.adjacency(c), v)) for c, v in roots)
+    return checked(g, list(pieces), 2)
 
 
 def _multipartite3(g, parts):
     full = (1 << g.n) - 1
     # a component covering a full part leaves a 2-colored bipartite rest; the
     # caller has ruled out a spanning one
-    part_masks = [(part, mask_of(part)) for part in parts]
     for c in (1, 2, 3):
         for comp in component_masks(g.adjacency(c), full):
-            for part, pm in part_masks:
+            for pm in parts:
                 if pm & ~comp:
                     continue
                 oc = [cc for cc in (1, 2, 3) if cc != c]
-                res = _classify2(g, vertices_of(full & ~comp), part, *oc)
-                extra = [(pc, reach(g.adjacency(pc), pvs[0]))
-                         for pc, pvs in res.tree_pieces]
-                return checked(g, _vertex_pieces([(c, comp)] + extra), 3)
+                res = _classify2(g, full & ~comp, pm, *oc)
+                # each tree is connected in its color, so any of its vertices
+                # names its global component
+                pieces = dict.fromkeys([(c, comp)] + [
+                    (pc, reach(g.adjacency(pc), lowest_vertex(m))) for pc, m in res.tree_pieces])
+                return checked(g, list(pieces), 3)
     # general case: the proof guarantees a 3-component cover exists, and
     # tc_exact's certificate is already verified
     size, cert = tc_exact(g)
@@ -771,9 +681,28 @@ def _multipartite3(g, parts):
 # restricted covers (two-sided color classes)
 
 
+def _is_closed(g: ColoredMultigraph) -> bool:
+    """Whether every color class of g is a disjoint union of cliques."""
+    for c in range(1, g.r + 1):
+        row = g.adjacency(c)
+        for u, nb in enumerate(row):
+            # a clique is checked from its lowest vertex, a component from its
+            # lowest vertex's neighbors
+            if nb and not nb & ((1 << u) - 1):
+                clique = nb | 1 << u
+                if any(row[v] | 1 << v != clique for v in vertices_of(nb)):
+                    return False
+    return True
+
+
 def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
-    """An (r-1)-cover of a closed complete r-colored graph whose pieces are all
-    colored inside S or all inside its complement (|S| = 2, r in {3,4,5})."""
+    """An (r-1)-cover of a complete r-colored graph whose pieces are all
+    colored inside S or all inside its complement (|S| = 2, r in {3,4,5}).
+
+    The proof is about closed graphs.  Its pieces are whole monochromatic
+    components, which g shares with its closure, so on a graph that is not
+    closed it runs on the closure and the cover is verified on g.
+    """
     if r not in (3, 4, 5):
         raise GraphError("restricted_cover supports r in {3, 4, 5}")
     S = sorted(S)
@@ -781,7 +710,8 @@ def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
         raise GraphError("S must be two distinct colors in 1..r")
     if not g.is_complete():
         raise GraphError("restricted_cover needs a complete graph")
-    aS, witness = alpha(g.subgraph_colors(S))
+    h = g if _is_closed(g) else closure(g)
+    aS, witness = alpha(h.subgraph_colors(S))
     if aS <= r - 1:
         # A minimum cover by S-colored components has König's size: it equals
         # a maximum set of vertices in pairwise different components of each
@@ -791,15 +721,16 @@ def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
             raise AssertionError(f"no {r - 1}-cover in the colors {S}: "
                                  f"graph={g!r} edges={g.edges()}")
         return cert
-    X = sorted(witness)[:r]
+    xm = mask_of(witness[:r])
     P = [c for c in range(1, r + 1) if c not in S]
     if r == 3:
-        comp = reach(g.adjacency(P[0]), X[0])
-        assert comp == (1 << g.n) - 1, "a single component must cover"
-        return checked(g, [(P[0], vertices_of(comp))], r - 1, None, allowed_colors=P)
-    if r == 4:
-        return _restricted4(g, X, P)
-    return _restricted5(g, X, P)
+        pieces = [(P[0], reach(h.adjacency(P[0]), lowest_vertex(xm)))]
+        assert pieces[0][1] == (1 << g.n) - 1, "a single component must cover"
+    elif r == 4:
+        pieces = _restricted4(h, xm, P)
+    else:
+        pieces = _restricted5(h, xm, P)
+    return checked(g, pieces, r - 1, None, allowed_colors=P)
 
 
 def _on_x_comps(g, c, xm):
@@ -811,22 +742,19 @@ def _on_x_comps(g, c, xm):
     return sorted(comps, key=lambda m: (-(m & xm).bit_count(), lowest_vertex(m)))
 
 
-def _restricted4(g, X, P):
-    xm = mask_of(X)
+def _restricted4(g, xm, P):
     # a spanning color on X: c1 connected on X, else c2
     for span, oc in (P, P[::-1]):
-        comp = reach(g.adjacency(span), X[0])
+        comp = reach(g.adjacency(span), lowest_vertex(xm))
         if comp & xm == xm:
             break
     else:
         raise AssertionError("one of two colors always spans a K_4")
     greedy = [m for m in _on_x_comps(g, oc, xm) if (m & xm).bit_count() >= 2]
-    pieces = [(span, comp)] + [(oc, m) for m in greedy[:2]]
-    return checked(g, _vertex_pieces(pieces), 3, None, allowed_colors=P)
+    return [(span, comp)] + [(oc, m) for m in greedy[:2]]
 
 
-def _restricted5(g, X, P):
-    xm = mask_of(X)
+def _restricted5(g, xm, P):
     comps_by_color = {c: _on_x_comps(g, c, xm) for c in P}
     tX = {c: [(m & xm).bit_count() for m in comps_by_color[c]] for c in P}
 
@@ -840,16 +768,14 @@ def _restricted5(g, X, P):
             ps = [(i, comp) for comp in comps_by_color[i]]
             ps += [(j, comp) for comp, sz in zip(comps_by_color[j], tX[j]) if sz >= 2]
             ps += [(k, comp) for comp, sz in zip(comps_by_color[k], tX[k]) if sz >= 2]
-        return _vertex_pieces(ps)
+        return ps
 
     for i, j, k in itertools.permutations(P):
         if len(tX[i]) + len(tX[j]) + sum(1 for s in tX[k] if s >= 3) <= 4:
-            ps = pieces_for(1, (i, j, k))
-            return checked(g, ps, 4, None, allowed_colors=P)
+            return pieces_for(1, (i, j, k))
         if len(tX[i]) + sum(1 for s in tX[j] if s >= 2) + \
                 sum(1 for s in tX[k] if s >= 2) <= 4:
-            ps = pieces_for(2, (i, j, k))
-            return checked(g, ps, 4, None, allowed_colors=P)
+            return pieces_for(2, (i, j, k))
 
     shapes = sorted((tuple(sorted(t, reverse=True)) for t in tX.values()),
                     reverse=True)
@@ -886,11 +812,15 @@ def _restricted5(g, X, P):
                     B1 = comps_by_color[Bc][0]
                     candidates.append([(A, A1), (A, A2), (A, A3), (Bc, B1)])
 
+    # each candidate is four whole components in the colors P, so it is a
+    # cover exactly when they hold every vertex
+    full = (1 << g.n) - 1
     for cand in candidates:
-        cert = make_certificate(_vertex_pieces(cand), max_size=4,
-                                allowed_colors=frozenset(P))
-        if verify(g, cert).ok:
-            return cert
+        covered = 0
+        for _, m in cand:
+            covered |= m
+        if covered == full:
+            return cand
     raise AssertionError(f"no residual-case cover verified: {g.edges()}")
 
 
@@ -920,40 +850,29 @@ def classify3(g: ColoredMultigraph) -> ThreeColorClass:
     if n == 1:
         return ThreeColorClass("TypeI", (1, (0,)))
     adj = _least_colors(g, (1, 2, 3))
+    full = (1 << n) - 1
 
-    # maximal monochromatic component: largest, ties to lowest color/vertex
-    best = None
-    for c in (1, 2, 3):
-        for m in component_masks(adj[c], (1 << n) - 1):
-            red_comp = tuple(vertices_of(m))
-            key = (-len(red_comp), c, red_comp)
-            if best is None or key < best:
-                best = key
-    blue = best[1]
-    B = set(best[2])
-    if len(B) == n:
-        return ThreeColorClass("TypeI", (blue, tuple(sorted(B))))
-    U = [v for v in range(n) if v not in B]
+    # maximal monochromatic component: largest, ties to lowest color, then
+    # to lowest vertex (one color's components are disjoint)
+    _, blue, _, B = min((-m.bit_count(), c, lowest_vertex(m), m)
+                        for c in (1, 2, 3) for m in component_masks(adj[c], full))
+    if B == full:
+        return ThreeColorClass("TypeI", (blue, tuple(vertices_of(B))))
+    U = full & ~B
     # component of the lowest B-U edge
-    eb, eu = min((b, u) for b in sorted(B) for u in U)
-    red = _color_reader(adj)(eb, eu)
-    R = set(vertices_of(reach(adj[red], eb)))
+    eb, eu = lowest_vertex(B), lowest_vertex(U)
+    red = next(c for c in (1, 2, 3) if adj[c][eb] >> eu & 1)
+    R = reach(adj[red], eb)
     assert red != blue
     green = next(c for c in (1, 2, 3) if c not in (blue, red))
-    Bs, Us = B, set(U)
-    W = sorted(Bs & R)
-    if Us - R:
-        Xp = sorted(Bs - R)
-        Yp = sorted(Us & R)
-        Zp = sorted(Us - R)
-        return ThreeColorClass("TypeII", ((blue, red, green),
-                                          (tuple(W), tuple(Xp), tuple(Yp), tuple(Zp))))
-    # U inside R: the green component swallows U and B-R
-    gverts = sorted(Bs - R) + sorted(Us)
-    G = set(vertices_of(reach(adj[green], gverts[0])))
-    Wc = sorted(Bs & R & G)
-    Xp = sorted(Bs - G)
-    Yp = sorted(Bs - R)
-    Zp = sorted(Us)
-    return ThreeColorClass("TypeIII", ((blue, red, green),
-                                       (tuple(Wc), tuple(Xp), tuple(Yp), tuple(Zp))))
+    if U & ~R:
+        parts = (B & R, B & ~R, U & R, U & ~R)
+        tag = "TypeII"
+    else:
+        # U inside R: the green component swallows U and B-R; it is read from
+        # the first vertex of B-R, else of U
+        G = reach(adj[green], lowest_vertex(B & ~R or U))
+        parts = (B & R & G, B & ~G, B & ~R, U)
+        tag = "TypeIII"
+    return ThreeColorClass(tag, ((blue, red, green),
+                                 tuple(tuple(vertices_of(m)) for m in parts)))

@@ -47,7 +47,10 @@ class ColoredMultigraph:
         only for u == v: an end or color out of range fails the lookup of its
         bit or row, and then _first_fault walks the entries again (an
         iterator is materialised once for this) to raise the first fault in
-        list order.  Any other entry takes every check in the loop.  An error
+        list order.  Any other entry takes every check in the loop; a lookup
+        that fails there is re-raised as it is, since every earlier entry is
+        then known to be valid (a one-shot iterator of colors could not be
+        walked again).  An error
         names a pair lower end first, and carries the entry at fault as its
         item and the index of the offending value in that entry as its field.
         """
@@ -62,6 +65,7 @@ class ColoredMultigraph:
         # 1 << v for a vertex v; None at n..2n-1, and so also at -n..-1
         bit = [1 << v for v in range(n)] + [None] * n
         uncolored = []
+        in_checked = False
         try:
             for u, v, cols in edges:
                 if u == v:
@@ -73,6 +77,7 @@ class ColoredMultigraph:
                     continue
                 if not (0 <= u < n and 0 <= v < n):
                     raise _pair_error(n, u, v, cols)
+                in_checked = True
                 colored = False
                 for c in (cols,) if isinstance(cols, int) else cols:
                     if not 1 <= c <= r:
@@ -83,7 +88,10 @@ class ColoredMultigraph:
                     colored = True
                 if not colored:
                     uncolored.append((u, v, cols))
+                in_checked = False
         except (LookupError, TypeError):
+            if in_checked:
+                raise
             fault = _first_fault(n, r, edges)
             if fault is None:
                 raise
@@ -245,6 +253,8 @@ class CoverCertificate:
 
 def make_certificate(pieces, mode="cover", max_size=None, max_diam=None,
                      allowed_colors=None, max_radius=None) -> CoverCertificate:
+    """The certificate of pieces read from outside the program: (color,
+    vertices) pairs, whose vertices may come in any order and repeat."""
     norm = []
     for i, piece in enumerate(pieces):
         try:
@@ -464,6 +474,11 @@ def diameter(g: ColoredMultigraph, vertices, c: int) -> float:
     mask = mask_of(vertices)
     if not mask:
         raise GraphError("diameter of an empty vertex set")
+    return _induced_diameter(adj, mask)
+
+
+def _induced_diameter(adj, mask: int) -> float:
+    """diameter's value on the nonempty vertex mask of the mask adjacency adj."""
     if reach(adj, lowest_vertex(mask), mask) != mask:
         return math.inf
     return _connected_diameter(adj, mask)
@@ -593,11 +608,16 @@ def verify(g: ColoredMultigraph, cert: CoverCertificate) -> VerifyResult:
 
 def checked(g: ColoredMultigraph, pieces, max_size, max_diam=None, allowed_colors=None,
             mode="cover", max_radius=None) -> CoverCertificate:
-    """The certificate of pieces, after verify accepts it on g.  A rejection
-    is a bug in the code that built the pieces: it raises AssertionError
-    naming the graph, not an assert, so the gate holds under python -O."""
-    cert = make_certificate(pieces, mode=mode, max_size=max_size, max_diam=max_diam,
-                            allowed_colors=allowed_colors, max_radius=max_radius)
+    """The certificate of pieces, (color, vertex mask) pairs built by a
+    solver or a proof, after verify accepts it on g.  This is where such a
+    piece becomes the certificate's (color, sorted vertex tuple).  A
+    rejection is a bug in the code that built the pieces: it raises
+    AssertionError naming the graph, not an assert, so the gate holds under
+    python -O."""
+    cert = CoverCertificate(tuple((c, tuple(vertices_of(m))) for c, m in pieces), mode,
+                            max_size, max_diam,
+                            None if allowed_colors is None else frozenset(allowed_colors),
+                            max_radius)
     res = verify(g, cert)
     if not res.ok:
         raise AssertionError(f"certificate failed verification: {res.reason}; "

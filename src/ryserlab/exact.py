@@ -232,7 +232,8 @@ def min_cover_milp(universe: int, candidates, budget: SolveBudget):
 
 
 def _connected_subsets_with_diam(g, c, max_diam, budget):
-    """All (mask, vertexlist) of connected color-c subsets with induced diameter <= max_diam."""
+    """The masks of the connected color-c subsets with induced diameter <=
+    max_diam, ascending."""
     adj = g.adjacency(c)
     full = (1 << g.n) - 1
     out = []
@@ -241,7 +242,7 @@ def _connected_subsets_with_diam(g, c, max_diam, budget):
         for mask in connected_subsets(adj, v, full & ~((1 << v) - 1)):
             budget.charge("diameter pieces")
             if _connected_diameter(adj, mask, max_diam) <= max_diam:
-                out.append((mask, vertices_of(mask)))
+                out.append(mask)
     out.sort()
     return out
 
@@ -258,14 +259,15 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
     budget = budget or SolveBudget()
     colors = sorted(allowed_colors) if allowed_colors is not None else range(1, g.r + 1)
     if max_diam is None:
-        candidates = [(mask_of(part), (c, part)) for c in colors
-                      for part in components(g, c).parts]
+        full = (1 << g.n) - 1
+        candidates = [(m, (c, m)) for c in colors
+                      for m in component_masks(g.adjacency(c), full)]
     else:
         if g.n > 24:
             raise GraphError("diameter-constrained exact cover is limited to n <= 24, "
                              f"got n={g.n}")
-        candidates = [(mask, (c, tuple(vs))) for c in colors
-                      for mask, vs in _connected_subsets_with_diam(g, c, max_diam, budget)]
+        candidates = [(m, (c, m)) for c in colors
+                      for m in _connected_subsets_with_diam(g, c, max_diam, budget)]
     size, pieces = min_cover((1 << g.n) - 1, candidates, budget)
     return size, checked(g, pieces, size, max_diam, allowed_colors)
 
@@ -296,8 +298,7 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
 
     def certified(pieces):
         """(t, verified certificate) for a list of (color, mask) parts."""
-        return len(pieces), checked(g, [(c, vertices_of(m)) for c, m in pieces],
-                                    len(pieces), mode="partition")
+        return len(pieces), checked(g, pieces, len(pieces), mode="partition")
 
     for c, adj in adjs:
         if reach(adj, 0, full) == full:

@@ -287,6 +287,14 @@ def _tables(n: int) -> _ShapeTables:
     return _TABLES[n]
 
 
+def _drop_tables_above(n: int) -> None:
+    """Forget the tables of every size above n.  A run for n uses none of
+    them, and they grow steeply with the size: after a (7, 5) run they hold
+    about 30 MB, which a later (5, 3) run would otherwise keep."""
+    for m in [m for m in _TABLES if m > n]:
+        del _TABLES[m]
+
+
 def _search_order(tab: _ShapeTables, sig: SignatureSet):
     """(colors, shapes): the signature's colors ordered by how few set
     partitions their shape has (ties by color), and the shapes in that order."""
@@ -556,6 +564,7 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
 def valid_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
     """The signatures that `is_valid` realizes; a given `SolveBudget` is
     charged per signature and raises `Inconclusive` once exhausted."""
+    _drop_tables_above(n)
     return [s for s in enumerate_signatures(n, p) if is_valid(s, budget) is not None]
 
 
@@ -570,6 +579,7 @@ def residual_cases(n: int, p: int, budget=None) -> list[SignatureSet]:
     raises if one is not.  A given budget is charged per searched signature,
     as in `valid_signatures`.
     """
+    _drop_tables_above(n)
     if (n, p) == (5, 3):
         out = [s for s in enumerate_signatures(5, 3)
                if not _lemma_eliminates(s.shapes()) and is_valid(s, budget) is not None]

@@ -480,6 +480,35 @@ def test_restricted_cover_random():
             assert verify(g, cert).ok
 
 
+def test_restricted_cover_of_a_graph_that_is_not_closed():
+    # color 3 is a star at 0, not a clique, and color 1 a triangle on the rest
+    g = ColoredMultigraph(4, 3, [(0, 1, 3), (0, 2, 3), (0, 3, 3),
+                                 (1, 2, 1), (1, 3, 1), (2, 3, 1)])
+    cert = cv.restricted_cover(g, 3, [2, 3])
+    assert len(cert.pieces) <= 2 and verify(g, cert).ok
+    assert cert == cv.restricted_cover(closure(g), 3, [2, 3])
+
+
+def test_restricted_cover_random_graphs_that_are_not_closed():
+    # the proof runs on the closure, whose components are g's, so the cover
+    # is the closure's and verifies on g
+    rng = random.Random(12)
+    seen = 0
+    for r in (3, 4, 5):
+        for _ in range(80):
+            g = rand_complete(rng.randint(2, 12), r, rng)
+            S = sorted(rng.sample(range(1, r + 1), 2))
+            if g == closure(g):
+                continue
+            seen += 1
+            cert = cv.restricted_cover(g, r, S)
+            cols = {c for c, _ in cert.pieces}
+            assert cols <= set(S) or cols <= set(range(1, r + 1)) - set(S)
+            assert len(cert.pieces) <= r - 1 and verify(g, cert).ok
+            assert cert == cv.restricted_cover(closure(g), r, S)
+    assert seen >= 200
+
+
 @pytest.mark.parametrize("S", [[1, 1], [2], [1, 2, 3], [0, 1], [1, 4]])
 def test_restricted_cover_needs_two_distinct_colors(S):
     g = monochromatic_complete(4, r=3)

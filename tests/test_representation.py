@@ -328,3 +328,12 @@ def test_constructor_matches_the_checked_loop(nrei):
     given_entries = (e for e in entries) if as_iterator else entries
     got = outcome(lambda: ColoredMultigraph(n, r, given_entries)._adj)
     assert got == want
+
+
+@pytest.mark.parametrize("colors", [[1.5], (1.5,), iter([1.5]), iter([1, 1.5])],
+                         ids=["list", "tuple", "iterator", "iterator-second"])
+def test_a_one_shot_color_fault_is_the_one_raised(colors):
+    # a colour iterator is consumed by the loop, so the fault found there is
+    # raised, not a later entry's fault
+    entries = [(0, 1, colors), (2, 2, 1)]
+    assert outcome(lambda: ColoredMultigraph(3, 2, entries)._adj) == ("raises", TypeError)

@@ -395,3 +395,15 @@ def test_free_witness_gate_survives_python_O():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert "admits a qualifying W" in res.stdout
+
+
+def test_a_run_forgets_the_tables_of_larger_sizes():
+    # the tables grow steeply with n, so a run for n keeps none above it;
+    # those of smaller sizes stay for the runs that share them
+    sg._TABLES.clear()
+    sg.valid_signatures(5, 3)
+    assert list(sg._TABLES) == [5]
+    sg.valid_signatures(4, 3)
+    assert list(sg._TABLES) == [4]
+    sg.residual_cases(5, 3)
+    assert sorted(sg._TABLES) == [4, 5]
