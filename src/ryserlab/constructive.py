@@ -682,16 +682,19 @@ def _multipartite3(g, parts):
 
 
 def _is_closed(g: ColoredMultigraph) -> bool:
-    """Whether every color class of g is a disjoint union of cliques."""
+    """Whether every color class of g is a disjoint union of cliques.
+
+    It is exactly when each vertex's closed neighborhood is that of its
+    lowest member: then two neighbors have one lowest member, as that of
+    either would otherwise lie below the other's, and so one neighborhood.
+    """
     for c in range(1, g.r + 1):
         row = g.adjacency(c)
         for u, nb in enumerate(row):
-            # a clique is checked from its lowest vertex, a component from its
-            # lowest vertex's neighbors
-            if nb and not nb & ((1 << u) - 1):
-                clique = nb | 1 << u
-                if any(row[v] | 1 << v != clique for v in vertices_of(nb)):
-                    return False
+            ball = nb | 1 << u
+            w = lowest_vertex(ball)
+            if row[w] | 1 << w != ball:
+                return False
     return True
 
 
