@@ -681,30 +681,13 @@ def _multipartite3(g, parts):
 # restricted covers (two-sided color classes)
 
 
-def _is_closed(g: ColoredMultigraph) -> bool:
-    """Whether every color class of g is a disjoint union of cliques.
-
-    It is exactly when each vertex's closed neighborhood is that of its
-    lowest member: then two neighbors have one lowest member, as that of
-    either would otherwise lie below the other's, and so one neighborhood.
-    """
-    for c in range(1, g.r + 1):
-        row = g.adjacency(c)
-        for u, nb in enumerate(row):
-            ball = nb | 1 << u
-            w = lowest_vertex(ball)
-            if row[w] | 1 << w != ball:
-                return False
-    return True
-
-
 def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
     """An (r-1)-cover of a complete r-colored graph whose pieces are all
     colored inside S or all inside its complement (|S| = 2, r in {3,4,5}).
 
     The proof is about closed graphs.  Its pieces are whole monochromatic
-    components, which g shares with its closure, so on a graph that is not
-    closed it runs on the closure and the cover is verified on g.
+    components, which g shares with its closure, so it runs on the closure,
+    equal to g when g is closed, and the cover is verified on g.
     """
     if r not in (3, 4, 5):
         raise GraphError("restricted_cover supports r in {3, 4, 5}")
@@ -713,7 +696,7 @@ def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
         raise GraphError("S must be two distinct colors in 1..r")
     if not g.is_complete():
         raise GraphError("restricted_cover needs a complete graph")
-    h = g if _is_closed(g) else closure(g)
+    h = closure(g)
     aS, witness = alpha(h.subgraph_colors(S))
     if aS <= r - 1:
         # A minimum cover by S-colored components has König's size: it equals

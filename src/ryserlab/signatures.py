@@ -71,19 +71,16 @@ class SignatureSet:
 
 def int_partitions(n: int) -> list[tuple[int, ...]]:
     """All weakly decreasing integer partitions of n, largest-part-first order."""
-    out: list[tuple[int, ...]] = []
+    return list(_partitions_at_most(n, n))
 
-    def rec(rem, mx, cur):
-        if rem == 0:
-            out.append(tuple(cur))
-            return
-        for q in range(min(rem, mx), 0, -1):
-            cur.append(q)
-            rec(rem - q, q, cur)
-            cur.pop()
 
-    rec(n, n, [])
-    return out
+def _partitions_at_most(n: int, mx: int):
+    """The partitions of n into parts at most mx, largest-part-first order."""
+    if n == 0:
+        yield ()
+    for q in range(min(n, mx), 0, -1):
+        for rest in _partitions_at_most(n - q, q):
+            yield (q,) + rest
 
 
 def set_partitions_with_shape(n: int, shape) -> list[tuple[tuple[int, ...], ...]]:
@@ -93,26 +90,26 @@ def set_partitions_with_shape(n: int, shape) -> list[tuple[tuple[int, ...], ...]
     size are deduplicated by trying each distinct size once, so each set
     partition appears exactly once.
     """
-    out: list[tuple[tuple[int, ...], ...]] = []
+    return list(_shaped_partitions(tuple(range(n)), tuple(shape)))
 
-    def rec(remaining, sizes, blocks):
-        if not remaining:
-            out.append(tuple(blocks))
-            return
-        v = remaining[0]
-        tried = set()
-        for idx, s in enumerate(sizes):
-            if s in tried:
-                continue
-            tried.add(s)
-            nsizes = sizes[:idx] + sizes[idx + 1:]
-            for rest in itertools.combinations(remaining[1:], s - 1):
-                block = (v,) + tuple(rest)
-                bs = set(block)
-                rec(tuple(x for x in remaining if x not in bs), nsizes, blocks + [block])
 
-    rec(tuple(range(n)), tuple(shape), [])
-    return out
+def _shaped_partitions(remaining: tuple[int, ...], sizes: tuple[int, ...]):
+    """set_partitions_with_shape's partitions of the elements remaining."""
+    if not remaining:
+        yield ()
+        return
+    v = remaining[0]
+    tried = set()
+    for idx, s in enumerate(sizes):
+        if s in tried:
+            continue
+        tried.add(s)
+        nsizes = sizes[:idx] + sizes[idx + 1:]
+        for rest in itertools.combinations(remaining[1:], s - 1):
+            block = (v,) + rest
+            bs = set(block)
+            for blocks in _shaped_partitions(tuple(x for x in remaining if x not in bs), nsizes):
+                yield (block,) + blocks
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +370,17 @@ def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
                     dead.add(key)
         return found
 
-    if last:
-        yield from rec(0, 0, ())
-    else:
-        nodes[0] += 1
-        if masks[0][0] == full:
-            yield (), 1
+    try:
+        if last:
+            yield from rec(0, 0, ())
+        else:
+            nodes[0] += 1
+            if masks[0][0] == full:
+                yield (), 1
+    finally:
+        # rec holds itself through its closure cell; without this the cycle
+        # would keep the tables it reads alive until a cyclic collection
+        del rec
 
 
 def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):

@@ -480,21 +480,6 @@ def test_restricted_cover_random():
             assert verify(g, cert).ok
 
 
-def test_closed_graphs_are_told_apart_from_the_rest():
-    rng = random.Random(14)
-    for _ in range(400):
-        n, r = rng.randint(0, 8), rng.randint(0, 4)
-        g = ColoredMultigraph(n, r, [(u, v, rng.randint(1, r))
-                                     for u, v in itertools.combinations(range(n), 2)
-                                     if r and rng.random() < 0.6])
-        if rng.random() < 0.5:
-            g = closure(g)
-            # one pair fewer
-            g = ColoredMultigraph(n, r, g.edges()[1:])
-        assert cv._is_closed(g) == (g == closure(g))
-        assert cv._is_closed(closure(g))
-
-
 def test_restricted_cover_of_a_graph_that_is_not_closed():
     # color 3 is a star at 0, not a clique, and color 1 a triangle on the rest
     g = ColoredMultigraph(4, 3, [(0, 1, 3), (0, 2, 3), (0, 3, 3),

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import pytest
 
@@ -407,3 +409,16 @@ def test_a_run_forgets_the_tables_of_larger_sizes():
     assert list(sg._TABLES) == [4]
     sg.residual_cases(5, 3)
     assert sorted(sg._TABLES) == [4, 5]
+
+
+def test_forgotten_tables_are_freed_without_a_cyclic_collection():
+    # no reference cycle may hold a search's tables once the dict lets go
+    sg._TABLES.clear()
+    gc.disable()
+    try:
+        sg.valid_signatures(5, 3)
+        dead = weakref.ref(sg._TABLES[5].dead)
+        sg.valid_signatures(4, 3)
+        assert dead() is None
+    finally:
+        gc.enable()
