@@ -217,6 +217,8 @@ def _emit(args, text, payload=None):
             "version": __version__,
             "digest": hashlib.sha256(text.encode()).hexdigest(),
         }
+        if args.budget.counts:
+            manifest["stats"] = args.budget.counts
         if payload:
             manifest.update(payload)
         with open(args.manifest, "w") as f:
@@ -299,22 +301,23 @@ def cmd_cover(args):
     if m == "exact":
         size, cert = tc_exact(g, max_diam=args.max_diam, budget=args.budget)
     elif m in ("r2", "r3", "r4"):
-        cert = cover_complete(g, int(m[1]))
+        cert = cover_complete(g, int(m[1]), args.budget)
     elif m == "bip2":
         parts = _two_parts(args.parts, g.n)
         _, cert = classify_bipartite2(g, parts[0], parts[1])
     elif m == "bip3":
         parts = _two_parts(args.parts, g.n)
-        cert = cover_bipartite3(g, parts[0], parts[1])
+        cert = cover_bipartite3(g, parts[0], parts[1], args.budget)
     elif m == "alpha2":
         cert = cover_alpha2(g)
     elif m == "multipartite":
         parts = _parse_parts(args.parts, g.n)
-        cert = cover_multipartite(g, parts, args.r or 2)
+        cert = cover_multipartite(g, parts, 2 if args.r is None else args.r, args.budget)
     else:
         if args.restrict_colors is None:
             raise UsageError("--method restricted needs --restrict-colors")
-        cert = restricted_cover(g, args.r or g.r, args.restrict_colors)
+        cert = restricted_cover(g, g.r if args.r is None else args.r, args.restrict_colors,
+                                args.budget)
     _emit(args, write_cover(cert), {"pieces": len(cert.pieces)})
     return 0
 
@@ -388,7 +391,7 @@ def cmd_hyper(args):
         comps = cover_product(h, c, ell)
         _emit(args, f"product cover size = {len(comps)}")
     elif args.method == "midrange":
-        comps = cover_midrange(h, c, ell)
+        comps = cover_midrange(h, c, ell, args.budget)
         _emit(args, f"midrange cover size = {len(comps)}")
     elif args.method == "tight":
         comp = tight_spanning(h)
@@ -433,13 +436,12 @@ def cmd_hunt(args):
         bound = int(args.bound)
     except ValueError:
         bound = args.bound  # a bound word, or hunt's ValueError
-    stats = {}
-    got = hunt(args.n, args.r, bound, budget=args.budget, stats=stats)
+    got = hunt(args.n, args.r, bound, budget=args.budget)
     if got is None:
-        _emit(args, "none", {"stats": stats})
+        _emit(args, "none")
         return 0
     cg, t = got
-    _emit(args, f"counterexample: tc = {t}\n{write_graph(cg)}", {"stats": stats, "tc": t})
+    _emit(args, f"counterexample: tc = {t}\n{write_graph(cg)}", {"tc": t})
     return 1
 
 

@@ -6,7 +6,8 @@ and every returned certificate is re-verified before being handed back.  Where
 a proof's endgame is a case analysis over a handful of named covers, the
 implementation generates the candidates and returns the first that verifies
 (an exhausted candidate list is an internal failure and raises with the
-witness coloring).
+witness coloring).  A proof whose last case is an exact search runs it on the
+budget it is given.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from .core import (ColoredMultigraph, CoverCertificate, GraphError,
                    _connected_diameter, _induced_diameter, alpha, checked, closure,
                    component_masks, layers, lowest_vertex, mask_of, reach, vertices_of)
-from .exact import SolveBudget, min_cover, tc_exact
+from .exact import min_cover, tc_exact
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ def _bipartite_colors(g: ColoredMultigraph, xm: int, ym: int, colors) -> dict:
     return least
 
 
-def _zone_cover(g, zone: int, max_pieces):
+def _zone_cover(g, zone: int, max_pieces, budget):
     """The pieces of a minimum cover of the vertex mask zone by monochromatic
     pieces of diameter <= 6, which the calling proof bounds by max_pieces.
 
@@ -109,7 +110,7 @@ def _zone_cover(g, zone: int, max_pieces):
         for v in vertices_of(zone):
             # the layers are disjoint, so their sum is their union
             add(c, sum(layers(adj, v, radius=3)))
-    size, pieces = min_cover(zone, list(cands.values()), SolveBudget())
+    size, pieces = min_cover(zone, list(cands.values()), budget)
     if size > max_pieces:
         raise AssertionError(f"no cover of the zone by {max_pieces} pieces: "
                              f"graph={g!r} edges={g.edges()}")
@@ -238,7 +239,7 @@ def classify_bipartite2(g: ColoredMultigraph, X, Y):
 # complete graphs, r = 2, 3, 4
 
 
-def cover_complete(g: ColoredMultigraph, r: int) -> CoverCertificate:
+def cover_complete(g: ColoredMultigraph, r: int, budget=None) -> CoverCertificate:
     """At most r - 1 monochromatic pieces covering a complete graph whose
     pairs all carry a color in 1..r (r in {2, 3, 4}): trees of diameter <= 4
     for r <= 3, pieces of diameter <= 6 for r = 4.
@@ -255,11 +256,11 @@ def cover_complete(g: ColoredMultigraph, r: int) -> CoverCertificate:
     if not g.subgraph_colors(range(1, r + 1)).is_complete():
         raise GraphError(f"cover_complete needs every pair to carry a color in 1..{r}")
     if r == 4:
-        return checked(g, _complete_pieces(g, r), 3, 6)
-    return checked(g, _complete_pieces(g, r), r - 1, 4, max_radius=2)
+        return checked(g, _complete_pieces(g, r, budget), 3, 6)
+    return checked(g, _complete_pieces(g, r, budget), r - 1, 4, max_radius=2)
 
 
-def _complete_pieces(g, r):
+def _complete_pieces(g, r, budget):
     n = g.n
     if n <= 1:
         return [(1, 1)] if n else []
@@ -277,10 +278,10 @@ def _complete_pieces(g, r):
             return [(j, x | A[j] | A[i])] + \
                    [(m, x | A[m]) for m in colors if m not in (i, j)]
     endgame = _complete3_endgame if r == 3 else _complete4_endgame
-    return endgame(g, least, A, B)
+    return endgame(g, least, A, B, budget)
 
 
-def _complete3_endgame(g, least, A, B):
+def _complete3_endgame(g, least, A, B, budget):
     """Two trees of diameter <= 4 once every B_ij is nonempty."""
     x = 1
     for i, j, k in itertools.permutations((1, 2, 3)):
@@ -308,7 +309,7 @@ def _complete3_endgame(g, least, A, B):
     return [(1, x | A[1]), (1, A[2] | A[3])]
 
 
-def _complete4_endgame(g, least, A, B):
+def _complete4_endgame(g, least, A, B, budget):
     """Three pieces of diameter <= 6 once every B_ij is nonempty."""
     x = 1
     # (C1): some triple intersection empty
@@ -360,7 +361,7 @@ def _complete4_endgame(g, least, A, B):
         raise AssertionError(f"claim structure missing: {g.edges()}")
     Bij, Bji, Bki = B[(i, j)], B[(j, i)], B[(k, i)]
     h1 = (l, x | A[l] | A[i] & ~Bij | A[j] & ~Bji | A[k] & ~Bki)
-    return [h1] + _zone_cover(g, Bij | Bji | Bki, 2)
+    return [h1] + _zone_cover(g, Bij | Bji | Bki, 2, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +500,7 @@ def _alpha2_case22(g, least, x, y, Ax, Ay, Aij, c1):
 # complete bipartite graphs, three colors
 
 
-def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
+def cover_bipartite3(g: ColoredMultigraph, X, Y, budget=None) -> CoverCertificate:
     """At most four monochromatic subgraphs of diameter <= 6 covering a
     complete bipartite graph with sides X and Y whose pairs each carry a
     color in 1..3."""
@@ -541,7 +542,7 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y) -> CoverCertificate:
 
     got = _bip3_layered(g, xm, ym, side_comps[0], other, adj)
     if got is None:
-        got = _zone_cover(g, xm | ym, 4)
+        got = _zone_cover(g, xm | ym, 4, budget)
     return checked(g, got, 4, 6)
 
 
@@ -612,7 +613,7 @@ def _bip3_layered(g, xm, ym, side_comp, other, adj):
 # complete multipartite graphs
 
 
-def cover_multipartite(g: ColoredMultigraph, parts, r: int) -> CoverCertificate:
+def cover_multipartite(g: ColoredMultigraph, parts, r: int, budget=None) -> CoverCertificate:
     """tc-style covers of complete multipartite graphs: <= 2 components for
     two colors, <= 3 components for three colors on three parts."""
     parts = [sorted(p) for p in parts]
@@ -633,7 +634,7 @@ def cover_multipartite(g: ColoredMultigraph, parts, r: int) -> CoverCertificate:
     part_masks = [mask_of(p) for p in parts]
     if r == 2:
         return _multipartite2(g, part_masks)
-    return _multipartite3(g, part_masks)
+    return _multipartite3(g, part_masks, budget)
 
 
 def _multipartite2(g, parts):
@@ -652,7 +653,7 @@ def _multipartite2(g, parts):
     return checked(g, list(pieces), 2)
 
 
-def _multipartite3(g, parts):
+def _multipartite3(g, parts, budget):
     full = (1 << g.n) - 1
     # a component covering a full part leaves a 2-colored bipartite rest; the
     # caller has ruled out a spanning one
@@ -670,7 +671,7 @@ def _multipartite3(g, parts):
                 return checked(g, list(pieces), 3)
     # general case: the proof guarantees a 3-component cover exists, and
     # tc_exact's certificate is already verified
-    size, cert = tc_exact(g)
+    size, cert = tc_exact(g, budget=budget)
     if size > 3:
         raise AssertionError(f"three-part cover missing: graph={g!r} "
                              f"edges={g.edges()}")
@@ -681,7 +682,7 @@ def _multipartite3(g, parts):
 # restricted covers (two-sided color classes)
 
 
-def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
+def restricted_cover(g: ColoredMultigraph, r: int, S, budget=None) -> CoverCertificate:
     """An (r-1)-cover of a complete r-colored graph whose pieces are all
     colored inside S or all inside its complement (|S| = 2, r in {3,4,5}).
 
@@ -702,7 +703,7 @@ def restricted_cover(g: ColoredMultigraph, r: int, S) -> CoverCertificate:
         # A minimum cover by S-colored components has König's size: it equals
         # a maximum set of vertices in pairwise different components of each
         # color of S, and such vertices are independent in the S-colored graph.
-        size, cert = tc_exact(g, allowed_colors=S)
+        size, cert = tc_exact(g, allowed_colors=S, budget=budget)
         if size > r - 1:
             raise AssertionError(f"no {r - 1}-cover in the colors {S}: "
                                  f"graph={g!r} edges={g.edges()}")

@@ -24,12 +24,13 @@ _SEARCH = {"matching": "matching search",
 
 
 class SolveBudget:
-    """One deadline, fixed when the budget is made, and one node allowance for
-    a whole run; solvers hand the same budget to the solvers they call."""
+    """One deadline, fixed when the budget is made, one node allowance, and the
+    nodes and named counts of a whole run; solvers hand it to those they call."""
 
     def __init__(self, max_nodes: int = 50_000_000, max_seconds: float = 600.0):
         self.max_nodes = max_nodes
         self.nodes = 0
+        self.counts = {}  # the run's named counters beside nodes, as hunt's "solved"
         self._deadline = time.monotonic() + max_seconds
         self._check_at = 1  # the node count at which the budget is next checked
 
@@ -39,9 +40,13 @@ class SolveBudget:
         self.nodes += nodes
         if self.nodes >= self._check_at:
             if self.nodes > self.max_nodes or time.monotonic() >= self._deadline:
-                raise Inconclusive(f"{_SEARCH.get(stage, stage)} budget exhausted",
-                                   {"nodes": self.nodes, "stage": stage})
+                raise self.inconclusive(f"{_SEARCH.get(stage, stage)} budget exhausted",
+                                        stage=stage)
             self._check_at = min(self.nodes + 8192, self.max_nodes + 1)
+
+    def inconclusive(self, message: str, best=None, **stats) -> Inconclusive:
+        """An Inconclusive whose stats are the run's nodes, stats and counts."""
+        return Inconclusive(message, {"nodes": self.nodes, **stats, **self.counts}, best)
 
     def seconds_left(self) -> float:
         return max(0.0, self._deadline - time.monotonic())
@@ -53,13 +58,13 @@ class SolveBudget:
 class Inconclusive(Exception):
     """Budget exhausted before the search space was settled.
 
-    stats holds JSON-safe counters; best, where the search has one, is the best
-    solution found before the budget ran out.
+    stats (from SolveBudget.inconclusive) holds JSON-safe counters; best, where
+    the search has one, is the best solution found before the budget ran out.
     """
 
-    def __init__(self, message, stats=None, best=None):
+    def __init__(self, message, stats, best=None):
         super().__init__(message)
-        self.stats = stats or {}
+        self.stats = stats
         self.best = best
 
 
@@ -99,17 +104,18 @@ def _check_coverable(universe: int, masks):
         raise Infeasible(f"vertex {v} is not coverable", witness_vertex=v)
 
 
-def min_cover(universe: int, candidates, budget: SolveBudget, at_most=None):
+def min_cover(universe: int, candidates, budget: SolveBudget | None = None, at_most=None):
     """Minimum set cover by branch and bound.
 
     Candidates sorted by decreasing size, a greedy upper bound first, then
-    branching on the least-covered element, pruned by
-    ceil(uncovered / largest candidate).
+    branching on the least-covered element, pruned by ceil(uncovered / s) for
+    s the largest candidate, then for s the most uncovered elements one holds.
 
     With at_most=k it decides instead: pruned at k + 1 from the start, it
     returns the first cover of size <= k (the greedy one after one charged
     node, if small enough) or None; an Inconclusive carries that cover or None.
     """
+    budget = budget or SolveBudget()
     cands = [(m & universe, p) for m, p in candidates]
     _check_coverable(universe, (m for m, _ in cands))
     if not universe:
@@ -160,6 +166,9 @@ def min_cover(universe: int, candidates, budget: SolveBudget, at_most=None):
         uncovered = universe & ~acc
         uc = uncovered.bit_count()
         if len(chosen) + (uc + maxsize - 1) // maxsize >= best_size:
+            return
+        most = max([(m & uncovered).bit_count() for m, _ in cands])
+        if len(chosen) + (uc + most - 1) // most >= best_size:
             return
         # least-covered uncovered element
         pick, cnt = -1, 1 << 60
@@ -224,11 +233,10 @@ def min_cover_milp(universe: int, candidates, budget: SolveBudget):
             raise AssertionError("MILP optimum leaves an element uncovered")
     if res.status == 0:
         return found
-    stats = {"nodes": budget.nodes}
     dual = getattr(res, "mip_dual_bound", None)
-    if dual is not None and math.isfinite(dual):
-        stats["lower"] = max(0, math.ceil(dual - 1e-9))
-    raise Inconclusive(f"MILP stopped: {res.message}", stats, best=found)
+    lower = {"lower": max(0, math.ceil(dual - 1e-9))} \
+        if dual is not None and math.isfinite(dual) else {}
+    raise budget.inconclusive(f"MILP stopped: {res.message}", found, **lower)
 
 
 def _connected_subsets_with_diam(g, c, max_diam, budget):
@@ -442,7 +450,6 @@ def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
     witness_vertex is that c-set's index in combinations order."""
     from .hypercover import cl_components
 
-    budget = budget or SolveBudget()
     comps = cl_components(h, c, ell)
     csets = list(itertools.combinations(range(h.n), c))
     idx = {s: i for i, s in enumerate(csets)}
@@ -556,7 +563,7 @@ def _beaten_by(colv, pair_perms, r: int, _kept=None):
     return -1, len(colv)
 
 
-def _canonical_colorings(n: int, r: int, stats=None, budget=None):
+def _canonical_colorings(n: int, r: int, budget=None):
     """The r-colorings of K_n's pairs (itertools.combinations order, colors
     1..r) that are lexicographically minimal in their orbit under S_n x S_r,
     in lexicographic order.
@@ -565,19 +572,19 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
     other one), each tested by _beaten_by.  A winner that read K entries beats
     every vector with that prefix, so the walk moves on to the next vector
     that differs within them.  Raising pair (u, v) changes only pairs between
-    vertices >= u, so only their smallest rows are rebuilt.  stats["enumerated"]
-    counts the visited vectors; each is charged to the budget once settled.
+    vertices >= u, so only their smallest rows are rebuilt.  The budget counts
+    the visited vectors as "enumerated" and is charged for each once settled.
     """
     budget = budget or SolveBudget()
+    budget.counts.setdefault("enumerated", 0)
     perms = _pair_permutations(n, budget)
     m = n * (n - 1) // 2
     lows = [u for u, _v in itertools.combinations(range(n), 2)]
     colv = [1] * m
     top = [1] * m  # top[k] = max(colv[:k + 1])
     kept = _least_rows(colv, perms, r)
-    for visited in itertools.count(1):
-        if stats is not None:
-            stats["enumerated"] = visited
+    while True:
+        budget.counts["enumerated"] += 1
         i, k = _beaten_by(colv, perms, r, kept)
         if i < 0:
             yield tuple(colv)
@@ -595,7 +602,7 @@ def _canonical_colorings(n: int, r: int, stats=None, budget=None):
         _least_rows(colv, perms, r, kept, lows[k])
 
 
-def hunt(n: int, r: int, bound, budget: SolveBudget | None = None, stats=None):
+def hunt(n: int, r: int, bound, budget: SolveBudget | None = None):
     """Search all r-colorings of K_n, one per isomorphism class, for tc_r > bound.
 
     A coloring is tested only in canonical form (_canonical_colorings): its
@@ -610,10 +617,9 @@ def hunt(n: int, r: int, bound, budget: SolveBudget | None = None, stats=None):
     coloring on its own component masks; a cover it finds is checked (at most
     bound masks, each connected in its color, covering every vertex).  Only
     the coloring returned is closed, and its verified tc_exact value must
-    exceed the bound.  The walk and the decisions draw on one budget.  The
-    counters go into the caller's stats dict if one is given: "enumerated"
-    counts the vectors visited, "canonical" the forms among them and "solved"
-    the decisions; an Inconclusive carries them too.
+    exceed the bound.  The walk and the decisions draw on one budget, which
+    also keeps the hunt's counters: "enumerated" counts the vectors visited,
+    "canonical" the forms among them and "solved" the decisions.
     Returns None or a counterexample (ColoredMultigraph closure, tc value).
     """
     if n < 1 or r < 1:
@@ -625,35 +631,31 @@ def hunt(n: int, r: int, bound, budget: SolveBudget | None = None, stats=None):
     budget = budget or SolveBudget()
     pairs = list(itertools.combinations(range(n), 2))
     full = (1 << n) - 1
-    stats = {} if stats is None else stats
-    stats.update(enumerated=0, canonical=0, solved=0)
+    for key in ("enumerated", "canonical", "solved"):
+        budget.counts.setdefault(key, 0)
 
-    try:
-        for colv in _canonical_colorings(n, r, stats, budget):
-            stats["canonical"] += 1
-            adjs = [[0] * n for _ in range(r + 1)]
-            for (u, v), c in zip(pairs, colv):
-                adjs[c][u] |= 1 << v
-                adjs[c][v] |= 1 << u
-            comps = [component_masks(adjs[c], full) for c in range(1, r + 1)]
-            got = min_cover(full, [(m, (c, m)) for c, ms in enumerate(comps, start=1)
-                                   for m in ms],
-                            budget, at_most=b)
-            stats["solved"] += 1
-            if got is not None:
-                pieces = got[1]
-                if (len(pieces) > b or functools.reduce(operator.or_, (m for _, m in pieces)) != full
-                        or any(reach(adjs[c], lowest_vertex(m), m) != m for c, m in pieces)):
-                    raise AssertionError(f"decision witness {got} is not a cover by "
-                                         f"at most {b} connected pieces")
-                continue
-            cg = closed_graph(n, comps)
-            t, _cert = tc_exact(cg, budget=budget)
-            if t <= b:
-                raise AssertionError(f"tc_exact finds tc = {t} <= {b} on {colv}, "
-                                     "where the decision found none")
-            return cg, t
-    except Inconclusive as exc:
-        exc.stats.update(stats)
-        raise
+    for colv in _canonical_colorings(n, r, budget):
+        budget.counts["canonical"] += 1
+        adjs = [[0] * n for _ in range(r + 1)]
+        for (u, v), c in zip(pairs, colv):
+            adjs[c][u] |= 1 << v
+            adjs[c][v] |= 1 << u
+        comps = [component_masks(adjs[c], full) for c in range(1, r + 1)]
+        got = min_cover(full, [(m, (c, m)) for c, ms in enumerate(comps, start=1)
+                               for m in ms],
+                        budget, at_most=b)
+        budget.counts["solved"] += 1
+        if got is not None:
+            pieces = got[1]
+            if (len(pieces) > b or functools.reduce(operator.or_, (m for _, m in pieces)) != full
+                    or any(reach(adjs[c], lowest_vertex(m), m) != m for c, m in pieces)):
+                raise AssertionError(f"decision witness {got} is not a cover by "
+                                     f"at most {b} connected pieces")
+            continue
+        cg = closed_graph(n, comps)
+        t, _cert = tc_exact(cg, budget=budget)
+        if t <= b:
+            raise AssertionError(f"tc_exact finds tc = {t} <= {b} on {colv}, "
+                                 "where the decision found none")
+        return cg, t
     return None

@@ -236,8 +236,8 @@ def good_partition(g: ColoredMultigraph, Y, Z, budget=None):
                              f"between the parts; pair {y},{z} has no color")
     dY, r = len(Y), g.r
     if dY > 0 and r ** dY > budget.nodes_left():
-        raise Inconclusive(f"good partition budget exhausted: {r ** dY} candidates",
-                           {"nodes": budget.nodes, "stage": "good partition"})
+        raise budget.inconclusive(f"good partition budget exhausted: {r ** dY} candidates",
+                                  stage="good partition")
     if not Z:
         f = (1,) * dY
     else:

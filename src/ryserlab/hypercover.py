@@ -263,12 +263,12 @@ def cover_product(h: ColoredHypergraph, c: int, ell: int):
     return _checked(h, c, list(pieces), bound, "product")
 
 
-def cover_midrange(h: ColoredHypergraph, c: int, ell: int):
+def cover_midrange(h: ColoredHypergraph, c: int, ell: int, budget=None):
     """Cover of the c-sets of a complete K_n^k in the regime
     k/2 < c <= k-(1-1/r)l.
 
-    r=2 is the minimum (c,ell)-cover from the exact kernel, tc_cl_exact, which
-    the theorem (Konig on the closure graph of the c-sets) keeps at <= 2
+    r=2 is the minimum (c,ell)-cover from the exact kernel, tc_cl_exact on the
+    budget, which the theorem (Konig on the closure graph of the c-sets) keeps at <= 2
     components.  Otherwise a maximal independent set I of the closure graph
     (|I| <= r by the theorem) yields the <= r|I| components through its
     elements, greedily pruned.
@@ -281,7 +281,7 @@ def cover_midrange(h: ColoredHypergraph, c: int, ell: int):
     if not (h.k / 2 < c <= h.k - (1 - 1 / r) * ell):
         raise HypergraphError("cover_midrange range violated")
     if r == 2:
-        _, pieces = tc_cl_exact(h, c, ell)
+        _, pieces = tc_cl_exact(h, c, ell, budget)
         return _checked(h, c, pieces, 2, "midrange")
     csets = list(itertools.combinations(range(h.n), c))
     lookup = _comp_lookup(cl_components(h, c, ell))

@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from .core import ColoredMultigraph, GraphError, closed_graph, component_masks, mask_of
+from .exact import SolveBudget
 
 
 def _shape_str(shape) -> str:
@@ -302,7 +303,7 @@ def _search_order(tab: _ShapeTables, sig: SignatureSet):
     return order, [shapes[i] for i in order]
 
 
-def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
+def _covering_tuples(tab: _ShapeTables, shapes, budget):
     """The tuples of set partitions, one index into tab.parts[shape] per
     shape, that together cover every vertex pair, a prefix at a time: yields
     (prefix, hits) in lexicographic order of prefix, where prefix holds the
@@ -318,11 +319,10 @@ def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
     prefix misses.  A state below the root whose subtree is exhausted with
     nothing yielded goes into `tab.dead` and is skipped from then on, by
     this and every later search at this n; a state whose walk the consumer
-    abandons records nothing.  When nodes is given, nodes[0] counts the
-    states the search expands and the prefixes whose last shape it decides.
+    abandons records nothing.  The states the search expands and the
+    prefixes whose last shape it decides are added to the budget's nodes,
+    unchecked: its caller charges the budget once per search.
     """
-    if nodes is None:
-        nodes = [0]
     last = len(shapes) - 1
     masks = [tab.masks[shapes[0]][:1]] + [tab.masks[s] for s in shapes[1:]]
     holders = tab.holders[shapes[-1]]
@@ -337,7 +337,7 @@ def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
 
     def rec(c, acc, idxs):
         """Yield below the state (c, acc, idxs); return whether anything was."""
-        nodes[0] += 1
+        budget.nodes += 1
         found = False
         ms = masks[c]
         room_after = room[c + 1]
@@ -347,7 +347,7 @@ def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
             for i in range(lo, len(ms)):
                 miss = full ^ (acc | ms[i])
                 if miss.bit_count() <= room_after:
-                    nodes[0] += 1
+                    budget.nodes += 1
                     hits = every_last >> i << i if rep else every_last
                     while miss and hits:
                         j = miss & -miss
@@ -374,7 +374,7 @@ def _covering_tuples(tab: _ShapeTables, shapes, nodes: list[int] | None = None):
         if last:
             yield from rec(0, 0, ())
         else:
-            nodes[0] += 1
+            budget.nodes += 1
             if masks[0][0] == full:
                 yield (), 1
     finally:
@@ -395,29 +395,22 @@ def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):
     return g
 
 
-def _charge(budget, prefixes: int):
-    """Charge one signature and the search prefixes it visited."""
-    if budget is not None:
-        budget.charge("signature search", 1 + prefixes)
-
-
 def is_valid(sig: SignatureSet, budget=None) -> ColoredMultigraph | None:
     """A realization of the signature as a closed multicoloring of K_n, or None.
 
     Applies the edge-counting filter first, then takes the first covering
     tuple of set partitions with the prescribed shapes: the first prefix of
-    `_covering_tuples` and the lowest index of its hits.  A given
-    `SolveBudget` is charged once for the signature, with the number of
-    search nodes visited.
+    `_covering_tuples` and the lowest index of its hits.  The budget gets
+    the search nodes visited and is charged one node for the signature.
     """
+    budget = budget or SolveBudget()
     if not passes_edge_count(sig):
-        _charge(budget, 0)
+        budget.charge("signature search")
         return None
     tab = _tables(sig.n)
     order, shapes = _search_order(tab, sig)
-    nodes = [0]
-    first = next(_covering_tuples(tab, shapes, nodes), None)
-    _charge(budget, nodes[0])
+    first = next(_covering_tuples(tab, shapes, budget), None)
+    budget.charge("signature search")
     if first is None:
         return None
     prefix, hits = first
@@ -513,17 +506,18 @@ def _analyze_r6ii(sig: SignatureSet, budget=None) -> tuple[bool, ColoredMultigra
     partition meet `qualifying_fourth` of its first three, which is computed
     once per prefix and tested against each index of the prefix's hits.  The
     free realization is rechecked by the independent `realization_admits_w`
-    before it is returned.  A given budget is charged as in `is_valid`.
+    before it is returned.  The budget is charged as in `is_valid`.
     """
+    budget = budget or SolveBudget()
     if not passes_edge_count(sig):
-        _charge(budget, 0)
+        budget.charge("signature search")
         return False, None
     tab = _tables(sig.n)
     order, shapes = _search_order(tab, sig)
     codes = [tab.w_codes(s) for s in shapes]
     fourth = [bits for bits, _ in codes[3]]
-    valid, nodes = False, [0]
-    for prefix, hits in _covering_tuples(tab, shapes, nodes):
+    valid = False
+    for prefix, hits in _covering_tuples(tab, shapes, budget):
         valid = True
         qualifying = tab.qualifying_fourth(*(codes[c][i][1] for c, i in enumerate(prefix)))
         while hits:
@@ -532,10 +526,10 @@ def _analyze_r6ii(sig: SignatureSet, budget=None) -> tuple[bool, ColoredMultigra
                 g = _realization(sig, tab, order, shapes, prefix + (i,))
                 if realization_admits_w(g):
                     raise AssertionError(f"free realization of {sig} admits a qualifying W")
-                _charge(budget, nodes[0])
+                budget.charge("signature search")
                 return True, g
             hits &= hits - 1
-    _charge(budget, nodes[0])
+    budget.charge("signature search")
     return valid, None
 
 
@@ -564,8 +558,8 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
 
 
 def valid_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
-    """The signatures that `is_valid` realizes; a given `SolveBudget` is
-    charged per signature and raises `Inconclusive` once exhausted."""
+    """The signatures that `is_valid` realizes; the budget is charged per
+    signature and raises `Inconclusive` once exhausted."""
     _drop_tables_above(n)
     return [s for s in enumerate_signatures(n, p) if is_valid(s, budget) is not None]
 

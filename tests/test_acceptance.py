@@ -70,8 +70,12 @@ def test_criterion_2_z_table_exact_entries():
 
 
 def test_criterion_2_z34():
-    out = gp.z_exact(3, 4, SolveBudget(max_seconds=300))
+    budget = SolveBudget(max_seconds=300)
+    out = gp.z_exact(3, 4, budget)
     assert out.exact and out.value == 8
+    # branch and bound on the 50 words the two pins leave, pruned by the
+    # residual bound ceil(uncovered / most uncovered words one word dominates)
+    assert budget.nodes == 21009
     assert gp.covers_all(out.witness) is True
     assert gp.gamma_t_check(3, 4, out.witness)
     report("criterion 2b PASS: Z(3,4) = 8 with verified witness")

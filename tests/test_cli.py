@@ -223,12 +223,12 @@ def test_hunt_manifest_records_the_counters(tmp_path, capsys):
     code, out = run_cli(["--manifest", str(m), "hunt", "--n", "5", "--r", "3",
                          "--bound", "2alpha"], capsys)
     assert code == 0 and out.strip() == "none"
-    walk = {"enumerated": 0}
+    walk = ex.SolveBudget()
     assert sum(1 for _ in ex._canonical_colorings(5, 3, walk)) == 142
     d = json.loads(m.read_text())
-    assert d["stats"] == {"enumerated": walk["enumerated"], "canonical": 142,
+    assert d["stats"] == {"enumerated": walk.counts["enumerated"], "canonical": 142,
                           "solved": 142}
-    assert "tc" not in d and d["nodes"] > walk["enumerated"]
+    assert "tc" not in d and d["nodes"] > walk.counts["enumerated"]
     # a find records its tc beside the counters
     code, out = run_cli(["--manifest", str(m), "hunt", "--n", "4", "--r", "3",
                          "--bound", "1"], capsys)
@@ -394,6 +394,22 @@ def test_inconclusive_exits_2_with_stats(tmp_path, capsys):
     assert out.startswith("inconclusive: partition search budget exhausted")
     assert "'nodes'" in out
     assert json.loads(m.read_text())["stats"]["nodes"] > 0
+
+
+def test_cover_budget_reaches_the_proof_search(tmp_path, capsys):
+    # vertex 0 sends colors 1..4 to 1..4, and the other pairs put the r = 4
+    # proof in its final case, which ends in a set cover search
+    p = tmp_path / "k5.cg"
+    p.write_text("cg 5 4\n" + "".join(f"e {u} {v} {c}\n" for u, v, c in [
+        (0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 4), (1, 2, 3), (1, 3, 2), (1, 4, 2),
+        (2, 3, 1), (2, 4, 1), (3, 4, 1)]))
+    m = tmp_path / "m.json"
+    code = cli.main(["--budget-seconds", "0", "--manifest", str(m), "cover",
+                     "--input", str(p), "--method", "r4"])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    assert captured.out.startswith("inconclusive: set cover budget exhausted")
+    assert json.loads(m.read_text())["stats"]["nodes"] >= 1
 
 
 def test_zrd_stopped_in_milp_records_the_stop(tmp_path, capsys):
@@ -566,6 +582,10 @@ K3_RAINBOW = "cg 3 3\ne 0 1 1\ne 0 2 2\ne 1 2 3\n"
     (["hyper", "--method", "midrange", "--c", "3", "--ell", "2"], HG_SPARSE_64),
     # the restricted cover needs its two colors
     (["cover", "--method", "restricted"], K3_RAINBOW),
+    # --r 0 is a value, not an unset option
+    (["cover", "--method", "restricted", "--r", "0", "--restrict-colors", "2", "3"],
+     K3_RAINBOW),
+    (["cover", "--method", "multipartite", "--r", "0", "--parts", "0;1;2"], K3_RAINBOW),
     # a negative diameter bound is a bad argument, not a solver failure
     (["tc", "--max-diam", "-1"], K3_RAINBOW),
     (["cover", "--method", "exact", "--max-diam", "-1"], K3_RAINBOW),

@@ -76,9 +76,9 @@ def test_cover_complete4_final_case_on_every_k5(monkeypatch):
     # case, which ends in a two-piece zone cover
     zones, real = [], cv._zone_cover
 
-    def spy(g, zone, max_pieces):
+    def spy(g, zone, max_pieces, budget):
         zones.append(max_pieces)
-        return real(g, zone, max_pieces)
+        return real(g, zone, max_pieces, budget)
 
     monkeypatch.setattr(cv, "_zone_cover", spy)
     pairs = list(itertools.combinations(range(1, 5), 2))
@@ -392,6 +392,8 @@ def test_cover_multipartite_3_general_case(monkeypatch):
     assert len(cert.pieces) <= 3 and verify(g, cert).ok
     # tc_exact's certificate, which declares its own size
     assert cert.declared_max_size == len(cert.pieces)
+    with pytest.raises(ex.Inconclusive):
+        cv.cover_multipartite(g, [[0, 1], [2, 3], [4, 5, 6]], 3, ex.SolveBudget(max_seconds=0))
 
 
 def test_cover_bipartite3_zone_fallback(monkeypatch):
@@ -413,6 +415,9 @@ def test_cover_bipartite3_zone_fallback(monkeypatch):
     cert = cv.cover_bipartite3(g, range(6), range(6, 11))
     assert calls == [(1 << 11) - 1]
     assert len(cert.pieces) <= 4 and verify(g, cert).ok
+    # the zone cover searches on the budget the proof is given
+    with pytest.raises(ex.Inconclusive):
+        cv.cover_bipartite3(g, range(6), range(6, 11), ex.SolveBudget(max_seconds=0))
 
 
 # Inputs on which the layered decomposition reaches cases (d)/(e), tagged with
@@ -537,6 +542,10 @@ def test_restricted_cover_konig_branch_is_minimum():
             assert cert.allowed_colors == frozenset(S) and verify(g, cert).ok
             checked += 1
     assert checked >= 60
+    # the S-colored search runs on the budget the proof is given
+    with pytest.raises(ex.Inconclusive):
+        cv.restricted_cover(monochromatic_complete(3, r=3, color=2), 3, [2, 3],
+                            ex.SolveBudget(max_seconds=0))
 
 
 def engineer_residual(case):

@@ -309,8 +309,8 @@ def test_mc_examples():
 
 def test_hunt_small():
     assert ex.hunt(4, 2, "alpha") is None
-    stats = {}
-    got = ex.hunt(4, 3, 1, stats=stats)
+    budget = ex.SolveBudget()
+    got = ex.hunt(4, 3, 1, budget)
     assert got is not None
     cg, t = got
     assert t == 2
@@ -318,7 +318,7 @@ def test_hunt_small():
     assert list(cg.edges()) == [
         (0, 1, frozenset({1, 2})), (0, 2, frozenset({1})), (0, 3, frozenset({2})),
         (1, 2, frozenset({1})), (1, 3, frozenset({2})), (2, 3, frozenset({3}))]
-    assert (stats["canonical"], stats["solved"]) == (7, 7)
+    assert (budget.counts["canonical"], budget.counts["solved"]) == (7, 7)
     assert ex.hunt(4, 3, "2alpha") is None
 
 
@@ -386,9 +386,9 @@ def test_canonical_colorings_count_orbits():
     for n, r in sizes:
         orbits = _burnside_orbits(n, r)
         assert orbits == known.get((n, r), orbits)
-        stats = {"enumerated": 0}
-        assert sum(1 for _ in ex._canonical_colorings(n, r, stats)) == orbits
-        enumerated[n, r] = stats["enumerated"]
+        budget = ex.SolveBudget()
+        assert sum(1 for _ in ex._canonical_colorings(n, r, budget)) == orbits
+        enumerated[n, r] = budget.counts["enumerated"]
     # the walk visits fewer vectors than the restricted-growth ones: at (5, 4)
     # the set partitions of 10 pairs into at most 4 blocks, S(10,1..4) =
     # 1 + 511 + 9330 + 34105, and at (6, 2) those of 15 pairs into at most 2
@@ -620,9 +620,9 @@ def test_hunt_shares_one_node_allowance():
         ex.hunt(5, 3, "2alpha", budget=ex.SolveBudget(max_nodes=100))
     assert exc.value.stats["nodes"] == 101
     # the walk charges every vector it settles
-    budget, stats = ex.SolveBudget(), {"enumerated": 0}
-    assert sum(1 for _ in ex._canonical_colorings(5, 3, stats, budget)) == 142
-    assert budget.nodes == stats["enumerated"] > 142
+    budget = ex.SolveBudget()
+    assert sum(1 for _ in ex._canonical_colorings(5, 3, budget)) == 142
+    assert budget.nodes == budget.counts["enumerated"] > 142
 
 
 def test_hunt_deadline_covers_the_permutation_table():

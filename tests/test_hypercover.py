@@ -135,6 +135,9 @@ def test_cover_midrange_examples():
     for _ in range(40):
         h = rand_uniform(6, 3, 2, rng)
         assert len(hc.cover_midrange(h, 2, 1)) <= 2
+    # two colors: the exact kernel's search runs on the given budget
+    with pytest.raises(ex.Inconclusive):
+        hc.cover_midrange(h, 2, 1, ex.SolveBudget(max_seconds=0))
     mono = rand_uniform(6, 3, 1, rng)
     mono2 = ColoredHypergraph(6, 3, 2, None, mono.edges())
     assert len(hc.cover_midrange(mono2, 2, 1)) == 1

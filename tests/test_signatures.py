@@ -119,7 +119,7 @@ def _assert_sample_equals_brute_force():
         tab = sg._tables(s.n)
         _, shapes = sg._search_order(tab, s)
         want = list(_brute_covers(tab, shapes, range(1)))  # the first pinned
-        assert _expanded(sg._covering_tuples(tab, shapes)) == want, s
+        assert _expanded(sg._covering_tuples(tab, shapes, SolveBudget())) == want, s
         found += bool(want)
     assert 0 < found < len(cases)
 
@@ -373,7 +373,7 @@ def test_r6ii_eliminations_hold_on_every_realization():
     for s in elim:
         assert sg.is_valid(s) is not None
         order, shapes = sg._search_order(tab, s)
-        for idxs in _expanded(sg._covering_tuples(tab, shapes)):
+        for idxs in _expanded(sg._covering_tuples(tab, shapes, SolveBudget())):
             assert sg.realization_admits_w(sg._realization(s, tab, order, shapes, idxs))
             count += 1
     assert count == 20560
