@@ -109,7 +109,8 @@ def min_cover(universe: int, candidates, budget: SolveBudget | None = None, at_m
 
     Candidates sorted by decreasing size, a greedy upper bound first, then
     branching on the least-covered element, pruned by ceil(uncovered / s) for
-    s the largest candidate, then for s the most uncovered elements one holds.
+    s the most uncovered elements one candidate holds; s never grows down a
+    branch, so a node rescans for its own s only when its parent's does not prune.
 
     With at_most=k it decides instead: pruned at k + 1 from the start, it
     returns the first cover of size <= k (the greedy one after one charged
@@ -120,8 +121,7 @@ def min_cover(universe: int, candidates, budget: SolveBudget | None = None, at_m
     _check_coverable(universe, (m for m, _ in cands))
     if not universe:
         return 0, []
-    cands = [t for _, t in sorted(enumerate(cands),
-                                  key=lambda it: (-it[1][0].bit_count(), it[0]))]
+    cands.sort(key=lambda t: -t[0].bit_count())
 
     # greedy upper bound
     acc = 0
@@ -151,9 +151,8 @@ def min_cover(universe: int, candidates, budget: SolveBudget | None = None, at_m
             b = mm & -mm
             by_elem[b.bit_length() - 1].append((m, p))
             mm ^= b
-    maxsize = cands[0][0].bit_count()
 
-    def rec(acc, chosen):
+    def rec(acc, chosen, s):
         nonlocal best_size, best_sol
         charge("set cover")
         if acc == universe:
@@ -165,10 +164,10 @@ def min_cover(universe: int, candidates, budget: SolveBudget | None = None, at_m
             return
         uncovered = universe & ~acc
         uc = uncovered.bit_count()
-        if len(chosen) + (uc + maxsize - 1) // maxsize >= best_size:
+        if len(chosen) + (uc + s - 1) // s >= best_size:
             return
-        most = max([(m & uncovered).bit_count() for m, _ in cands])
-        if len(chosen) + (uc + most - 1) // most >= best_size:
+        s = max([(m & uncovered).bit_count() for m, _ in cands])
+        if len(chosen) + (uc + s - 1) // s >= best_size:
             return
         # least-covered uncovered element
         pick, cnt = -1, 1 << 60
@@ -183,11 +182,11 @@ def min_cover(universe: int, candidates, budget: SolveBudget | None = None, at_m
         opts = sorted(by_elem[pick], key=lambda t: -(t[0] & uncovered).bit_count())
         for m, p in opts:
             chosen.append(p)
-            rec(acc | m, chosen)
+            rec(acc | m, chosen, s)
             chosen.pop()
 
     try:
-        rec(0, [])
+        rec(0, [], cands[0][0].bit_count())
     except _Covered:
         pass
     except Inconclusive as exc:
@@ -448,17 +447,18 @@ def tc_cl_exact(h, c: int, ell: int, budget: SolveBudget | None = None):
 
     Raises Infeasible naming the first c-set no component holds; its
     witness_vertex is that c-set's index in combinations order."""
-    from .hypercover import cl_components
+    from .hypercover import _checked, cl_components
 
     comps = cl_components(h, c, ell)
     csets = list(itertools.combinations(range(h.n), c))
     idx = {s: i for i, s in enumerate(csets)}
     candidates = [(mask_of(idx[s] for s in comp.shadow), comp) for comp in comps]
     try:
-        return min_cover((1 << len(csets)) - 1, candidates, budget)
+        size, pieces = min_cover((1 << len(csets)) - 1, candidates, budget)
     except Infeasible as exc:
         i = exc.witness_vertex
         raise Infeasible(f"c-set {csets[i]} is not coverable", witness_vertex=i) from None
+    return size, _checked(h, c, pieces, size, "exact")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from ryserlab import goodpart as gp
 from ryserlab import hypercover as hc
 from ryserlab import signatures as sg
 from ryserlab.core import (ColoredMultigraph, alpha, closure, complete_graph,
-                           verify)
+                           mask_of, verify)
 from ryserlab.duality import ColoredHypergraph, check_duality
 from ryserlab.exact import SolveBudget
 
@@ -87,6 +87,24 @@ def test_criterion_2_z44_interval():
     assert out.witness is not None and gp.covers_all(out.witness) is True
     report(f"criterion 2c PASS: Z(4,4) certified within [6,7] "
            f"(proved [{out.lower},{out.upper}])")
+
+
+def test_criterion_2_z44_branch_and_bound():
+    # Z(4,4) >= 7 again, in integer arithmetic only: the branch and bound on
+    # the residual that z_exact leaves once 1^4 and 2^4 are pinned
+    words = list(gp.all_words(4, 4))
+    dom = [mask_of(j for j, g in enumerate(words) if gp.everywhere_different(f, g))
+           for f in words]
+    twos = words.index((2,) * 4)
+    residual = ((1 << len(words)) - 1) & ~dom[0] & ~dom[twos]
+    budget = SolveBudget(max_seconds=900)
+    size, chosen = ex.min_cover(residual, list(zip(dom, words)), budget)
+    assert size + 2 == 7
+    assert budget.nodes == 528283
+    witness = gp.WordSet.of(4, 4, [words[0], words[twos]] + chosen)
+    assert gp.covers_all(witness) is True
+    assert gp.gamma_t_check(4, 4, witness)
+    report("criterion 2c PASS: Z(4,4) = 7 by branch and bound, integer-only")
 
 
 def test_criterion_2_z35_interval():

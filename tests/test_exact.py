@@ -547,6 +547,33 @@ def test_tc_exact_diameter_has_one_deadline(monkeypatch):
     assert len(given) == 1 and given[0] is budget
 
 
+def test_tc_exact_diameter_node_counts_on_long_candidate_lists(monkeypatch):
+    # six random 2-colored 20-vertex graphs, about 1 700 diameter-3 pieces
+    # each: the piece enumeration's nodes and the cover search's, pinned
+    searched = []
+    real = ex.min_cover
+
+    def spy(universe, candidates, budget):
+        before = budget.nodes
+        got = real(universe, candidates, budget)
+        searched.append(budget.nodes - before)
+        return got
+
+    monkeypatch.setattr(ex, "min_cover", spy)
+    rng = random.Random(7)
+    found = []
+    for _ in range(6):
+        g = ColoredMultigraph(20, 2, [(u, v, rng.randint(1, 2)) for u in range(20)
+                                      for v in range(u + 1, 20) if rng.random() < 0.18])
+        budget = ex.SolveBudget(max_seconds=60)
+        size, cert = ex.tc_exact(g, max_diam=3, budget=budget)
+        assert verify(g, cert).ok
+        found.append((size, budget.nodes))
+    assert found == [(5, 22435), (5, 1580), (4, 25195), (5, 1481), (4, 2558), (5, 12174)]
+    assert sum(nodes for _, nodes in found) == 65423
+    assert sum(searched) == 5816
+
+
 def test_tc_exact_diameter_size_limit_is_a_domain_error():
     path = ColoredMultigraph.from_edges(25, 1, [(v, v + 1, 1) for v in range(24)])
     with pytest.raises(GraphError, match=r"limited to n <= 24, got n=25"):

@@ -117,6 +117,30 @@ def test_coverage_gate_survives_python_O():
     assert "product cover must span all c-sets" in res.stdout
 
 
+def test_exact_cover_gate_survives_python_O():
+    # a kernel that drops a piece of its cover must make tc_cl_exact raise,
+    # under -O too
+    src = os.path.dirname(os.path.dirname(hc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = textwrap.dedent("""
+        import ryserlab.exact as ex
+        from ryserlab.duality import complete_uniform
+        solve = ex.min_cover
+        ex.min_cover = lambda *args: (lambda size, pieces: (size, pieces[1:]))(*solve(*args))
+        try:
+            ex.tc_cl_exact(complete_uniform(6, 3, lambda e: 1 + sum(e) % 3), 1, 1)
+        except AssertionError as exc:
+            print(exc)
+        else:
+            raise SystemExit("tc_cl_exact returned a cover that misses c-sets")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "exact cover must span all c-sets\n"
+
+
 def test_cover_product_examples():
     rng = random.Random(4)
     h = rand_uniform(7, 3, 6, rng)
