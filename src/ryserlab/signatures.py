@@ -19,7 +19,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import ColoredMultigraph, GraphError, closed_graph, component_masks, mask_of
+from .core import (ColoredMultigraph, GraphError, closed_graph, component_masks, mask_of,
+                   vertices_of)
 from .exact import SolveBudget
 
 
@@ -385,13 +386,20 @@ def _covering_tuples(tab: _ShapeTables, shapes, budget):
 
 def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):
     """The realization graph of a covering tuple, colored in the signature's
-    order; raises unless it has exactly the signature sig."""
+    order; raises unless it colors every pair of K_n and color c's component
+    sizes are the signature's c-th shape."""
     by_color = [None] * len(shapes)
     for color, shape, i in zip(order, shapes, idxs):
         by_color[color] = [mask_of(b) for b in tab.parts[shape][i]]
     g = closed_graph(sig.n, by_color)
-    if signature_of(g, range(sig.n), range(1, sig.p + 1)) != sig:
-        raise AssertionError(f"realization of {sig} has another signature")
+    if not g.is_complete():
+        raise AssertionError(f"realization of {sig} leaves a pair uncolored")
+    everything = (1 << sig.n) - 1
+    for c, shape in enumerate(sig.sigs, start=1):
+        sizes = sorted((m.bit_count() for m in component_masks(g.adjacency(c), everything)),
+                       reverse=True)
+        if tuple(sizes) != shape:
+            raise AssertionError(f"realization of {sig} has another signature")
     return g
 
 
@@ -467,33 +475,65 @@ def _w_qualifies(size: int, profs) -> bool:
     return st - max(t[i] - g3[i] for i in range(4)) <= 5
 
 
+def _pair_mask(n: int, blocks) -> int:
+    """The mask of the vertex pairs inside one of the vertex masks in blocks,
+    pair uv (u < v) at bit u*n + v."""
+    m = 0
+    for b in blocks:
+        for u in vertices_of(b):
+            m |= b >> u + 1 << u + 1 + u * n
+    return m
+
+
+@functools.cache
+def _w_pair_masks(n: int) -> dict[int, tuple[int, ...]]:
+    """Per size 3..5, the `_pair_mask` of each W of that size in range(n)."""
+    return {size: tuple(_pair_mask(n, [mask_of(w)])
+                        for w in itertools.combinations(range(n), size))
+            for size in range(3, min(n, 5) + 1)}
+
+
+@functools.cache
+def _qualifying_counts(size: int) -> frozenset[tuple[int, int, int, int]]:
+    """The 4-tuples of W-pair counts, one per color, for which `_w_qualifies`
+    holds, in every order (the lemma is evaluated once per sorted tuple).
+
+    A set partition restricted to W has blocks whose sizes q form an integer
+    partition of |W|, and the sum of q(q-1)/2 over them counts W's pairs
+    inside one block.  For |W| <= 5 that count names the partition (3: 0, 1,
+    3; 4: 0, 1, 2, 3, 6; 5: 0, 1, 2, 3, 4, 6, 10; at 6, (4,1,1) and (3,3) both
+    give 6), so it names the restriction's profile too.
+    """
+    parts = int_partitions(size)
+    profile = {sum(q * (q - 1) // 2 for q in lam):
+               (len(lam), sum(1 for x in lam if x >= 2), sum(1 for x in lam if x >= 3))
+               for lam in parts}
+    if len(profile) != len(parts):
+        raise ValueError(f"pair counts do not name the partitions of {size}")
+    return frozenset(order
+                     for four in itertools.combinations_with_replacement(sorted(profile), 4)
+                     if _w_qualifies(size, [profile[x] for x in four])
+                     for order in itertools.permutations(four))
+
+
 def realization_admits_w(g: ColoredMultigraph) -> bool:
     """Whether some W of size 3..5 in this 4-colored realization satisfies lem:r6ii.
 
-    Reads the graph, not the search tables: each color's blocks are its
-    component masks, and W's profile in a color counts the blocks that meet
-    `wmask` in at least one, two and three vertices.  Only `_w_qualifies`,
-    the lemma itself, is shared with the table path.
+    Reads the graph, not the search tables: each color's component masks give
+    the mask of the pairs inside one of its components, and W's profile in
+    that color is named by how many of W's pairs the mask holds, a popcount
+    looked up in `_qualifying_counts`.  Only `_w_qualifies`, the lemma itself,
+    is shared with the table path.
     """
-    everything = (1 << g.n) - 1
-    blocks = [component_masks(g.adjacency(c), everything) for c in range(1, 5)]
-    for size in (3, 4, 5):
-        for w in itertools.combinations(range(g.n), size):
-            wmask = mask_of(w)
-            profs = []
-            for bs in blocks:
-                t = g2 = g3 = 0
-                for b in bs:
-                    x = b & wmask
-                    if x:
-                        t += 1
-                        x &= x - 1  # drop one vertex of the block's meet with W
-                        if x:
-                            g2 += 1
-                            if x & (x - 1):
-                                g3 += 1
-                profs.append((t, g2, g3))
-            if _w_qualifies(size, profs):
+    n = g.n
+    everything = (1 << n) - 1
+    s1, s2, s3, s4 = (_pair_mask(n, component_masks(g.adjacency(c), everything))
+                      for c in range(1, 5))
+    for size, wmasks in _w_pair_masks(n).items():
+        qualifying = _qualifying_counts(size)
+        for w in wmasks:
+            if ((w & s1).bit_count(), (w & s2).bit_count(),
+                    (w & s3).bit_count(), (w & s4).bit_count()) in qualifying:
                 return True
     return False
 
@@ -541,7 +581,8 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
     over every realization found by the validity search (a signature is
     eliminated only when each realization admits a qualifying subset W).  The
     search stops at the first free realization, one admitting no qualifying
-    W, and raises unless `realization_admits_w` confirms that it is free.
+    W, and raises unless `realization_admits_w` confirms that it is free.  A
+    g that does not realize sig raises GraphError.
     """
     which = which.upper()
     if which not in ("R5", "R6", "R6II"):
@@ -552,6 +593,8 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
     if which != "R6II":
         return _lemma_eliminates(sig.shapes())
     if g is not None:
+        if g.n != sig.n or signature_of(g, range(sig.n), range(1, 5)) != sig:
+            raise GraphError(f"R6II needs a realization of {sig}")
         return realization_admits_w(g)
     valid, free = _analyze_r6ii(sig)
     return valid and free is None

@@ -10,8 +10,8 @@ import weakref
 import pytest
 
 from ryserlab import signatures as sg
-from ryserlab.core import (ColoredMultigraph, GraphError, complete_graph,
-                           monochromatic_complete)
+from ryserlab.core import (ColoredMultigraph, GraphError, closure, complete_graph,
+                           component_masks, mask_of, monochromatic_complete)
 from ryserlab.exact import Inconclusive, SolveBudget
 
 
@@ -362,6 +362,65 @@ def test_w_tables_agree_with_w_qualifies():
     assert outcomes == {True, False}
 
 
+def _block_loop_admits_w(g):
+    """The block-loop form of `realization_admits_w`, kept as its reference:
+    W's profile in each color from the blocks that W meets."""
+    everything = (1 << g.n) - 1
+    blocks = [component_masks(g.adjacency(c), everything) for c in range(1, 5)]
+    for size in (3, 4, 5):
+        for w in itertools.combinations(range(g.n), size):
+            wmask = mask_of(w)
+            profs = []
+            for bs in blocks:
+                t = g2 = g3 = 0
+                for b in bs:
+                    x = b & wmask
+                    if x:
+                        t += 1
+                        x &= x - 1  # drop one vertex of the block's meet with W
+                        if x:
+                            g2 += 1
+                            if x & (x - 1):
+                                g3 += 1
+                profs.append((t, g2, g3))
+            if sg._w_qualifies(size, profs):
+                return True
+    return False
+
+
+def test_pair_counts_name_the_partitions_up_to_five():
+    def counts(size):
+        return [sum(q * (q - 1) // 2 for q in lam) for lam in sg.int_partitions(size)]
+    assert sorted(counts(3)) == [0, 1, 3]
+    assert sorted(counts(4)) == [0, 1, 2, 3, 6]
+    assert sorted(counts(5)) == [0, 1, 2, 3, 4, 6, 10]
+    assert counts(6).count(6) == 2  # (4,1,1) and (3,3)
+    with pytest.raises(ValueError, match="do not name the partitions of 6"):
+        sg._qualifying_counts(6)
+
+
+def test_pair_count_checker_agrees_with_the_block_loops():
+    # the free realizations of the 173 surviving signatures (the realizations
+    # of the eliminated ones are compared in the test below)
+    for s in sg.load_r6_fixture():
+        valid, g = sg._analyze_r6ii(s)
+        assert valid and not sg.realization_admits_w(g) and not _block_loop_admits_w(g)
+    # multicolorings of K_n that are not closed
+    rng = random.Random(33)
+    seen = set()
+    for n in range(3, 8):
+        tried = 0
+        while tried < 60:
+            g = complete_graph(n, lambda u, v: rng.sample(range(1, 5), rng.choice((1, 1, 2))), 4)
+            if closure(g) == g or not any(len(cs) > 1 for _, _, cs in g.edges()):
+                continue
+            tried += 1
+            got = sg.realization_admits_w(g)
+            assert got == _block_loop_admits_w(g), g.edges()
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def test_r6ii_eliminations_hold_on_every_realization():
     # valid, not eliminated by R6, eliminated by R6II: every realization the
     # search enumerates must admit a qualifying W by the independent checker
@@ -374,9 +433,37 @@ def test_r6ii_eliminations_hold_on_every_realization():
         assert sg.is_valid(s) is not None
         order, shapes = sg._search_order(tab, s)
         for idxs in _expanded(sg._covering_tuples(tab, shapes, SolveBudget())):
-            assert sg.realization_admits_w(sg._realization(s, tab, order, shapes, idxs))
+            g = sg._realization(s, tab, order, shapes, idxs)
+            assert sg.realization_admits_w(g) and _block_loop_admits_w(g)
             count += 1
     assert count == 20560
+
+
+def test_realization_gate_checks_every_pair_and_each_color():
+    tab = sg._tables(6)
+    # four perfect matchings cover 12 of K_6's 15 pairs
+    s = S((2, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2))
+    order, shapes = sg._search_order(tab, s)
+    with pytest.raises(AssertionError, match="leaves a pair uncolored"):
+        sg._realization(s, tab, order, shapes, (0, 0, 0, 0))
+    # a covering tuple colored in the wrong order
+    s = S((6,), (4, 2), (4, 2), (4, 2))
+    order, shapes = sg._search_order(tab, s)
+    prefix, hits = next(sg._covering_tuples(tab, shapes, SolveBudget()))
+    idxs = prefix + ((hits & -hits).bit_length() - 1,)
+    assert sg._realization(s, tab, order, shapes, idxs).is_complete()
+    with pytest.raises(AssertionError, match="has another signature"):
+        sg._realization(s, tab, order[::-1], shapes, idxs)
+
+
+def test_r6ii_on_a_graph_rejects_a_graph_that_does_not_realize_sig():
+    s = S((6,), (6,), (6,), (6,))
+    with pytest.raises(GraphError, match="R6II needs a realization of"):
+        sg.lemma_filter(s, "R6II", monochromatic_complete(7, r=4))
+    other = sg.is_valid(S((6,), (4, 2), (4, 2), (4, 2)))
+    assert other is not None
+    with pytest.raises(GraphError, match="R6II needs a realization of"):
+        sg.lemma_filter(s, "R6II", other)
 
 
 def test_free_witness_gate_survives_python_O():
