@@ -201,11 +201,13 @@ def kiraly_cover(h: ColoredHypergraph):
                 if common:
                     lower = common[0]
                     break
-            assert lower is not None, "pigeonhole absorption must find a color"
+            if lower is None:
+                raise AssertionError(f"pigeonhole absorption finds no color for {e} in {h!r}")
             new[e] = lower
         current = new
         rr -= 1
-        assert rr >= 1
+        if rr < 1:
+            raise AssertionError(f"absorption leaves no color in {h!r}")
 
     # pieces: for each current color on S's stars, the ORIGINAL component of
     # that color through S.  Absorption keeps per-color component shadows
@@ -247,7 +249,8 @@ def cover_product(h: ColoredHypergraph, c: int, ell: int):
         aux_edges = []
         for combo in itertools.combinations(range(len(csets)), kk):
             union = set().union(*(csets[i] for i in combo))
-            assert len(union) <= k, "kk*c <= k keeps every union inside an edge"
+            if len(union) > k:  # kk*c <= k keeps every union inside an edge
+                raise AssertionError(f"{kk} c-sets span {len(union)} > k vertices in {h!r}")
             aux_edges.append((witness_color(union), combo))
         aux = ColoredHypergraph(len(csets), kk, h.r, None, aux_edges)
         # pull back: any aux core edge's first c-set, in the same color

@@ -157,15 +157,15 @@ def passes_edge_count(sig: SignatureSet) -> bool:
 
 class _ShapeTables:
     """Per-(n) cache of set partitions, pair masks, pair holders,
-    W-restriction codes and dead search states.
+    W-pair-count codes and dead search states.
 
-    `ensure(shape)` lists the set partitions of that shape (`parts`), the mask
-    of the vertex pairs each one covers (`masks`, bit j for `pairs[j]`), and,
+    `ensure(shape)` lists the set partitions of that shape (`parts`), the
+    `_pair_mask` of the vertex pairs each one covers (`masks`), and,
     bit-sliced the other way round, `holders[shape][j]`: the mask over the
-    shape's partition indices whose bit i is set iff partition i covers pair j.
-    The W tables behind `w_codes` and `qualifying_fourth` give one bit to each
-    pair (W, restriction profile) over the subsets W of size 3..5; they are
-    built on first use.
+    shape's partition indices whose bit i is set iff partition i covers pair
+    j.  The W tables behind `w_codes` and `qualifying_fourth` give one bit to
+    each pair (W, W-pair count) over the subsets W of size 3..5, in the order
+    of `_w_pair_masks`; they are built on first use.
 
     `dead` holds the keys of the search states of `_covering_tuples` whose
     subtree holds no covering tuple, for every signature of this n.  A key
@@ -178,99 +178,71 @@ class _ShapeTables:
 
     def __init__(self, n: int):
         self.n = n
-        self.pairs = list(itertools.combinations(range(n), 2))
-        self.pair_idx = {pq: i for i, pq in enumerate(self.pairs)}
-        self.full = (1 << len(self.pairs)) - 1
+        self.lo_shift = n * (n - 1) // 2
+        self.full = (1 << self.lo_shift) - 1
         self.parts: dict[tuple[int, ...], list] = {}
         self.masks: dict[tuple[int, ...], list[int]] = {}
         self.holders: dict[tuple[int, ...], list[int]] = {}
         self.codes: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        self.w_subsets: list[tuple[int, ...]] = []
         self.w_offset: list[int] = []
-        self.w_profiles: dict[int, list[tuple[int, int, int]]] = {}
+        self._slots: list[tuple[int, dict[int, int]]] = []
         self._qual: list[tuple[int, list[int]]] = []
         self.dead: set[int] = set()
         self.suffix_ids: dict[tuple[tuple[int, ...], ...], int] = {}
-        self.lo_shift = len(self.pairs)
         self.sid_shift = self.lo_shift + math.factorial(n).bit_length()
 
     def ensure(self, shape: tuple[int, ...]):
         if shape not in self.parts:
             plist = set_partitions_with_shape(self.n, shape)
-            masks = [self._pmask(p) for p in plist]
+            masks = [_pair_mask(self.n, map(mask_of, p)) for p in plist]
             self.parts[shape] = plist
             self.masks[shape] = masks
             self.holders[shape] = [sum(1 << i for i, m in enumerate(masks) if m >> j & 1)
-                                   for j in range(len(self.pairs))]
-
-    def _pmask(self, blocks) -> int:
-        m = 0
-        for b in blocks:
-            for u, v in itertools.combinations(b, 2):
-                m |= 1 << self.pair_idx[(u, v)]
-        return m
+                                   for j in range(self.lo_shift)]
 
     def suffix_id(self, shapes) -> int:
         """A small int naming this sequence of remaining shapes."""
         return self.suffix_ids.setdefault(tuple(shapes), len(self.suffix_ids))
 
     def _build_w_tables(self):
-        """For each W, the qualifying-fourth-profile bits of every profile triple.
+        """For each W, the qualifying-fourth bits of every triple of W-pair counts.
 
-        A restriction to W has the profile of an integer partition of |W|, so
-        |W| = 3, 4, 5 gives 3, 5, 7 profiles.  Entry (a*k + b)*k + c of W's
-        table has the bit of fourth profile d set iff `_w_qualifies` holds for
-        profiles (a, b, c, d).  The lemma does not depend on the order of the
-        four profiles, so it is evaluated once per sorted 4-multiset.
+        A restriction to W is named by its W-pair count, one of 3, 5, 7 for
+        |W| = 3, 4, 5 (`_count_profiles`); W's slot of a count is its rank
+        among them.  Entry (a*k + b)*k + c of W's table has the bit of slot d
+        set iff the counts in slots (a, b, c, d) are in `_qualifying_counts`.
         """
         offset = 0
-        for size in range(3, min(self.n, 5) + 1):
-            profs = [(len(q), sum(1 for x in q if x >= 2), sum(1 for x in q if x >= 3))
-                     for q in int_partitions(size)]
-            self.w_profiles[size] = profs
-            k = len(profs)
-            holds = {four: _w_qualifies(size, [profs[x] for x in four])
-                     for four in itertools.combinations_with_replacement(range(k), 4)}
-            table = [sum(1 << d for d in range(k) if holds[tuple(sorted((a, b, c, d)))])
-                     for a in range(k) for b in range(k) for c in range(k)]
-            for w in itertools.combinations(range(self.n), size):
-                self.w_subsets.append(w)
+        for size, wmasks in _w_pair_masks(self.n).items():
+            counts = sorted(_count_profiles(size))
+            slot = {x: i for i, x in enumerate(counts)}
+            qualifying = _qualifying_counts(size)
+            table = [sum(1 << d for d, y in enumerate(counts) if (a, b, c, y) in qualifying)
+                     for a in counts for b in counts for c in counts]
+            for wp in wmasks:
+                self._slots.append((wp, slot))
                 self.w_offset.append(offset)
-                self._qual.append((k, [m << offset for m in table]))
-                offset += k
+                self._qual.append((len(counts), [m << offset for m in table]))
+                offset += len(counts)
 
     def w_codes(self, shape: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """Per partition of this shape: (the bits of its profile on each W,
-        its profile index on each W).  A block meets W in the popcount of
-        the AND of their masks."""
+        """Per partition of this shape: (the bits of its W-pair count on each
+        W, its slot index on each W).  W's pairs inside one of the
+        partition's blocks are the popcount of the AND of their pair masks."""
         if shape not in self.codes:
             if not self._qual:
                 self._build_w_tables()
             self.ensure(shape)
-            index = {size: {q: i for i, q in enumerate(profs)}
-                     for size, profs in self.w_profiles.items()}
-            wmasks = [(mask_of(w), index[len(w)]) for w in self.w_subsets]
             out = []
-            for blocks in self.parts[shape]:
-                bmasks = [mask_of(b) for b in blocks]
-                idx = []
-                for wm, profile_index in wmasks:
-                    t = g2 = g3 = 0
-                    for bm in bmasks:
-                        c = (bm & wm).bit_count()
-                        if c:
-                            t += 1
-                            g2 += c >= 2
-                            g3 += c >= 3
-                    idx.append(profile_index[(t, g2, g3)])
-                bits = sum(1 << (off + i) for off, i in zip(self.w_offset, idx))
-                out.append((bits, tuple(idx)))
+            for pm in self.masks[shape]:
+                idx = tuple(slot[(wp & pm).bit_count()] for wp, slot in self._slots)
+                out.append((sum(1 << (off + i) for off, i in zip(self.w_offset, idx)), idx))
             self.codes[shape] = out
         return self.codes[shape]
 
     def qualifying_fourth(self, a, b, c) -> int:
-        """The (W, profile) bits of the fourth partitions that make some W
-        qualify, given the first three partitions' profile indices a, b, c."""
+        """The (W, W-pair count) bits of the fourth partitions that make some
+        W qualify, given the first three partitions' slot indices a, b, c."""
         m = 0
         for (k, q), x, y, z in zip(self._qual, a, b, c):
             m |= q[(x * k + y) * k + z]
@@ -477,32 +449,34 @@ def _w_qualifies(size: int, profs) -> bool:
 
 def _pair_mask(n: int, blocks) -> int:
     """The mask of the vertex pairs inside one of the vertex masks in blocks,
-    pair uv (u < v) at bit u*n + v."""
+    pair uv (u < v) at its index in `itertools.combinations(range(n), 2)`:
+    row u starts at bit u(2n - u - 1)/2 and holds the v > u in order."""
     m = 0
     for b in blocks:
         for u in vertices_of(b):
-            m |= b >> u + 1 << u + 1 + u * n
+            m |= b >> u + 1 << u * (2 * n - u - 1) // 2
     return m
 
 
 @functools.cache
 def _w_pair_masks(n: int) -> dict[int, tuple[int, ...]]:
-    """Per size 3..5, the `_pair_mask` of each W of that size in range(n)."""
+    """Per size 3..5, the `_pair_mask` of each W of that size in range(n),
+    in `itertools.combinations` order."""
     return {size: tuple(_pair_mask(n, [mask_of(w)])
                         for w in itertools.combinations(range(n), size))
             for size in range(3, min(n, 5) + 1)}
 
 
 @functools.cache
-def _qualifying_counts(size: int) -> frozenset[tuple[int, int, int, int]]:
-    """The 4-tuples of W-pair counts, one per color, for which `_w_qualifies`
-    holds, in every order (the lemma is evaluated once per sorted tuple).
+def _count_profiles(size: int) -> dict[int, tuple[int, int, int]]:
+    """W-pair count -> the profile (#blocks, #blocks >= 2, #blocks >= 3) of a
+    set partition restricted to a W of this size.
 
-    A set partition restricted to W has blocks whose sizes q form an integer
-    partition of |W|, and the sum of q(q-1)/2 over them counts W's pairs
-    inside one block.  For |W| <= 5 that count names the partition (3: 0, 1,
-    3; 4: 0, 1, 2, 3, 6; 5: 0, 1, 2, 3, 4, 6, 10; at 6, (4,1,1) and (3,3) both
-    give 6), so it names the restriction's profile too.
+    The restriction's blocks have sizes q forming an integer partition of
+    |W|, and the sum of q(q-1)/2 over them counts W's pairs inside one block.
+    For |W| <= 5 that count names the partition (3: 0, 1, 3; 4: 0, 1, 2, 3,
+    6; 5: 0, 1, 2, 3, 4, 6, 10), so it names the profile too.  At 6, (4,1,1)
+    and (3,3) both give 6, and this raises ValueError.
     """
     parts = int_partitions(size)
     profile = {sum(q * (q - 1) // 2 for q in lam):
@@ -510,6 +484,15 @@ def _qualifying_counts(size: int) -> frozenset[tuple[int, int, int, int]]:
                for lam in parts}
     if len(profile) != len(parts):
         raise ValueError(f"pair counts do not name the partitions of {size}")
+    return profile
+
+
+@functools.cache
+def _qualifying_counts(size: int) -> frozenset[tuple[int, int, int, int]]:
+    """The 4-tuples of W-pair counts, one per color, for which `_w_qualifies`
+    holds on the profiles they name (`_count_profiles`), in every order (the
+    lemma is evaluated once per sorted tuple)."""
+    profile = _count_profiles(size)
     return frozenset(order
                      for four in itertools.combinations_with_replacement(sorted(profile), 4)
                      if _w_qualifies(size, [profile[x] for x in four])
@@ -519,11 +502,12 @@ def _qualifying_counts(size: int) -> frozenset[tuple[int, int, int, int]]:
 def realization_admits_w(g: ColoredMultigraph) -> bool:
     """Whether some W of size 3..5 in this 4-colored realization satisfies lem:r6ii.
 
-    Reads the graph, not the search tables: each color's component masks give
-    the mask of the pairs inside one of its components, and W's profile in
-    that color is named by how many of W's pairs the mask holds, a popcount
-    looked up in `_qualifying_counts`.  Only `_w_qualifies`, the lemma itself,
-    is shared with the table path.
+    Reads the graph, not the search tables: each color's component masks,
+    found by BFS on the graph, give the `_pair_mask` of the pairs inside one
+    of its components, and W's restriction in that color is named by how
+    many of W's pairs the mask holds, a popcount looked up in
+    `_qualifying_counts`.  Only the lemma (`_qualifying_counts`) and the pair
+    layout (`_pair_mask`, `_w_pair_masks`) are shared with the table path.
     """
     n = g.n
     everything = (1 << n) - 1

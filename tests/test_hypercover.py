@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -318,3 +319,10 @@ def test_covers_need_a_complete_hypergraph():
                             (hc.cover_midrange, (c, ell))):
             with pytest.raises(HypergraphError, match="complete K_n"):
                 cover(h, *args)
+
+
+def test_hypercover_checks_survive_python_O():
+    # python -O strips assert statements, so every check here must raise
+    with open(hc.__file__) as f:
+        tree = ast.parse(f.read())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

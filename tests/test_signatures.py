@@ -321,28 +321,35 @@ def _restrict_profile(blocks, w):
 def test_w_tables_agree_with_w_qualifies():
     tab = sg._tables(6)
     tab.w_codes((6,))
-    sizes = [len(w) for w in tab.w_subsets]
+    ws = [w for size in (3, 4, 5) for w in itertools.combinations(range(6), size)]
+    sizes = [len(w) for w in ws]
     assert sizes.count(3) == 20 and sizes.count(4) == 15 and sizes.count(5) == 6
-    # the profiles listed for |W| are exactly those that restrictions produce
-    for size, profs in tab.w_profiles.items():
-        w = tuple(range(size))
-        seen = {_restrict_profile(blocks, w)
-                for shape in sg.int_partitions(6)
-                for blocks in sg.set_partitions_with_shape(6, shape)}
-        assert seen == set(profs) and len(profs) == {3: 3, 4: 5, 5: 7}[size]
-    # every 4-tuple of profiles, on every W of each size
-    for size, profs in tab.w_profiles.items():
-        k = len(profs)
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    vecs = [tuple(x if s == size else 0 for s in sizes) for x in (a, b, c)]
-                    got = tab.qualifying_fourth(*vecs)
+    # one table per W, in that order, with one slot per partition of |W|
+    ks = [k for k, _ in tab._qual]
+    assert ks == [{3: 3, 4: 5, 5: 7}[s] for s in sizes]
+    assert tab.w_offset == list(itertools.accumulate(ks, initial=0))[:-1]
+    # on each W, a slot names one restriction profile, read off the blocks,
+    # and the slots are the profiles that restrictions produce
+    profs = [{} for _ in ws]
+    for shape in sg.int_partitions(6):
+        codes = tab.w_codes(shape)
+        for blocks, (_, idx) in zip(tab.parts[shape], codes):
+            for wi, w in enumerate(ws):
+                prof = _restrict_profile(blocks, w)
+                assert profs[wi].setdefault(idx[wi], prof) == prof
+    for wi, k in enumerate(ks):
+        assert sorted(profs[wi]) == list(range(k)) and len(set(profs[wi].values())) == k
+    # every triple of slots, on every W of each size
+    for size in (3, 4, 5):
+        k = {3: 3, 4: 5, 5: 7}[size]
+        for a, b, c in itertools.product(range(k), repeat=3):
+            vecs = [tuple(x if s == size else 0 for s in sizes) for x in (a, b, c)]
+            got = tab.qualifying_fourth(*vecs)
+            for wi, s in enumerate(sizes):
+                if s == size:
                     for d in range(k):
-                        want = sg._w_qualifies(size, (profs[a], profs[b], profs[c], profs[d]))
-                        for wi, s in enumerate(sizes):
-                            if s == size:
-                                assert bool(got >> (tab.w_offset[wi] + d) & 1) == want
+                        want = sg._w_qualifies(size, [profs[wi][x] for x in (a, b, c, d)])
+                        assert bool(got >> (tab.w_offset[wi] + d) & 1) == want
     # whole partitions: the bit test equals the per-W specification
     rng = random.Random(5)
     shapes = sg.int_partitions(6)
@@ -356,10 +363,31 @@ def test_w_tables_agree_with_w_qualifies():
             picks.append((tab.parts[shape][i], codes[i]))
         got = bool(tab.qualifying_fourth(*(c[1] for _, c in picks[:3])) & picks[3][1][0])
         want = any(sg._w_qualifies(len(w), [_restrict_profile(p, w) for p, _ in picks])
-                   for w in tab.w_subsets)
+                   for w in ws)
         assert got == want
         outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def test_one_pair_layout_follows_combinations_order():
+    # bit j of a pair mask is set iff combinations(range(n), 2)[j] lies in a block
+    rng = random.Random(34)
+    for n in range(9):
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(30):
+            blocks = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 3))]
+            m = sg._pair_mask(n, [mask_of(b) for b in blocks])
+            assert m >> len(pairs) == 0
+            for j, (u, v) in enumerate(pairs):
+                assert bool(m >> j & 1) == any(u in b and v in b for b in blocks), (n, blocks)
+    # the search tables use the same layout
+    tab = sg._tables(6)
+    pairs = list(itertools.combinations(range(6), 2))
+    for shape in sg.int_partitions(6):
+        tab.ensure(shape)
+        for blocks, m in zip(tab.parts[shape], tab.masks[shape]):
+            assert m == sum(1 << pairs.index(pq)
+                            for b in blocks for pq in itertools.combinations(sorted(b), 2))
 
 
 def _block_loop_admits_w(g):
