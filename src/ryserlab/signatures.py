@@ -131,18 +131,25 @@ def signature_of(g: ColoredMultigraph, X, S) -> SignatureSet:
     return SignatureSet.of(len(X), parts_list)
 
 
+def _signature_stream(n: int, p: int):
+    """The signatures of `enumerate_signatures`, in its order, made one at a
+    time; n and p are checked before the first one is asked for."""
+    if n < 1 or p < 1:
+        raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    shapes = sorted(int_partitions(n), reverse=True)
+    return (SignatureSet._trusted(n, combo)
+            for combo in itertools.combinations_with_replacement(shapes, p))
+
+
 def enumerate_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
     """All multisets of p integer partitions of n, in canonical descending order.
 
     A given `SolveBudget` is charged `signature_count(n, p)` nodes before the
     list is built, so a request too large for it raises `Inconclusive` first."""
-    if n < 1 or p < 1:
-        raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    stream = _signature_stream(n, p)
     if budget is not None:
         budget.charge("signature enumeration", signature_count(n, p))
-    shapes = sorted(int_partitions(n), reverse=True)
-    return [SignatureSet._trusted(n, combo)
-            for combo in itertools.combinations_with_replacement(shapes, p)]
+    return list(stream)
 
 
 def passes_edge_count(sig: SignatureSet) -> bool:
@@ -156,11 +163,13 @@ def passes_edge_count(sig: SignatureSet) -> bool:
 # realizability search
 
 class _ShapeTables:
-    """Per-(n) cache of set partitions, pair masks, pair holders,
+    """Per-(n) cache of set partitions, clique rows, pair masks, pair holders,
     W-pair-count codes and dead search states.
 
-    `ensure(shape)` lists the set partitions of that shape (`parts`), the
-    `_pair_mask` of the vertex pairs each one covers (`masks`), and,
+    `ensure(shape)` lists the set partitions of that shape (`parts`), each
+    one's `_clique_rows` (`rows`: per vertex, the mask of its block, checked
+    once here), the `_pair_mask` of the vertex pairs each one covers
+    (`masks`), and,
     bit-sliced the other way round, `holders[shape][j]`: the mask over the
     shape's partition indices whose bit i is set iff partition i covers pair
     j.  The W tables behind `w_codes` and `qualifying_fourth` give one bit to
@@ -181,6 +190,7 @@ class _ShapeTables:
         self.lo_shift = n * (n - 1) // 2
         self.full = (1 << self.lo_shift) - 1
         self.parts: dict[tuple[int, ...], list] = {}
+        self.rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self.masks: dict[tuple[int, ...], list[int]] = {}
         self.holders: dict[tuple[int, ...], list[int]] = {}
         self.codes: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
@@ -195,6 +205,7 @@ class _ShapeTables:
         if shape not in self.parts:
             plist = set_partitions_with_shape(self.n, shape)
             masks = [_pair_mask(self.n, map(mask_of, p)) for p in plist]
+            self.rows[shape] = [_clique_rows(self.n, shape, p) for p in plist]
             self.parts[shape] = plist
             self.masks[shape] = masks
             self.holders[shape] = [sum(1 << i for i, m in enumerate(masks) if m >> j & 1)
@@ -247,6 +258,27 @@ class _ShapeTables:
         for (k, q), x, y, z in zip(self._qual, a, b, c):
             m |= q[(x * k + y) * k + z]
         return m
+
+
+def _clique_rows(n: int, shape, blocks) -> tuple[int, ...]:
+    """Per vertex of range(n), the mask of its block in this set partition;
+    raises unless the blocks are disjoint, cover range(n) and have the
+    shape's sizes."""
+    bmasks = [mask_of(b) for b in blocks]
+    seen = 0
+    for m in bmasks:
+        if seen & m:
+            raise AssertionError(f"set partition {blocks} repeats a vertex")
+        seen |= m
+    if seen != (1 << n) - 1:
+        raise AssertionError(f"set partition {blocks} does not cover range({n})")
+    if sorted((m.bit_count() for m in bmasks), reverse=True) != list(shape):
+        raise AssertionError(f"set partition {blocks} does not have shape {_shape_str(shape)}")
+    rows = [0] * n
+    for m in bmasks:
+        for v in vertices_of(m):
+            rows[v] = m
+    return tuple(rows)
 
 
 _TABLES: dict[int, _ShapeTables] = {}
@@ -356,45 +388,67 @@ def _covering_tuples(tab: _ShapeTables, shapes, budget):
         del rec
 
 
-def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):
-    """The realization graph of a covering tuple, colored in the signature's
-    order; raises unless it colors every pair of K_n and color c's component
-    sizes are the signature's c-th shape."""
+def _gate(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs) -> list[tuple[int, ...]]:
+    """Per color, in the signature's order, the clique rows of a covering
+    tuple's partition; raises unless every vertex's rows OR to all of
+    range(n), so that every pair of K_n lies in a block of some color, and
+    each color's blocks, the distinct masks among its rows, have the
+    signature's shape for that color."""
     by_color = [None] * len(shapes)
     for color, shape, i in zip(order, shapes, idxs):
-        by_color[color] = [mask_of(b) for b in tab.parts[shape][i]]
-    g = closed_graph(sig.n, by_color)
-    if not g.is_complete():
-        raise AssertionError(f"realization of {sig} leaves a pair uncolored")
+        by_color[color] = tab.rows[shape][i]
     everything = (1 << sig.n) - 1
-    for c, shape in enumerate(sig.sigs, start=1):
-        sizes = sorted((m.bit_count() for m in component_masks(g.adjacency(c), everything)),
-                       reverse=True)
-        if tuple(sizes) != shape:
+    for reach in zip(*by_color):
+        if functools.reduce(operator.or_, reach) != everything:
+            raise AssertionError(f"realization of {sig} leaves a pair uncolored")
+    for rows, shape in zip(by_color, sig.sigs):
+        if tuple(sorted(map(int.bit_count, set(rows)), reverse=True)) != shape:
             raise AssertionError(f"realization of {sig} has another signature")
-    return g
+    return by_color
 
 
-def is_valid(sig: SignatureSet, budget=None) -> ColoredMultigraph | None:
-    """A realization of the signature as a closed multicoloring of K_n, or None.
+def _realization(sig: SignatureSet, tab: _ShapeTables, order, shapes, idxs):
+    """The realization graph of a covering tuple, colored in the signature's
+    order and built from the blocks its `_gate` checked; raises where the
+    gate does."""
+    return closed_graph(sig.n, [set(rows) for rows in _gate(sig, tab, order, shapes, idxs)])
 
-    Applies the edge-counting filter first, then takes the first covering
-    tuple of set partitions with the prescribed shapes: the first prefix of
+
+def _first_covering(sig: SignatureSet, tab: _ShapeTables, budget):
+    """(order, shapes, idxs) of the signature's first covering tuple, or None.
+
+    Applies the edge-counting filter first, then takes the first prefix of
     `_covering_tuples` and the lowest index of its hits.  The budget gets
     the search nodes visited and is charged one node for the signature.
     """
-    budget = budget or SolveBudget()
     if not passes_edge_count(sig):
         budget.charge("signature search")
         return None
-    tab = _tables(sig.n)
     order, shapes = _search_order(tab, sig)
     first = next(_covering_tuples(tab, shapes, budget), None)
     budget.charge("signature search")
     if first is None:
         return None
     prefix, hits = first
-    return _realization(sig, tab, order, shapes, prefix + ((hits & -hits).bit_length() - 1,))
+    return order, shapes, prefix + ((hits & -hits).bit_length() - 1,)
+
+
+def _realizable(sig: SignatureSet, tab: _ShapeTables, budget) -> bool:
+    """Whether the signature has a covering tuple, decided as in `is_valid`;
+    the first one must pass `_gate`, but no graph is built."""
+    first = _first_covering(sig, tab, budget)
+    if first is None:
+        return False
+    _gate(sig, tab, *first)
+    return True
+
+
+def is_valid(sig: SignatureSet, budget=None) -> ColoredMultigraph | None:
+    """A realization of the signature as a closed multicoloring of K_n, or None:
+    the `_realization` of its first covering tuple (`_first_covering`)."""
+    tab = _tables(sig.n)
+    first = _first_covering(sig, tab, budget or SolveBudget())
+    return None if first is None else _realization(sig, tab, *first)
 
 
 # ---------------------------------------------------------------------------
@@ -585,32 +639,39 @@ def lemma_filter(sig: SignatureSet, which: str, g: ColoredMultigraph | None = No
 
 
 def valid_signatures(n: int, p: int, budget=None) -> list[SignatureSet]:
-    """The signatures that `is_valid` realizes; the budget is charged per
-    signature and raises `Inconclusive` once exhausted."""
+    """The signatures that `is_valid` realizes, decided by `_realizable`
+    without building their graphs.  The signatures are walked one at a time,
+    and one budget, the given one or else a fresh `SolveBudget`, is charged
+    for the whole call, a signature at a time; it raises `Inconclusive` once
+    exhausted."""
+    sigs = _signature_stream(n, p)
+    budget = budget or SolveBudget()
     _drop_tables_above(n)
-    return [s for s in enumerate_signatures(n, p) if is_valid(s, budget) is not None]
+    tab = _tables(n)
+    return [s for s in sigs if _realizable(s, tab, budget)]
 
 
 def residual_cases(n: int, p: int, budget=None) -> list[SignatureSet]:
     """Valid signatures surviving every applicable lemma filter, sorted.
 
     Cheap filters run first.  At (5,3): lemma R5 on the shapes, then
-    `is_valid`.  At (6,4): lemma R6 on the shapes, the edge count, then one
-    realization search that stops at the first realization admitting no
-    qualifying W (lemma R6II); each such free realization is confirmed by
-    `realization_admits_w` before its signature is reported, and the call
-    raises if one is not.  A given budget is charged per searched signature,
+    `_realizable`, which builds no graph.  At (6,4): lemma R6 on the shapes,
+    the edge count, then one realization search that stops at the first
+    realization admitting no qualifying W (lemma R6II); each such free
+    realization is confirmed by `realization_admits_w` before its signature
+    is reported, and the call raises if one is not.  The budget is charged
     as in `valid_signatures`.
     """
-    _drop_tables_above(n)
-    if (n, p) == (5, 3):
-        out = [s for s in enumerate_signatures(5, 3)
-               if not _lemma_eliminates(s.shapes()) and is_valid(s, budget) is not None]
-    elif (n, p) == (6, 4):
-        out = [s for s in enumerate_signatures(6, 4)
-               if not _lemma_eliminates(s.shapes()) and _analyze_r6ii(s, budget)[1] is not None]
-    else:
+    if (n, p) not in ((5, 3), (6, 4)):
         raise ValueError(f"residual_cases supports (5,3) and (6,4), not ({n},{p})")
+    budget = budget or SolveBudget()
+    _drop_tables_above(n)
+    tab = _tables(n)
+    shaped = (s for s in _signature_stream(n, p) if not _lemma_eliminates(s.shapes()))
+    if n == 5:
+        out = [s for s in shaped if _realizable(s, tab, budget)]
+    else:
+        out = [s for s in shaped if _analyze_r6ii(s, budget)[1] is not None]
     return sorted(out, key=lambda s: s.shapes(), reverse=True)
 
 

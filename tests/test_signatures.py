@@ -5,7 +5,10 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -537,3 +540,83 @@ def test_forgotten_tables_are_freed_without_a_cyclic_collection():
         assert dead() is None
     finally:
         gc.enable()
+
+
+def test_graphs_are_built_only_where_one_is_returned(monkeypatch):
+    # valid_signatures decides on the gated rows; residual_cases builds the
+    # free realization that realization_admits_w rechecks, one per survivor
+    calls = []
+    real = sg.closed_graph
+    monkeypatch.setattr(sg, "closed_graph", lambda n, blocks: calls.append(n) or real(n, blocks))
+    assert len(sg.valid_signatures(6, 4)) == 560
+    assert calls == []
+    assert len(sg.residual_cases(6, 4)) == 173
+    assert len(calls) == 173
+
+
+def test_gate_raises_on_a_tampered_row():
+    tab = sg._ShapeTables(6)  # private tables, so that the tampering stays here
+    # a vertex leaves its block of 4 for one of its own: that color's blocks
+    # are 3, 2, 1, not the signature's 4, 2
+    s = S((6,), (4, 2), (4, 2), (4, 2))
+    order, shapes, idxs = sg._first_covering(s, tab, SolveBudget())
+    sg._gate(s, tab, order, shapes, idxs)
+    rows = tab.rows[shapes[1]]
+    good = rows[idxs[1]]
+    v = next(v for v in range(6) if good[v].bit_count() == 4 and good[v] & -good[v] != 1 << v)
+    rows[idxs[1]] = good[:v] + (1 << v,) + good[v + 1:]
+    with pytest.raises(AssertionError, match="has another signature"):
+        sg._gate(s, tab, order, shapes, idxs)
+    # a vertex's row names the other block of its (3,3) partition: the blocks
+    # keep their shape, but a pair that only this color covers is lost
+    s = S((3, 3), (3, 3), (3, 3), (3, 3))
+    order, shapes, idxs = sg._first_covering(s, tab, SolveBudget())
+    by_color = sg._gate(s, tab, order, shapes, idxs)
+    c, v = next((c, v) for c in range(4) for v in range(6)
+                if by_color[c][v] & ~reduce(or_, (by_color[d][v] for d in range(4) if d != c)))
+    k = order.index(c)
+    rows = tab.rows[shapes[k]]
+    good = rows[idxs[k]]
+    rows[idxs[k]] = good[:v] + (63 ^ good[v],) + good[v + 1:]
+    with pytest.raises(AssertionError, match="leaves a pair uncolored"):
+        sg._gate(s, tab, order, shapes, idxs)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (((0, 1), (1, 2)), "repeats a vertex"),
+    (((0, 1),), r"does not cover range\(3\)"),
+    (((0,), (1,), (2,)), r"does not have shape \(2,1\)"),
+])
+def test_ensure_rejects_a_malformed_partition(monkeypatch, blocks, message):
+    monkeypatch.setattr(sg, "set_partitions_with_shape", lambda n, shape: [blocks])
+    with pytest.raises(AssertionError, match=message):
+        sg._ShapeTables(3).ensure((2, 1))
+
+
+def test_an_exhausted_budget_stops_before_the_signatures_are_listed():
+    # the signatures are walked one at a time, so the 278 256 of (9,5) are
+    # never listed: the parent's list alone peaked at about 87 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(Inconclusive):
+            sg.valid_signatures(9, 5, SolveBudget(max_nodes=10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sg._TABLES.pop(9, None)
+    assert peak < 5 * 2**20
+
+
+def test_one_budget_per_call(monkeypatch):
+    made = []
+
+    class Counted(SolveBudget):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sg, "SolveBudget", Counted)
+    assert len(sg.valid_signatures(5, 3)) == 37
+    assert len(made) == 1
+    assert len(sg.residual_cases(6, 4)) == 173
+    assert len(made) == 2
