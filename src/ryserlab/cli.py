@@ -470,7 +470,7 @@ def main(argv=None):
     p = add("tc", cmd_tc)
     p.add_argument("--input", required=True)
     p.add_argument("--max-diam", type=int, default=None)
-    p.add_argument("--colors", type=int, nargs="*", default=None)
+    p.add_argument("--colors", type=int, nargs="+", default=None)
 
     p = add("tp", cmd_tp)
     p.add_argument("--input", required=True)

@@ -90,17 +90,10 @@ class Infeasible(Exception):
 # attribute.
 
 
-class _Covered(Exception):
-    """A cover within at_most was found; the search stops."""
-
-
 def _check_coverable(universe: int, masks):
-    reached = 0
-    for m in masks:
-        reached |= m
-    missing = universe & ~reached
+    missing = universe & ~functools.reduce(operator.or_, masks, 0)
     if missing:
-        v = (missing & -missing).bit_length() - 1
+        v = lowest_vertex(missing)
         raise Infeasible(f"vertex {v} is not coverable", witness_vertex=v)
 
 
@@ -111,6 +104,9 @@ def min_cover(universe: int, candidates, budget: SolveBudget | None = None, at_m
     branching on the least-covered element, pruned by ceil(uncovered / s) for
     s the most uncovered elements one candidate holds; s never grows down a
     branch, so a node rescans for its own s only when its parent's does not prune.
+    The search is one loop over a stack of (covered, chosen, s) nodes; each
+    node's options are pushed in reverse, so they pop in sorted order and the
+    tree is walked in pre-order.
 
     With at_most=k it decides instead: pruned at k + 1 from the start, it
     returns the first cover of size <= k (the greedy one after one charged
@@ -134,61 +130,39 @@ def min_cover(universe: int, candidates, budget: SolveBudget | None = None, at_m
     best_sol = [p for _, p in greedy]
     charge = budget.charge
     stop = -1 if at_most is None else at_most  # a cover this small ends the search
-    if best_size <= stop:
-        try:
-            charge("set cover")
-        except Inconclusive as exc:
-            exc.best = (best_size, best_sol)
-            raise
-        return best_size, best_sol
-    if at_most is not None:
-        best_size, best_sol = at_most + 1, None
-
-    by_elem = [[] for _ in range(universe.bit_length())]
-    for m, p in cands:
-        mm = m
-        while mm:
-            b = mm & -mm
-            by_elem[b.bit_length() - 1].append((m, p))
-            mm ^= b
-
-    def rec(acc, chosen, s):
-        nonlocal best_size, best_sol
-        charge("set cover")
-        if acc == universe:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_sol = list(chosen)
-                if best_size <= stop:
-                    raise _Covered
-            return
-        uncovered = universe & ~acc
-        uc = uncovered.bit_count()
-        if len(chosen) + (uc + s - 1) // s >= best_size:
-            return
-        s = max([(m & uncovered).bit_count() for m, _ in cands])
-        if len(chosen) + (uc + s - 1) // s >= best_size:
-            return
-        # least-covered uncovered element
-        pick, cnt = -1, 1 << 60
-        mm = uncovered
-        while mm:
-            b = mm & -mm
-            e = b.bit_length() - 1
-            mm ^= b
-            c = len(by_elem[e])
-            if c < cnt:
-                cnt, pick = c, e
-        opts = sorted(by_elem[pick], key=lambda t: -(t[0] & uncovered).bit_count())
-        for m, p in opts:
-            chosen.append(p)
-            rec(acc | m, chosen, s)
-            chosen.pop()
-
     try:
-        rec(0, [], cands[0][0].bit_count())
-    except _Covered:
-        pass
+        if best_size <= stop:
+            charge("set cover")
+            return best_size, best_sol
+        if at_most is not None:
+            best_size, best_sol = at_most + 1, None
+
+        by_elem = [[] for _ in range(universe.bit_length())]
+        for t in cands:
+            for e in vertices_of(t[0]):
+                by_elem[e].append(t)
+        n_opts = [len(opts) for opts in by_elem]
+        stack = [(0, (), cands[0][0].bit_count())]
+        while stack:
+            acc, chosen, s = stack.pop()
+            charge("set cover")
+            if acc == universe:
+                if len(chosen) < best_size:
+                    best_size, best_sol = len(chosen), list(chosen)
+                    if best_size <= stop:
+                        break
+                continue
+            uncovered = universe & ~acc
+            uc = uncovered.bit_count()
+            if len(chosen) + (uc + s - 1) // s >= best_size:
+                continue
+            s = max([(m & uncovered).bit_count() for m, _ in cands])
+            if len(chosen) + (uc + s - 1) // s >= best_size:
+                continue
+            # the least-covered uncovered element, the lowest of those tied
+            pick = min(vertices_of(uncovered), key=n_opts.__getitem__)
+            opts = sorted(by_elem[pick], key=lambda t: -(t[0] & uncovered).bit_count())
+            stack += [(acc | m, chosen + (p,), s) for m, p in reversed(opts)]
     except Inconclusive as exc:
         exc.best = None if best_sol is None else (best_size, best_sol)
         raise

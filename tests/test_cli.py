@@ -127,6 +127,19 @@ def test_tc_command(tmp_path, capsys):
     assert out.startswith("tc = 2")
 
 
+def test_tc_colors_needs_a_value(tmp_path, capsys):
+    # an empty color list would mean "no color", not "every color"
+    p = tmp_path / "g.cg"
+    p.write_text(K4_AFFINE)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tc", "--input", str(p), "--colors"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--colors" in captured.err
+    code, out = run_cli(["tc", "--input", str(p), "--colors", "1"], capsys)
+    assert code == 0 and out == "tc = 2\ncover cover 2\npiece 1 0 1\npiece 1 2 3\n"
+
+
 def test_verify_command(tmp_path, capsys):
     g = tmp_path / "g.cg"
     g.write_text(K4_AFFINE)

@@ -256,6 +256,122 @@ def test_cover_decision_agrees_with_brute_force():
                 assert universe & ~covered == 0
 
 
+class _Covered(Exception):
+    """A cover within at_most was found; the search stops."""
+
+
+def recursive_min_cover(universe, candidates, budget, at_most=None):
+    """min_cover's branch and bound written as a recursion, a reference whose
+    answers, node counts and budget exits ex.min_cover's stack loop must match."""
+    cands = [(m & universe, p) for m, p in candidates]
+    missing = universe & ~functools.reduce(operator.or_, (m for m, _ in cands), 0)
+    if missing:
+        v = (missing & -missing).bit_length() - 1
+        raise ex.Infeasible(f"vertex {v} is not coverable", witness_vertex=v)
+    if not universe:
+        return 0, []
+    cands.sort(key=lambda t: -t[0].bit_count())
+    acc = 0
+    greedy = []
+    while acc != universe:
+        best = max(cands, key=lambda t: (t[0] & ~acc).bit_count())
+        greedy.append(best)
+        acc |= best[0]
+    best_size = len(greedy)
+    best_sol = [p for _, p in greedy]
+    charge = budget.charge
+    stop = -1 if at_most is None else at_most
+    if best_size <= stop:
+        try:
+            charge("set cover")
+        except ex.Inconclusive as exc:
+            exc.best = (best_size, best_sol)
+            raise
+        return best_size, best_sol
+    if at_most is not None:
+        best_size, best_sol = at_most + 1, None
+    by_elem = [[] for _ in range(universe.bit_length())]
+    for m, p in cands:
+        for e in vertices_of(m):
+            by_elem[e].append((m, p))
+
+    def rec(acc, chosen, s):
+        nonlocal best_size, best_sol
+        charge("set cover")
+        if acc == universe:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_sol = list(chosen)
+                if best_size <= stop:
+                    raise _Covered
+            return
+        uncovered = universe & ~acc
+        uc = uncovered.bit_count()
+        if len(chosen) + (uc + s - 1) // s >= best_size:
+            return
+        s = max([(m & uncovered).bit_count() for m, _ in cands])
+        if len(chosen) + (uc + s - 1) // s >= best_size:
+            return
+        pick, cnt = -1, 1 << 60
+        for e in vertices_of(uncovered):
+            if len(by_elem[e]) < cnt:
+                cnt, pick = len(by_elem[e]), e
+        for m, p in sorted(by_elem[pick], key=lambda t: -(t[0] & uncovered).bit_count()):
+            chosen.append(p)
+            rec(acc | m, chosen, s)
+            chosen.pop()
+
+    try:
+        rec(0, [], cands[0][0].bit_count())
+    except _Covered:
+        pass
+    except ex.Inconclusive as exc:
+        exc.best = None if best_sol is None else (best_size, best_sol)
+        raise
+    return None if best_sol is None else (best_size, best_sol)
+
+
+def cover_outcome(solve, universe, candidates, at_most, max_nodes):
+    """What solve does on one run: its answer or exception, its witness or
+    best cover and stats, and the nodes it charged."""
+    budget = ex.SolveBudget(max_nodes=max_nodes)
+    try:
+        got = ("returned", solve(universe, candidates, budget, at_most=at_most))
+    except ex.Infeasible as exc:
+        got = ("infeasible", exc.witness_vertex)
+    except ex.Inconclusive as exc:
+        got = ("inconclusive", exc.best, exc.stats)
+    return got, budget.nodes
+
+
+def test_cover_loop_matches_the_recursive_search():
+    # 240 seeded instances, some with an uncoverable element, each minimised
+    # and decided at every k; every run is repeated under node caps up to its
+    # node count
+    rng = random.Random(36)
+    searched = 0
+    for _ in range(240):
+        bits = rng.randint(1, 24)
+        masks = [mask_of(rng.sample(range(bits), rng.randint(1, max(1, bits // 4))))
+                 for _ in range(rng.randint(0, 36))]
+        universe = functools.reduce(operator.or_, masks, 0)
+        if rng.random() < 0.2:
+            universe |= 1 << rng.randrange(bits + 1)
+        candidates = [(m, i) for i, m in enumerate(masks)]
+        most = 0
+        for at_most in [None, *range(len(masks) + 2)]:
+            want, nodes = cover_outcome(recursive_min_cover, universe, candidates,
+                                        at_most, 10**9)
+            assert cover_outcome(ex.min_cover, universe, candidates, at_most,
+                                 10**9) == (want, nodes)
+            most = max(most, nodes)
+            for cap in range(0, nodes + 1, max(1, nodes // 12)):
+                assert cover_outcome(ex.min_cover, universe, candidates, at_most, cap) == \
+                    cover_outcome(recursive_min_cover, universe, candidates, at_most, cap)
+        searched += most > 1
+    assert searched >= 100
+
+
 def test_cover_decision_on_a_zero_budget():
     # greedy covers with three sets (a, c, b), two suffice (b, c)
     universe = 0b111111
