@@ -22,6 +22,9 @@ from .core import (ColoredMultigraph, GraphError, checked, closed_graph,
 _SEARCH = {"matching": "matching search",
            "diameter pieces": "diameter-piece enumeration"}
 
+# tp_exact's table of refuted vertex sets takes no new entry past this size
+_DEAD_CAP = 1 << 20
+
 
 class SolveBudget:
     """One deadline, fixed when the budget is made, one node allowance, and the
@@ -267,6 +270,13 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     (two_parts).  Every dfs call and every growth state checked is one budget
     node.  An exhausted budget's Inconclusive carries "lower": every smaller t
     was refuted.
+
+    The search below a vertex set left depends on that set alone, and one
+    refuted with k parts is refuted with fewer, so dead[avail], kept across
+    every t, holds the most parts refuted on avail; a dfs call whose t_left
+    is no more than that returns at once, counted in budget.counts["dead
+    states"].  The table takes no new entry once it holds _DEAD_CAP, which
+    costs only repeated work.
     """
     budget = budget or SolveBudget()
     n = g.n
@@ -347,20 +357,31 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
                     return [(a, s)] + found
         return None
 
+    dead = {}
+    counts = budget.counts
+    counts.setdefault("dead states", 0)
+
     def dfs(avail, t_left, acc):
         charge("partition search")
         if avail == 0:
             return list(acc)
+        if dead.get(avail, 0) >= t_left:
+            counts["dead states"] += 1
+            return None
         if t_left == 2:
             got = two_parts(avail)
-            return None if got is None else acc + got
-        v = (avail & -avail).bit_length() - 1
-        for c, mask in pieces_from(v, avail):
-            acc.append((c, mask))
-            got = dfs(avail & ~mask, t_left - 1, acc)
             if got is not None:
-                return got
-            acc.pop()
+                return acc + got
+        else:
+            v = (avail & -avail).bit_length() - 1
+            for c, mask in pieces_from(v, avail):
+                acc.append((c, mask))
+                got = dfs(avail & ~mask, t_left - 1, acc)
+                if got is not None:
+                    return got
+                acc.pop()
+        if len(dead) < _DEAD_CAP or avail in dead:
+            dead[avail] = t_left
         return None
 
     for t in range(2, n + 1):
@@ -468,23 +489,27 @@ def _first_winner(colv, pair_perms, r: int, lo: int, hi: int, sizes):
     equal to colv: then vp is an automorphism, and with j its first move
     h -> vp o h maps the block of (0, ..., j), scanned earlier with no win,
     onto vp[:j + 1]'s."""
+    unlabelled = [0] * (r + 1)
     i = lo
     while i < hi:
         perm = pair_perms[i]
-        label = [0] * (r + 1)
+        label = unlabelled.copy()
         top = 0
-        for k, p in enumerate(perm):
+        k = 0
+        for p in perm:
+            x = colv[k]
             c = label[colv[p]]
             if c:
-                if c != colv[k]:
-                    if c < colv[k]:
+                if c != x:
+                    if c < x:
                         return i, max(perm[:k + 1]) + 1
                     break
-            elif colv[k] == top + 1:
-                top = label[colv[p]] = top + 1
+            elif x == top + 1:
+                top = label[colv[p]] = x
             else:
                 # a first appearance is labelled top + 1 > colv[k]
                 break
+            k += 1
         else:  # j = k + 1 is vp's first move: vp[:j] is the identity's while i < (n - j)!
             k = -1
             while k < len(sizes) - 2 and sizes[k + 1] > i:
@@ -494,21 +519,29 @@ def _first_winner(colv, pair_perms, r: int, lo: int, hi: int, sizes):
 
 
 def _least_rows(colv, pair_perms, r: int, kept=None, lo: int = 0):
-    """kept = (n, block, sizes, least) for _beaten_by, built if None, with
-    least[a], vertex a's smallest row 0, refilled for every vertex a >= lo."""
+    """kept = (n, block, sizes, least, row0s, by_colors) for _beaten_by, built
+    if None, with least[a], vertex a's smallest row 0, refilled for every
+    vertex a >= lo.  row0s[a] holds the pair indices of a's row 0, and
+    by_colors maps the colors on them to that smallest row, which is shared:
+    no caller mutates it."""
     if kept is None:
         n = (1 + math.isqrt(1 + 8 * len(colv))) // 2
-        kept = (n, len(pair_perms) // n,
-                [math.factorial(max(n - 1 - j, 0)) for j in range(len(colv) + 1)], [None] * n)
-    n, block, _sizes, least = kept
-    for a in range(lo, n):
+        block = len(pair_perms) // n
         # the first permutation of a's block lists a's pairs in row 0
-        counts = [0] * (r + 1)
-        for p in pair_perms[a * block][:n - 1]:
-            counts[colv[p]] += 1
-        least[a] = []
-        for c, size in enumerate(sorted(counts, reverse=True), 1):
-            least[a] += [c] * size
+        kept = (n, block,
+                [math.factorial(max(n - 1 - j, 0)) for j in range(len(colv) + 1)], [None] * n,
+                [pair_perms[a * block][:n - 1] for a in range(n)], {})
+    n, _block, _sizes, least, row0s, by_colors = kept
+    for a in range(lo, n):
+        colors = tuple(map(colv.__getitem__, row0s[a]))
+        row = by_colors.get(colors)
+        if row is None:
+            counts = [0] * (r + 1)
+            for c in colors:
+                counts[c] += 1
+            row = by_colors[colors] = [c for c, size in enumerate(sorted(counts, reverse=True), 1)
+                                       for _ in range(size)]
+        least[a] = row
     return kept
 
 
@@ -523,7 +556,7 @@ def _beaten_by(colv, pair_perms, r: int, _kept=None):
     (the colors from a).  If some block's is below colv[:n - 1], the first such
     block alone is scanned by _first_winner; otherwise each block whose is equal
     is, in order of a.  _kept holds the walk's _least_rows."""
-    n, block, sizes, least = _kept or _least_rows(colv, pair_perms, r)
+    n, block, sizes, least, _row0s, _by_colors = _kept or _least_rows(colv, pair_perms, r)
     row0 = list(colv[:n - 1])
     below = [a for a in range(n) if least[a] < row0][:1]
     for a in below or [a for a in range(n) if least[a] == row0]:

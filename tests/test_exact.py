@@ -839,7 +839,7 @@ def test_partition_search_checks_budget():
 
 
 def test_exhausted_partition_search_reports_its_lower_bound():
-    # tp(badmulti(2,2)) = 4: the whole search takes 617 nodes, and t = 2 and
+    # tp(badmulti(2,2)) = 4: the whole search takes 523 nodes, and t = 2 and
     # t = 3 are refuted within the first 404, so a budget stopped inside
     # t = 3 proves tp >= 3 and one stopped inside t = 4 proves tp >= 4
     from ryserlab.goodpart import badmulti_graph
@@ -929,6 +929,55 @@ def test_tp_exact_matches_brute_force_on_planted_twins(gv):
     tp, cert = ex.tp_exact(g)
     assert tp == brute_tp(n, r, colors)
     assert verify(g, cert).ok
+
+
+# the inputs of test_badmulti_small, badmulti(k, t) as (k, t)
+BADMULTI_SMALL = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))
+
+
+@pytest.mark.parametrize("cap, pins", [
+    # (nodes, dead-state hits) per badmulti(k, t); t = 2's search, all of
+    # badmulti(3, 1) and (4, 1), never meets a vertex set twice
+    (None, {(2, 2): (523, 47), (3, 1): (278, 0), (4, 1): (14823, 0), (2, 3): (3245, 1471)}),
+    # with no table the search is node for node the one without it
+    (0, {(2, 2): (617, 0), (3, 1): (278, 0), (4, 1): (14823, 0), (2, 3): (6262, 0)})])
+def test_dead_table_node_counts(monkeypatch, cap, pins):
+    from ryserlab.goodpart import badmulti_graph
+
+    if cap is not None:
+        monkeypatch.setattr(ex, "_DEAD_CAP", cap)
+    for (k, t), (nodes, hits) in pins.items():
+        budget = ex.SolveBudget()
+        ex.tp_exact(badmulti_graph(k, t), budget)
+        assert (budget.nodes, budget.counts["dead states"]) == (nodes, hits)
+
+
+def test_dead_table_cap_changes_no_answer(monkeypatch):
+    # a table that stops growing at one entry gives every value and
+    # certificate of the full table
+    from ryserlab.goodpart import badmulti_graph
+
+    for k, t in BADMULTI_SMALL:
+        g = badmulti_graph(k, t)
+        want = ex.tp_exact(g)
+        with monkeypatch.context() as m:
+            m.setattr(ex, "_DEAD_CAP", 1)
+            assert ex.tp_exact(g) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(typed_graphs())
+@example((7, 2, pair_colors(7, [(0, 1, 1), (0, 4, 1), (0, 5, 1), (1, 4, 1), (4, 5, 1),
+                                (0, 2, 2), (0, 3, 2), (2, 4, 2), (3, 4, 2)])))
+def test_capped_dead_table_matches_brute_force_on_planted_twins(gv):
+    n, r, colors = gv
+    g = ColoredMultigraph.from_edges(
+        n, r, [(u, v, sorted(cs)) for (u, v), cs in colors.items() if cs])
+    want = ex.tp_exact(g)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ex, "_DEAD_CAP", 1)
+        assert ex.tp_exact(g) == want
+    assert want[0] == brute_tp(n, r, colors)
 
 
 @st.composite
