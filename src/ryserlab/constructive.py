@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (ColoredMultigraph, CoverCertificate, GraphError,
-                   _connected_diameter, _induced_diameter, alpha, checked, closure,
+                   _connected_diameter, _induced_diameter, alpha, checked, closed_graph,
                    component_masks, layers, lowest_vertex, mask_of, reach, vertices_of)
 from .exact import min_cover, tc_exact
 
@@ -28,18 +28,24 @@ from .exact import min_cover, tc_exact
 # pairs, which core.checked turns into the certificate.
 
 
-def _least_colors(g: ColoredMultigraph, colors) -> dict:
+def _least_colors(g: ColoredMultigraph, colors) -> tuple:
     """The reduced coloring, in which each pair keeps its first color in the
-    given order: per color, the mask adjacency of the pairs it keeps (a color
-    above g.r has empty rows).  A pair keeps one color, so the rows of two
-    colors are disjoint, and pair uv keeps c exactly when bit v of row u of c
-    is set."""
-    out, lower = {}, [0] * g.n
+    given order, and the union of the rows it read.
+
+    The first is, per color, the mask adjacency of the pairs it keeps (a
+    color above g.r has empty rows).  A pair keeps one color, so the rows of
+    two colors are disjoint, and pair uv keeps c exactly when bit v of row u
+    of c is set.  The second is, per vertex, the mask of the vertices it is
+    joined to in some of the colors."""
+    out, union = {}, None
     for c in colors:
-        row = g.adjacency(c) if c <= g.r else [0] * g.n
-        out[c] = [m & ~s for m, s in zip(row, lower)]
-        lower = [m | s for m, s in zip(row, lower)]
-    return out
+        row = g.adjacency(c) if c <= g.r else (0,) * g.n
+        if union is None:
+            out[c] = union = row
+        else:
+            out[c] = [m & ~s for m, s in zip(row, union)]
+            union = [m | s for m, s in zip(row, union)]
+    return out, (0,) * g.n if union is None else union
 
 
 def _around(adj, mask: int) -> int:
@@ -52,7 +58,7 @@ def _around(adj, mask: int) -> int:
 
 def _side_masks(g: ColoredMultigraph, X, Y, who: str):
     """The masks of the sides X and Y that a caller gives a bipartite proof:
-    nonempty, disjoint sets of vertices of g."""
+    nonempty, disjoint sets of vertices of g that hold every vertex."""
     X, Y = sorted(X), sorted(Y)
     if not X or not Y:
         raise GraphError(f"{who} needs two nonempty sides")
@@ -62,24 +68,25 @@ def _side_masks(g: ColoredMultigraph, X, Y, who: str):
     xm, ym = mask_of(X), mask_of(Y)
     if xm & ym:
         raise GraphError(f"vertex {lowest_vertex(xm & ym)} is on both sides")
+    rest = (1 << g.n) - 1 & ~(xm | ym)
+    if rest:
+        raise GraphError(f"vertex {lowest_vertex(rest)} is on neither side")
     return xm, ym
 
 
 def _bipartite_colors(g: ColoredMultigraph, xm: int, ym: int, colors) -> dict:
     """The least-color table of the pairs between the disjoint vertex masks
     xm and ym alone; every such pair must carry one of the colors."""
-    # per vertex, the other side
-    side = [xm if ym >> v & 1 else ym if xm >> v & 1 else 0 for v in range(g.n)]
-    least = {c: [m & s for m, s in zip(rows, side)]
-             for c, rows in _least_colors(g, colors).items()}
+    least, union = _least_colors(g, colors)
     for x in vertices_of(xm):
-        # the rows are disjoint, so their sum is their union
-        missing = ym & ~sum(rows[x] for rows in least.values())
+        missing = ym & ~union[x]
         if missing:
             names = ", ".join(map(str, colors))
             raise GraphError(f"pair ({x},{lowest_vertex(missing)}) carries none "
                              f"of the colors {names}")
-    return least
+    # per vertex, the other side
+    side = [xm if ym >> v & 1 else ym if xm >> v & 1 else 0 for v in range(g.n)]
+    return {c: [m & s for m, s in zip(rows, side)] for c, rows in least.items()}
 
 
 def _zone_cover(g, zone: int, max_pieces, budget):
@@ -253,20 +260,26 @@ def cover_complete(g: ColoredMultigraph, r: int, budget=None) -> CoverCertificat
     """
     if r not in (2, 3, 4):
         raise GraphError("cover_complete supports r in {2, 3, 4}")
-    if not g.subgraph_colors(range(1, r + 1)).is_complete():
+    least, union = _least_colors(g, range(1, r + 1))
+    full = (1 << g.n) - 1
+    if any(m | 1 << u != full for u, m in enumerate(union)):
         raise GraphError(f"cover_complete needs every pair to carry a color in 1..{r}")
+    if g.n and not g.r:
+        # a piece has a color of g, even where it is one vertex
+        raise GraphError("cover_complete needs a color to cover vertex 0, got r=0")
     if r == 4:
-        return checked(g, _complete_pieces(g, r, budget), 3, 6)
-    return checked(g, _complete_pieces(g, r, budget), r - 1, 4, max_radius=2)
+        return checked(g, _complete_pieces(g, r, least, budget), 3, 6)
+    return checked(g, _complete_pieces(g, r, least, budget), r - 1, 4, max_radius=2)
 
 
-def _complete_pieces(g, r, budget):
+def _complete_pieces(g, r, least, budget):
+    """The pieces of cover_complete, given the least-color table of the
+    colors 1..r."""
     n = g.n
     if n <= 1:
         return [(1, 1)] if n else []
     x = 1  # the mask of the vertex x = 0
     colors = range(1, r + 1)
-    least = _least_colors(g, colors)
     A = {i: least[i][0] for i in colors}
     if not all(A.values()):
         return [(i, x | A[i]) for i in colors if A[i]]
@@ -380,16 +393,18 @@ def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
     """
     if g.r < 2:
         raise GraphError(f"cover_alpha2 needs colors 1 and 2, got r={g.r}")
-    stray = [(u, v) for u, v, cs in g.edges() if not cs & {1, 2}]
+    least, nb = _least_colors(g, (1, 2))
+    # a pair that carries only colors above 2: every such pair at the lowest
+    # vertex that has one leads up, so the lowest of them is first in edges()
+    above = _least_colors(g, range(3, g.r + 1))[1]
+    stray = next(((u, m & ~s) for u, (m, s) in enumerate(zip(above, nb)) if m & ~s), None)
     if stray:
         raise GraphError(f"cover_alpha2 needs colors 1 and 2: pair "
-                         f"({stray[0][0]},{stray[0][1]}) carries neither")
+                         f"({stray[0]},{lowest_vertex(stray[1])}) carries neither")
     a, wit = alpha(g)
     if a != 2:
         raise GraphError(f"cover_alpha2 needs alpha = 2, got {a}")
-    least = _least_colors(g, (1, 2))
     n = g.n
-    nb = [m1 | m2 for m1, m2 in zip(least[1], least[2])]
     # lexicographically first independent pair
     x, y = next((u, v) for u in range(n) for v in range(u + 1, n)
                 if not nb[u] >> v & 1)
@@ -686,9 +701,10 @@ def restricted_cover(g: ColoredMultigraph, r: int, S, budget=None) -> CoverCerti
     """An (r-1)-cover of a complete r-colored graph whose pieces are all
     colored inside S or all inside its complement (|S| = 2, r in {3,4,5}).
 
-    The proof is about closed graphs.  Its pieces are whole monochromatic
-    components, which g shares with its closure, so it runs on the closure,
-    equal to g when g is closed, and the cover is verified on g.
+    The proof is about closed graphs, but it closes nothing: it reads only
+    g's monochromatic components, which are its closure's.  Alpha is that of
+    the closed S-colored graph built from them, its pieces are whole
+    components, and the cover is verified on g.
     """
     if r not in (3, 4, 5):
         raise GraphError("restricted_cover supports r in {3, 4, 5}")
@@ -697,8 +713,9 @@ def restricted_cover(g: ColoredMultigraph, r: int, S, budget=None) -> CoverCerti
         raise GraphError("S must be two distinct colors in 1..r")
     if not g.is_complete():
         raise GraphError("restricted_cover needs a complete graph")
-    h = closure(g)
-    aS, witness = alpha(h.subgraph_colors(S))
+    full = (1 << g.n) - 1
+    aS, witness = alpha(closed_graph(g.n, [
+        component_masks(g.adjacency(c), full) if c <= g.r else [] for c in S]))
     if aS <= r - 1:
         # A minimum cover by S-colored components has König's size: it equals
         # a maximum set of vertices in pairwise different components of each
@@ -711,12 +728,12 @@ def restricted_cover(g: ColoredMultigraph, r: int, S, budget=None) -> CoverCerti
     xm = mask_of(witness[:r])
     P = [c for c in range(1, r + 1) if c not in S]
     if r == 3:
-        pieces = [(P[0], reach(h.adjacency(P[0]), lowest_vertex(xm)))]
-        assert pieces[0][1] == (1 << g.n) - 1, "a single component must cover"
+        pieces = [(P[0], reach(g.adjacency(P[0]), lowest_vertex(xm)))]
+        assert pieces[0][1] == full, "a single component must cover"
     elif r == 4:
-        pieces = _restricted4(h, xm, P)
+        pieces = _restricted4(g, xm, P)
     else:
-        pieces = _restricted5(h, xm, P)
+        pieces = _restricted5(g, xm, P)
     return checked(g, pieces, r - 1, None, allowed_colors=P)
 
 
@@ -787,14 +804,15 @@ def _restricted5(g, xm, P):
             candidates.append([(A, A1), (A, A2), (Bc, B1), (Bc, B2)])
             candidates.append([(A, A1), (A, A2), (Cc, C1), (Cc, C2)])
         # the deep branch: u, v outside both candidate covers join in color A
+        # in the closure, that is, lie in one color-A component A3 of g
         out1, out2 = (1 << g.n) - 1, (1 << g.n) - 1
         for (_, m1), (_, m2) in zip(candidates[0], candidates[1]):
             out1 &= ~m1
             out2 &= ~m2
         if out1 and out2:
             u, v = lowest_vertex(out1), lowest_vertex(out2)
-            if A in g.colors_of(u, v):
-                A3 = reach(g.adjacency(A), u)
+            A3 = reach(g.adjacency(A), u)
+            if A3 >> v & 1:
                 for Bc in rest:
                     B1 = comps_by_color[Bc][0]
                     candidates.append([(A, A1), (A, A2), (A, A3), (Bc, B1)])
@@ -836,7 +854,7 @@ def classify3(g: ColoredMultigraph) -> ThreeColorClass:
     n = g.n
     if n == 1:
         return ThreeColorClass("TypeI", (1, (0,)))
-    adj = _least_colors(g, (1, 2, 3))
+    adj = _least_colors(g, (1, 2, 3))[0]
     full = (1 << n) - 1
 
     # maximal monochromatic component: largest, ties to lowest color, then

@@ -93,10 +93,11 @@ def test_cover_complete4_final_case_on_every_k5(monkeypatch):
 
 def test_cover_complete_needs_complete():
     g = ColoredMultigraph.from_edges(3, 2, [(0, 1, 1)])
-    with pytest.raises(GraphError):
+    message = r"^cover_complete needs every pair to carry a color in 1\.\.2$"
+    with pytest.raises(GraphError, match=message):
         cv.cover_complete(g, 2)
     # complete, but in a color outside 1..2
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=message):
         cv.cover_complete(monochromatic_complete(3, r=3, color=3), 2)
 
 
@@ -328,6 +329,153 @@ def test_cover_alpha2_case22_isolated_w():
     assert alpha(g)[0] == 2
     cert = cv.cover_alpha2(g)
     assert len(cert.pieces) <= 2 and verify(g, cert).ok
+
+
+# ---------------------------------------------------------------- input checks
+#
+# The proofs check their inputs on the least-color rows they read anyway.  The
+# references below check them the plain way, pair by pair or row sum by row
+# sum, and each proof must reject exactly what its reference rejects, with
+# the same message.
+
+
+def reference_complete_error(g, r):
+    if r not in (2, 3, 4):
+        return "cover_complete supports r in {2, 3, 4}"
+    if not g.subgraph_colors(range(1, r + 1)).is_complete():
+        return f"cover_complete needs every pair to carry a color in 1..{r}"
+    if g.n and not g.r:
+        return "cover_complete needs a color to cover vertex 0, got r=0"
+    return None
+
+
+def reference_bipartite_error(g, X, Y, who, colors):
+    X, Y = sorted(X), sorted(Y)
+    if not X or not Y:
+        return f"{who} needs two nonempty sides"
+    for v in (*X, *Y):
+        if not 0 <= v < g.n:
+            return f"vertex {v} is outside 0..{g.n - 1}"
+    if set(X) & set(Y):
+        return f"vertex {min(set(X) & set(Y))} is on both sides"
+    if set(range(g.n)) - set(X) - set(Y):
+        return f"vertex {min(set(range(g.n)) - set(X) - set(Y))} is on neither side"
+    # per color, the rows of the pairs whose first color in the order it is
+    least, lower = [], [0] * g.n
+    for c in colors:
+        row = g.adjacency(c) if c <= g.r else [0] * g.n
+        least.append([m & ~s for m, s in zip(row, lower)])
+        lower = [m | s for m, s in zip(row, lower)]
+    ym = sum(1 << y for y in Y)
+    for x in X:
+        # the rows are disjoint, so their sum is their union
+        missing = ym & ~sum(rows[x] & ym for rows in least)
+        if missing:
+            y = (missing & -missing).bit_length() - 1
+            return f"pair ({x},{y}) carries none of the colors {', '.join(map(str, colors))}"
+    return None
+
+
+def reference_alpha2_error(g):
+    if g.r < 2:
+        return f"cover_alpha2 needs colors 1 and 2, got r={g.r}"
+    stray = [(u, v) for u, v, cs in g.edges() if not cs & {1, 2}]
+    if stray:
+        return (f"cover_alpha2 needs colors 1 and 2: pair "
+                f"({stray[0][0]},{stray[0][1]}) carries neither")
+    a = alpha(g)[0]
+    if a != 2:
+        return f"cover_alpha2 needs alpha = 2, got {a}"
+    return None
+
+
+# a phrase of each rejection message
+REJECTIONS = ("supports r", "carry a color", "cover vertex 0", "nonempty sides",
+              "outside", "both sides", "neither side", "carries none", "got r=",
+              "carries neither", "alpha = 2")
+
+
+def assert_rejects_as(expected, call, seen):
+    """call() raises GraphError with the message expected, or, where that is
+    None, raises none; seen counts the expected outcomes by kind."""
+    kind = "accepted" if expected is None else next(
+        k for k in REJECTIONS if k in expected)
+    seen[kind] = seen.get(kind, 0) + 1
+    if expected is None:
+        call()
+        return
+    with pytest.raises(GraphError) as err:
+        call()
+    assert str(err.value) == expected
+
+
+def rand_multicolored(n, r, rng, absent):
+    """n vertices; each pair is absent with probability absent, else carries
+    one color of 1..r, or now and then two."""
+    edges = []
+    for u, v in itertools.combinations(range(n), 2):
+        if r and rng.random() >= absent:
+            cs = {rng.randint(1, r)}
+            if rng.random() < 0.2:
+                cs.add(rng.randint(1, r))
+            edges.append((u, v, cs))
+    return ColoredMultigraph(n, r, edges)
+
+
+def test_cover_complete_rejects_what_its_reference_rejects():
+    rng = random.Random(40)
+    seen = {}
+    for n in range(8):
+        for gr in range(6):
+            for _ in range(6):
+                g = rand_multicolored(n, gr, rng, rng.choice((0, 0, 0.05, 0.3)))
+                for r in range(1, 6):
+                    assert_rejects_as(reference_complete_error(g, r),
+                                      lambda: cv.cover_complete(g, r), seen)
+    assert seen.keys() == {"accepted", "supports r", "carry a color", "cover vertex 0"}
+    assert seen["accepted"] >= 300
+
+
+@pytest.mark.parametrize("who, cover, colors", [
+    ("cover_bipartite3", cv.cover_bipartite3, (1, 2, 3)),
+    ("classify2", cv.classify_bipartite2, (1, 2)),
+], ids=["bip3", "bip2"])
+def test_bipartite_covers_reject_what_their_reference_rejects(who, cover, colors):
+    rng = random.Random(41)
+    seen = {}
+    for n in range(9):
+        for gr in range(5):
+            for _ in range(20):
+                g = rand_multicolored(n, gr, rng, rng.choice((0, 0, 0, 0.1)))
+                # sides: mostly a split of 0..n-1, sometimes empty, with a
+                # vertex out of range or on both sides, or missing a vertex
+                side = [rng.randint(0, 1) for _ in range(n)]
+                X = [v for v in range(n) if side[v] == 0]
+                Y = [v for v in range(n) if side[v] == 1]
+                fault = rng.random()
+                if fault < 0.04:
+                    X.append(rng.choice((-1, n, n + 3)))
+                elif fault < 0.08 and Y:
+                    X.append(Y[0])
+                elif fault < 0.12 and Y:
+                    Y.pop()
+                assert_rejects_as(reference_bipartite_error(g, X, Y, who, colors),
+                                  lambda: cover(g, X, Y), seen)
+    assert seen.keys() == {"accepted", "nonempty sides", "outside", "both sides",
+                           "neither side", "carries none"}
+    assert seen["accepted"] >= 200
+
+
+def test_cover_alpha2_rejects_what_its_reference_rejects():
+    rng = random.Random(42)
+    seen = {}
+    for n in range(9):
+        for gr in range(5):
+            for _ in range(15):
+                g = rand_multicolored(n, gr, rng, rng.choice((0.2, 0.5)))
+                assert_rejects_as(reference_alpha2_error(g), lambda: cv.cover_alpha2(g), seen)
+    assert seen.keys() == {"accepted", "got r=", "carries neither", "alpha = 2"}
+    assert seen["accepted"] >= 50
 
 
 # ---------------------------------------------------------------- multipartite
@@ -590,6 +738,75 @@ def test_restricted5_residual_cases(case, shape):
     assert len(cert.pieces) <= 4
     assert {p[0] for p in cert.pieces} <= {1, 2, 3}
     assert verify(g, cert).ok
+
+
+def engineer_deep(extra=0, drop=()):
+    """A complete 5-colored graph on which restricted_cover(g, 5, [4, 5])
+    takes _restricted5's deep branch.
+
+    X = 0..4 opens the independent set that alpha finds in the {4, 5}-colored
+    graph (its only one of size 5 on the vertices 0..6).  On
+    X, color A = 1 has the blocks 0123 and 4, color 2 the blocks 014 and 23,
+    color 3 the blocks 234 and 01: the residual shape (4,1), (3,2), (3,2).
+    Vertex u = 5 joins 234 in color 3 and 0, 1 in colors 4, 5, so no cover
+    by A's and color 2's components of X holds it; vertex v = 6 joins 014
+    in color 2 and 2, 3 in colors 4, 5, so none by A's and color 3's holds
+    it.  The pair uv is in color A, and so the third A-component A3 through
+    u and v and color 2's first component make the cover.  extra = 1 adds
+    vertex 7 to A3, joined to u and v in A and to X in colors 2 and 3;
+    extra = 2 adds vertex 8 too, joined in A to 7 alone, so A3 is no
+    clique.  drop lists (u, v, color) entries taken off the pairs.
+    """
+    cols = {}
+
+    def put(u, v, c):
+        cols.setdefault((min(u, v), max(u, v)), set()).add(c)
+
+    for block, c in (((0, 1, 2, 3), 1), ((0, 1, 4), 2), ((2, 3), 2),
+                     ((2, 3, 4), 3), ((0, 1), 3)):
+        for u, v in itertools.combinations(block, 2):
+            put(u, v, c)
+    for x, c in ((0, 4), (1, 5), (2, 3), (3, 3), (4, 3)):
+        put(5, x, c)
+    for x, c in ((0, 2), (1, 2), (2, 4), (3, 5), (4, 2)):
+        put(6, x, c)
+    put(5, 6, 1)
+    # the vertices past 6 lie in the components 0146 of color 2 and 2345 of
+    # color 3
+    for w, a_nbrs, b_nbr in ((7, (5, 6), None), (8, (7,), 6))[:extra]:
+        for x in (0, 1, 4):
+            put(w, x, 2)
+        for x in (2, 3):
+            put(w, x, 3)
+        for a in a_nbrs:
+            put(w, a, 1)
+        if b_nbr is not None:
+            put(w, 5, 3)
+            put(w, b_nbr, 2)
+    for u, v, c in drop:
+        cols[(u, v)].discard(c)
+    return ColoredMultigraph(6 + 1 + extra, 5, [(u, v, cs) for (u, v), cs in cols.items()])
+
+
+@pytest.mark.parametrize("extra, drop, closed", [
+    (0, (), True),
+    # 01 and 23 keep one of their three colors less; their components stay
+    (0, ((0, 1, 2), (2, 3, 3)), False),
+    (1, (), False),
+    (2, (), False),
+], ids=["closed", "open-X", "A3-clique", "A3-open"])
+def test_restricted5_deep_branch(extra, drop, closed):
+    g = engineer_deep(extra, drop)
+    assert g.is_complete() and (g == closure(g)) == closed
+    assert alpha(closure(g).subgraph_colors([4, 5]))[1][:5] == (0, 1, 2, 3, 4)
+    cert = cv.restricted_cover(g, 5, [4, 5])
+    assert cert == cv.restricted_cover(closure(g), 5, [4, 5])
+    assert verify(g, cert).ok
+    # only the deep branch's candidates hold three A-components: A1, A2 and
+    # the one through u = 5 and v = 6, which meets no vertex of X
+    a3 = (1, tuple(range(5, 7 + extra)))
+    assert cert.pieces == ((1, (0, 1, 2, 3)), (1, (4,)), a3,
+                           (2, (0, 1, 4, 6, *range(7, 7 + extra))))
 
 
 def test_restricted3_single_component_branch():
