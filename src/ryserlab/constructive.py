@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .core import (ColoredMultigraph, CoverCertificate, GraphError,
                    _connected_diameter, _induced_diameter, alpha, checked, closed_graph,
-                   component_masks, layers, lowest_vertex, mask_of, reach, vertices_of)
+                   component_masks, layers, lowest_vertex, mask_of, max_independent, reach,
+                   vertices_of)
 from .exact import min_cover, tc_exact
 
 
@@ -401,7 +402,7 @@ def cover_alpha2(g: ColoredMultigraph) -> CoverCertificate:
     if stray:
         raise GraphError(f"cover_alpha2 needs colors 1 and 2: pair "
                          f"({stray[0]},{lowest_vertex(stray[1])}) carries neither")
-    a, wit = alpha(g)
+    a = max_independent(nb).bit_count()  # no stray pair left, so nb is g's rows
     if a != 2:
         raise GraphError(f"cover_alpha2 needs alpha = 2, got {a}")
     n = g.n
@@ -803,19 +804,16 @@ def _restricted5(g, xm, P):
             C1, C2 = comps_by_color[Cc][0], comps_by_color[Cc][1]
             candidates.append([(A, A1), (A, A2), (Bc, B1), (Bc, B2)])
             candidates.append([(A, A1), (A, A2), (Cc, C1), (Cc, C2)])
-        # the deep branch: u, v outside both candidate covers join in color A
-        # in the closure, that is, lie in one color-A component A3 of g
-        out1, out2 = (1 << g.n) - 1, (1 << g.n) - 1
-        for (_, m1), (_, m2) in zip(candidates[0], candidates[1]):
-            out1 &= ~m1
-            out2 &= ~m2
-        if out1 and out2:
-            u, v = lowest_vertex(out1), lowest_vertex(out2)
-            A3 = reach(g.adjacency(A), u)
-            if A3 >> v & 1:
-                for Bc in rest:
-                    B1 = comps_by_color[Bc][0]
-                    candidates.append([(A, A1), (A, A2), (A, A3), (Bc, B1)])
+        # the deep branch: a vertex u outside the first candidate cover and
+        # one outside the second join in color A in the closure, that is, lie
+        # in one color-A component A3 of g; each candidate is checked below
+        out1 = (1 << g.n) - 1
+        for _, m in candidates[0]:
+            out1 &= ~m
+        if out1:
+            A3 = reach(g.adjacency(A), lowest_vertex(out1))
+            for Bc in rest:
+                candidates.append([(A, A1), (A, A2), (A, A3), (Bc, comps_by_color[Bc][0])])
 
     # each candidate is four whole components in the colors P, so it is a
     # cover exactly when they hold every vertex

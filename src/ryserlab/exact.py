@@ -570,7 +570,7 @@ def _beaten_by(colv, pair_perms, r: int, _kept=None):
     return -1, len(colv)
 
 
-def _canonical_colorings(n: int, r: int, budget=None):
+def _canonical_colorings(n: int, r: int, budget=None, star_bound=None):
     """The r-colorings of K_n's pairs (itertools.combinations order, colors
     1..r) that are lexicographically minimal in their orbit under S_n x S_r,
     in lexicographic order.
@@ -581,6 +581,12 @@ def _canonical_colorings(n: int, r: int, budget=None):
     that differs within them.  Raising pair (u, v) changes only pairs between
     vertices >= u, so only their smallest rows are rebuilt.  The budget counts
     the visited vectors as "enumerated" and is charged for each once settled.
+
+    With star_bound=b and n >= 2, a vector in which some vertex u sees at
+    most b colors is skipped untested, as a winner's are, with every vector
+    sharing u's pairs, the first P_u = index(u, n - 1) + 1 entries (least u),
+    and counted in budget.counts["stars"]: u's components in those colors
+    cover K_n, as each other vertex is joined to u in one of them, so tc <= b.
     """
     budget = budget or SolveBudget()
     budget.counts.setdefault("enumerated", 0)
@@ -590,11 +596,21 @@ def _canonical_colorings(n: int, r: int, budget=None):
     colv = [1] * m
     top = [1] * m  # top[k] = max(colv[:k + 1])
     kept = _least_rows(colv, perms, r)
+    # (P_u, u's pair indices) by u, from kept's row 0s; K_1's vertex sees no
+    # color yet needs a piece
+    stars = [(max(row) + 1, row) for row in kept[4]] if star_bound is not None and n > 1 else []
+    if star_bound is not None:
+        budget.counts.setdefault("stars", 0)
     while True:
         budget.counts["enumerated"] += 1
-        i, k = _beaten_by(colv, perms, r, kept)
-        if i < 0:
-            yield tuple(colv)
+        k = next((p for p, row in stars
+                  if len(set(map(colv.__getitem__, row))) <= star_bound), 0)
+        if k:
+            budget.counts["stars"] += 1
+        else:
+            i, k = _beaten_by(colv, perms, r, kept)
+            if i < 0:
+                yield tuple(colv)
         budget.charge("hunt")
         # the last entry of colv[:k] that can grow; colv[0] is always 1
         k -= 1
@@ -619,14 +635,17 @@ def hunt(n: int, r: int, bound, budget: SolveBudget | None = None):
 
     bound is an integer or one of "alpha", "2alpha", "ryser".  Every pair of
     K_n is colored, so every closure is complete and alpha = 1: the bound is
-    evaluated once, before the walk.  A coloring's components are its
-    closure's, so min_cover(..., at_most=bound) decides each canonical
-    coloring on its own component masks; a cover it finds is checked (at most
-    bound masks, each connected in its color, covering every vertex).  Only
-    the coloring returned is closed, and its verified tc_exact value must
-    exceed the bound.  The walk and the decisions draw on one budget, which
-    also keeps the hunt's counters: "enumerated" counts the vectors visited,
-    "canonical" the forms among them and "solved" the decisions.
+    evaluated once, before the walk.  The walk skips, unseen, each coloring
+    in which some vertex v sees at most bound colors: v's components in those
+    colors cover K_n, since every other vertex is joined to v in one of them,
+    so tc <= bound there.  A coloring's components are its closure's, so
+    min_cover(..., at_most=bound) decides each canonical coloring left on its
+    own component masks; a cover it finds is checked (at most bound masks,
+    each connected in its color, covering every vertex).  Only the coloring
+    returned is closed, and its verified tc_exact value must exceed the bound.
+    The walk and the decisions draw on one budget, which also keeps the hunt's
+    counters: "enumerated" counts the vectors visited, "stars" those the star
+    cover settled, "canonical" the forms found and "solved" the decisions.
     Returns None or a counterexample (ColoredMultigraph closure, tc value).
     """
     if n < 1 or r < 1:
@@ -638,10 +657,10 @@ def hunt(n: int, r: int, bound, budget: SolveBudget | None = None):
     budget = budget or SolveBudget()
     pairs = list(itertools.combinations(range(n), 2))
     full = (1 << n) - 1
-    for key in ("enumerated", "canonical", "solved"):
+    for key in ("enumerated", "stars", "canonical", "solved"):
         budget.counts.setdefault(key, 0)
 
-    for colv in _canonical_colorings(n, r, budget):
+    for colv in _canonical_colorings(n, r, budget, star_bound=b):
         budget.counts["canonical"] += 1
         adjs = [[0] * n for _ in range(r + 1)]
         for (u, v), c in zip(pairs, colv):

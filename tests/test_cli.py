@@ -231,16 +231,16 @@ def test_hunt_command(capsys):
 
 def test_hunt_manifest_records_the_counters(tmp_path, capsys):
     # a settled hunt records how it was reached: every canonical (5, 3)
-    # coloring is solved
+    # coloring that the star cover leaves is solved
     m = tmp_path / "m.json"
     code, out = run_cli(["--manifest", str(m), "hunt", "--n", "5", "--r", "3",
                          "--bound", "2alpha"], capsys)
     assert code == 0 and out.strip() == "none"
     walk = ex.SolveBudget()
-    assert sum(1 for _ in ex._canonical_colorings(5, 3, walk)) == 142
+    assert sum(1 for _ in ex._canonical_colorings(5, 3, walk, star_bound=2)) == 2
     d = json.loads(m.read_text())
-    assert d["stats"] == {"enumerated": walk.counts["enumerated"], "canonical": 142,
-                          "solved": 142}
+    assert d["stats"] == {"enumerated": walk.counts["enumerated"],
+                          "stars": walk.counts["stars"], "canonical": 2, "solved": 2}
     assert "tc" not in d and d["nodes"] > walk.counts["enumerated"]
     # a find records its tc beside the counters
     code, out = run_cli(["--manifest", str(m), "hunt", "--n", "4", "--r", "3",

@@ -434,8 +434,50 @@ def test_hunt_small():
     assert list(cg.edges()) == [
         (0, 1, frozenset({1, 2})), (0, 2, frozenset({1})), (0, 3, frozenset({2})),
         (1, 2, frozenset({1})), (1, 3, frozenset({2})), (2, 3, frozenset({3}))]
-    assert (budget.counts["canonical"], budget.counts["solved"]) == (7, 7)
+    # the star cover settles the four vectors before it: a vertex sees one color
+    assert (budget.counts["stars"], budget.counts["canonical"], budget.counts["solved"]) == (
+        4, 1, 1)
     assert ex.hunt(4, 3, "2alpha") is None
+
+
+@pytest.mark.parametrize("n, r", [(4, 3), (4, 4), (5, 3), (5, 4), (6, 2)])
+def test_hunt_star_skip_keeps_the_first_counterexample(n, r):
+    # the reference is the unpruned canonical stream, each vector's closure
+    # solved by tc_exact: hunt returns the first closure with tc > b, and
+    # decides exactly the vectors up to it in which every vertex sees more
+    # than b colors
+    pairs = list(itertools.combinations(range(n), 2))
+    stream = []
+    for colv in ex._canonical_colorings(n, r):
+        g = closure(ColoredMultigraph.from_edges(
+            n, r, [(u, v, c) for (u, v), c in zip(pairs, colv)]))
+        fewest = min(len({c for p, c in zip(pairs, colv) if x in p}) for x in range(n))
+        stream.append((g, ex.tc_exact(g)[0], fewest))
+    for b in range(r + 1):
+        first = next((i for i, (_g, tc, _f) in enumerate(stream) if tc > b), len(stream))
+        budget = ex.SolveBudget()
+        got = ex.hunt(n, r, b, budget)
+        if first == len(stream):
+            assert got is None, b
+        else:
+            assert got[1] == stream[first][1] and got[0].edges() == stream[first][0].edges(), b
+        decided = sum(1 for *_, fewest in stream[:first + 1] if fewest > b)
+        assert budget.counts["solved"] == budget.counts["canonical"] == decided, b
+
+
+def test_hunt_star_skip_counts():
+    # the decisions left where the walk runs to its end, against the unpruned
+    # stream: 223 of the 4 300 canonical 3-colorings of K_6 give every vertex
+    # all three colors
+    pairs = list(itertools.combinations(range(6), 2))
+    every = sum(1 for colv in ex._canonical_colorings(6, 3)
+                if all(len({c for p, c in zip(pairs, colv) if x in p}) == 3 for x in range(6)))
+    budget = ex.SolveBudget()
+    assert ex.hunt(6, 3, "2alpha", budget) is None
+    assert budget.counts["solved"] == budget.counts["canonical"] == every == 223
+    assert budget.counts["stars"] == 3314
+    # K_1's one vertex sees no color, yet needs one piece
+    assert ex.hunt(1, 2, 0)[1] == 1
 
 
 def _orbit_minima(n, r):
@@ -624,9 +666,15 @@ def test_beaten_by_skips_automorphic_blocks():
 
 def test_hunt_has_one_deadline(monkeypatch):
     # a spent budget stops the hunt before its first decision, even though
-    # far fewer than 4096 vectors have been enumerated
+    # far fewer than 4096 vectors have been enumerated: at the first vector,
+    # which the star cover settles at b = 1, and at b = 0 inside the decision
+    # on it, the first canonical form
     with pytest.raises(ex.Inconclusive) as exc:
         ex.hunt(4, 3, 1, budget=ex.SolveBudget(max_seconds=0))
+    assert exc.value.stats["stars"] == 1
+    assert exc.value.stats["solved"] == 0
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.hunt(4, 3, 0, budget=ex.SolveBudget(max_seconds=0))
     assert exc.value.stats["canonical"] >= 1
     assert exc.value.stats["solved"] == 0
     # each decision draws on the very budget the hunt was given
@@ -640,7 +688,7 @@ def test_hunt_has_one_deadline(monkeypatch):
     monkeypatch.setattr(ex, "min_cover", spy)
     budget = ex.SolveBudget(max_seconds=60)
     assert ex.hunt(4, 3, "2alpha", budget=budget) is None
-    assert len(given) == 15
+    assert len(given) == 1
     assert all(b is budget for b in given)
 
 
@@ -757,11 +805,14 @@ def test_milp_early_stop_reports_the_run_total(monkeypatch):
 
 
 def test_hunt_shares_one_node_allowance():
-    # the walk and the nested solves draw on one allowance: the (5, 3) hunt
-    # makes 142 solves, each far below 100 nodes on its own
+    # the walk and the nested solves draw on one allowance: the (6, 3) hunt
+    # makes 223 solves, each far below 100 nodes on its own, and some of the
+    # 101 nodes charged when the allowance runs out are theirs
     with pytest.raises(ex.Inconclusive) as exc:
-        ex.hunt(5, 3, "2alpha", budget=ex.SolveBudget(max_nodes=100))
-    assert exc.value.stats["nodes"] == 101
+        ex.hunt(6, 3, "2alpha", budget=ex.SolveBudget(max_nodes=100))
+    stats = exc.value.stats
+    assert stats["nodes"] == 101
+    assert stats["solved"] > 0 and stats["enumerated"] < 101
     # the walk charges every vector it settles
     budget = ex.SolveBudget()
     assert sum(1 for _ in ex._canonical_colorings(5, 3, budget)) == 142
@@ -1043,12 +1094,13 @@ def test_hunt_checks_survive_python_O():
     code = textwrap.dedent("""
         import ryserlab.exact as ex
         real = ex.min_cover
-        # the first canonical 3-coloring of K_4 is all color 1
+        # the one 3-coloring of K_4 that the star cover leaves at bound 2 is
+        # its three perfect matchings, where tc = 2
         for got in ((1, [(2, 0b1111)]), (1, [(1, 0b0011)]), None):
             ex.min_cover = lambda *args, at_most=None, got=got: (
                 real(*args) if at_most is None else got)
             try:
-                ex.hunt(4, 3, 1)
+                ex.hunt(4, 3, 2)
             except AssertionError as exc:
                 print(exc)
             else:
@@ -1058,7 +1110,7 @@ def test_hunt_checks_survive_python_O():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
-        "decision witness (1, [(2, 15)]) is not a cover by at most 1 connected pieces",
-        "decision witness (1, [(1, 3)]) is not a cover by at most 1 connected pieces",
-        "tc_exact finds tc = 1 <= 1 on (1, 1, 1, 1, 1, 1), where the decision "
+        "decision witness (1, [(2, 15)]) is not a cover by at most 2 connected pieces",
+        "decision witness (1, [(1, 3)]) is not a cover by at most 2 connected pieces",
+        "tc_exact finds tc = 2 <= 2 on (1, 2, 3, 3, 2, 1), where the decision "
         "found none"]
