@@ -484,17 +484,11 @@ def _induced_diameter(adj, mask: int) -> float:
     return _connected_diameter(adj, mask)
 
 
-def max_independent(adj, charge=None) -> int:
-    """A maximum independent set of the mask adjacency adj, as a mask.
-
-    A greedy start takes the minimum-degree vertex left until none is left.
-    A branch and bound then takes, and after that drops, the maximum-degree
-    vertex left (ties to the lowest index), and takes all that is left once
-    none of it is adjacent; a branch is pruned when it cannot beat the best
-    set so far.  charge, when given, is called once for the greedy set and
-    once per branch.
-    """
-    avail = full = (1 << len(adj)) - 1
+def greedy_independent(adj) -> int:
+    """An independent set of the mask adjacency adj, as a mask: the
+    minimum-degree vertex left (ties to the lowest index) is taken until none
+    is left."""
+    avail = (1 << len(adj)) - 1
     best = 0
     while avail:
         v, d = -1, len(adj)
@@ -508,10 +502,23 @@ def max_independent(adj, charge=None) -> int:
                 v, d = u, du
         best |= 1 << v
         avail &= ~(1 << v | adj[v])
+    return best
+
+
+def max_independent(adj, charge=None) -> int:
+    """A maximum independent set of the mask adjacency adj, as a mask.
+
+    The start is greedy_independent.  A branch and bound then takes, and
+    after that drops, the maximum-degree vertex left (ties to the lowest
+    index), and takes all that is left once none of it is adjacent; a branch
+    is pruned when it cannot beat the best set so far.  charge, when given,
+    is called once for the greedy set and once per branch.
+    """
+    best = greedy_independent(adj)
     if charge is not None:
         charge()
     size = best.bit_count()
-    stack = [(full, 0)]
+    stack = [((1 << len(adj)) - 1, 0)]
     while stack:
         avail, chosen = stack.pop()
         if charge is not None:

@@ -15,8 +15,8 @@ import time
 
 from .core import (ColoredMultigraph, GraphError, checked, closed_graph,
                    _connected_diameter, component_masks, components,
-                   connected_subsets, lowest_vertex, make_certificate, mask_of,
-                   max_independent, reach, vertices_of)
+                   connected_subsets, greedy_independent, lowest_vertex,
+                   make_certificate, mask_of, max_independent, reach, vertices_of)
 
 # the search a stage belongs to, as an exhausted budget's message names it
 _SEARCH = {"matching": "matching search",
@@ -256,20 +256,112 @@ def tc_exact(g: ColoredMultigraph, max_diam=None, allowed_colors=None,
     return size, checked(g, pieces, size, max_diam, allowed_colors)
 
 
+def _tp_bracket(adjs, full, budget):
+    """(lower, parts): a lower bound on tp and the greedy partition, as
+    (color, mask) parts, with tp <= len(parts).
+
+    The greedy partition takes, again and again, the largest monochromatic
+    component of the vertices left, ties to the lowest color and then the
+    lowest vertex; singletons go under color 1.  One part means a color
+    spans, and two then mean tp = 2, so the bound is sought only past two.
+
+    The bound: let I be independent in the union of the colors (here
+    greedy_independent's; any is sound) and Y = V - I.  In a partition, a
+    part holding a vertex x of I and another vertex is connected in its
+    color c, so x has a c-neighbor in the part, and it is in Y.  With phi(y)
+    the color of y's part, at least |phi(Y)| parts meet Y (one color each),
+    and each x of I outside every N_phi(y)(y) is a part alone, so
+    tp >= |phi(Y)| + |I - union of N_phi(y)(y)|.  lower is the least such
+    value over every phi: Y -> colors, capped at len(parts).  A branch and
+    bound colors Y one vertex at a time and prunes a node when no color set
+    U holding the colors used gets below the best value so far with |U| plus
+    the vertices of I that neither the colored vertices nor the rest of Y, in
+    U's colors, reach.  The best starts at the least of len(parts), each
+    one-color phi, and a greedy phi; the search stops at 2 or less, the least
+    tp past one part.  Its nodes are charged to stage "partition bound" and
+    counted in budget.counts["bound nodes"].
+    """
+    parts, avail = [], full
+    while avail:
+        c, part = max(((c, m) for c, adj in adjs for m in component_masks(adj, avail)),
+                      key=lambda p: p[1].bit_count())
+        if part & (part - 1) == 0:
+            parts += [(1, 1 << v) for v in vertices_of(avail)]
+            break
+        parts.append((c, part))
+        avail &= ~part
+    best = len(parts)
+    if best <= 2:
+        return best, parts
+    counts = budget.counts
+    counts.setdefault("bound nodes", 0)
+    nb = [functools.reduce(operator.or_, rows) for rows in zip(*(adj for _, adj in adjs))]
+
+    def least(i, used, covered):
+        """The least |U| + |I left bare| over the color sets U holding used;
+        a color reaching at most one vertex that the others leave bare is
+        never worth its part."""
+        bare = ind & ~covered
+        for j, m in enumerate(later[i]):
+            if used >> j & 1:
+                bare &= ~m
+        outs = [(0, bare)]
+        for j, m in enumerate(later[i]):
+            if not used >> j & 1 and (m & bare).bit_count() > 1:
+                outs += [(k + 1, b & ~m) for k, b in outs]
+        return used.bit_count() + min(k + b.bit_count() for k, b in outs)
+
+    ind = greedy_independent(nb)
+    ys = sorted(vertices_of(full & ~ind), key=lambda y: -(nb[y] & ind).bit_count())
+    covs = [[adj[y] & ind for _, adj in adjs] for y in ys]
+    # later[i][j]: what the vertices ys[i:] reach of I in color j + 1
+    later = [[0] * len(adjs)]
+    for cov in reversed(covs):
+        later.append(list(map(operator.or_, later[-1], cov)))
+    later.reverse()
+    used = covered = 0
+    for cov in covs:
+        j = max(range(len(cov)), key=lambda j: (cov[j] & ~covered).bit_count() - (~used >> j & 1))
+        used, covered = used | 1 << j, covered | cov[j]
+    best = min([best, used.bit_count() + (ind & ~covered).bit_count()]
+               + [1 + (ind & ~m).bit_count() for m in later[0]])
+    stack = [(0, 0, 0)]  # (vertices of ys colored, colors used, I reached)
+    try:
+        while stack and best > 2:
+            i, used, covered = stack.pop()
+            counts["bound nodes"] += 1
+            budget.charge("partition bound")
+            if i == len(ys):
+                best = min(best, used.bit_count() + (ind & ~covered).bit_count())
+            elif not used or least(i, used, covered) < best:
+                # each distinct child, fewest colors less most of I reached first
+                kids = dict.fromkeys((used | 1 << j, covered | cov)
+                                     for j, cov in enumerate(covs[i]))
+                stack += reversed(sorted(((i + 1, u, c) for u, c in kids),
+                                         key=lambda k: k[1].bit_count() - k[2].bit_count()))
+    except Inconclusive as exc:
+        exc.stats.update(lower=2, upper=len(parts))
+        raise
+    return best, parts
+
+
 def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     """Minimum monochromatic partition: (size, CoverCertificate in partition mode).
 
     Parts are vertex-disjoint connected monochromatic subgraphs, possibly proper
-    subgraphs of components.  t = 1 is one connectivity test per color; from
-    t = 2 on, an iterative-deepening search grows each part from the lowest
-    uncovered vertex.  Twins (vertices u, v with c(u, w) = c(v, w) for every
-    color c and every other vertex w) are interchangeable, so a part takes only
-    a prefix, in index order, of each twin class's uncovered vertices.  When
-    two parts are left, the first is grown by one pruned connected_subsets
-    walk per color, and the second is read off each growth state's complement
-    (two_parts).  Every dfs call and every growth state checked is one budget
-    node.  An exhausted budget's Inconclusive carries "lower": every smaller t
-    was refuted.
+    subgraphs of components.  _tp_bracket first gives a greedy partition and
+    a lower bound; when they meet, the greedy partition is the answer.
+    Otherwise an iterative-deepening search, from t = max(2, lower) to one
+    below the greedy size, grows each part from the lowest uncovered vertex,
+    and the greedy partition is returned if every t is refuted.  Twins
+    (vertices u, v with c(u, w) = c(v, w) for every color c and every other
+    vertex w) are interchangeable, so a part takes only a prefix, in index
+    order, of each twin class's uncovered vertices.  When two parts are
+    left, the first is grown by one pruned connected_subsets walk per color,
+    and the second is read off each growth state's complement (two_parts).
+    Every dfs call and every growth state checked is one budget node.  An
+    exhausted budget's Inconclusive carries "lower", below which every t was
+    refuted, and "upper", the greedy size.
 
     The search below a vertex set left depends on that set alone, and one
     refuted with k parts is refuted with fewer, so dead[avail], kept across
@@ -291,9 +383,10 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
         """(t, verified certificate) for a list of (color, mask) parts."""
         return len(pieces), checked(g, pieces, len(pieces), mode="partition")
 
-    for c, adj in adjs:
-        if reach(adj, 0, full) == full:
-            return certified([(c, full)])
+    lower, greedy = _tp_bracket(adjs, full, budget)
+    upper = len(greedy)
+    if lower >= upper:
+        return certified(greedy)
 
     # lower_twins[u]: the twins of u of lower index
     lower_twins = [0] * n
@@ -384,15 +477,15 @@ def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
             dead[avail] = t_left
         return None
 
-    for t in range(2, n + 1):
+    for t in range(max(2, lower), upper):
         try:
             got = dfs(full, t, [])
         except Inconclusive as exc:
-            exc.stats["lower"] = t
+            exc.stats.update(lower=t, upper=upper)
             raise
         if got is not None:
             return certified(got)
-    raise AssertionError("singleton pieces always partition")
+    return certified(greedy)
 
 
 def mc_graph(g: ColoredMultigraph):

@@ -280,6 +280,12 @@ def badmulti_graph(k: int, t: int) -> ColoredMultigraph:
 
     One huge part Z of size (t+1)*2^y is colored against the union Y of the
     other parts with the binary-string coloring; all edges inside Y get color 1.
+
+    Its tp is t + 2, one above badmulti_lower_bound, for every k and t.  At
+    least: for phi(y) the color of y's part, Z's block whose word differs from
+    phi at every y is t + 1 parts alone, beside the parts meeting Y.  At most:
+    Y and Z less the all-2 block are one part in color 1, and that block's
+    t + 1 vertices are singletons.
     """
     if k < 2 or t < 1:
         raise ValueError("need k >= 2 and t >= 1")

@@ -396,17 +396,22 @@ def test_truncated_plane_file_keeps_its_parts(capsys, q):
 
 
 def test_inconclusive_exits_2_with_stats(tmp_path, capsys):
-    code, out = run_cli(["construct", "badmulti", "--k", "3", "--t", "1"], capsys)
-    assert code == 0
-    p = tmp_path / "bad31.cg"
-    p.write_text(out)
+    # the path 0-2-1-3 in colors 2, 1, 2: the greedy partition takes the
+    # color-1 edge first and has three parts, a seeded assignment ends the
+    # bound at 2, so the partition search's first node reads the clock
+    p = tmp_path / "path.cg"
+    p.write_text("cg 4 2\ne 0 2 2\ne 1 2 1\ne 1 3 2\n")
     m = tmp_path / "m.json"
     code, out = run_cli(["--budget-seconds", "0", "--manifest", str(m),
                          "tp", "--input", str(p)], capsys)
     assert code == 2
     assert out.startswith("inconclusive: partition search budget exhausted")
     assert "'nodes'" in out
-    assert json.loads(m.read_text())["stats"]["nodes"] > 0
+    stats = json.loads(m.read_text())["stats"]
+    assert stats["nodes"] > 0
+    assert (stats["lower"], stats["upper"]) == (2, 3)
+    code, out = run_cli(["tp", "--input", str(p)], capsys)
+    assert code == 0 and out.startswith("tp = 2")
 
 
 def test_cover_budget_reaches_the_proof_search(tmp_path, capsys):

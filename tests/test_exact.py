@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ryserlab import exact as ex
-from ryserlab.core import (ColoredMultigraph, GraphError, adjacency, alpha, closure,
-                           complete_graph, component_masks, components, mask_of,
-                           monochromatic_complete, reach, verify, vertices_of)
+from ryserlab.core import (ColoredMultigraph, GraphError, adjacency, alpha, checked,
+                           closure, complete_graph, component_masks, components,
+                           greedy_independent, mask_of, monochromatic_complete, reach,
+                           verify, vertices_of)
 from ryserlab.duality import ColoredHypergraph
 
 
@@ -867,21 +868,41 @@ def test_hunt_rejects_bad_arguments():
 
 
 def test_budget_is_explicit():
-    # three monochromatic islands force the deep partition search, which must
-    # give up loudly under a one-node budget
-    g = ColoredMultigraph.from_edges(
-        6, 3, [(0, 1, 1), (2, 3, 2), (4, 5, 3)])
+    # the path 0-1-3-2 in colors 3, 1, 2 and the lone vertex 4: the greedy
+    # partition takes the color-1 edge first and has four parts, the bound
+    # gives three, so the partition search must settle t = 3, and it gives up
+    # loudly once the bound has spent the budget
+    g = ColoredMultigraph.from_edges(5, 3, [(0, 1, 3), (1, 3, 1), (2, 3, 2)])
+    budget = ex.SolveBudget()
+    assert ex.tp_exact(g, budget)[0] == 3
+    bound = budget.counts["bound nodes"]
+    assert 0 < bound < budget.nodes
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.tp_exact(g, budget=ex.SolveBudget(max_nodes=bound))
+    stats = exc.value.stats
+    assert (stats["stage"], stats["lower"], stats["upper"]) == ("partition search", 3, 4)
     with pytest.raises(ex.Inconclusive):
         ex.tp_exact(g, budget=ex.SolveBudget(max_nodes=1))
-    size, _ = ex.tp_exact(g)
-    assert size == 3
 
 
-def test_partition_search_checks_budget():
+def open_bracket(monkeypatch):
+    """Set tp_exact's bracket to (0, the singletons), under which tp_exact
+    runs the partition search alone: no bound nodes, every t from 2 on."""
+    monkeypatch.setattr(ex, "_tp_bracket", lambda adjs, full, budget: (
+        0, [(1, 1 << v) for v in vertices_of(full)]))
+
+
+def test_partition_search_checks_budget(monkeypatch):
     # badmulti(3,1) has no partition into one part, so the partition search
-    # starts at t = 2 and its first node reads the clock
+    # starts at t = 2 and its first node reads the clock; with the bracket in
+    # place, the bound's first node reads it, and only "no color spans" holds
     from ryserlab.goodpart import badmulti_graph
 
+    with pytest.raises(ex.Inconclusive) as exc:
+        ex.tp_exact(badmulti_graph(3, 1), budget=ex.SolveBudget(max_seconds=0))
+    assert exc.value.stats == {"nodes": 1, "stage": "partition bound", "bound nodes": 1,
+                               "lower": 2, "upper": 3}
+    open_bracket(monkeypatch)
     with pytest.raises(ex.Inconclusive) as exc:
         ex.tp_exact(badmulti_graph(3, 1), budget=ex.SolveBudget(max_seconds=0))
     assert exc.value.stats["stage"] == "partition search"
@@ -889,16 +910,19 @@ def test_partition_search_checks_budget():
     assert exc.value.stats["lower"] == 2
 
 
-def test_exhausted_partition_search_reports_its_lower_bound():
-    # tp(badmulti(2,2)) = 4: the whole search takes 523 nodes, and t = 2 and
-    # t = 3 are refuted within the first 404, so a budget stopped inside
-    # t = 3 proves tp >= 3 and one stopped inside t = 4 proves tp >= 4
+def test_exhausted_partition_search_reports_its_lower_bound(monkeypatch):
+    # with the bracket open, tp(badmulti(2,2)) = 4: the whole search takes 523
+    # nodes, and t = 2 and t = 3 are refuted within the first 404, so a budget
+    # stopped inside t = 3 proves tp >= 3 and one stopped inside t = 4 proves
+    # tp >= 4
     from ryserlab.goodpart import badmulti_graph
 
+    open_bracket(monkeypatch)
     for max_nodes, lower in ((300, 3), (500, 4)):
         with pytest.raises(ex.Inconclusive) as exc:
             ex.tp_exact(badmulti_graph(2, 2), budget=ex.SolveBudget(max_nodes=max_nodes))
         assert exc.value.stats["lower"] == lower
+        assert exc.value.stats["upper"] == 14
     assert ex.tp_exact(badmulti_graph(2, 2), budget=ex.SolveBudget(max_nodes=617))[0] == 4
 
 
@@ -993,8 +1017,10 @@ BADMULTI_SMALL = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))
     # with no table the search is node for node the one without it
     (0, {(2, 2): (617, 0), (3, 1): (278, 0), (4, 1): (14823, 0), (2, 3): (6262, 0)})])
 def test_dead_table_node_counts(monkeypatch, cap, pins):
+    # the search alone: the bracket would settle each of these at once
     from ryserlab.goodpart import badmulti_graph
 
+    open_bracket(monkeypatch)
     if cap is not None:
         monkeypatch.setattr(ex, "_DEAD_CAP", cap)
     for (k, t), (nodes, hits) in pins.items():
@@ -1005,9 +1031,10 @@ def test_dead_table_node_counts(monkeypatch, cap, pins):
 
 def test_dead_table_cap_changes_no_answer(monkeypatch):
     # a table that stops growing at one entry gives every value and
-    # certificate of the full table
+    # certificate of the full table, in the search the bracket would skip
     from ryserlab.goodpart import badmulti_graph
 
+    open_bracket(monkeypatch)
     for k, t in BADMULTI_SMALL:
         g = badmulti_graph(k, t)
         want = ex.tp_exact(g)
@@ -1060,6 +1087,68 @@ def test_two_part_decision_matches_brute_force(gv):
     tp, cert = ex.tp_exact(g)
     assert (tp <= 2) == want
     assert verify(g, cert).ok
+
+
+def bracket(n, r, colors):
+    """(g, lower, greedy parts): tp_exact's bracket on the pair colors."""
+    g = ColoredMultigraph.from_edges(
+        n, r, [(u, v, sorted(cs)) for (u, v), cs in colors.items() if cs])
+    adjs = [(c, g.adjacency(c)) for c in range(1, r + 1)]
+    return (g, *ex._tp_bracket(adjs, (1 << n) - 1, ex.SolveBudget()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(typed_graphs(), sparse_graphs()))
+@example((7, 2, pair_colors(7, [(0, 1, 1), (0, 4, 1), (0, 5, 1), (1, 4, 1), (4, 5, 1),
+                                (0, 2, 2), (0, 3, 2), (2, 4, 2), (3, 4, 2)])))
+# the path 0-2-1-3 in colors 2, 1, 2: the greedy partition takes the color-1
+# edge first and has three parts, though tp = 2
+@example((4, 2, pair_colors(4, [(0, 2, 2), (1, 2, 1), (1, 3, 2)])))
+def test_tp_bracket_holds_brute_tp(gv):
+    # the independent-set bound is at most tp, and the greedy partition is a
+    # partition, so at least tp
+    n, r, colors = gv
+    g, lower, parts = bracket(n, r, colors)
+    assert lower <= brute_tp(n, r, colors) <= len(parts)
+    assert verify(g, checked(g, parts, len(parts), mode="partition")).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(typed_graphs(), sparse_graphs()))
+# the least value is 2, below a node that only a color reaching two bare
+# vertices of I, added to the colors used, keeps from being pruned
+@example((9, 3, pair_colors(9, [(0, 6, 1), (1, 4, 3), (2, 4, 1), (2, 7, 2), (2, 8, 1),
+                                (3, 5, 2), (3, 7, 3), (4, 5, 2), (4, 6, 2), (5, 8, 1),
+                                (6, 7, 1), (7, 8, 1)])))
+def test_tp_bound_is_its_least_value_over_every_coloring_of_y(gv):
+    # with the same independent set, every coloring phi of Y = V - I by
+    # dynamic programming over the (colors used, I reached) states: past two
+    # greedy parts, the bound is the least |phi(Y)| + |I unreached|, capped
+    # at the greedy size, or at most 2 when that least value is
+    n, r, colors = gv
+    g, lower, parts = bracket(n, r, colors)
+    if len(parts) <= 2:
+        return
+    rows = [g.adjacency(c) for c in range(1, r + 1)]
+    ind = greedy_independent(list(map(lambda *row: functools.reduce(operator.or_, row), *rows)))
+    states = {(0, 0)}
+    for y in vertices_of((1 << n) - 1 & ~ind):
+        states = {(used | 1 << j, got | row[y] & ind)
+                  for used, got in states for j, row in enumerate(rows)}
+    least = min(min(used.bit_count() + (ind & ~got).bit_count() for used, got in states),
+                len(parts))
+    assert lower == least if least > 2 else lower <= 2
+
+
+def test_tp_bracket_is_t_plus_2_on_badmulti():
+    # Z's binary blocks give the bound t + 2, and the greedy partition meets it
+    from ryserlab.goodpart import badmulti_graph
+
+    for k, t in BADMULTI_SMALL + ((3, 3), (4, 2), (5, 1), (2, 4), (3, 4), (4, 3)):
+        g = badmulti_graph(k, t)
+        adjs = [(c, g.adjacency(c)) for c in range(1, g.r + 1)]
+        lower, parts = ex._tp_bracket(adjs, (1 << g.n) - 1, ex.SolveBudget())
+        assert lower == len(parts) == t + 2
 
 
 def test_certificate_gate_survives_python_O():

@@ -204,10 +204,12 @@ def test_bad_bipartite_requires_enough_z():
 
 def test_badmulti_small():
     # tp of the binary-block colorings, each one above the partition lower
-    # bound they imply
+    # bound they imply; (3, 3) on are settled by tp_exact's bracket alone
     assert gp.badmulti_graph(2, 1).n == 10
     for (k, t), want, lower in (((2, 1), 3, 2), ((2, 2), 4, 3), ((2, 3), 5, 4),
-                                ((3, 1), 3, 2), ((3, 2), 4, 3), ((4, 1), 3, 2)):
+                                ((3, 1), 3, 2), ((3, 2), 4, 3), ((4, 1), 3, 2),
+                                ((3, 3), 5, 4), ((4, 2), 4, 3), ((5, 1), 3, 2),
+                                ((2, 4), 6, 5), ((3, 4), 6, 5), ((4, 3), 5, 4)):
         g = gp.badmulti_graph(k, t)
         tp, cert = ex.tp_exact(g)
         assert cert.mode == "partition" and verify(g, cert).ok
