@@ -180,8 +180,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path):
-    with open(path) as f:
-        return f.read()
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
 def _parse_parts(spec_str, n):
@@ -208,7 +211,8 @@ def _two_parts(spec_str, n):
 
 
 def _emit(args, text, payload=None):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    """Write text to stdout, after the manifest if one is asked for, so a
+    manifest that cannot be written leaves no output."""
     if args.manifest:
         manifest = {
             "command": shlex.join(args.argv),
@@ -221,9 +225,14 @@ def _emit(args, text, payload=None):
             manifest["stats"] = args.budget.counts
         if payload:
             manifest.update(payload)
-        with open(args.manifest, "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+        try:
+            with open(args.manifest, "w") as f:
+                json.dump(manifest, f, indent=2, sort_keys=True)
+                f.write("\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write the manifest {args.manifest!r}: "
+                             f"{exc.strerror}") from None
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_tc(args):
@@ -544,17 +553,19 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
     args.argv = argv
-    args.budget = SolveBudget(max_seconds=args.budget_seconds)
     try:
-        return args.fn(args)
-    except Infeasible as exc:
-        _emit(args, f"infeasible: {exc}")
-        return 1
-    except Inconclusive as exc:
-        _emit(args, f"inconclusive: {exc} {exc.stats}", {"stats": exc.stats})
-        return 2
+        args.budget = SolveBudget(max_seconds=args.budget_seconds)
+        try:
+            return args.fn(args)
+        except Infeasible as exc:
+            _emit(args, f"infeasible: {exc}")
+            return 1
+        except Inconclusive as exc:
+            _emit(args, f"inconclusive: {exc} {exc.stats}", {"stats": exc.stats})
+            return 2
     except ValueError as exc:
-        # FormatError, UsageError and every domain error: bad input, not a finding
+        # FormatError, UsageError (a file that cannot be read or written among
+        # them) and every domain error: bad input, not a finding
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

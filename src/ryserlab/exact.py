@@ -16,7 +16,7 @@ import time
 from .core import (ColoredMultigraph, GraphError, checked, closed_graph,
                    _connected_diameter, component_masks, components,
                    connected_subsets, greedy_independent, lowest_vertex,
-                   make_certificate, mask_of, max_independent, reach, vertices_of)
+                   mask_of, max_independent, reach, vertices_of)
 
 # the search a stage belongs to, as an exhausted budget's message names it
 _SEARCH = {"matching": "matching search",
@@ -31,6 +31,8 @@ class SolveBudget:
     nodes and named counts of a whole run; solvers hand it to those they call."""
 
     def __init__(self, max_nodes: int = 50_000_000, max_seconds: float = 600.0):
+        if not max_seconds >= 0:  # a NaN deadline would never pass
+            raise ValueError(f"a budget needs max_seconds >= 0, got {max_seconds!r}")
         self.max_nodes = max_nodes
         self.nodes = 0
         self.counts = {}  # the run's named counters beside nodes, as hunt's "solved"
@@ -345,147 +347,132 @@ def _tp_bracket(adjs, full, budget):
     return best, parts
 
 
+def _lower_twins(adjs, n):
+    """Per vertex u, the mask of its twins of lower index: the vertices v with
+    c(u, w) = c(v, w) for every color c and every other vertex w."""
+    twins = [0] * n
+    for u in range(n):
+        for v in range(u):
+            pair = ~((1 << u) | (1 << v))
+            if all((adj[u] ^ adj[v]) & pair == 0 for _, adj in adjs):
+                twins[u] |= 1 << v
+    return twins
+
+
+def _two_parts(adjs, twins, avail, charge):
+    """At most two (color, mask) parts partitioning the nonempty mask avail,
+    or None.
+
+    The first part A, connected in color a, is grown from avail's lowest
+    vertex v by connected_subsets, a prefix of each twin class at a time.
+    The vertices of avail that A can no longer reach from v in color a,
+    avoiding those passed over (which it cannot reach either), are forced
+    into the second part B.  B lies in rest = avail & ~A and is connected in
+    some color b, so it lies in the b-component of rest through a forced
+    vertex.  A growth state is accepted when, for some b, that component
+    (through rest's lowest vertex if none is forced) is all of rest, and
+    dropped with its branch when, for every b, it misses a forced vertex.
+    Each growth state checked is charged as one "partition search" node.
+    """
+    v = lowest_vertex(avail)
+    found = None
+
+    def check(s, excluded):
+        nonlocal found
+        charge("partition search")
+        rest = avail & ~s
+        if not rest:
+            found = []
+            return False
+        forced = avail & ~reach(adj_a, v, avail & ~excluded)
+        src = lowest_vertex(forced or rest)
+        hopeless = True
+        for b, adj_b in adjs:
+            comp = reach(adj_b, src, rest)
+            if comp == rest:
+                found = [(b, rest)]
+                return False
+            if not forced & ~comp:
+                hopeless = False
+        return hopeless
+
+    for a, adj_a in adjs:
+        for s in connected_subsets(adj_a, v, avail, twins, check):
+            if found is not None:
+                return [(a, s)] + found
+    return None
+
+
+def _partition(adjs, twins, avail, t, budget, dead):
+    """At most t (color, mask) parts partitioning avail, for t >= 2, or None.
+
+    Each call is one "partition search" node.  The part holding avail's
+    lowest vertex v is each connected monochromatic subset of avail through
+    v that holds a prefix, in index order, of each twin class's vertices in
+    avail; the singleton comes once, under color 1.  With two parts left,
+    _two_parts decides.  The search below avail depends on avail alone, and
+    a set refuted with k parts is refuted with fewer, so dead[avail] holds
+    the most parts refuted on avail; a call whose t is no more than that
+    returns at once, counted in budget.counts["dead states"], a key the
+    caller sets.  The table takes no new entry once it holds _DEAD_CAP,
+    which costs only repeated work.
+    """
+    budget.charge("partition search")
+    if not avail:
+        return []
+    if dead.get(avail, 0) >= t:
+        budget.counts["dead states"] += 1
+        return None
+    if t == 2:
+        got = _two_parts(adjs, twins, avail, budget.charge)
+        if got is not None:
+            return got
+    else:
+        v = lowest_vertex(avail)
+        for c, adj in adjs:
+            for mask in connected_subsets(adj, v, avail, twins):
+                if mask != 1 << v or c == 1:
+                    got = _partition(adjs, twins, avail & ~mask, t - 1, budget, dead)
+                    if got is not None:
+                        return [(c, mask)] + got
+    if len(dead) < _DEAD_CAP or avail in dead:
+        dead[avail] = t
+    return None
+
+
 def tp_exact(g: ColoredMultigraph, budget: SolveBudget | None = None):
     """Minimum monochromatic partition: (size, CoverCertificate in partition mode).
 
     Parts are vertex-disjoint connected monochromatic subgraphs, possibly proper
     subgraphs of components.  _tp_bracket first gives a greedy partition and
     a lower bound; when they meet, the greedy partition is the answer.
-    Otherwise an iterative-deepening search, from t = max(2, lower) to one
-    below the greedy size, grows each part from the lowest uncovered vertex,
-    and the greedy partition is returned if every t is refuted.  Twins
-    (vertices u, v with c(u, w) = c(v, w) for every color c and every other
-    vertex w) are interchangeable, so a part takes only a prefix, in index
-    order, of each twin class's uncovered vertices.  When two parts are
-    left, the first is grown by one pruned connected_subsets walk per color,
-    and the second is read off each growth state's complement (two_parts).
-    Every dfs call and every growth state checked is one budget node.  An
+    Otherwise _partition deepens t from max(2, lower) to one below the
+    greedy size, with one table of refuted vertex sets shared across every
+    t, and the greedy partition is returned if every t is refuted.  An
     exhausted budget's Inconclusive carries "lower", below which every t was
     refuted, and "upper", the greedy size.
-
-    The search below a vertex set left depends on that set alone, and one
-    refuted with k parts is refuted with fewer, so dead[avail], kept across
-    every t, holds the most parts refuted on avail; a dfs call whose t_left
-    is no more than that returns at once, counted in budget.counts["dead
-    states"].  The table takes no new entry once it holds _DEAD_CAP, which
-    costs only repeated work.
     """
     budget = budget or SolveBudget()
     n = g.n
-    if n == 0:
-        return 0, make_certificate([], mode="partition", max_size=0)
-    if g.r == 0:
+    if n and g.r == 0:
         raise Infeasible("vertex 0 is not coverable", witness_vertex=0)
     full = (1 << n) - 1
     adjs = [(c, g.adjacency(c)) for c in range(1, g.r + 1)]
-
-    def certified(pieces):
-        """(t, verified certificate) for a list of (color, mask) parts."""
-        return len(pieces), checked(g, pieces, len(pieces), mode="partition")
-
-    lower, greedy = _tp_bracket(adjs, full, budget)
-    upper = len(greedy)
-    if lower >= upper:
-        return certified(greedy)
-
-    # lower_twins[u]: the twins of u of lower index
-    lower_twins = [0] * n
-    for u in range(n):
-        for v in range(u):
-            pair = ~((1 << u) | (1 << v))
-            if all((adj[u] ^ adj[v]) & pair == 0 for _, adj in adjs):
-                lower_twins[u] |= 1 << v
-
-    # iterative deepening DFS over pieces grown from the lowest uncovered vertex
-    charge = budget.charge
-
-    def pieces_from(v, avail):
-        """(color, mask) of the connected monochromatic subsets containing v
-        inside avail that hold a prefix of each twin class's vertices in avail;
-        the singleton comes once, under color 1."""
-        single = 1 << v
-        for c, adj in adjs:
-            for mask in connected_subsets(adj, v, avail, lower_twins):
-                if mask != single or c == 1:
-                    yield c, mask
-
-    def two_parts(avail):
-        """At most two (color, mask) parts partitioning avail, or None.
-
-        The first part A, connected in color a, is grown from avail's lowest
-        vertex v as pieces_from grows it.  The vertices of avail that A can
-        no longer reach from v in color a, avoiding those passed over (which
-        it cannot reach either), are forced into the second part B.  B lies
-        in rest = avail & ~A and is connected in some color b, so it lies in
-        the b-component of rest through a forced vertex.  A growth state is
-        accepted when, for some b, that component (through rest's lowest
-        vertex if none is forced) is all of rest, and dropped with its
-        branch when, for every b, it misses a forced vertex.
-        """
-        v = lowest_vertex(avail)
-        found = None
-
-        def check(s, excluded):
-            nonlocal found
-            charge("partition search")
-            rest = avail & ~s
-            if not rest:
-                found = []
-                return False
-            forced = avail & ~reach(adj_a, v, avail & ~excluded)
-            src = lowest_vertex(forced or rest)
-            hopeless = True
-            for b, adj_b in adjs:
-                comp = reach(adj_b, src, rest)
-                if comp == rest:
-                    found = [(b, rest)]
-                    return False
-                if not forced & ~comp:
-                    hopeless = False
-            return hopeless
-
-        for a, adj_a in adjs:
-            for s in connected_subsets(adj_a, v, avail, lower_twins, check):
-                if found is not None:
-                    return [(a, s)] + found
-        return None
-
-    dead = {}
-    counts = budget.counts
-    counts.setdefault("dead states", 0)
-
-    def dfs(avail, t_left, acc):
-        charge("partition search")
-        if avail == 0:
-            return list(acc)
-        if dead.get(avail, 0) >= t_left:
-            counts["dead states"] += 1
-            return None
-        if t_left == 2:
-            got = two_parts(avail)
+    lower, parts = _tp_bracket(adjs, full, budget)
+    upper = len(parts)
+    if lower < upper:
+        twins, dead = _lower_twins(adjs, n), {}
+        budget.counts.setdefault("dead states", 0)
+        for t in range(max(2, lower), upper):
+            try:
+                got = _partition(adjs, twins, full, t, budget, dead)
+            except Inconclusive as exc:
+                exc.stats.update(lower=t, upper=upper)
+                raise
             if got is not None:
-                return acc + got
-        else:
-            v = (avail & -avail).bit_length() - 1
-            for c, mask in pieces_from(v, avail):
-                acc.append((c, mask))
-                got = dfs(avail & ~mask, t_left - 1, acc)
-                if got is not None:
-                    return got
-                acc.pop()
-        if len(dead) < _DEAD_CAP or avail in dead:
-            dead[avail] = t_left
-        return None
-
-    for t in range(max(2, lower), upper):
-        try:
-            got = dfs(full, t, [])
-        except Inconclusive as exc:
-            exc.stats.update(lower=t, upper=upper)
-            raise
-        if got is not None:
-            return certified(got)
-    return certified(greedy)
+                parts = got
+                break
+    return len(parts), checked(g, parts, len(parts), mode="partition")
 
 
 def mc_graph(g: ColoredMultigraph):

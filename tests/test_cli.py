@@ -607,6 +607,10 @@ K3_RAINBOW = "cg 3 3\ne 0 1 1\ne 0 2 2\ne 1 2 3\n"
     # a negative diameter bound is a bad argument, not a solver failure
     (["tc", "--max-diam", "-1"], K3_RAINBOW),
     (["cover", "--method", "exact", "--max-diam", "-1"], K3_RAINBOW),
+    # a budget must be a time that can pass: NaN never would, and a negative
+    # one is no budget
+    (["--budget-seconds", "nan", "zrd", "--r", "3", "--d", "2"], None),
+    (["--budget-seconds", "-1", "zrd", "--r", "3", "--d", "2"], None),
 ])
 def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     if text is not None:
@@ -617,6 +621,28 @@ def test_out_of_domain_arguments_exit_3(tmp_path, capsys, argv, text):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["tp", "--input", "{tmp}/missing.cg"], "{tmp}/missing.cg"),
+    (["tp", "--input", "{tmp}"], "{tmp}"),
+    (["verify", "--input", "{tmp}/g.cg", "--cover", "{tmp}/missing.cover"],
+     "{tmp}/missing.cover"),
+    (["--manifest", "{tmp}/missing/m.json", "tp", "--input", "{tmp}/g.cg"],
+     "{tmp}/missing/m.json"),
+    # the manifest of a run that stops on its budget
+    (["--budget-seconds", "0", "--manifest", "{tmp}/missing/m.json", "tp",
+      "--input", "{tmp}/path.cg"], "{tmp}/missing/m.json"),
+], ids=["missing-input", "directory-input", "missing-cover", "manifest-in-missing-dir",
+        "inconclusive-manifest-in-missing-dir"])
+def test_file_errors_exit_3_naming_the_path(tmp_path, capsys, argv, path):
+    (tmp_path / "g.cg").write_text(K3_RAINBOW)
+    (tmp_path / "path.cg").write_text("cg 4 2\ne 0 2 2\ne 1 2 1\ne 1 3 2\n")
+    code = cli.main([a.format(tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert repr(path.format(tmp=tmp_path)) in err
 
 
 K53_FOUR_COLORS = "hg 5 3 4\n" + "".join(

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from ryserlab import exact as ex
 from ryserlab.core import (ColoredMultigraph, GraphError, adjacency, alpha, checked,
                            closure, complete_graph, component_masks, components,
-                           greedy_independent, mask_of, monochromatic_complete, reach,
-                           verify, vertices_of)
+                           greedy_independent, lowest_vertex, mask_of,
+                           monochromatic_complete, reach, verify, vertices_of)
 from ryserlab.duality import ColoredHypergraph
 
 
@@ -844,6 +845,17 @@ def test_budget_reads_the_clock_on_the_first_charge_then_every_8192_nodes(monkey
     assert budget.seconds_left() == 0.0
 
 
+def test_budget_rejects_a_deadline_that_never_passes_or_has_passed():
+    # NaN compares false with every clock reading, so it would never stop a
+    # run, while seconds_left() gave a MILP no time at all
+    for bad in (float("nan"), -1.0, -1e-9):
+        with pytest.raises(ValueError, match="max_seconds >= 0"):
+            ex.SolveBudget(max_seconds=bad)
+    with pytest.raises(ex.Inconclusive):
+        ex.SolveBudget(max_seconds=0).charge("x")
+    assert ex.SolveBudget(max_seconds=float("inf")).seconds_left() == float("inf")
+
+
 def test_set_cover_budget_keeps_the_best_cover():
     # greedy covers with three sets, so a one-node budget leaves that cover
     with pytest.raises(ex.Inconclusive) as exc:
@@ -1029,6 +1041,30 @@ def test_dead_table_node_counts(monkeypatch, cap, pins):
         assert (budget.nodes, budget.counts["dead states"]) == (nodes, hits)
 
 
+def test_partition_search_leaves_no_reference_cycle():
+    # a sparse graph whose bracket, [4, 7], stays open: after the search, the
+    # dead-set table and everything else it built are freed by reference
+    # counting alone, with no object left for the cyclic collector
+    g = ColoredMultigraph.from_edges(10, 2, [(0, 3, 1), (0, 7, 2), (1, 5, 2), (1, 8, 1),
+                                             (2, 3, 2), (3, 8, 1), (7, 8, 2)])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        budget = ex.SolveBudget()
+        assert ex.tp_exact(g, budget)[0] == 6
+        assert budget.counts["dead states"] == 31
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
 def test_dead_table_cap_changes_no_answer(monkeypatch):
     # a table that stops growing at one entry gives every value and
     # certificate of the full table, in the search the bracket would skip
@@ -1069,24 +1105,41 @@ def sparse_graphs(draw):
     return n, r, colors
 
 
+def two_partable(r, colors, vs):
+    """Whether some set A through vs[0], inside the vertex list vs, is
+    connected in one color and leaves the rest of vs empty or connected in
+    one color."""
+    connected = functools.partial(connected_in_one_color, r, colors)
+    first, rest = vs[0], vs[1:]
+    return any(connected((first, *a)) and (len(a) == len(rest) or connected(
+                   tuple(x for x in rest if x not in a)))
+               for k in range(len(rest) + 1) for a in itertools.combinations(rest, k))
+
+
 @settings(max_examples=300, deadline=None)
-@given(sparse_graphs())
+@given(sparse_graphs(), st.integers(0, (1 << 9) - 1))
 # two disjoint edges: growing {0} forces {2, 3}, which the second part must
 # hold, though the component of rest's lowest vertex 1 is {1}
-@example((4, 1, pair_colors(4, [(0, 1, 1), (2, 3, 1)])))
-def test_two_part_decision_matches_brute_force(gv):
-    # tp <= 2 exactly when some set A through vertex 0 is connected in one
-    # color and its complement is empty or connected in one color
+@example((4, 1, pair_colors(4, [(0, 1, 1), (2, 3, 1)])), 0b1111)
+def test_two_part_decision_matches_brute_force(gv, drawn):
+    # tp <= 2 exactly when the whole vertex set is two_partable; _two_parts
+    # decides the same on the drawn vertex subset (all of them if it is
+    # empty), with the whole graph's twins, as the partition search calls it
     n, r, colors = gv
     g = ColoredMultigraph.from_edges(
         n, r, [(u, v, sorted(cs)) for (u, v), cs in colors.items() if cs])
-    connected = functools.partial(connected_in_one_color, r, colors)
-    want = any(connected((0, *a)) and (len(a) == n - 1 or connected(
-                   tuple(sorted(set(range(1, n)) - set(a)))))
-               for k in range(n) for a in itertools.combinations(range(1, n), k))
     tp, cert = ex.tp_exact(g)
-    assert (tp <= 2) == want
+    assert (tp <= 2) == two_partable(r, colors, list(range(n)))
     assert verify(g, cert).ok
+    vs = [v for v in range(n) if drawn >> v & 1] or list(range(n))
+    avail = mask_of(vs)
+    adjs = [(c, g.adjacency(c)) for c in range(1, r + 1)]
+    got = ex._two_parts(adjs, ex._lower_twins(adjs, n), avail, ex.SolveBudget().charge)
+    assert (got is not None) == two_partable(r, colors, vs)
+    if got is not None:
+        assert len(got) <= 2 and sum(m.bit_count() for _, m in got) == len(vs)
+        assert functools.reduce(operator.or_, (m for _, m in got)) == avail
+        assert all(reach(g.adjacency(c), lowest_vertex(m), m) == m for c, m in got)
 
 
 def bracket(n, r, colors):
@@ -1149,6 +1202,35 @@ def test_tp_bracket_is_t_plus_2_on_badmulti():
         adjs = [(c, g.adjacency(c)) for c in range(1, g.r + 1)]
         lower, parts = ex._tp_bracket(adjs, (1 << g.n) - 1, ex.SolveBudget())
         assert lower == len(parts) == t + 2
+
+
+def seeded_sparse_graphs(seed, count, n_lo, n_hi):
+    """count graphs from random.Random(seed): each draws n in [n_lo, n_hi],
+    r in {2, 3} and a density d in [0.12, 0.25], then gives each pair u < v,
+    in order, the single color randint(1, r) with chance d."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, r, d = rng.randint(n_lo, n_hi), rng.randint(2, 3), rng.uniform(0.12, 0.25)
+        yield ColoredMultigraph.from_edges(n, r, [
+            (u, v, rng.randint(1, r)) for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < d])
+
+
+def test_partition_search_node_counts_on_sparse_graphs():
+    # the bracket stays open on 20 of these 24 graphs (n = 14..20), so they
+    # pin the partition search node for node on sparse inputs, which no
+    # benchmark workload reaches
+    tps, totals, searched = [], {"nodes": 0, "bound nodes": 0, "dead states": 0}, 0
+    for g in seeded_sparse_graphs(4242, 24, 14, 20):
+        budget = ex.SolveBudget()
+        tps.append(ex.tp_exact(g, budget)[0])
+        totals["nodes"] += budget.nodes
+        for key in ("bound nodes", "dead states"):
+            totals[key] += budget.counts.get(key, 0)
+        searched += "dead states" in budget.counts
+    assert tps == [6, 2, 3, 3, 2, 4, 3, 7, 5, 7, 3, 7, 4, 4, 6, 3, 2, 4, 8, 9, 6, 5, 2, 6]
+    assert totals == {"nodes": 16784, "bound nodes": 165, "dead states": 1059}
+    assert searched == 20
 
 
 def test_certificate_gate_survives_python_O():
