@@ -143,16 +143,11 @@ class BipartiteClass:
     data: tuple
 
 
-@dataclass
-class _Bip2:
-    cls: BipartiteClass
-    tree_pieces: list      # <= 2 (color, mask), each of radius <= 2 in its color
-    single_piece: tuple | None  # one spanning (color, mask) of diameter <= 6, P3 only
-
-
-def _classify2(g: ColoredMultigraph, xm: int, ym: int, ca: int, cb: int) -> _Bip2:
+def _classify2(g: ColoredMultigraph, xm: int, ym: int, ca: int, cb: int) -> tuple:
     """Classify the (ca,cb)-coloring of the complete bipartite graph between
-    the disjoint vertex masks xm and ym.
+    the disjoint vertex masks xm and ym: its BipartiteClass and <= 2 tree
+    pieces (color, mask), each of radius <= 2 in its color.  Under P3 the
+    class's color spans xm | ym with diameter <= 6.
 
     Every X-Y pair must carry ca or cb; a pair that carries both counts as
     ca.  Precedence P1 > P2 > P3.
@@ -176,13 +171,13 @@ def _classify2(g: ColoredMultigraph, xm: int, ym: int, ca: int, cb: int) -> _Bip
             anchor = lowest_vertex(other)
             t1 = (ca, 1 << va | other | adj[ca][anchor])
             t2 = (cb, 1 << anchor | adj[cb][anchor])
-            return _Bip2(BipartiteClass("P1", (dc_side, va, vb)), [t1, t2], None)
+            return BipartiteClass("P1", (dc_side, va, vb)), [t1, t2]
 
     # a single one-colored vertex forces its color to span (P3)
     for c in (ca, cb):
         if only[c]:
             # it joins its whole other side in c: radius <= 2 about it
-            return _Bip2(BipartiteClass("P3", (c,)), [(c, full)], (c, full))
+            return BipartiteClass("P3", (c,)), [(c, full)]
 
     x0 = lowest_vertex(xm)
     conn = {c: reach(adj[c], x0) == full for c in (ca, cb)}
@@ -194,7 +189,7 @@ def _classify2(g: ColoredMultigraph, xm: int, ym: int, ca: int, cb: int) -> _Bip
         X1, X2, Y1, Y2 = xm & C, xm & ~C, ym & ~C, ym & C
         assert all(adj[ca][x] & Y1 == Y1 for x in vertices_of(X1))
         cls = BipartiteClass("P2", tuple(tuple(vertices_of(m)) for m in (X1, X2, Y1, Y2)))
-        return _Bip2(cls, [(ca, X1 | Y1), (ca, X2 | Y2)], None)
+        return cls, [(ca, X1 | Y1), (ca, X2 | Y2)]
 
     c = ca if conn[ca] else cb
     oc = cb if c == ca else ca
@@ -204,13 +199,10 @@ def _classify2(g: ColoredMultigraph, xm: int, ym: int, ca: int, cb: int) -> _Bip
     v0 = min(v for v in eccs if eccs[v] == d)
     dist = layers(adj[c], v0)
 
-    # the color-c ball of radius 2 about v0
-    t1 = (c, dist[0] | dist[1] | dist[2])
-    if d <= 2:
-        return _Bip2(BipartiteClass("P3", (c,)), [t1], (c, full))
-
+    # d >= 3: at d <= 2 every X-Y pair has color c, so the only test returned
     if d == 3:
-        trees = [t1, (oc, dist[0] | dist[3])]
+        # the color-c ball of radius 2 about v0
+        trees = [(c, dist[0] | dist[1] | dist[2]), (oc, dist[0] | dist[3])]
     elif d == 4:
         # two radius-2 pieces in the other color, about v0 and the lowest
         # vertex of layer 4: a middle vertex hangs on layer 3 if it sees it in
@@ -228,8 +220,7 @@ def _classify2(g: ColoredMultigraph, xm: int, ym: int, ca: int, cb: int) -> _Bip
         trees = [(oc, full & ~t2), (oc, t2)]
 
     # past 6 the other class spans with radius <= 3 (anchored in layer 3)
-    span = c if d <= 6 else oc
-    return _Bip2(BipartiteClass("P3", (span,)), trees, (span, full))
+    return BipartiteClass("P3", (c if d <= 6 else oc,)), trees
 
 
 def classify_bipartite2(g: ColoredMultigraph, X, Y):
@@ -238,9 +229,8 @@ def classify_bipartite2(g: ColoredMultigraph, X, Y):
     Returns (BipartiteClass, CoverCertificate of <= 2 pieces of radius <= 2,
     so each holds a spanning tree of diameter <= 4).
     """
-    res = _classify2(g, *_side_masks(g, X, Y, "classify2"), 1, 2)
-    cert = checked(g, res.tree_pieces, 2, 4, max_radius=2)
-    return res.cls, cert
+    cls, trees = _classify2(g, *_side_masks(g, X, Y, "classify2"), 1, 2)
+    return cls, checked(g, trees, 2, 4, max_radius=2)
 
 
 # ---------------------------------------------------------------------------
@@ -531,35 +521,23 @@ def cover_bipartite3(g: ColoredMultigraph, X, Y, budget=None) -> CoverCertificat
 
     other = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
-    def sub_bip_cover(a, b, colors):
-        """<= 2 tree pieces of diameter <= 4 covering the 2-colored [a, b]."""
-        return _classify2(g, a, b, *colors).tree_pieces
-
     # Step 1: a component missing part of both sides (it meets both)
-    for c, comp in comps:
-        if xm & ~comp and ym & ~comp:
-            return checked(g, sub_bip_cover(xm & ~comp, ym & comp, other[c])
-                           + sub_bip_cover(ym & ~comp, xm & comp, other[c]), 4, 6)
-
-    # Step 2: every two-sided component contains a full side; pick one with
-    # small diameter if possible
-    side_comps = [(c, comp) for c, comp in comps
-                  if comp & xm == xm or comp & ym == ym]
-    assert side_comps, "a component of any edge contains a side here"
-    for c, comp in side_comps:
-        # comp is connected in g's color c, as it is in adj[c]
-        if _connected_diameter(g.adjacency(c), comp, 5) <= 5:
-            pieces = [(c, comp)]
-            if xm & ~comp:
-                pieces += sub_bip_cover(xm & ~comp, ym & comp, other[c])
-            if ym & ~comp:
-                pieces += sub_bip_cover(ym & ~comp, xm & comp, other[c])
-            return checked(g, pieces, 4, 6)
-
-    got = _bip3_layered(g, xm, ym, side_comps[0], other, adj)
-    if got is None:
-        got = _zone_cover(g, xm | ym, 4, budget)
-    return checked(g, got, 4, 6)
+    step = next(((c, comp, []) for c, comp in comps if xm & ~comp and ym & ~comp), None)
+    # Step 2: every two-sided component contains a full side; one of diameter
+    # <= 5 is a piece (comp is connected in g's color c, as it is in adj[c])
+    step = step or next(((c, comp, [(c, comp)]) for c, comp in comps
+                         if _connected_diameter(g.adjacency(c), comp, 5) <= 5), None)
+    if step is None:
+        # the complete bipartite graph has an edge, so comps is not empty
+        got = _bip3_layered(g, xm, ym, comps[0], other, adj)
+        return checked(g, got or _zone_cover(g, xm | ym, 4, budget), 4, 6)
+    c, comp, pieces = step
+    # the tree covers of the 2-colored remainders, each beside comp's part
+    # of the other side
+    for a, b in ((xm & ~comp, ym & comp), (ym & ~comp, xm & comp)):
+        if a:
+            pieces += _classify2(g, a, b, *other[c])[1]
+    return checked(g, pieces, 4, 6)
 
 
 def _bip3_layered(g, xm, ym, side_comp, other, adj):
@@ -573,39 +551,36 @@ def _bip3_layered(g, xm, ym, side_comp, other, adj):
     ca, cb = other[c3]
 
     # the deepest layering inside the component from an X-side vertex
-    dist = max((layers(adj[c3], v, comp) for v in vertices_of(comp & xm)),
-               key=len, default=())
-    d = len(dist) - 1
-    if d < 5:
-        return None
+    dist = max((layers(adj[c3], v, comp) for v in vertices_of(comp & xm)), key=len)
+    # depth >= 5: step 2 left comp of diameter >= 6 in g's color c3, no less here
     X1 = dist[0] | dist[2]
     X2 = xm & ~comp | sum(dist[4::2])
     Y2 = dist[1]
     Y0 = dist[3]
     Y1 = sum(dist[5::2])
-    if not Y1 or not X2:
-        return None
+    # X2 and Y1 hold layers 4 and 5, so neither is empty
     # the first vertices of X1 and X2, and of X2 off layer 4, in the order
     # that lists X1 by layer and X2 as the X side outside comp, then by layer
     x1_first = lowest_vertex(dist[0])
     x2_first = lowest_vertex(xm & ~comp or dist[4])
     far_x2 = next((m for m in (xm & ~comp, *dist[6::2]) if m), 0)
 
-    r1 = _classify2(g, X1, Y1, ca, cb)
-    r2 = _classify2(g, X2, Y2, ca, cb)
+    cls1, trees1 = _classify2(g, X1, Y1, ca, cb)
+    cls2, trees2 = _classify2(g, X2, Y2, ca, cb)
     cstar = (c3, dist[0] | dist[1] | dist[2] | dist[3])
 
-    # (a) one of the sub-bipartite graphs has a spanning piece of diameter <= 6
-    for rr, oo in ((r1, r2), (r2, r1)):
-        if rr.single_piece is not None:
-            return [rr.single_piece] + oo.tree_pieces + [cstar]
+    # (a) one of the sub-bipartite graphs is P3: its color spans it with
+    # diameter <= 6
+    for cls, sides, trees in ((cls1, X1 | Y1, trees2), (cls2, X2 | Y2, trees1)):
+        if cls.tag == "P3":
+            return [(cls.data[0], sides)] + trees + [cstar]
 
     # (b) P1 with the X side double covered: specials live in Y_i
-    for rr, Ai, a0, Bi, xf, oo in ((r1, X1, x1_first, Y1, dist[0], r2),
-                                   (r2, X2, x2_first, Y2, far_x2, r1)):
-        if rr.cls.tag != "P1":
+    for cls, Ai, a0, Bi, xf, trees in ((cls1, X1, x1_first, Y1, dist[0], trees2),
+                                       (cls2, X2, x2_first, Y2, far_x2, trees1)):
+        if cls.tag != "P1":
             continue
-        dc, va, vb = rr.cls.data
+        dc, va, vb = cls.data
         if Bi >> va & 1:  # specials on the Y side cover X_i
             if not xf:
                 continue
@@ -614,12 +589,12 @@ def _bip3_layered(g, xm, ym, side_comp, other, adj):
             rest = Bi & ~(1 << va | 1 << vb)
             to_a = rest & adj[ca][a0] | Y0 & adj[ca][lowest_vertex(xf)]
             to_b = (rest | Y0) & ~to_a
-            return [(ca, 1 << va | Ai | to_a), (cb, 1 << vb | Ai | to_b)] + oo.tree_pieces
+            return [(ca, 1 << va | Ai | to_a), (cb, 1 << vb | Ai | to_b)] + trees
     # (c) [X1, Y1] is P1 with Y1 double covered: specials in X1
-    if r1.cls.tag == "P1":
-        dc, va, vb = r1.cls.data
+    if cls1.tag == "P1":
+        dc, va, vb = cls1.data
         if X1 >> va & 1:
-            return [(ca, 1 << va | Y1), cstar] + r2.tree_pieces
+            return [(ca, 1 << va | Y1), cstar] + trees2
 
     # (d)/(e): [X1, Y1] is P2 or another P1 orientation
     return None
@@ -642,6 +617,8 @@ def cover_multipartite(g: ColoredMultigraph, parts, r: int, budget=None) -> Cove
         raise GraphError("the three-color bound needs exactly three parts")
     if not g.n:
         return checked(g, [], r)
+    if not all(parts):
+        raise GraphError(f"part {parts.index([])} is empty")
     # a spanning color is a one-piece cover
     full = (1 << g.n) - 1
     for c in range(1, g.r + 1):
@@ -653,20 +630,17 @@ def cover_multipartite(g: ColoredMultigraph, parts, r: int, budget=None) -> Cove
     return _multipartite3(g, part_masks, budget)
 
 
+def _global_components(g, pieces):
+    """The global component of each (color, mask) piece, each once: a piece
+    is connected in its color, so any of its vertices names its component."""
+    return list(dict.fromkeys((c, reach(g.adjacency(c), lowest_vertex(m))) for c, m in pieces))
+
+
 def _multipartite2(g, parts):
     V1 = parts[0]
-    res = _classify2(g, V1, (1 << g.n) - 1 & ~V1, 1, 2)
-    if res.cls.tag == "P1":
-        _, va, vb = res.cls.data
-        roots = [(1, va), (2, vb)]
-    elif res.cls.tag == "P2":
-        X1, X2, Y1, Y2 = res.cls.data
-        roots = [(1, X1[0]), (1, X2[0])]
-    else:
-        roots = [(res.cls.data[0], lowest_vertex(V1))]
-    # the global components through the roots, each once
-    pieces = dict.fromkeys((c, reach(g.adjacency(c), v)) for c, v in roots)
-    return checked(g, list(pieces), 2)
+    # not P3: its color would span [V1, rest], so g, and the caller returned
+    trees = _classify2(g, V1, (1 << g.n) - 1 & ~V1, 1, 2)[1]
+    return checked(g, _global_components(g, trees), 2)
 
 
 def _multipartite3(g, parts, budget):
@@ -679,12 +653,8 @@ def _multipartite3(g, parts, budget):
                 if pm & ~comp:
                     continue
                 oc = [cc for cc in (1, 2, 3) if cc != c]
-                res = _classify2(g, full & ~comp, pm, *oc)
-                # each tree is connected in its color, so any of its vertices
-                # names its global component
-                pieces = dict.fromkeys([(c, comp)] + [
-                    (pc, reach(g.adjacency(pc), lowest_vertex(m))) for pc, m in res.tree_pieces])
-                return checked(g, list(pieces), 3)
+                trees = _classify2(g, full & ~comp, pm, *oc)[1]
+                return checked(g, _global_components(g, [(c, comp)] + trees), 3)
     # general case: the proof guarantees a 3-component cover exists, and
     # tc_exact's certificate is already verified
     size, cert = tc_exact(g, budget=budget)
@@ -712,11 +682,15 @@ def restricted_cover(g: ColoredMultigraph, r: int, S, budget=None) -> CoverCerti
     S = sorted(S)
     if len(S) != 2 or S[0] == S[1] or any(not 1 <= c <= r for c in S):
         raise GraphError("S must be two distinct colors in 1..r")
-    if not g.is_complete():
-        raise GraphError("restricted_cover needs a complete graph")
+    if r > g.r:
+        raise GraphError(f"restricted_cover needs r <= g.r = {g.r}, got r={r}")
     full = (1 << g.n) - 1
-    aS, witness = alpha(closed_graph(g.n, [
-        component_masks(g.adjacency(c), full) if c <= g.r else [] for c in S]))
+    union = _least_colors(g, range(1, r + 1))[1]
+    u = next((u for u, m in enumerate(union) if m | 1 << u != full), None)
+    if u is not None:
+        raise GraphError(f"restricted_cover needs every pair to carry a color in 1..{r}: "
+                         f"pair ({u},{lowest_vertex(full & ~(union[u] | 1 << u))}) carries none")
+    aS, witness = alpha(closed_graph(g.n, [component_masks(g.adjacency(c), full) for c in S]))
     if aS <= r - 1:
         # A minimum cover by S-colored components has König's size: it equals
         # a maximum set of vertices in pairwise different components of each
@@ -763,24 +737,14 @@ def _restricted5(g, xm, P):
     comps_by_color = {c: _on_x_comps(g, c, xm) for c in P}
     tX = {c: [(m & xm).bit_count() for m in comps_by_color[c]] for c in P}
 
-    def pieces_for(cond, roles):
-        i, j, k = roles
-        if cond == 1:
-            ps = [(i, comp) for comp in comps_by_color[i]]
-            ps += [(j, comp) for comp in comps_by_color[j]]
-            ps += [(k, comp) for comp, sz in zip(comps_by_color[k], tX[k]) if sz >= 3]
-        else:
-            ps = [(i, comp) for comp in comps_by_color[i]]
-            ps += [(j, comp) for comp, sz in zip(comps_by_color[j], tX[j]) if sz >= 2]
-            ps += [(k, comp) for comp, sz in zip(comps_by_color[k], tX[k]) if sz >= 2]
-        return ps
-
-    for i, j, k in itertools.permutations(P):
-        if len(tX[i]) + len(tX[j]) + sum(1 for s in tX[k] if s >= 3) <= 4:
-            return pieces_for(1, (i, j, k))
-        if len(tX[i]) + sum(1 for s in tX[j] if s >= 2) + \
-                sum(1 for s in tX[k] if s >= 2) <= 4:
-            return pieces_for(2, (i, j, k))
+    # per role order, the components of each role that hold at least its
+    # threshold of X (every one holds 1)
+    for roles in itertools.permutations(P):
+        for least in ((1, 1, 3), (1, 2, 2)):
+            ps = [(c, comp) for c, t in zip(roles, least)
+                  for comp, sz in zip(comps_by_color[c], tX[c]) if sz >= t]
+            if len(ps) <= 4:
+                return ps
 
     shapes = sorted((tuple(sorted(t, reverse=True)) for t in tX.values()),
                     reverse=True)

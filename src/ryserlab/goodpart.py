@@ -226,8 +226,18 @@ def good_partition(g: ColoredMultigraph, Y, Z, budget=None):
     that is iff no row is everywhere-different from f: the good assignments are
     the words covers_all finds uncovered, and the first is the answer, as parts
     of Y's vertices.  Each word tried is a budget node; more words than nodes
-    left are refused up front.
+    left are refused up front.  The sides need not hold every vertex, but a
+    vertex out of range, twice in a side or on both sides is a GraphError.
     """
+    side_of = {}
+    for side, vs in (("Y", Y), ("Z", Z)):
+        for v in vs:
+            if not 0 <= v < g.n:
+                raise GraphError(f"vertex {v} is outside 0..{g.n - 1}")
+            if v in side_of:
+                where = f"twice in {side}" if side_of[v] == side else "on both sides"
+                raise GraphError(f"vertex {v} is {where}")
+            side_of[v] = side
     budget = budget or SolveBudget()
     least = {(y, z): min(g.colors_of(y, z), default=0) for y in Y for z in Z}
     for (y, z), c in least.items():

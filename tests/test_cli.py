@@ -667,6 +667,25 @@ def test_inputs_outside_a_proof_exit_3_not_1(tmp_path, capsys, argv, text, messa
     assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
+K4_COLOR4 = "cg 4 4\n" + "".join(
+    f"e {u} {v} 4\n" for u, v in itertools.combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("text, r, message", [
+    (K4_COLOR4, "3", "restricted_cover needs every pair to carry a color in 1..3: "
+                     "pair (0,1) carries none"),
+    (K3_RAINBOW, "4", "restricted_cover needs r <= g.r = 3, got r=4"),
+], ids=["pair-outside-colors", "r-above-graph"])
+def test_cover_restricted_outside_its_colors_exits_3(tmp_path, capsys, text, r, message):
+    g = tmp_path / "g.cg"
+    g.write_text(text)
+    code = cli.main(["cover", "--input", str(g), "--method", "restricted",
+                     "--r", r, "--restrict-colors", "1", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cover_restricted_names_its_missing_flag(tmp_path, capsys):
     g = tmp_path / "g.cg"
     g.write_text(K3_RAINBOW)

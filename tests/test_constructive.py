@@ -494,6 +494,28 @@ def rand_multi(parts, r, rng):
             [list(range(a, b)) for a, b in bounds])
 
 
+# The 5-cycle 0-2-3-1-4-0, whose first independent pair is x = 0, y = 1: it
+# ends case 2.1 in the Z1/Z2 branch, Z1 + Z2 = {2, 3}, and the color of the
+# pair 23 picks the return.
+@pytest.mark.parametrize("c23, pieces", [
+    (2, ((2, (0, 2, 3)), (2, (1, 4)))),
+    (1, ((1, (1, 2, 3)), (1, (0, 4)))),
+], ids=["dz-c1", "dz-c2"])
+def test_cover_alpha2_case21_z_endings(monkeypatch, c23, pieces):
+    g = cli.parse_graph(f"cg 5 2\ne 0 2 2\ne 1 3 1\ne 0 4 1\ne 1 4 2\ne 2 3 {c23}\n")
+    masks, real = [], cv._induced_diameter
+
+    def spy(adj, mask):
+        masks.append(mask)
+        return real(adj, mask)
+
+    monkeypatch.setattr(cv, "_induced_diameter", spy)
+    cert = cv.cover_alpha2(g)
+    # the blobs in both colors, then Z1 + Z2 in both
+    assert masks[4:] == [0b1100, 0b1100]
+    assert cert.pieces == pieces and verify(g, cert).ok
+
+
 def test_cover_multipartite_2():
     rng = random.Random(7)
     for _ in range(150):
@@ -518,6 +540,20 @@ def test_covers_of_the_empty_graph():
         assert cert.pieces == () and verify(g, cert).ok
     cert = cv.restricted_cover(ColoredMultigraph(0, 3, []), 3, [1, 2])
     assert cert.pieces == () and cert.allowed_colors == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("r, parts, index", [
+    (2, [[], [0, 1], [2, 3]], 0),
+    (2, [[0, 1], [2, 3], []], 2),
+    (3, [[0, 1], [2, 3], []], 2),
+    (3, [[0, 1], [], [2, 3]], 1),
+])
+def test_cover_multipartite_rejects_an_empty_part(r, parts, index):
+    # a 2-colored K_{2,2} in which neither color spans: wherever the empty
+    # part stands, it is named
+    g = ColoredMultigraph(4, r, [(0, 2, 1), (1, 3, 1), (0, 3, 2), (1, 2, 2)])
+    with pytest.raises(GraphError, match=rf"^part {index} is empty$"):
+        cv.cover_multipartite(g, parts, r)
 
 
 def test_cover_multipartite_3_general_case(monkeypatch):
@@ -591,7 +627,7 @@ def test_cover_bipartite3_layered_cases_d_e(monkeypatch, tags, rows):
 
     def classify(*args):
         got = real_classify(*args)
-        classes.append(got.cls.tag)
+        classes.append(got[0].tag)
         return got
 
     def cover(universe, candidates, budget):
@@ -667,6 +703,23 @@ def test_restricted_cover_needs_two_distinct_colors(S):
     g = monochromatic_complete(4, r=3)
     with pytest.raises(GraphError, match=r"^S must be two distinct colors in 1\.\.r$"):
         cv.restricted_cover(g, 3, S)
+
+
+@pytest.mark.parametrize("g, r, S, message", [
+    # every pair in color 4 only, outside 1..3
+    (monochromatic_complete(4, r=4, color=4), 3, [1, 2],
+     r"pair \(0,1\) carries none"),
+    (ColoredMultigraph(3, 3, [(0, 1, 1), (1, 2, 2)]), 3, [1, 2],
+     r"pair \(0,2\) carries none"),
+    # r above g.r, whichever branch the coloring would take
+    (complete_graph(4, lambda u, v: 3 if (u, v) == (0, 1) else 1, 3), 4, [3, 4],
+     r"r <= g.r = 3, got r=4"),
+    (monochromatic_complete(6, r=3, color=3), 4, [1, 2], r"r <= g.r = 3, got r=4"),
+    (monochromatic_complete(6, r=3, color=3), 5, [4, 5], r"r <= g.r = 3, got r=5"),
+], ids=["color-above-r", "missing-pair", "konig-r-above", "r4-above", "r5-above"])
+def test_restricted_cover_checks_its_colors(g, r, S, message):
+    with pytest.raises(GraphError, match=f"^restricted_cover needs .*{message}"):
+        cv.restricted_cover(g, r, S)
 
 
 def test_restricted_cover_konig_branch_is_minimum():

@@ -181,6 +181,21 @@ def test_good_partition_names_the_first_missing_pair():
         gp.good_partition(g, [1, 0], [2, 3])
 
 
+@pytest.mark.parametrize("Y, Z, message", [
+    ([0, 0], [2], "vertex 0 is twice in Y"),
+    ([0], [2, 2], "vertex 2 is twice in Z"),
+    ([0, 5], [2], r"vertex 5 is outside 0\.\.2"),
+    ([-1], [2], r"vertex -1 is outside 0\.\.2"),
+    ([0, 2], [2], "vertex 2 is on both sides"),
+], ids=["twice-in-Y", "twice-in-Z", "above-range", "below-range", "both-sides"])
+def test_good_partition_checks_its_sides(Y, Z, message):
+    g = ColoredMultigraph.from_edges(3, 2, [(0, 1, 1), (0, 2, 1), (1, 2, 2)])
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        gp.good_partition(g, Y, Z)
+    # the sides need not hold every vertex
+    assert gp.good_partition(g, [0], [2]) == [(0,), ()]
+
+
 def test_good_partition_draws_on_the_budget():
     g = gp.bad_bipartite_coloring(2, 4)
     Y, Z = [0, 1], [2, 3, 4, 5]

@@ -58,6 +58,17 @@ def test_enumerate_counts():
     assert [s.shapes() for s in two] == [((2,),), ((1, 1),)]
 
 
+def test_one_shape_signatures():
+    # with one color a covering tuple is one partition, so only the single
+    # block (n) covers every pair and is valid
+    sg._TABLES.clear()
+    for n in range(1, 8):
+        assert sg.valid_signatures(n, 1) == [S((n,))]
+        assert sg.is_valid(S((n,))) == monochromatic_complete(n)
+        for shape in sg.int_partitions(n):
+            assert (sg.is_valid(S(shape)) is None) == (shape != (n,)), shape
+
+
 def test_valid_count_53():
     assert len(sg.valid_signatures(5, 3)) == 37
 
